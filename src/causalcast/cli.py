@@ -5,7 +5,8 @@ exit codes: 0 on success, 1 on runtime failure, 2 on invalid input or
 configuration.  Experiment runs are driven by a YAML/JSON config file
 checked against a published schema; a few flags (output dir, seed,
 jobs) override file values.  Each run can record a manifest listing the
-config hash, seed, toolkit version, and every artifact written.
+config hash, seed, toolkit, numpy and scipy versions, a sha256 of every
+input file, and every artifact written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import click
 import jsonschema
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -194,8 +196,14 @@ def _write_manifest(path, command: str, config_data, seed, inputs, artifacts) ->
         "config_hash": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         "seed": seed,
         "version": __version__,
+        # the numeric stack decides the last digits of every reported metric
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "created": dt.datetime.now(dt.timezone.utc).isoformat(),
-        "inputs": [str(p) for p in inputs],
+        "inputs": [
+            {"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+            for p in inputs
+        ],
         "artifacts": [str(p) for p in artifacts],
     }
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n")

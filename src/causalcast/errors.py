@@ -74,10 +74,6 @@ class RankDeficient(CausalcastError):
     """Design matrix rank-deficient beyond tolerance."""
 
 
-class DegenerateTest(CausalcastError):
-    """CI test undefined (zero-variance residuals)."""
-
-
 class NumericalError(CausalcastError):
     """NaN/Inf appeared where finite values are required."""
 

@@ -27,6 +27,17 @@ head_b   (1,)
 The GRU uses split input/recurrent biases with the reset gate applied
 after the recurrent matmul (so the two candidate biases are not
 redundant), and the update convention h_t = (1 - z) * h_{t-1} + z * n_t.
+
+Internally the kernels are time-major: ``_forward`` transposes the
+(B, tau, .) batch once, so each timestep reads and writes one contiguous
+(B, .) block, and each layer keeps its states in one (T+1, B, units)
+array whose first row is the initial state.  The input matmul is hoisted
+out of the time loop, each step activates its sigmoid gates ([z, r] or
+[i, f, o]) with one in-place call, and backward computes the
+recursion-free derivative factors before its loop.  Numerical checks run
+once per sequence: all hidden states must lie in [-1, 1] (a NaN fails
+this and reaches every later step), and the final LSTM cell state must
+be finite (tanh hides an infinite cell state from h, but it persists).
 """
 
 from __future__ import annotations
@@ -163,111 +174,87 @@ def parameter_count(model: RecurrentModel) -> int:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of ``x``, in place, in the overflow-free tanh form."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
-def _check_hidden(h: np.ndarray, layer: str, step: int) -> None:
-    # tanh-gated outputs live in [-1, 1]; NaN fails the comparison too
-    if not np.all(np.abs(h) <= 1.0):
-        raise NumericalError(
-            f"{layer} hidden state non-finite or out of [-1, 1] at step {step}"
-        )
+def _check_hidden(hs: np.ndarray, layer: str) -> None:
+    # tanh-gated outputs live in [-1, 1]; NaN fails the comparison too,
+    # and once in the recursion it reaches every later step
+    if not np.all(np.abs(hs) <= 1.0):
+        raise NumericalError(f"{layer} hidden state non-finite or out of [-1, 1]")
 
 
-def _gru_forward(
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    h0: np.ndarray | None = None,
-    want_cache: bool = False,
-):
+def _time_major(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+
+def _gru_forward(params, x: np.ndarray, h0=None, want_cache: bool = False):
+    """GRU over time-major ``x`` (T, B, F); states (T+1, B, G) hold h0 first."""
     W, U = params["gru_W"], params["gru_U"]
     bx, bh = params["gru_bx"], params["gru_bh"]
-    B, T, F = x.shape
+    T, B, F = x.shape
     G = U.shape[0]
     if W.shape[0] != F:
         raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
-    h = np.zeros((B, G)) if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=np.float64), (B, G)
-    ).copy()
-    gx = (x.reshape(B * T, F) @ W).reshape(B, T, 3 * G) + bx
-    hs = np.empty((B, T, G))
-    cache = None
-    if want_cache:
-        cache = {k: np.empty((B, T, G)) for k in ("z", "r", "n", "a", "hprev")}
-        cache["x"] = x
+    hs = np.empty((T + 1, B, G))
+    hs[0] = 0.0 if h0 is None else h0
+    # input projections; the loop turns them into the gates [z, r, n]
+    gates = (x.reshape(T * B, F) @ W).reshape(T, B, 3 * G)
+    gates += bx
+    ghs = np.empty((T, B, 3 * G)) if want_cache else None
     for t in range(T):
-        gh = h @ U + bh
-        z = _sigmoid(gx[:, t, :G] + gh[:, :G])
-        r = _sigmoid(gx[:, t, G : 2 * G] + gh[:, G : 2 * G])
-        a = gh[:, 2 * G :]
-        n = np.tanh(gx[:, t, 2 * G :] + r * a)
-        if want_cache:
-            cache["z"][:, t] = z
-            cache["r"][:, t] = r
-            cache["n"][:, t] = n
-            cache["a"][:, t] = a
-            cache["hprev"][:, t] = h
-        h = (1.0 - z) * h + z * n
-        _check_hidden(h, "GRU", t)
-        hs[:, t] = h
+        gh = np.matmul(hs[t], U, out=ghs[t] if want_cache else None)
+        gh += bh
+        zr = gates[t, :, : 2 * G]
+        zr += gh[:, : 2 * G]
+        _sigmoid(zr)
+        z = zr[:, :G]
+        n = gates[t, :, 2 * G :]
+        n += zr[:, G:] * gh[:, 2 * G :]
+        np.tanh(n, out=n)
+        step = n - hs[t]
+        step *= z
+        np.add(hs[t], step, out=hs[t + 1])
+    _check_hidden(hs[1:], "GRU")
+    cache = dict(x=x, hs=hs, gates=gates, gh=ghs) if want_cache else None
     return hs, cache
 
 
-def _lstm_forward(
-    params: dict[str, np.ndarray],
-    x: np.ndarray,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-    want_cache: bool = False,
-):
+def _lstm_forward(params, x: np.ndarray, h0=None, c0=None, want_cache: bool = False):
+    """LSTM over time-major ``x`` (T, B, K); returns (T+1, B, L) hidden
+    and cell states, first row the initial state."""
     W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"]
-    B, T, K = x.shape
+    T, B, K = x.shape
     L = U.shape[0]
     if W.shape[0] != K:
         raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
-    h = np.zeros((B, L)) if h0 is None else np.broadcast_to(
-        np.asarray(h0, dtype=np.float64), (B, L)
-    ).copy()
-    c = np.zeros((B, L)) if c0 is None else np.broadcast_to(
-        np.asarray(c0, dtype=np.float64), (B, L)
-    ).copy()
-    px = (x.reshape(B * T, K) @ W).reshape(B, T, 4 * L) + b
-    hs = np.empty((B, T, L))
-    cache = None
-    if want_cache:
-        cache = {
-            k: np.empty((B, T, L))
-            for k in ("i", "f", "o", "g", "tc", "cprev", "hprev")
-        }
-        cache["x"] = x
+    hs = np.empty((T + 1, B, L))
+    cs = np.empty((T + 1, B, L))
+    hs[0] = 0.0 if h0 is None else h0
+    cs[0] = 0.0 if c0 is None else c0
+    # input projections; the loop turns them into the gates [i, f, o, g]
+    gates = (x.reshape(T * B, K) @ W).reshape(T, B, 4 * L)
+    gates += b
+    tcs = np.empty((T, B, L)) if want_cache else None
     for t in range(T):
-        pre = px[:, t] + h @ U
-        i = _sigmoid(pre[:, :L])
-        f = _sigmoid(pre[:, L : 2 * L])
-        o = _sigmoid(pre[:, 2 * L : 3 * L])
-        g = np.tanh(pre[:, 3 * L :])
-        if want_cache:
-            cache["i"][:, t] = i
-            cache["f"][:, t] = f
-            cache["o"][:, t] = o
-            cache["g"][:, t] = g
-            cache["cprev"][:, t] = c
-            cache["hprev"][:, t] = h
-        c = f * c + i * g
-        if not np.all(np.isfinite(c)):
-            raise NumericalError(f"LSTM cell state non-finite at step {t}")
-        tc = np.tanh(c)
-        h = o * tc
-        _check_hidden(h, "LSTM", t)
-        if want_cache:
-            cache["tc"][:, t] = tc
-        hs[:, t] = h
-    return hs, c, cache
+        pre = gates[t]
+        pre += hs[t] @ U
+        _sigmoid(pre[:, : 3 * L])
+        g = np.tanh(pre[:, 3 * L :], out=pre[:, 3 * L :])
+        np.multiply(pre[:, L : 2 * L], cs[t], out=cs[t + 1])
+        cs[t + 1] += pre[:, :L] * g
+        tc = np.tanh(cs[t + 1], out=tcs[t] if want_cache else None)
+        np.multiply(pre[:, 2 * L : 3 * L], tc, out=hs[t + 1])
+    _check_hidden(hs[1:], "LSTM")
+    if not np.all(np.isfinite(cs[-1])):
+        raise NumericalError("LSTM cell state non-finite")
+    cache = dict(x=x, hs=hs, cs=cs, gates=gates, tc=tcs) if want_cache else None
+    return hs, cs, cache
 
 
 def gru_forward(params, x_sequence, h0=None) -> np.ndarray:
@@ -281,7 +268,8 @@ def gru_forward(params, x_sequence, h0=None) -> np.ndarray:
     single = x.ndim == 2
     if single:
         x = x[None]
-    hs, _ = _gru_forward(params, x, h0=h0)
+    hs, _ = _gru_forward(params, _time_major(x), h0=h0)
+    hs = hs[1:].transpose(1, 0, 2)
     return hs[0] if single else hs
 
 
@@ -291,7 +279,8 @@ def lstm_forward(params, x_sequence, h0=None, c0=None):
     single = x.ndim == 2
     if single:
         x = x[None]
-    hs, c, _ = _lstm_forward(params, x, h0=h0, c0=c0)
+    hs, cs, _ = _lstm_forward(params, _time_major(x), h0=h0, c0=c0)
+    hs, c = hs[1:].transpose(1, 0, 2), cs[-1]
     return (hs[0], c[0]) if single else (hs, c)
 
 
@@ -324,10 +313,11 @@ def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite values in input batch")
     p = model.params
-    hs, gru_cache = _gru_forward(p, x, want_cache=want_cache)
-    seq = hs * masks[0] if masks is not None else hs
+    hs, gru_cache = _gru_forward(p, _time_major(x), want_cache=want_cache)
+    seq_mask = _time_major(masks[0]) if masks is not None else None
+    seq = hs[1:] * seq_mask if masks is not None else hs[1:]
     lstm_hs, _, lstm_cache = _lstm_forward(p, seq, want_cache=want_cache)
-    h_final = lstm_hs[:, -1]
+    h_final = lstm_hs[-1]
     hd = h_final * masks[1] if masks is not None else h_final
     dense_pre = hd @ p["dense_W"] + p["dense_b"]
     dense_out = np.maximum(dense_pre, 0.0)
@@ -339,6 +329,7 @@ def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
         cache = {
             "gru": gru_cache,
             "lstm": lstm_cache,
+            "seq_mask": seq_mask,
             "dense_in": hd,
             "dense_pre": dense_pre,
             "dense_out": dense_out,
@@ -362,70 +353,76 @@ def model_forward(
 
 
 def _gru_backward(params, cache, dhs):
+    """Parameter gradients from the loss gradient ``dhs`` (T, B, G) with
+    respect to every GRU output state."""
     U = params["gru_U"]
-    x = cache["x"]
-    B, T, F = x.shape
+    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
+    T, B, F = x.shape
     G = U.shape[0]
-    dgx = np.empty((B, T, 3 * G))
-    dgh = np.empty((B, T, 3 * G))
+    z, r, n = gates[..., :G], gates[..., G : 2 * G], gates[..., 2 * G :]
+    a = cache["gh"][..., 2 * G :]
+    # recursion-free factors: each gate pre-activation's gradient is
+    # dh_t times one of these
+    dn = z * (1.0 - n * n)
+    dz = (n - hs[:-1]) * z * (1.0 - z)
+    dr = dn * a * r * (1.0 - r)
+    factors = np.concatenate([dz, dr, dn * r], axis=-1).reshape(T, B, 3, G)
+    keep = 1.0 - z
+    dgh = np.empty((T, B, 3, G))
+    dh_all = np.empty((T, B, G))
     dh_next = np.zeros((B, G))
     for t in range(T - 1, -1, -1):
-        z = cache["z"][:, t]
-        r = cache["r"][:, t]
-        n = cache["n"][:, t]
-        a = cache["a"][:, t]
-        hprev = cache["hprev"][:, t]
-        dh = dhs[:, t] + dh_next
-        dz = dh * (n - hprev)
-        dpre_n = dh * z * (1.0 - n * n)
-        dpre_r = dpre_n * a * r * (1.0 - r)
-        dpre_z = dz * z * (1.0 - z)
-        dgx[:, t, :G] = dpre_z
-        dgx[:, t, G : 2 * G] = dpre_r
-        dgx[:, t, 2 * G :] = dpre_n
-        dgh[:, t, :G] = dpre_z
-        dgh[:, t, G : 2 * G] = dpre_r
-        dgh[:, t, 2 * G :] = dpre_n * r
-        dh_next = dh * (1.0 - z) + dgh[:, t] @ U.T
-    flat_gx = dgx.reshape(B * T, 3 * G)
-    flat_gh = dgh.reshape(B * T, 3 * G)
+        dh = np.add(dhs[t], dh_next, out=dh_all[t])
+        np.multiply(factors[t], dh[:, None], out=dgh[t])
+        dh_next = dgh[t].reshape(B, 3 * G) @ U.T
+        dh_next += dh * keep[t]
+    # the candidate's input side is not scaled by the reset gate
+    dgx = dgh.copy()
+    dgx[:, :, 2] = dh_all * dn
+    flat_gx = dgx.reshape(T * B, 3 * G)
+    flat_gh = dgh.reshape(T * B, 3 * G)
     return {
-        "gru_W": x.reshape(B * T, F).T @ flat_gx,
-        "gru_U": cache["hprev"].reshape(B * T, G).T @ flat_gh,
+        "gru_W": x.reshape(T * B, F).T @ flat_gx,
+        "gru_U": hs[:-1].reshape(T * B, G).T @ flat_gh,
         "gru_bx": flat_gx.sum(axis=0),
         "gru_bh": flat_gh.sum(axis=0),
     }
 
 
 def _lstm_backward(params, cache, dh_last):
+    """(input gradient (T, B, K), parameter gradients) from the loss
+    gradient with respect to the last hidden state only."""
     W, U = params["lstm_W"], params["lstm_U"]
-    x = cache["x"]
-    B, T, K = x.shape
+    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
+    cs, tc = cache["cs"], cache["tc"]
+    T, B, K = x.shape
     L = U.shape[0]
-    dpre = np.empty((B, T, 4 * L))
+    i, f = gates[..., :L], gates[..., L : 2 * L]
+    o, g = gates[..., 2 * L : 3 * L], gates[..., 3 * L :]
+    # recursion-free factors: dc_t gains dh_t * dc_dh, and the gate
+    # pre-activation gradients are dc_t (i, f, g) or dh_t (o) times these
+    dc_dh = o * (1.0 - tc * tc)
+    factors = np.concatenate(
+        [g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o),
+         i * (1.0 - g * g)],
+        axis=-1,
+    ).reshape(T, B, 4, L)
+    dpre = np.empty((T, B, 4, L))
     dh = dh_last
     dc = np.zeros((B, L))
     for t in range(T - 1, -1, -1):
-        i = cache["i"][:, t]
-        f = cache["f"][:, t]
-        o = cache["o"][:, t]
-        g = cache["g"][:, t]
-        tc = cache["tc"][:, t]
-        cprev = cache["cprev"][:, t]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dpre[:, t, :L] = dc * g * i * (1.0 - i)
-        dpre[:, t, L : 2 * L] = dc * cprev * f * (1.0 - f)
-        dpre[:, t, 2 * L : 3 * L] = dh * tc * o * (1.0 - o)
-        dpre[:, t, 3 * L :] = dc * i * (1.0 - g * g)
-        dh = dpre[:, t] @ U.T
-        dc = dc * f
-    flat = dpre.reshape(B * T, 4 * L)
+        dc += dh * dc_dh[t]
+        np.multiply(factors[t], dc[:, None], out=dpre[t])
+        np.multiply(factors[t, :, 2], dh, out=dpre[t, :, 2])
+        dh = dpre[t].reshape(B, 4 * L) @ U.T
+        dc *= f[t]
+    flat = dpre.reshape(T * B, 4 * L)
     grads = {
-        "lstm_W": x.reshape(B * T, K).T @ flat,
-        "lstm_U": cache["hprev"].reshape(B * T, L).T @ flat,
+        "lstm_W": x.reshape(T * B, K).T @ flat,
+        "lstm_U": hs[:-1].reshape(T * B, L).T @ flat,
         "lstm_b": flat.sum(axis=0),
     }
-    dx = (flat @ W.T).reshape(B, T, K)
+    dx = (flat @ W.T).reshape(T, B, K)
     return dx, grads
 
 
@@ -461,7 +458,7 @@ def backward(model: RecurrentModel, batch, targets, masks=None):
     dh_final = dhd * masks[1] if masks is not None else dhd
     dseq, lstm_grads = _lstm_backward(p, cache["lstm"], dh_final)
     grads.update(lstm_grads)
-    dhs = dseq * masks[0] if masks is not None else dseq
+    dhs = dseq * cache["seq_mask"] if masks is not None else dseq
     grads.update(_gru_backward(p, cache["gru"], dhs))
     return grads, loss
 

@@ -3,8 +3,9 @@
 One :func:`run_experiment` call walks the full roster: for each
 frequency with a dataset, discover causal drivers (as required by the
 requested variants), then train and score one model per (variant, lead)
-cell.  Cells are independent: a failure in one is recorded and the rest
-proceed, and with ``jobs > 1`` they run in a process pool.  Reports,
+cell.  Cells are independent: a ``CausalcastError`` or ``OSError`` in
+one is recorded and the rest proceed (any other exception is a bug and
+propagates), and with ``jobs > 1`` they run in a process pool.  Reports,
 graphs, and checkpoints land in the configured output directory, and
 every random draw descends from the one root seed, so identical configs
 yield byte-identical report CSVs.
@@ -472,7 +473,9 @@ def _run_cell(args) -> tuple[EvalRecord | None, dict | None, str | None]:
             ),
         )
         return record, None, ck_path
-    except Exception as exc:  # isolate the cell, keep the experiment alive
+    except (CausalcastError, OSError) as exc:
+        # isolate the cell, keep the experiment alive; any other
+        # exception is a program bug and must not pass as a failed cell
         failure = {
             "frequency": freq.value,
             "variant": variant.value,

@@ -1,7 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from causalcast import Frequency, PlantedGraph, generate_var, load_csv, save_csv
@@ -254,6 +257,13 @@ seed: 3
         assert manifest["seed"] == 3
         assert len(manifest["config_hash"]) == 64
         assert str(out / "report.csv") in manifest["artifacts"]
+        assert manifest["numpy"] == np.__version__
+        assert manifest["scipy"] == scipy.__version__
+        names = {Path(e["path"]).name for e in manifest["inputs"]}
+        assert names == {"exp.yaml", "monthly.csv"}
+        for entry in manifest["inputs"]:
+            digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+            assert entry["sha256"] == digest
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         cfg = self._setup(tmp_path)

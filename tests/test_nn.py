@@ -128,12 +128,18 @@ class TestForward:
         cfg = tiny_config()
         model = jittered_model(cfg, 5)
         x = np.random.default_rng(6).standard_normal((3, cfg.lookback, cfg.feature_count))
-        batch = gru_forward(model.params, x)
-        for b in range(3):
-            # BLAS paths differ by shape, so only bitwise-near agreement
-            np.testing.assert_allclose(
-                gru_forward(model.params, x[b]), batch[b], rtol=1e-12, atol=1e-15
-            )
+        seq = np.random.default_rng(7).standard_normal((3, cfg.lookback, cfg.gru_units))
+        cases = [
+            (lambda v: gru_forward(model.params, v), x),
+            (lambda v: lstm_forward(model.params, v)[0], seq),
+        ]
+        for layer, inputs in cases:
+            batch = layer(inputs)
+            for b in range(3):
+                # BLAS paths differ by shape, so only bitwise-near agreement
+                np.testing.assert_allclose(
+                    layer(inputs[b]), batch[b], rtol=1e-12, atol=1e-15
+                )
 
     def test_shape_errors(self):
         model = init_model(tiny_config(), seed=0)
@@ -148,6 +154,23 @@ class TestForward:
         x[0, 1, 0] = np.nan
         with pytest.raises(NumericalError):
             model_forward(model, x)
+
+    @pytest.mark.parametrize("key, layer", [("gru_U", "GRU"), ("lstm_U", "LSTM")])
+    def test_nan_recurrent_weight_detected(self, key, layer):
+        # the fault starts inside the recursion, not in the input
+        model = jittered_model(tiny_config(), 21)
+        model.params[key][0, 0] = np.nan
+        x = np.random.default_rng(22).standard_normal((2, 4, 2))
+        with pytest.raises(NumericalError, match=layer):
+            model_forward(model, x)
+
+    def test_infinite_cell_state_detected(self):
+        # tanh(inf) = 1 keeps the hidden states finite; only c shows it
+        model = jittered_model(tiny_config(), 23)
+        x = np.random.default_rng(24).standard_normal((2, 4, 3))
+        c0 = np.array([np.inf, 0.0, 0.0, 0.0])
+        with pytest.raises(NumericalError, match="cell state"):
+            lstm_forward(model.params, x, c0=c0)
 
     def test_parameter_count_formula(self):
         cfg = ModelConfig(feature_count=10)
@@ -396,6 +419,15 @@ class TestTraining:
             )
             losses.append(hist.validation_loss)
         assert losses[0] != losses[1]
+
+    def test_nan_weight_names_the_epoch(self):
+        tr, va = self._task(seed=5)
+        cfg = ModelConfig(feature_count=1, lookback=4, gru_units=3, lstm_units=4,
+                          dense_units=3, dropout_rate=0.0)
+        model = init_model(cfg, seed=5)
+        model.params["gru_U"][1, 2] = np.nan
+        with pytest.raises(NumericalError, match="epoch 1: GRU"):
+            train(model, tr, va, TrainConfig(batch_size=32, max_epochs=3))
 
     def test_predict_chunking_matches_single_batch(self):
         cfg = tiny_config()

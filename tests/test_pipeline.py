@@ -273,6 +273,16 @@ class TestRunExperiment:
         csv_text = (tmp_path / "o" / "report.csv").read_text()
         assert "gc" not in csv_text.splitlines()[1]
 
+    def test_program_bug_is_not_a_failed_cell(self, experiment_data, tmp_path,
+                                              monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr("causalcast.pipeline.train", broken_train)
+        path, stamps = experiment_data
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_experiment(small_config(path, stamps, tmp_path / "o"))
+
     def test_seed_changes_results(self, experiment_data, tmp_path):
         path, stamps = experiment_data
         a = run_experiment(small_config(path, stamps, tmp_path / "a", seed=0))
