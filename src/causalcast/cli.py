@@ -5,8 +5,11 @@ exit codes: 0 on success, 1 on runtime failure, 2 on invalid input or
 configuration.  Experiment runs are driven by a YAML/JSON config file
 checked against a published schema; a few flags (output dir, seed,
 jobs) override file values.  Each run can record a manifest listing the
-config hash, seed, toolkit, numpy and scipy versions, a sha256 of every
-input file, and every artifact written.
+command, the config hash, seed, toolkit, numpy and scipy versions, a
+sha256 of every input file, and every artifact written.  The config hash
+covers every option of the command except ``--manifest`` itself (for
+``experiment``, the resolved config document), so two runs with the same
+hash ran with the same settings.
 """
 
 from __future__ import annotations
@@ -31,37 +34,28 @@ from .data import (
     aggregate_daily_to_monthly,
     apply_normalization,
     build_lag_windows,
-    fit_normalization,
     impute,
-    invert_normalization,
     load_csv,
     save_csv,
-    split_windows,
     write_summary,
 )
-from .errors import CausalcastError, ConfigError, InputError
+from .errors import CausalcastError, ConfigError, InputError, ParseError
 from .granger import FeatureMethod, FeatureSet, mvgc_test, results_to_dict
-from .nn import (
-    Checkpoint,
-    ModelConfig,
-    TrainConfig,
-    init_model,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    train,
+from .nn import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
+from .pcmci import (
+    DEFAULT_MAX_SAMPLES,
+    CausalGraph,
+    run_pcmci_plus,
+    select_features_pcmci,
 )
-from .pcmci import CausalGraph, run_pcmci_plus, select_features_pcmci
 from .pipeline import (
-    EvalRecord,
     EvalReport,
     ExperimentConfig,
     derive_seed,
-    mae,
-    percentage_metrics,
-    r2,
-    rmse,
+    fit_cell,
+    prepare,
     run_experiment,
+    score,
 )
 from .synth import PlantedGraph, generate_var, random_planted_graph
 
@@ -169,15 +163,12 @@ def _cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except InputError as exc:
+        except (InputError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except CausalcastError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
 
     return wrapper
 
@@ -189,10 +180,17 @@ def _parse_date(value: str) -> dt.date:
         raise ConfigError(f"invalid date {value!r}: expected YYYY-MM-DD")
 
 
-def _write_manifest(path, command: str, config_data, seed, inputs, artifacts) -> None:
-    payload = json.dumps(config_data, sort_keys=True, default=str)
+def _write_manifest(path, seed, inputs, artifacts, config=None) -> None:
+    """Record the running command's provenance at ``path`` (skipped when
+    None).  ``config`` defaults to every parameter but ``--manifest``."""
+    if path is None:
+        return
+    ctx = click.get_current_context()
+    if config is None:
+        config = {k: v for k, v in ctx.params.items() if k != "manifest"}
+    payload = json.dumps(config, sort_keys=True, default=str)
     manifest = {
-        "command": command,
+        "command": ctx.info_name,
         "config_hash": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         "seed": seed,
         "version": __version__,
@@ -244,20 +242,7 @@ def preprocess(input_csv, output, target, frequency, aggregate, manifest):
     save_csv(dataset, output)
     summary_path = Path(output).with_suffix(".summary.json")
     write_summary(dataset, summary_path)
-    if manifest:
-        _write_manifest(
-            manifest,
-            "preprocess",
-            {
-                "input": input_csv,
-                "target": target,
-                "frequency": frequency,
-                "aggregate": aggregate,
-            },
-            None,
-            [input_csv],
-            [output, summary_path],
-        )
+    _write_manifest(manifest, None, [input_csv], [output, summary_path])
     click.echo(
         f"wrote {output}: {dataset.n_timesteps} rows x "
         f"{dataset.n_variables} variables ({dataset.frequency.value})"
@@ -294,12 +279,12 @@ def _mvgc_dot(doc: dict) -> str:
     type=click.Choice([f.value for f in Frequency]),
     required=True,
 )
-@click.option("--max-lag", type=int, default=21, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--max-lag", type=int, default=ExperimentConfig.discovery_max_lag, show_default=True)
+@click.option("--alpha", type=float, default=ExperimentConfig.pcmci_alpha, show_default=True)
 @click.option(
     "--max-samples",
     type=int,
-    default=8000,
+    default=DEFAULT_MAX_SAMPLES,
     show_default=True,
     help="pcmci+ keeps only this many most recent steps (0 disables)",
 )
@@ -339,21 +324,7 @@ def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples
             f"pcmci+ found {len(graph.links)} links; features for "
             f"{target!r}: {', '.join(features.features)}"
         )
-    if manifest:
-        _write_manifest(
-            manifest,
-            "discover",
-            {
-                "dataset": dataset_csv,
-                "method": method,
-                "target": target,
-                "max_lag": max_lag,
-                "alpha": alpha,
-            },
-            None,
-            [dataset_csv],
-            [json_path, dot_path],
-        )
+    _write_manifest(manifest, None, [dataset_csv], [json_path, dot_path])
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +362,22 @@ def _load_feature_set(source: str, dataset) -> FeatureSet:
 )
 @click.option("--lead", type=int, default=1, show_default=True, help="horizon in months")
 @click.option("--train-end", required=True, help="last training date (YYYY-MM-DD)")
-@click.option("--validation-fraction", type=float, default=0.1, show_default=True)
+@click.option("--validation-fraction", type=float, default=SplitSpec.validation_fraction, show_default=True)
 @click.option("--test-start", required=True)
 @click.option("--test-end", required=True)
-@click.option("--lookback", type=int, default=21, show_default=True)
-@click.option("--gru-units", type=int, default=64, show_default=True)
-@click.option("--lstm-units", type=int, default=128, show_default=True)
-@click.option("--dense-units", type=int, default=64, show_default=True)
-@click.option("--dropout", type=float, default=0.2, show_default=True)
-@click.option("--batch-size", type=int, default=64, show_default=True)
-@click.option("--max-epochs", type=int, default=100, show_default=True)
-@click.option("--patience", type=int, default=10, show_default=True)
-@click.option("--learning-rate", type=float, default=1e-3, show_default=True)
+@click.option("--lookback", type=int, default=ModelConfig.lookback, show_default=True)
+@click.option("--gru-units", type=int, default=ModelConfig.gru_units, show_default=True)
+@click.option("--lstm-units", type=int, default=ModelConfig.lstm_units, show_default=True)
+@click.option("--dense-units", type=int, default=ModelConfig.dense_units, show_default=True)
+@click.option("--dropout", type=float, default=ModelConfig.dropout_rate, show_default=True)
+@click.option("--batch-size", type=int, default=TrainConfig.batch_size, show_default=True)
+@click.option("--max-epochs", type=int, default=TrainConfig.max_epochs, show_default=True)
+@click.option("--patience", type=int, default=TrainConfig.patience, show_default=True)
+@click.option("--learning-rate", type=float, default=TrainConfig.learning_rate, show_default=True)
 @click.option(
     "--daily-steps-per-month",
     type=int,
-    default=30,
+    default=ExperimentConfig.daily_steps_per_month,
     show_default=True,
     help="daily timesteps per month of lead",
 )
@@ -415,93 +386,44 @@ def _load_feature_set(source: str, dataset) -> FeatureSet:
 @click.option("--manifest", type=click.Path(dir_okay=False), default=None)
 @_cli_errors
 def train_cmd(
-    dataset_csv,
-    features_from,
-    target,
-    frequency,
-    lead,
-    train_end,
-    validation_fraction,
-    test_start,
-    test_end,
-    lookback,
-    gru_units,
-    lstm_units,
-    dense_units,
-    dropout,
-    batch_size,
-    max_epochs,
-    patience,
-    learning_rate,
-    daily_steps_per_month,
-    seed,
-    output,
-    manifest,
+    dataset_csv, features_from, target, frequency, lead, train_end,
+    validation_fraction, test_start, test_end, lookback, gru_units, lstm_units,
+    dense_units, dropout, batch_size, max_epochs, patience, learning_rate,
+    daily_steps_per_month, seed, output, manifest,
 ):
     """Train one forecaster and save its checkpoint."""
-    frequency = Frequency(frequency)
     dataset = impute(load_csv(dataset_csv, target, frequency))
-    split = SplitSpec(
-        train_end=_parse_date(train_end),
-        validation_fraction=validation_fraction,
-        test_range=(_parse_date(test_start), _parse_date(test_end)),
-    )
-    stats = fit_normalization(dataset, split)
-    normalized = apply_normalization(dataset, stats)
     features = _load_feature_set(features_from, dataset)
-    lead_steps = (
-        lead * daily_steps_per_month if frequency is Frequency.DAILY else lead
-    )
-    windows = build_lag_windows(normalized, features.features, lookback, lead_steps)
-    train_w, val_w, _ = split_windows(windows, split)
-    model = init_model(
-        ModelConfig(
-            feature_count=len(features.features),
-            lookback=lookback,
-            gru_units=gru_units,
-            lstm_units=lstm_units,
-            dense_units=dense_units,
-            dropout_rate=dropout,
+    config = ExperimentConfig(
+        target=target,
+        split=SplitSpec(
+            train_end=_parse_date(train_end),
+            validation_fraction=validation_fraction,
+            test_range=(_parse_date(test_start), _parse_date(test_end)),
         ),
-        seed=seed,
-    )
-    config = TrainConfig(
-        batch_size=batch_size,
-        max_epochs=max_epochs,
-        patience=patience,
-        learning_rate=learning_rate,
-        seed=seed,
-    )
-    model, history = train(model, train_w, val_w, config)
-    save_checkpoint(
-        output,
-        Checkpoint(
-            model=model,
-            features=features.features,
-            target=target,
-            lead=lead,
-            lead_steps=lead_steps,
-            frequency=frequency,
-            normalization=stats,
-            train_config=config,
-            method=features.method.value,
+        output_dir=str(Path(output).parent),
+        **{f"{frequency}_path": dataset_csv},
+        lookback=lookback,
+        leads=(lead,),
+        variants=(features.method,),
+        daily_steps_per_month=daily_steps_per_month,
+        gru_units=gru_units,
+        lstm_units=lstm_units,
+        dense_units=dense_units,
+        dropout_rate=dropout,
+        train=TrainConfig(
+            batch_size=batch_size,
+            max_epochs=max_epochs,
+            patience=patience,
+            learning_rate=learning_rate,
         ),
     )
-    if manifest:
-        _write_manifest(
-            manifest,
-            "train",
-            {
-                "dataset": dataset_csv,
-                "features_from": features_from,
-                "target": target,
-                "lead": lead,
-                "seed": seed,
-            },
-            seed,
-            [dataset_csv],
-            [output],
-        )
+    stats, normalized = prepare(dataset, config.split)
+    checkpoint, _, history = fit_cell(
+        config, Frequency(frequency), features, lead, normalized, stats, seed
+    )
+    save_checkpoint(output, checkpoint)
+    _write_manifest(manifest, seed, [dataset_csv], [output])
     click.echo(
         f"wrote {output}: best epoch {history.best_epoch} "
         f"(validation MSE {min(history.validation_loss):.6f}, "
@@ -527,18 +449,23 @@ def train_cmd(
 @click.option("--manifest", type=click.Path(dir_okay=False), default=None)
 @_cli_errors
 def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
-    """Score saved checkpoints on a dataset and emit a metrics report."""
+    """Score checkpoints written by train or experiment on a dataset."""
     records = []
     for ck_path in checkpoints:
         ck = load_checkpoint(ck_path)
+        fields = ("target", "lead", "lead_steps", "frequency", "normalization", "method")
+        missing = [f for f in fields if getattr(ck, f) is None]
+        if missing:
+            raise ParseError(
+                f"{ck_path}: checkpoint lacks {', '.join(missing)}; "
+                "evaluate needs one written by train or experiment"
+            )
         dataset = impute(load_csv(dataset_csv, ck.target, ck.frequency))
-        if ck.normalization is not None:
-            working = apply_normalization(dataset, ck.normalization)
-        else:
-            working = dataset
-        lead_steps = ck.lead_steps if ck.lead_steps is not None else ck.lead
         windows = build_lag_windows(
-            working, ck.features, ck.model.config.lookback, lead_steps
+            apply_normalization(dataset, ck.normalization),
+            ck.features,
+            ck.model.config.lookback,
+            ck.lead_steps,
         )
         if test_start is not None or test_end is not None:
             lo = _parse_date(test_start) if test_start else dt.date.min
@@ -547,41 +474,15 @@ def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
                 i for i, d in enumerate(windows.sample_dates) if lo <= d <= hi
             ]
             windows = windows.subset(np.asarray(keep, dtype=int))
-        pred = predict(ck.model, windows.inputs)
-        obs = windows.targets
-        if ck.normalization is not None:
-            pred = invert_normalization(pred, ck.normalization, ck.target)
-            obs = invert_normalization(obs, ck.normalization, ck.target)
-        rmse_value = rmse(pred, obs)
-        mae_value = mae(pred, obs)
-        rmse_pct, mae_pct = percentage_metrics(rmse_value, mae_value, obs)
-        records.append(
-            EvalRecord(
-                frequency=ck.frequency.value if ck.frequency else "unknown",
-                variant=ck.method or "unknown",
-                lead=ck.lead if ck.lead is not None else lead_steps,
-                rmse=rmse_value,
-                mae=mae_value,
-                rmse_pct=rmse_pct,
-                mae_pct=mae_pct,
-                r2=r2(pred, obs),
-                n_test=windows.n_samples,
-            )
-        )
+        records.append(score(ck, windows))
     report = EvalReport(records=tuple(records))
     csv_path = Path(f"{output}.csv")
     json_path = Path(f"{output}.json")
     csv_path.write_text(report.to_csv())
     json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    if manifest:
-        _write_manifest(
-            manifest,
-            "evaluate",
-            {"checkpoints": list(checkpoints), "dataset": dataset_csv},
-            None,
-            list(checkpoints) + [dataset_csv],
-            [csv_path, json_path],
-        )
+    _write_manifest(
+        manifest, None, list(checkpoints) + [dataset_csv], [csv_path, json_path]
+    )
     click.echo(f"wrote {csv_path} ({len(records)} rows)")
 
 
@@ -633,51 +534,37 @@ def load_experiment_config(
         return p if Path(p).is_absolute() else str(base / p)
 
     datasets = doc["datasets"]
-    split = doc["split"]
-    discovery = doc.get("discovery", {})
-    model = doc.get("model", {})
-    train_doc = doc.get("train", {})
-    max_samples = discovery.get("max_samples", 8000)
+    split = dict(doc["split"])
+    fields = {
+        k: doc[k]
+        for k in ("frequencies", "leads", "variants", "daily_steps_per_month", "seed", "jobs")
+        if k in doc
+    }
+    fields.update(doc.get("model", {}))
+    for key, value in doc.get("discovery", {}).items():
+        fields["discovery_max_lag" if key == "max_lag" else key] = value
+    if fields.get("max_samples") == 0:
+        fields["max_samples"] = None
+    for key, value in (("seed", seed), ("jobs", jobs)):
+        if value is not None:
+            fields[key] = value
     config = ExperimentConfig(
         target=doc["target"],
         split=SplitSpec(
-            train_end=_parse_date(split["train_end"]),
-            validation_fraction=split.get("validation_fraction", 0.1),
+            train_end=_parse_date(split.pop("train_end")),
             test_range=(
-                _parse_date(split["test_start"]),
-                _parse_date(split["test_end"]),
+                _parse_date(split.pop("test_start")),
+                _parse_date(split.pop("test_end")),
             ),
+            **split,  # what is left: validation_fraction, if given
         ),
         output_dir=(
             output_dir if output_dir is not None else resolve(doc["output_dir"])
         ),
         daily_path=resolve(datasets.get("daily")),
         monthly_path=resolve(datasets.get("monthly")),
-        frequencies=tuple(
-            Frequency(f) for f in doc.get("frequencies", [])
-        ),
-        lookback=model.get("lookback", 21),
-        leads=tuple(doc.get("leads", [1, 2, 3, 4, 5, 6])),
-        variants=tuple(
-            doc.get("variants", [m.value for m in FeatureMethod])
-        ),
-        gc_alpha=discovery.get("gc_alpha", 0.05),
-        pcmci_alpha=discovery.get("pcmci_alpha", 0.05),
-        discovery_max_lag=discovery.get("max_lag", 21),
-        daily_steps_per_month=doc.get("daily_steps_per_month", 30),
-        max_samples=max_samples if max_samples else None,
-        gru_units=model.get("gru_units", 64),
-        lstm_units=model.get("lstm_units", 128),
-        dense_units=model.get("dense_units", 64),
-        dropout_rate=model.get("dropout_rate", 0.2),
-        train=TrainConfig(
-            batch_size=train_doc.get("batch_size", 64),
-            max_epochs=train_doc.get("max_epochs", 100),
-            patience=train_doc.get("patience", 10),
-            learning_rate=train_doc.get("learning_rate", 1e-3),
-        ),
-        seed=seed if seed is not None else doc.get("seed", 0),
-        jobs=jobs if jobs is not None else doc.get("jobs", 1),
+        train=TrainConfig(**doc.get("train", {})),
+        **fields,
     )
     doc["output_dir"] = config.output_dir
     doc["seed"] = config.seed
@@ -700,12 +587,11 @@ def experiment(config_file, output_dir, seed, jobs):
     manifest_path = Path(config.output_dir) / "manifest.json"
     _write_manifest(
         manifest_path,
-        "experiment",
-        doc,
         config.seed,
         [config_file]
         + [p for p in (config.daily_path, config.monthly_path) if p],
         list(report.artifacts) + [str(manifest_path)],
+        config=doc,
     )
     for failure in report.failures:
         click.echo(
@@ -768,21 +654,9 @@ def synth(graph_path, n_vars, n_links, max_lag, timesteps, seed, frequency, star
     graph_json = f"{output}.graph.json"
     save_csv(dataset, csv_path)
     graph.save(graph_json)
-    if manifest:
-        _write_manifest(
-            manifest,
-            "synth",
-            {
-                "graph": graph_path,
-                "n_vars": n_vars,
-                "n_links": n_links,
-                "timesteps": timesteps,
-                "seed": seed,
-            },
-            seed,
-            [graph_path] if graph_path else [],
-            [csv_path, graph_json],
-        )
+    _write_manifest(
+        manifest, seed, [graph_path] if graph_path else [], [csv_path, graph_json]
+    )
     click.echo(
         f"wrote {csv_path} ({dataset.n_timesteps} x {dataset.n_variables}) "
         f"and {graph_json} ({len(graph.links)} links)"

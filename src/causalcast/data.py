@@ -257,7 +257,7 @@ class SplitSpec:
     ``test_range`` (inclusive)."""
 
     train_end: dt.date
-    validation_fraction: float
+    validation_fraction: float = 0.1
     test_range: tuple[dt.date, dt.date] = field(default=None)
 
     def __post_init__(self):

@@ -18,13 +18,15 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     Frequency,
+    LagWindowSet,
+    NormalizationStats,
     SplitSpec,
     TimeSeriesDataset,
     apply_normalization,
@@ -48,12 +50,13 @@ from .nn import (
     Checkpoint,
     ModelConfig,
     TrainConfig,
+    TrainHistory,
     init_model,
     predict,
     save_checkpoint,
     train,
 )
-from .pcmci import run_pcmci_plus, select_features_pcmci
+from .pcmci import DEFAULT_MAX_SAMPLES, run_pcmci_plus, select_features_pcmci
 
 REPORT_COLUMNS = (
     "frequency",
@@ -135,18 +138,18 @@ class ExperimentConfig:
     daily_path: str | None = None
     monthly_path: str | None = None
     frequencies: tuple[Frequency, ...] = ()
-    lookback: int = 21
+    lookback: int = ModelConfig.lookback
     leads: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     variants: tuple[FeatureMethod, ...] = VARIANTS
     gc_alpha: float = 0.05
     pcmci_alpha: float = 0.05
     discovery_max_lag: int = 21
     daily_steps_per_month: int = 30
-    max_samples: int | None = 8000
-    gru_units: int = 64
-    lstm_units: int = 128
-    dense_units: int = 64
-    dropout_rate: float = 0.2
+    max_samples: int | None = DEFAULT_MAX_SAMPLES
+    gru_units: int = ModelConfig.gru_units
+    lstm_units: int = ModelConfig.lstm_units
+    dense_units: int = ModelConfig.dense_units
+    dropout_rate: float = ModelConfig.dropout_rate
     train: TrainConfig = TrainConfig()
     seed: int = 0
     jobs: int = 1
@@ -307,9 +310,81 @@ def derive_seed(root: int, label: str) -> int:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def _prepare(raw: TimeSeriesDataset, split: SplitSpec):
+def prepare(raw: TimeSeriesDataset, split: SplitSpec):
+    """Normalization statistics fit on the training range, and the series
+    normalized with them."""
     stats = fit_normalization(raw, split)
     return stats, apply_normalization(raw, stats)
+
+
+def fit_cell(
+    config: ExperimentConfig,
+    freq: Frequency,
+    features: FeatureSet,
+    lead: int,
+    normalized: TimeSeriesDataset,
+    stats: NormalizationStats,
+    seed: int,
+) -> tuple[Checkpoint, LagWindowSet, TrainHistory]:
+    """Train one forecaster on ``features`` of the normalized series.
+
+    Windows -> chronological split -> init -> train, all seeded by
+    ``seed``.  Returns (checkpoint, test windows, training history).
+    """
+    lead_steps = config.lead_steps(freq, lead)
+    windows = build_lag_windows(
+        normalized, features.features, lookback=config.lookback, lead=lead_steps
+    )
+    train_w, val_w, test_w = split_windows(windows, config.split)
+    model = init_model(
+        ModelConfig(
+            feature_count=len(features.features),
+            lookback=config.lookback,
+            gru_units=config.gru_units,
+            lstm_units=config.lstm_units,
+            dense_units=config.dense_units,
+            dropout_rate=config.dropout_rate,
+        ),
+        seed=seed,
+    )
+    train_config = replace(config.train, seed=seed)
+    model, history = train(model, train_w, val_w, train_config)
+    checkpoint = Checkpoint(
+        model=model,
+        features=features.features,
+        target=config.target,
+        lead=lead,
+        lead_steps=lead_steps,
+        frequency=freq,
+        normalization=stats,
+        train_config=train_config,
+        method=features.method.value,
+    )
+    return checkpoint, test_w, history
+
+
+def score(checkpoint: Checkpoint, windows: LagWindowSet) -> EvalRecord:
+    """Predict ``windows`` (normalized), map back to physical units, and
+    compute the report's metrics."""
+    ck = checkpoint
+    pred = invert_normalization(
+        predict(ck.model, windows.inputs), ck.normalization, ck.target
+    )
+    obs = invert_normalization(windows.targets, ck.normalization, ck.target)
+    rmse_value = rmse(pred, obs)
+    mae_value = mae(pred, obs)
+    rmse_pct, mae_pct = percentage_metrics(rmse_value, mae_value, obs)
+    return EvalRecord(
+        frequency=ck.frequency.value,
+        variant=ck.method,
+        lead=ck.lead,
+        rmse=rmse_value,
+        mae=mae_value,
+        rmse_pct=rmse_pct,
+        mae_pct=mae_pct,
+        r2=r2(pred, obs),
+        n_test=windows.n_samples,
+    )
 
 
 def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
@@ -410,68 +485,15 @@ def _run_cell(args) -> tuple[EvalRecord | None, dict | None, str | None]:
     try:
         if isinstance(feature_set, Exception):
             raise feature_set
-        windows = build_lag_windows(
-            normalized,
-            feature_set.features,
-            lookback=config.lookback,
-            lead=config.lead_steps(freq, lead),
-        )
-        train_w, val_w, test_w = split_windows(windows, config.split)
         seed = derive_seed(config.seed, label)
-        model = init_model(
-            ModelConfig(
-                feature_count=len(feature_set.features),
-                lookback=config.lookback,
-                gru_units=config.gru_units,
-                lstm_units=config.lstm_units,
-                dense_units=config.dense_units,
-                dropout_rate=config.dropout_rate,
-            ),
-            seed=seed,
+        checkpoint, test_w, _ = fit_cell(
+            config, freq, feature_set, lead, normalized, stats, seed
         )
-        train_config = TrainConfig(
-            batch_size=config.train.batch_size,
-            max_epochs=config.train.max_epochs,
-            patience=config.train.patience,
-            learning_rate=config.train.learning_rate,
-            seed=seed,
-        )
-        model, _ = train(model, train_w, val_w, train_config)
-        pred = invert_normalization(
-            predict(model, test_w.inputs), stats, config.target
-        )
-        obs = invert_normalization(test_w.targets, stats, config.target)
-        rmse_value = rmse(pred, obs)
-        mae_value = mae(pred, obs)
-        rmse_pct, mae_pct = percentage_metrics(rmse_value, mae_value, obs)
-        record = EvalRecord(
-            frequency=freq.value,
-            variant=variant.value,
-            lead=lead,
-            rmse=rmse_value,
-            mae=mae_value,
-            rmse_pct=rmse_pct,
-            mae_pct=mae_pct,
-            r2=r2(pred, obs),
-            n_test=test_w.n_samples,
-        )
+        record = score(checkpoint, test_w)
         ck_path = str(
             Path(out_dir) / f"model_{freq.value}_{variant.value}_lead{lead}.json"
         )
-        save_checkpoint(
-            ck_path,
-            Checkpoint(
-                model=model,
-                features=feature_set.features,
-                target=config.target,
-                lead=lead,
-                lead_steps=config.lead_steps(freq, lead),
-                frequency=freq,
-                normalization=stats,
-                train_config=train_config,
-                method=variant.value,
-            ),
-        )
+        save_checkpoint(ck_path, checkpoint)
         return record, None, ck_path
     except (CausalcastError, OSError) as exc:
         # isolate the cell, keep the experiment alive; any other
@@ -506,7 +528,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     cells = []
     for freq in config.frequencies:
-        stats, normalized = _prepare(datasets[freq], config.split)
+        stats, normalized = prepare(datasets[freq], config.split)
         for variant in _roster(config, freq):
             for lead in config.leads:
                 cells.append(

@@ -1,3 +1,4 @@
+import datetime as dt
 import hashlib
 import json
 from pathlib import Path
@@ -7,8 +8,21 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
-from causalcast import Frequency, PlantedGraph, generate_var, load_csv, save_csv
-from causalcast.cli import main
+from causalcast import (
+    Checkpoint,
+    ExperimentConfig,
+    Frequency,
+    ModelConfig,
+    PlantedGraph,
+    SplitSpec,
+    derive_seed,
+    generate_var,
+    init_model,
+    load_csv,
+    save_checkpoint,
+    save_csv,
+)
+from causalcast.cli import load_experiment_config, main
 from causalcast.pcmci import CausalGraph
 
 from conftest import make_dataset
@@ -150,6 +164,16 @@ class TestDiscover:
         assert result.exit_code == 2
 
 
+# the settings of TestExperiment.CONFIG, for one monthly lead-1 cell
+TRAIN_ARGS = ("--target", "y", "--frequency", "monthly", "--lead", 1,
+              "--train-end", "1990-08-01", "--validation-fraction", 0.15,
+              "--test-start", "1990-09-01", "--test-end", "1993-12-01",
+              "--lookback", 4, "--gru-units", 4, "--lstm-units", 8,
+              "--dense-units", 4, "--dropout", 0.1,
+              "--batch-size", 32, "--max-epochs", 5, "--patience", 5,
+              "--learning-rate", 0.01)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_train")
@@ -157,15 +181,7 @@ def trained(tmp_path_factory):
     write_panel(data, T=180)
     ck = root / "model.json"
     runner = CliRunner()
-    result = invoke(runner, "train", data, "--target", "y",
-                    "--frequency", "monthly", "--lead", 1,
-                    "--train-end", "1990-08-01",
-                    "--validation-fraction", 0.15,
-                    "--test-start", "1990-09-01", "--test-end", "1993-12-01",
-                    "--lookback", 4, "--gru-units", 4, "--lstm-units", 8,
-                    "--dense-units", 4, "--dropout", 0.1,
-                    "--batch-size", 32, "--max-epochs", 5, "--patience", 5,
-                    "--learning-rate", 0.01, "-o", ck)
+    result = invoke(runner, "train", data, *TRAIN_ARGS, "-o", ck)
     assert result.exit_code == 0, result.output
     return root, data, ck
 
@@ -207,6 +223,30 @@ class TestTrainEvaluate:
                         "-o", tmp_path / "eval")
         assert result.exit_code == 1
         assert "constant" in result.stderr
+
+    def test_incomplete_checkpoint_is_exit_two(self, runner, trained, tmp_path):
+        _, data, _ = trained
+        bare = tmp_path / "bare.json"
+        save_checkpoint(bare, Checkpoint(model=init_model(ModelConfig(feature_count=3))))
+        result = invoke(runner, "evaluate", bare, "--data", data, "-o", tmp_path / "eval")
+        assert result.exit_code == 2
+        for field in ("target", "lead", "lead_steps", "frequency", "normalization", "method"):
+            assert field in result.stderr
+
+    def test_manifest_hash_covers_every_option(self, runner, trained, tmp_path):
+        _, data, _ = trained
+        hashes = []
+        for units in (4, 8):
+            manifest = tmp_path / f"manifest{units}.json"
+            result = invoke(runner, "train", data, *TRAIN_ARGS, "--max-epochs", 1,
+                            "--gru-units", units, "-o", tmp_path / f"m{units}.json",
+                            "--manifest", manifest)
+            assert result.exit_code == 0, result.output
+            doc = json.loads(manifest.read_text())
+            assert doc["command"] == "train"
+            assert doc["seed"] == 0
+            hashes.append(doc["config_hash"])
+        assert hashes[0] != hashes[1]
 
 
 class TestExperiment:
@@ -264,6 +304,43 @@ seed: 3
         for entry in manifest["inputs"]:
             digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
             assert entry["sha256"] == digest
+
+    def test_cli_train_and_evaluate_reproduce_a_cell(self, runner, tmp_path):
+        cfg = self._setup(tmp_path)
+        assert invoke(runner, "experiment", cfg).exit_code == 0
+        data, ck = tmp_path / "monthly.csv", tmp_path / "cli_model.json"
+        result = invoke(runner, "train", data, *TRAIN_ARGS, "-o", ck,
+                        "--seed", derive_seed(3, "monthly:vanilla:lead1"))
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "out"
+        assert ck.read_bytes() == (out / "model_monthly_vanilla_lead1.json").read_bytes()
+        result = invoke(runner, "evaluate", ck, "--data", data,
+                        "--test-start", "1990-09-01", "--test-end", "1993-12-01",
+                        "-o", tmp_path / "eval")
+        assert result.exit_code == 0, result.output
+        row = (tmp_path / "eval.csv").read_text().splitlines()[1]
+        assert row in (out / "report.csv").read_text().splitlines()
+        assert row.startswith("monthly,vanilla,1,")
+
+    def test_loader_adds_no_defaults(self, tmp_path):
+        cfg = tmp_path / "minimal.yaml"
+        cfg.write_text(
+            "target: y\n"
+            "datasets: {daily: d.csv, monthly: m.csv}\n"
+            "split: {train_end: 1990-08-01, test_start: 1990-09-01, test_end: 1993-12-01}\n"
+            "output_dir: out\n"
+        )
+        config, _ = load_experiment_config(cfg)
+        base = tmp_path.resolve()
+        assert config == ExperimentConfig(
+            target="y",
+            split=SplitSpec(
+                dt.date(1990, 8, 1), test_range=(dt.date(1990, 9, 1), dt.date(1993, 12, 1))
+            ),
+            output_dir=str(base / "out"),
+            daily_path=str(base / "d.csv"),
+            monthly_path=str(base / "m.csv"),
+        )
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         cfg = self._setup(tmp_path)
