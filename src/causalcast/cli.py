@@ -40,18 +40,15 @@ from .data import (
     write_summary,
 )
 from .errors import CausalcastError, ConfigError, InputError, ParseError
-from .granger import FeatureMethod, FeatureSet, mvgc_test, results_to_dict
+from .granger import FeatureMethod, FeatureSet
 from .nn import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
-from .pcmci import (
-    DEFAULT_MAX_SAMPLES,
-    CausalGraph,
-    run_pcmci_plus,
-    select_features_pcmci,
-)
+from .pcmci import CausalGraph, select_features_pcmci
 from .pipeline import (
+    DISCOVERY_METHODS,
     EvalReport,
     ExperimentConfig,
     derive_seed,
+    discover as run_discovery,
     fit_cell,
     prepare,
     run_experiment,
@@ -253,24 +250,11 @@ def preprocess(input_csv, output, target, frequency, aggregate, manifest):
 # discover
 # ---------------------------------------------------------------------------
 
-def _mvgc_dot(doc: dict) -> str:
-    lines = ["digraph causal {", "  rankdir=LR;"]
-    for v in doc["variables"]:
-        lines.append(f'  "{v}";')
-    for r in doc["results"]:
-        if r["selected"]:
-            lines.append(
-                f'  "{r["variable"]}" -> "{doc["target"]}" [label="GC"];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 @main.command()
 @click.argument("dataset_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option(
     "--method",
-    type=click.Choice(["mvgc", "pcmci+"]),
+    type=click.Choice(DISCOVERY_METHODS),
     required=True,
 )
 @click.option("--target", required=True)
@@ -284,7 +268,7 @@ def _mvgc_dot(doc: dict) -> str:
 @click.option(
     "--max-samples",
     type=int,
-    default=DEFAULT_MAX_SAMPLES,
+    default=ExperimentConfig.max_samples,
     show_default=True,
     help="pcmci+ keeps only this many most recent steps (0 disables)",
 )
@@ -299,32 +283,14 @@ def _mvgc_dot(doc: dict) -> str:
 def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples, output, manifest):
     """Run causal discovery and export the graph as JSON and DOT."""
     dataset = impute(load_csv(dataset_csv, target, frequency))
-    json_path = Path(f"{output}.json")
-    dot_path = Path(f"{output}.dot")
-    if method == "mvgc":
-        results = mvgc_test(dataset, max_lag=max_lag, alpha=alpha)
-        doc = results_to_dict(results, dataset, max_lag=max_lag, alpha=alpha)
-        json_path.write_text(json.dumps(doc, indent=2) + "\n")
-        dot_path.write_text(_mvgc_dot(doc))
-        click.echo(
-            f"mvgc selected {len(doc['features'])} features "
-            f"(target included): {', '.join(doc['features'])}"
-        )
-    else:
-        graph = run_pcmci_plus(
-            dataset,
-            max_lag=max_lag,
-            pc_alpha=alpha,
-            max_samples=max_samples or None,
-        )
-        graph.save(json_path)
-        dot_path.write_text(graph.to_dot())
-        features = select_features_pcmci(graph, target)
-        click.echo(
-            f"pcmci+ found {len(graph.links)} links; features for "
-            f"{target!r}: {', '.join(features.features)}"
-        )
-    _write_manifest(manifest, None, [dataset_csv], [json_path, dot_path])
+    features, paths = run_discovery(
+        dataset, method, output, max_lag, alpha, max_samples
+    )
+    _write_manifest(manifest, None, [dataset_csv], paths)
+    click.echo(
+        f"{method} selected {len(features.features)} features for {target!r} "
+        f"(target included): {', '.join(features.features)}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +389,8 @@ def train_cmd(
         config, Frequency(frequency), features, lead, normalized, stats, seed
     )
     save_checkpoint(output, checkpoint)
-    _write_manifest(manifest, seed, [dataset_csv], [output])
+    inputs = [dataset_csv] + ([] if features_from == "all" else [features_from])
+    _write_manifest(manifest, seed, inputs, [output])
     click.echo(
         f"wrote {output}: best epoch {history.best_epoch} "
         f"(validation MSE {min(history.validation_loss):.6f}, "
@@ -543,8 +510,6 @@ def load_experiment_config(
     fields.update(doc.get("model", {}))
     for key, value in doc.get("discovery", {}).items():
         fields["discovery_max_lag" if key == "max_lag" else key] = value
-    if fields.get("max_samples") == 0:
-        fields["max_samples"] = None
     for key, value in (("seed", seed), ("jobs", jobs)):
         if value is not None:
             fields[key] = value

@@ -16,10 +16,11 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.special import betainc
 
 from .data import TimeSeriesDataset
 from .errors import InsufficientHistory, InvalidArgument
-from .stats import RANK_RTOL, benjamini_hochberg, f_cdf, ols
+from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, RANK_RTOL, benjamini_hochberg, ols
 
 
 class FeatureMethod(str, Enum):
@@ -86,8 +87,8 @@ def lagged_design(values: np.ndarray, max_lag: int) -> np.ndarray:
 def mvgc_test(
     dataset: TimeSeriesDataset,
     target: str | None = None,
-    max_lag: int = 21,
-    alpha: float = 0.05,
+    max_lag: int = DEFAULT_MAX_LAG,
+    alpha: float = DEFAULT_ALPHA,
 ) -> list[GrangerResult]:
     """Granger F-tests of every non-target variable into the target.
 
@@ -178,6 +179,21 @@ def results_to_dict(
     }
 
 
+def mvgc_dot(doc: dict) -> str:
+    """Graphviz digraph of a :func:`results_to_dict` document: every
+    variable, and a "GC" edge from each selected driver to the target."""
+    lines = ["digraph causal {", "  rankdir=LR;"]
+    for v in doc["variables"]:
+        lines.append(f'  "{v}";')
+    for r in doc["results"]:
+        if r["selected"]:
+            lines.append(
+                f'  "{r["variable"]}" -> "{doc["target"]}" [label="GC"];'
+            )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _independent_columns(design: np.ndarray) -> np.ndarray:
     """Indices of a maximal well-conditioned column subset (pivoted QR)."""
     _, R, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
@@ -196,4 +212,5 @@ def _f_test(rss_r: float, rss_f: float, d1: int, d2: int) -> tuple[float, float]
         # perfect full fit: any reduction in fit is infinitely significant
         return (math.inf, 0.0) if num > 0.0 else (0.0, 1.0)
     f_stat = num / (rss_f / d2)
-    return f_stat, 1.0 - f_cdf(f_stat, d1, d2)
+    # upper tail taken directly, so tiny p-values do not cancel to 0
+    return f_stat, float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f_stat)))

@@ -29,10 +29,11 @@ import numpy as np
 from .data import TimeSeriesDataset
 from .errors import InsufficientHistory, InvalidArgument
 from .granger import FeatureMethod, FeatureSet
-from .stats import CITestResult, partial_correlation
+from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, CITestResult, partial_correlation
 
 # Daily-scale runs keep at most this many most recent timesteps unless
-# the caller overrides; discovery cost grows superlinearly with T.
+# the caller overrides (0 keeps every step); discovery cost grows
+# superlinearly with T.
 DEFAULT_MAX_SAMPLES = 8000
 
 
@@ -166,7 +167,7 @@ def pc1_condition_selection(
     dataset: TimeSeriesDataset,
     target_var: str,
     max_lag: int,
-    pc_alpha: float = 0.05,
+    pc_alpha: float = DEFAULT_ALPHA,
 ) -> list[Candidate]:
     """Iteratively prune lagged parent candidates of one variable.
 
@@ -185,12 +186,7 @@ def pc1_condition_selection(
         raise InsufficientHistory(
             f"T = {T} leaves no testable samples at max_lag = {max_lag}"
         )
-    j = dataset.variable_names.index(target_var)
-    target = values[max_lag:, j]
-
-    # column for candidate (i, lag): values at t - lag, rows t = max_lag..T-1
-    def col(i: int, lag: int) -> np.ndarray:
-        return values[max_lag - lag : T - lag, i]
+    target = _column(values, max_lag, (dataset.variable_names.index(target_var), 0))
 
     survivors: list[tuple[int, int]] = [
         (i, lag) for i in range(N) for lag in range(1, max_lag + 1)
@@ -203,13 +199,8 @@ def pc1_condition_selection(
         order = _rank(survivors, stat)
         removals = []
         for cand in survivors:
-            conds = [c for c in order if c != cand][:q]
-            z = (
-                np.column_stack([col(i, lag) for i, lag in conds])
-                if conds
-                else None
-            )
-            res = partial_correlation(col(*cand), target, z)
+            z = _conditions(values, max_lag, [c for c in order if c != cand][:q])
+            res = partial_correlation(_column(values, max_lag, cand), target, z)
             stat[cand] = res.statistic
             pval[cand] = res.p_value
             if res.p_value > pc_alpha:
@@ -261,30 +252,22 @@ def mci_test(
     names = dataset.variable_names
     i, j = names.index(source), names.index(target)
 
-    conds: list[tuple[int, int]] = []
-    for cand in parents_of_target:
-        node = (names.index(cand.variable), cand.lag)
-        if node != (i, lag) and node not in conds:
-            conds.append(node)
-    for cand in parents_of_source:
-        node = (names.index(cand.variable), cand.lag + lag)
-        if node not in conds:
-            conds.append(node)
-
+    target_nodes = [(names.index(c.variable), c.lag) for c in parents_of_target]
+    conds = [node for node in target_nodes if node != (i, lag)] + [
+        (names.index(c.variable), c.lag + lag) for c in parents_of_source
+    ]
+    n_conds = len(set(conds))
     t0 = max_lag + lag
-    if T <= t0 + len(conds) + 3:
+    if T <= t0 + n_conds + 3:
         raise InsufficientHistory(
             f"T = {T} cannot support an MCI test at lag {lag} with "
-            f"{len(conds)} conditions"
+            f"{n_conds} conditions"
         )
-    x = values[t0 - lag : T - lag, i]
-    y = values[t0:, j]
-    z = (
-        np.column_stack([values[t0 - l : T - l, k] for k, l in conds])
-        if conds
-        else None
+    return partial_correlation(
+        _column(values, t0, (i, lag)),
+        _column(values, t0, (j, 0)),
+        _conditions(values, t0, conds),
     )
-    return partial_correlation(x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ def mci_test(
 def contemporaneous_phase(
     dataset: TimeSeriesDataset,
     lagged_parents: dict[str, list[Candidate]],
-    pc_alpha: float = 0.05,
+    pc_alpha: float = DEFAULT_ALPHA,
     max_lag: int | None = None,
 ) -> list[CausalLink]:
     """Discover and (partially) orient same-timestep links.
@@ -321,9 +304,6 @@ def contemporaneous_phase(
         raise InsufficientHistory(
             f"T = {T} leaves no testable samples at max_lag = {max_lag}"
         )
-
-    def col(i: int, lag: int) -> np.ndarray:
-        return values[max_lag - lag : T - lag, i]
 
     parent_nodes: dict[int, list[tuple[int, int]]] = {}
     for i, name in enumerate(names):
@@ -356,15 +336,14 @@ def contemporaneous_phase(
                 continue
             tested_any = True
             subset = others[:q]
-            conds: list[tuple[int, int]] = []
-            for node in parent_nodes[a] + parent_nodes[b]:
-                if node not in conds:
-                    conds.append(node)
-            conds.extend((k, 0) for k in subset if (k, 0) not in conds)
-            z = (
-                np.column_stack([col(k, l) for k, l in conds]) if conds else None
+            z = _conditions(
+                values,
+                max_lag,
+                parent_nodes[a] + parent_nodes[b] + [(k, 0) for k in subset],
             )
-            res = partial_correlation(col(a, 0), col(b, 0), z)
+            res = partial_correlation(
+                _column(values, max_lag, (a, 0)), _column(values, max_lag, (b, 0)), z
+            )
             strength[(a, b)] = abs(res.statistic)
             last_stat[(a, b)] = res.statistic
             p_max[(a, b)] = max(p_max.get((a, b), 0.0), res.p_value)
@@ -393,6 +372,23 @@ def contemporaneous_phase(
             )
         )
     return links
+
+
+def _column(values: np.ndarray, start: int, node: tuple[int, int]) -> np.ndarray:
+    """Variable i at t - lag, for node (i, lag), over rows t = start..T-1."""
+    i, lag = node
+    return values[start - lag : values.shape[0] - lag, i]
+
+
+def _conditions(
+    values: np.ndarray, start: int, nodes: list[tuple[int, int]]
+) -> np.ndarray | None:
+    """Conditioning matrix over rows t = start..T-1: one :func:`_column`
+    per distinct node, in order of first appearance; None if no nodes."""
+    distinct = list(dict.fromkeys(nodes))
+    if not distinct:
+        return None
+    return np.column_stack([_column(values, start, node) for node in distinct])
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -468,12 +464,13 @@ def _orient(
 
 def run_pcmci_plus(
     dataset: TimeSeriesDataset,
-    max_lag: int = 21,
-    pc_alpha: float = 0.05,
-    max_samples: int | None = DEFAULT_MAX_SAMPLES,
+    max_lag: int = DEFAULT_MAX_LAG,
+    pc_alpha: float = DEFAULT_ALPHA,
+    max_samples: int = DEFAULT_MAX_SAMPLES,
 ) -> CausalGraph:
     """PC1 per variable, MCI over surviving lagged candidates, then the
-    contemporaneous phase; keeps links with p <= pc_alpha."""
+    contemporaneous phase; keeps links with p <= pc_alpha.  Runs on the
+    ``max_samples`` most recent steps only (0 keeps every step)."""
     work = _truncate(dataset, max_samples)
     parents = {
         var: pc1_condition_selection(work, var, max_lag, pc_alpha)
@@ -523,8 +520,12 @@ def select_features_pcmci(graph: CausalGraph, target: str) -> FeatureSet:
     )
 
 
-def _truncate(dataset: TimeSeriesDataset, max_samples: int | None) -> TimeSeriesDataset:
-    if max_samples is None or dataset.n_timesteps <= max_samples:
+def _truncate(dataset: TimeSeriesDataset, max_samples: int) -> TimeSeriesDataset:
+    if max_samples < 0:
+        raise InvalidArgument(
+            f"max_samples must be >= 0 (0 keeps every step), got {max_samples}"
+        )
+    if max_samples == 0 or dataset.n_timesteps <= max_samples:
         return dataset
     keep = dataset.n_timesteps - max_samples
     return TimeSeriesDataset(

@@ -45,7 +45,7 @@ from .errors import (
     InvalidArgument,
     ShapeError,
 )
-from .granger import FeatureMethod, FeatureSet, mvgc_test, results_to_dict, select_features_gc
+from .granger import FeatureMethod, FeatureSet, mvgc_dot, mvgc_test, results_to_dict, select_features_gc
 from .nn import (
     Checkpoint,
     ModelConfig,
@@ -57,6 +57,7 @@ from .nn import (
     train,
 )
 from .pcmci import DEFAULT_MAX_SAMPLES, run_pcmci_plus, select_features_pcmci
+from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG
 
 REPORT_COLUMNS = (
     "frequency",
@@ -76,6 +77,9 @@ VARIANTS = (
     FeatureMethod.PCMCI_PLUS,
     FeatureMethod.DPCMCI_PLUS,
 )
+
+# what :func:`discover` runs, named as in the graph JSON's "method"
+DISCOVERY_METHODS = ("mvgc", "pcmci+")
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +145,11 @@ class ExperimentConfig:
     lookback: int = ModelConfig.lookback
     leads: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     variants: tuple[FeatureMethod, ...] = VARIANTS
-    gc_alpha: float = 0.05
-    pcmci_alpha: float = 0.05
-    discovery_max_lag: int = 21
+    gc_alpha: float = DEFAULT_ALPHA
+    pcmci_alpha: float = DEFAULT_ALPHA
+    discovery_max_lag: int = DEFAULT_MAX_LAG
     daily_steps_per_month: int = 30
-    max_samples: int | None = DEFAULT_MAX_SAMPLES
+    max_samples: int = DEFAULT_MAX_SAMPLES
     gru_units: int = ModelConfig.gru_units
     lstm_units: int = ModelConfig.lstm_units
     dense_units: int = ModelConfig.dense_units
@@ -387,81 +391,82 @@ def score(checkpoint: Checkpoint, windows: LagWindowSet) -> EvalRecord:
     )
 
 
+def discover(
+    dataset: TimeSeriesDataset,
+    method: str,
+    prefix,
+    max_lag: int,
+    alpha: float,
+    max_samples: int,
+) -> tuple[FeatureSet, list[Path]]:
+    """Run one discovery method on ``dataset`` and export its graph.
+
+    ``method`` is "mvgc" or "pcmci+"; ``max_samples`` bounds PCMCI+ only.
+    Writes ``<prefix>.json`` and ``<prefix>.dot`` and returns the target's
+    drivers (target included) with those two paths.
+    """
+    if method == "mvgc":
+        results = mvgc_test(dataset, max_lag=max_lag, alpha=alpha)
+        doc = results_to_dict(results, dataset, max_lag=max_lag, alpha=alpha)
+        dot = mvgc_dot(doc)
+        features = select_features_gc(results, dataset)
+    elif method == "pcmci+":
+        graph = run_pcmci_plus(
+            dataset, max_lag=max_lag, pc_alpha=alpha, max_samples=max_samples
+        )
+        doc, dot = graph.to_dict(), graph.to_dot()
+        features = select_features_pcmci(graph, dataset.target_name)
+    else:
+        raise InvalidArgument(
+            f"unknown discovery method {method!r}; choose from {list(DISCOVERY_METHODS)}"
+        )
+    json_path, dot_path = Path(f"{prefix}.json"), Path(f"{prefix}.dot")
+    json_path.write_text(json.dumps(doc, indent=2) + "\n")
+    dot_path.write_text(dot)
+    return features, [json_path, dot_path]
+
+
 def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
     """FeatureSet (or caught error) per (frequency, variant), plus the
     artifact files discovery writes.
 
-    Discovery runs on the imputed, un-normalized series; both tests are
-    invariant to per-variable affine rescaling, so normalization would
-    change nothing but the stored statistics.
+    Each (method, frequency) pair runs :func:`discover` once; dpcmci+
+    takes the daily PCMCI+ drivers.  Discovery runs on the imputed,
+    un-normalized series; both tests are invariant to per-variable affine
+    rescaling, so normalization would change nothing but the stored
+    statistics.
     """
     features: dict[tuple[Frequency, FeatureMethod], FeatureSet | Exception] = {}
+    runs: dict[tuple[str, Frequency], FeatureSet | Exception] = {}
     artifacts: list[str] = []
-    pcmci_cache: dict[Frequency, object] = {}
-
-    def pcmci_graph(freq: Frequency):
-        if freq not in pcmci_cache:
-            graph = run_pcmci_plus(
-                datasets[freq],
-                max_lag=config.discovery_max_lag,
-                pc_alpha=config.pcmci_alpha,
-                max_samples=config.max_samples,
-            )
-            json_path = out / f"graph_{freq.value}_pcmci.json"
-            dot_path = out / f"graph_{freq.value}_pcmci.dot"
-            graph.save(json_path)
-            dot_path.write_text(graph.to_dot())
-            artifacts.extend([str(json_path), str(dot_path)])
-            pcmci_cache[freq] = graph
-        return pcmci_cache[freq]
-
     for freq in config.frequencies:
-        dataset = datasets[freq]
         for variant in _roster(config, freq):
-            try:
-                if variant is FeatureMethod.VANILLA:
-                    fs = FeatureSet(variant, dataset.variable_names)
-                elif variant is FeatureMethod.GC:
-                    results = mvgc_test(
-                        dataset,
-                        max_lag=config.discovery_max_lag,
-                        alpha=config.gc_alpha,
+            if variant is FeatureMethod.VANILLA:
+                features[(freq, variant)] = FeatureSet(
+                    variant, datasets[freq].variable_names
+                )
+                continue
+            method = "mvgc" if variant is FeatureMethod.GC else "pcmci+"
+            source = Frequency.DAILY if variant is FeatureMethod.DPCMCI_PLUS else freq
+            if (method, source) not in runs:
+                if method == "mvgc":
+                    prefix, alpha = f"granger_{source.value}", config.gc_alpha
+                else:
+                    prefix, alpha = f"graph_{source.value}_pcmci", config.pcmci_alpha
+                try:
+                    runs[(method, source)], paths = discover(
+                        datasets[source], method, out / prefix,
+                        config.discovery_max_lag, alpha, config.max_samples,
                     )
-                    gpath = out / f"granger_{freq.value}.json"
-                    gpath.write_text(
-                        json.dumps(
-                            results_to_dict(
-                                results,
-                                dataset,
-                                max_lag=config.discovery_max_lag,
-                                alpha=config.gc_alpha,
-                            ),
-                            indent=2,
-                        )
-                        + "\n"
-                    )
-                    artifacts.append(str(gpath))
-                    fs = select_features_gc(results, dataset)
-                elif variant is FeatureMethod.PCMCI_PLUS:
-                    fs = select_features_pcmci(
-                        pcmci_graph(freq), config.target
-                    )
-                else:  # dpcmci+: daily-discovered drivers, monthly columns
-                    daily_fs = select_features_pcmci(
-                        pcmci_graph(Frequency.DAILY), config.target
-                    )
-                    monthly = datasets[Frequency.MONTHLY]
-                    fs = FeatureSet(
-                        FeatureMethod.DPCMCI_PLUS,
-                        tuple(
-                            v
-                            for v in monthly.variable_names
-                            if v in set(daily_fs.features)
-                        ),
-                    )
-                features[(freq, variant)] = fs
-            except CausalcastError as exc:
-                features[(freq, variant)] = exc
+                    artifacts.extend(str(p) for p in paths)
+                except CausalcastError as exc:
+                    runs[(method, source)] = exc
+            fs = runs[(method, source)]
+            if variant is FeatureMethod.DPCMCI_PLUS and isinstance(fs, FeatureSet):
+                # daily-discovered drivers, monthly columns
+                monthly = datasets[Frequency.MONTHLY].variable_names
+                fs = FeatureSet(variant, tuple(v for v in monthly if v in fs.features))
+            features[(freq, variant)] = fs
     return features, artifacts
 
 

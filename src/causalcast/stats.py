@@ -19,6 +19,11 @@ from .errors import InsufficientHistory, InvalidArgument, RankDeficient
 # Singular values below RANK_RTOL * s_max count as zero when deciding rank.
 RANK_RTOL = 1e-10
 
+# Discovery defaults shared by both engines, the experiment config and
+# the CLI: test level, and the longest lag a driver may act over.
+DEFAULT_ALPHA = 0.05
+DEFAULT_MAX_LAG = 21
+
 
 @dataclass(frozen=True)
 class OlsFit:
@@ -121,8 +126,9 @@ def partial_correlation(
     r = max(-1.0, min(1.0, r))
     if abs(r) >= 1.0:
         return CITestResult(statistic=r, p_value=0.0, effective_dof=dof)
-    t = r * math.sqrt(dof / (1.0 - r * r))
-    p = 2.0 * (1.0 - t_cdf(abs(t), dof))
+    # two-sided tail of t = r sqrt(dof / (1 - r^2)), taken directly so it
+    # does not cancel to 0: I_x(dof/2, 1/2) at x = dof / (dof + t^2) = 1 - r^2
+    p = float(betainc(dof / 2.0, 0.5, 1.0 - r * r))
     return CITestResult(statistic=r, p_value=min(max(p, 0.0), 1.0), effective_dof=dof)
 
 

@@ -155,6 +155,16 @@ class TestDiscover:
         assert ("drv", "y", 1) in {(l.source, l.target, l.lag) for l in graph.links}
         assert (tmp_path / "pc.dot").read_text().startswith("digraph")
 
+    def test_negative_max_samples_is_exit_two(self, runner, tmp_path):
+        write_panel(tmp_path / "data.csv", T=200)
+        result = invoke(runner, "discover", tmp_path / "data.csv",
+                        "--method", "pcmci+", "--target", "y",
+                        "--frequency", "monthly", "--max-lag", 3,
+                        "--max-samples", -5, "-o", tmp_path / "pc")
+        assert result.exit_code == 2
+        assert "max_samples must be >= 0 (0 keeps every step), got -5" in result.stderr
+        assert not (tmp_path / "pc.json").exists()
+
     def test_infeasible_horizon_is_exit_two(self, runner, tmp_path):
         write_panel(tmp_path / "data.csv", T=120)
         result = invoke(runner, "discover", tmp_path / "data.csv",
@@ -248,6 +258,23 @@ class TestTrainEvaluate:
             hashes.append(doc["config_hash"])
         assert hashes[0] != hashes[1]
 
+    def test_manifest_hashes_feature_source(self, runner, trained, tmp_path):
+        _, data, _ = trained
+        gc = tmp_path / "gc"
+        result = invoke(runner, "discover", data, "--method", "mvgc", "--target", "y",
+                        "--frequency", "monthly", "--max-lag", 3, "-o", gc)
+        assert result.exit_code == 0, result.output
+        manifest = tmp_path / "manifest.json"
+        result = invoke(runner, "train", data, *TRAIN_ARGS, "--max-epochs", 1,
+                        "--features-from", f"{gc}.json", "-o", tmp_path / "m.json",
+                        "--manifest", manifest)
+        assert result.exit_code == 0, result.output
+        inputs = json.loads(manifest.read_text())["inputs"]
+        assert [Path(e["path"]).name for e in inputs] == ["data.csv", "gc.json"]
+        for entry in inputs:
+            digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+            assert entry["sha256"] == digest
+
 
 class TestExperiment:
     CONFIG = """\
@@ -321,6 +348,28 @@ seed: 3
         row = (tmp_path / "eval.csv").read_text().splitlines()[1]
         assert row in (out / "report.csv").read_text().splitlines()
         assert row.startswith("monthly,vanilla,1,")
+
+    @pytest.mark.parametrize(
+        "method, variant, artifact",
+        [("mvgc", "gc", "granger_monthly"), ("pcmci+", "pcmci+", "graph_monthly_pcmci")],
+    )
+    def test_discover_writes_the_experiment_graph(self, runner, tmp_path, method,
+                                                  variant, artifact):
+        cfg = self._setup(tmp_path)
+        cfg.write_text(
+            cfg.read_text()
+            .replace("[vanilla, gc]", f"[{variant}]")
+            .replace("leads: [1, 2]", "leads: [1]")
+            .replace("  max_lag: 3\n", "  max_lag: 3\n  gc_alpha: 0.1\n  pcmci_alpha: 0.1\n")
+        )
+        assert invoke(runner, "experiment", cfg).exit_code == 0
+        result = invoke(runner, "discover", tmp_path / "monthly.csv", "--method", method,
+                        "--target", "y", "--frequency", "monthly", "--max-lag", 3,
+                        "--alpha", 0.1, "-o", tmp_path / "cli")
+        assert result.exit_code == 0, result.output
+        for suffix in (".json", ".dot"):
+            expected = (tmp_path / "out" / f"{artifact}{suffix}").read_bytes()
+            assert (tmp_path / f"cli{suffix}").read_bytes() == expected
 
     def test_loader_adds_no_defaults(self, tmp_path):
         cfg = tmp_path / "minimal.yaml"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from causalcast import Frequency, mvgc_test, select_features_gc
 from causalcast.errors import InsufficientHistory
@@ -86,6 +87,15 @@ class TestMvgc:
         assert [(r.variable, r.f_statistic, r.p_value) for r in a] == [
             (r.variable, r.f_statistic, r.p_value) for r in b
         ]
+
+    def test_p_values_match_scipy_tail(self):
+        # the planted drivers sit far below 1e-16, where 1 - cdf reads 0
+        ds = var_with_two_drivers(1, T=3000, n_vars=6)
+        results = mvgc_test(ds, max_lag=3)
+        assert min(r.p_value for r in results) < 1e-30
+        for r in results:
+            oracle = scipy_stats.f.sf(r.f_statistic, *r.dof)
+            assert r.p_value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_duplicate_column_handled(self):
         # an exact copy of another variable must not crash the solver

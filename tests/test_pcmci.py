@@ -186,6 +186,13 @@ class TestRun:
         graph = run_pcmci_plus(ds, max_lag=2, pc_alpha=0.001, max_samples=1000)
         assert ("v0", "v1", 1) in {(l.source, l.target, l.lag) for l in graph.links}
 
+    def test_zero_max_samples_keeps_every_step(self):
+        ds = lagged_pair(13, T=400)
+        whole = run_pcmci_plus(ds, max_lag=2, max_samples=400)
+        assert run_pcmci_plus(ds, max_lag=2, max_samples=0) == whole
+        with pytest.raises(InvalidArgument, match="max_samples must be >= 0"):
+            run_pcmci_plus(ds, max_lag=2, max_samples=-1)
+
     def test_deterministic(self):
         ds = lagged_pair(12, T=1200)
         a = run_pcmci_plus(ds, max_lag=3, pc_alpha=0.05)

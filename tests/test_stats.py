@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import stats as scipy_stats
 
 from causalcast.errors import InsufficientHistory, InvalidArgument, RankDeficient
 from causalcast.stats import (
@@ -137,6 +138,20 @@ class TestPartialCorrelation:
         scaled = partial_correlation(1000.0 * x - 3.0, 0.01 * y + 7.0, 5.0 * z + 2.0)
         assert scaled.statistic == pytest.approx(base.statistic, abs=1e-10)
         assert scaled.p_value == pytest.approx(base.p_value, abs=1e-10)
+
+    @pytest.mark.parametrize("coef", [0.0, 0.1, 0.3, 0.6, 2.0])
+    def test_p_value_matches_scipy_tail(self, coef):
+        # p spans 0.5 down to 1e-199; 2 * (1 - cdf) reads 0 below ~1e-16
+        rng = np.random.default_rng(10)
+        n = 500
+        z = rng.standard_normal((n, 2))
+        x = rng.standard_normal(n)
+        y = coef * x + z @ [0.3, -0.2] + rng.standard_normal(n)
+        res = partial_correlation(x, y, z)
+        r, dof = res.statistic, res.effective_dof
+        t = r * math.sqrt(dof / (1.0 - r * r))
+        oracle = 2.0 * scipy_stats.t.sf(abs(t), dof)
+        assert res.p_value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_null_calibration(self):
         # p-values should be uniform under the null: ~5% below 0.05
