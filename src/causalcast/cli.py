@@ -5,8 +5,9 @@ exit codes: 0 on success, 1 on runtime failure, 2 on invalid input or
 configuration.  Experiment runs are driven by a YAML/JSON config file
 checked against a published schema; a few flags (output dir, seed,
 jobs) override file values.  Each run can record a manifest listing the
-command, the config hash, seed, toolkit, numpy and scipy versions, a
-sha256 of every input file, and every artifact written.  The config hash
+command, the config hash, seed, toolkit, numpy and scipy versions, the
+BLAS numpy was built against, the core count, a sha256 of every input
+file, and every artifact written.  The config hash
 covers every option of the command except ``--manifest`` itself (for
 ``experiment``, the resolved config document), so two runs with the same
 hash ran with the same settings.
@@ -18,6 +19,7 @@ import datetime as dt
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -186,14 +188,18 @@ def _write_manifest(path, seed, inputs, artifacts, config=None) -> None:
     if config is None:
         config = {k: v for k, v in ctx.params.items() if k != "manifest"}
     payload = json.dumps(config, sort_keys=True, default=str)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": ctx.info_name,
         "config_hash": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         "seed": seed,
         "version": __version__,
         # the numeric stack decides the last digits of every reported metric
+        # and CI statistic, and the core count sets the BLAS threading
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "cpu_count": os.cpu_count(),
         "created": dt.datetime.now(dt.timezone.utc).isoformat(),
         "inputs": [
             {"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}

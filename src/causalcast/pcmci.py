@@ -29,7 +29,13 @@ import numpy as np
 from .data import TimeSeriesDataset
 from .errors import InsufficientHistory, InvalidArgument
 from .granger import FeatureMethod, FeatureSet
-from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, CITestResult, partial_correlation
+from .stats import (
+    DEFAULT_ALPHA,
+    DEFAULT_MAX_LAG,
+    CITestResult,
+    partial_correlation,
+    partial_correlation_block,
+)
 
 # Daily-scale runs keep at most this many most recent timesteps unless
 # the caller overrides (0 keeps every step); discovery cost grows
@@ -81,6 +87,10 @@ class CausalGraph:
     max_lag: int
     links: tuple[CausalLink, ...]
     alpha: float
+    # work done: CI tests over all three phases, and the most distinct
+    # conditioning columns any one of them used
+    ci_tests: int = 0
+    max_cond_dim: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -113,6 +123,8 @@ class CausalGraph:
             "variables": list(self.variables),
             "max_lag": self.max_lag,
             "alpha": self.alpha,
+            "ci_tests": self.ci_tests,
+            "max_cond_dim": self.max_cond_dim,
             "links": [l.to_dict() for l in self.links],
         }
 
@@ -136,6 +148,7 @@ class CausalGraph:
                 for l in d["links"]
             ),
             alpha=float(d["alpha"]),
+            **{key: int(d[key]) for key in ("ci_tests", "max_cond_dim") if key in d},
         )
 
     @classmethod
@@ -160,6 +173,90 @@ class CausalGraph:
 
 
 # ---------------------------------------------------------------------------
+# shared cross-products
+# ---------------------------------------------------------------------------
+
+class LaggedCrossProducts:
+    """Centered cross-products of every node (variable i at t - lag, lag
+    0..max_lag) over rows t = max_lag..T-1.
+
+    Every PC1 and contemporaneous CI test reads these rows, so each one is
+    answered from its (k+2)x(k+2) block by :func:`partial_correlation_block`;
+    blocks too close to singular for Cholesky fall back to
+    :func:`partial_correlation` on the stacked columns.  Counts the tests
+    it answers and their largest conditioning set.
+    """
+
+    def __init__(self, values: np.ndarray, max_lag: int):
+        T, N = values.shape
+        if max_lag < 1:
+            raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
+        if T <= max_lag + 4:
+            raise InsufficientHistory(
+                f"T = {T} leaves no testable samples at max_lag = {max_lag}"
+            )
+        self.values, self.max_lag, self.n = values, max_lag, T - max_lag
+        # centering each variable first keeps the per-block mean correction
+        # n * mu_a mu_b^T small next to the products it corrects
+        centered = values - values.mean(axis=0)
+        views = [centered[max_lag - lag : T - lag] for lag in range(max_lag + 1)]
+        means = [view.mean(axis=0) for view in views]
+        size = N * (max_lag + 1)
+        self.cross = np.empty((size, size))
+        for a in range(max_lag + 1):
+            for b in range(a, max_lag + 1):
+                block = views[a].T @ views[b] - self.n * np.outer(means[a], means[b])
+                self.cross[a * N : (a + 1) * N, b * N : (b + 1) * N] = block
+                self.cross[b * N : (b + 1) * N, a * N : (a + 1) * N] = block.T
+        # raw (uncentered) norm of every node, for the degenerate-test rule
+        self.norms = np.sqrt(np.concatenate([
+            np.einsum("ij,ij->j", raw, raw)
+            for raw in (values[max_lag - lag : T - lag] for lag in range(max_lag + 1))
+        ]))
+        self.tests = 0
+        self.max_cond_dim = 0
+
+    def count(self, n_conds: int) -> None:
+        """Record one CI test with ``n_conds`` distinct conditioning columns."""
+        self.tests += 1
+        self.max_cond_dim = max(self.max_cond_dim, n_conds)
+
+    def test(
+        self, x: tuple[int, int], y: tuple[int, int], conds: list[tuple[int, int]]
+    ) -> CITestResult:
+        """Partial correlation of nodes x and y given the distinct ``conds``."""
+        nodes = list(dict.fromkeys(conds))
+        self.count(len(nodes))
+        n_vars = self.values.shape[1]
+        idx = np.array([lag * n_vars + i for i, lag in nodes + [x, y]], dtype=np.intp)
+        res = partial_correlation_block(
+            self.cross.take(idx, 0).take(idx, 1),
+            float(self.norms[idx[-2]]),
+            float(self.norms[idx[-1]]),
+            self.n,
+        )
+        if res is None:
+            start = self.max_lag
+            res = partial_correlation(
+                _column(self.values, start, x),
+                _column(self.values, start, y),
+                _conditions(self.values, start, nodes),
+            )
+        return res
+
+
+def _cross_products(
+    dataset: TimeSeriesDataset, max_lag: int, shared: LaggedCrossProducts | None
+) -> LaggedCrossProducts:
+    """``shared`` if it was built for this dataset and max_lag, else a new one."""
+    if shared is None:
+        return LaggedCrossProducts(dataset.values, max_lag)
+    if shared.values is not dataset.values or shared.max_lag != max_lag:
+        raise InvalidArgument("shared cross-products belong to another dataset or max_lag")
+    return shared
+
+
+# ---------------------------------------------------------------------------
 # phase 1: lagged condition selection
 # ---------------------------------------------------------------------------
 
@@ -168,6 +265,8 @@ def pc1_condition_selection(
     target_var: str,
     max_lag: int,
     pc_alpha: float = DEFAULT_ALPHA,
+    *,
+    shared: LaggedCrossProducts | None = None,
 ) -> list[Candidate]:
     """Iteratively prune lagged parent candidates of one variable.
 
@@ -176,17 +275,13 @@ def pc1_condition_selection(
     statistic from the previous round, ties by variable index then lag).
     Candidates with p > pc_alpha after a full sweep are removed; rounds
     stop once q exceeds the number of remaining other candidates.
-    Returns survivors sorted by |statistic| descending.
+    Returns survivors sorted by |statistic| descending.  ``shared``
+    cross-products, built once by :func:`run_pcmci_plus`, save building
+    them here.
     """
-    if max_lag < 1:
-        raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
-    values = dataset.values
-    T, N = values.shape
-    if T <= max_lag + 4:
-        raise InsufficientHistory(
-            f"T = {T} leaves no testable samples at max_lag = {max_lag}"
-        )
-    target = _column(values, max_lag, (dataset.variable_names.index(target_var), 0))
+    cross = _cross_products(dataset, max_lag, shared)
+    N = dataset.n_variables
+    target = (dataset.variable_names.index(target_var), 0)
 
     survivors: list[tuple[int, int]] = [
         (i, lag) for i in range(N) for lag in range(1, max_lag + 1)
@@ -199,8 +294,9 @@ def pc1_condition_selection(
         order = _rank(survivors, stat)
         removals = []
         for cand in survivors:
-            z = _conditions(values, max_lag, [c for c in order if c != cand][:q])
-            res = partial_correlation(_column(values, max_lag, cand), target, z)
+            # the first q ranked survivors other than cand
+            conds = [c for c in order[: q + 1] if c != cand][:q]
+            res = cross.test(cand, target, conds)
             stat[cand] = res.statistic
             pval[cand] = res.p_value
             if res.p_value > pc_alpha:
@@ -279,6 +375,8 @@ def contemporaneous_phase(
     lagged_parents: dict[str, list[Candidate]],
     pc_alpha: float = DEFAULT_ALPHA,
     max_lag: int | None = None,
+    *,
+    shared: LaggedCrossProducts | None = None,
 ) -> list[CausalLink]:
     """Discover and (partially) orient same-timestep links.
 
@@ -287,7 +385,7 @@ def contemporaneous_phase(
     strongest other contemporaneous neighbors; pairs with p > pc_alpha
     drop out, remembering that neighbor subset as their separating set.
     Surviving links are oriented by unshielded colliders and Meek rule 1
-    where possible.
+    where possible.  ``shared`` is as for :func:`pc1_condition_selection`.
     """
     names = dataset.variable_names
     N = len(names)
@@ -298,12 +396,7 @@ def contemporaneous_phase(
             (c.lag for cands in lagged_parents.values() for c in cands),
             default=1,
         )
-    values = dataset.values
-    T = values.shape[0]
-    if T <= max_lag + 4:
-        raise InsufficientHistory(
-            f"T = {T} leaves no testable samples at max_lag = {max_lag}"
-        )
+    cross = _cross_products(dataset, max_lag, shared)
 
     parent_nodes: dict[int, list[tuple[int, int]]] = {}
     for i, name in enumerate(names):
@@ -336,13 +429,10 @@ def contemporaneous_phase(
                 continue
             tested_any = True
             subset = others[:q]
-            z = _conditions(
-                values,
-                max_lag,
+            res = cross.test(
+                (a, 0),
+                (b, 0),
                 parent_nodes[a] + parent_nodes[b] + [(k, 0) for k in subset],
-            )
-            res = partial_correlation(
-                _column(values, max_lag, (a, 0)), _column(values, max_lag, (b, 0)), z
             )
             strength[(a, b)] = abs(res.statistic)
             last_stat[(a, b)] = res.statistic
@@ -472,8 +562,9 @@ def run_pcmci_plus(
     contemporaneous phase; keeps links with p <= pc_alpha.  Runs on the
     ``max_samples`` most recent steps only (0 keeps every step)."""
     work = _truncate(dataset, max_samples)
+    cross = LaggedCrossProducts(work.values, max_lag)
     parents = {
-        var: pc1_condition_selection(work, var, max_lag, pc_alpha)
+        var: pc1_condition_selection(work, var, max_lag, pc_alpha, shared=cross)
         for var in work.variable_names
     }
 
@@ -487,6 +578,8 @@ def run_pcmci_plus(
                 parents_of_source=parents[cand.variable],
                 max_lag=max_lag,
             )
+            # MCI rows start at max_lag + lag; dof = rows - #conditions - 2
+            cross.count(work.n_timesteps - max_lag - cand.lag - 2 - res.effective_dof)
             if res.p_value <= pc_alpha:
                 links.append(
                     CausalLink(
@@ -499,12 +592,16 @@ def run_pcmci_plus(
                     )
                 )
 
-    links.extend(contemporaneous_phase(work, parents, pc_alpha, max_lag=max_lag))
+    links.extend(
+        contemporaneous_phase(work, parents, pc_alpha, max_lag=max_lag, shared=cross)
+    )
     return CausalGraph(
         variables=work.variable_names,
         max_lag=max_lag,
         links=tuple(links),
         alpha=pc_alpha,
+        ci_tests=cross.tests,
+        max_cond_dim=cross.max_cond_dim,
     )
 
 

@@ -1,9 +1,12 @@
 """Shared statistical machinery for both causal-discovery engines.
 
-Least squares (SVD-backed), linear partial correlation with a
-t-distributed statistic, F/t distribution tails through the regularized
-incomplete beta function, and Benjamini-Hochberg step-up FDR control.
-All functions are pure; callers may evaluate many tests in parallel.
+Least squares (SVD-backed) for MVGC; linear partial correlation with a
+t-distributed statistic, answered from a centered cross-product block
+by one small Cholesky factorization, with an SVD least-squares
+residualization as the exact fallback for near-singular blocks; F/t
+distribution tails through the regularized incomplete beta function;
+and Benjamini-Hochberg step-up FDR control.  All functions are pure;
+callers may evaluate many tests in parallel.
 """
 
 from __future__ import annotations
@@ -12,12 +15,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.special import betainc
 
 from .errors import InsufficientHistory, InvalidArgument, RankDeficient
 
 # Singular values below RANK_RTOL * s_max count as zero when deciding rank.
 RANK_RTOL = 1e-10
+
+# A Cholesky pivot that keeps less than this share of its column's
+# centered sum of squares marks a duplicated or collinear column; such
+# blocks take the SVD path, whose verdicts on them are exact.
+PIVOT_RTOL = 1e-8
 
 # Discovery defaults shared by both engines, the experiment config and
 # the CLI: test level, and the longest lag a driver may act over.
@@ -85,7 +94,9 @@ def partial_correlation(
     is the Pearson correlation of the residuals, with a two-sided t-test
     at dof = n - #conditions - 2.  Zero-variance residuals are reported
     as independence (statistic 0, p 1) so constant columns are silently
-    non-causal.
+    non-causal.  The residual sums come from :func:`partial_correlation_block`
+    on the columns' own cross-products, or from an SVD least-squares fit
+    where that block is too close to singular.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -100,29 +111,68 @@ def partial_correlation(
             z = z[:, None]
         if z.shape[0] != n:
             raise InvalidArgument("conditioning rows must match x length")
-    n_cond = z.shape[1]
-    if n <= n_cond + 3:
-        raise InsufficientHistory(
-            f"{n} samples cannot support {n_cond} conditioning columns"
-        )
+    norm_x, norm_y = math.sqrt(float(x @ x)), math.sqrt(float(y @ y))
+    cols = np.column_stack([z, x, y])
+    centered = cols - cols.mean(axis=0)
+    res = partial_correlation_block(centered.T @ centered, norm_x, norm_y, n)
+    if res is not None:
+        return res
 
-    design = np.column_stack([z, np.ones(n)])
-    # lstsq without a rank gate: collinear conditioning columns simply
-    # waste dof here, they do not invalidate the residualization.
-    rhs = np.column_stack([x, y])
+    # Centered columns carry the intercept, so the rank rule sees each
+    # column's spread, not its mean (beside an intercept column, a column
+    # at 1e6 +- 1 falls below RANK_RTOL).  lstsq without a rank gate:
+    # collinear conditioning columns simply waste dof here, they do not
+    # invalidate the residualization.
+    design, rhs = centered[:, :-2], centered[:, -2:]
     beta, _, _, _ = np.linalg.lstsq(design, rhs, rcond=RANK_RTOL)
     resid = rhs - design @ beta
     rx, ry = resid[:, 0], resid[:, 1]
+    return _verdict(
+        float(rx @ ry),
+        math.sqrt(float(rx @ rx)),
+        math.sqrt(float(ry @ ry)),
+        norm_x,
+        norm_y,
+        n - z.shape[1] - 2,
+    )
 
-    dof = n - n_cond - 2
-    sx = math.sqrt(float(rx @ rx))
-    sy = math.sqrt(float(ry @ ry))
-    if sx <= 1e-12 * (math.sqrt(float(x @ x)) + 1.0) or sy <= 1e-12 * (
-        math.sqrt(float(y @ y)) + 1.0
-    ):
+
+def partial_correlation_block(
+    cross: np.ndarray, norm_x: float, norm_y: float, n: int
+) -> CITestResult | None:
+    """Partial correlation of the last two of k+2 columns given the first k.
+
+    ``cross`` is the columns' centered cross-product matrix over ``n``
+    rows, so the intercept is already regressed out; ``norm_x`` and
+    ``norm_y`` are the raw (uncentered) norms of x and y.  With
+    cross = L L^T, the last 2x2 block of L holds the residual sums of x
+    and y given [Z, intercept]: r_xx = L[x,x]^2, r_xy = L[y,x] L[x,x] and
+    r_yy = L[y,x]^2 + L[y,y]^2.  Returns None, for the caller to take the
+    SVD path, when the factorization fails or a pivot keeps less than
+    PIVOT_RTOL of its column's centered sum of squares.
+    """
+    k = cross.shape[0] - 2
+    if n <= k + 3:
+        raise InsufficientHistory(f"{n} samples cannot support {k} conditioning columns")
+    low, info = dpotrf(cross, lower=1, clean=0)
+    if info != 0:
+        return None
+    pivots = np.diagonal(low)
+    if (pivots * pivots < PIVOT_RTOL * np.diagonal(cross)).any():
+        return None
+    sx, yx, yy = float(low[k, k]), float(low[k + 1, k]), float(low[k + 1, k + 1])
+    return _verdict(yx * sx, sx, math.hypot(yx, yy), norm_x, norm_y, n - k - 2)
+
+
+def _verdict(
+    rxy: float, sx: float, sy: float, norm_x: float, norm_y: float, dof: int
+) -> CITestResult:
+    """Test result from the residual cross-product ``rxy``, the residual
+    norms ``sx``/``sy`` and the raw norms of x and y."""
+    if sx <= 1e-12 * (norm_x + 1.0) or sy <= 1e-12 * (norm_y + 1.0):
         # degenerate test, folded into the independence verdict
         return CITestResult(statistic=0.0, p_value=1.0, effective_dof=dof)
-    r = float(rx @ ry) / (sx * sy)
+    r = rxy / (sx * sy)
     r = max(-1.0, min(1.0, r))
     if abs(r) >= 1.0:
         return CITestResult(statistic=r, p_value=0.0, effective_dof=dof)

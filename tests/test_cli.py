@@ -1,6 +1,7 @@
 import datetime as dt
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,9 @@ seed: 3
         assert str(out / "report.csv") in manifest["artifacts"]
         assert manifest["numpy"] == np.__version__
         assert manifest["scipy"] == scipy.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+        assert manifest["cpu_count"] == os.cpu_count()
         names = {Path(e["path"]).name for e in manifest["inputs"]}
         assert names == {"exp.yaml", "monthly.csv"}
         for entry in manifest["inputs"]:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from causalcast import Frequency, run_pcmci_plus, select_features_pcmci
+from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci, stats
 from causalcast.errors import InvalidArgument
 from causalcast.pcmci import (
     CausalGraph,
     CausalLink,
+    LaggedCrossProducts,
+    _column,
+    _conditions,
     contemporaneous_phase,
     mci_test,
     pc1_condition_selection,
@@ -34,6 +37,43 @@ def lagged_pair(seed, T=3000, lag=2, coef=0.5):
     return make_dataset(
         np.column_stack([x[50:], y[50:]]), names=["x", "y"], frequency=Frequency.DAILY
     )
+
+
+def var_panel(seed, T=1500):
+    """Four autocorrelated series: 0 -> 1 and 1 -> 2 at lag 1, 3 -> 0 at
+    lag 2, and 2 -> 3 within the same step."""
+    rng = np.random.default_rng(seed)
+    v = np.zeros((T, 4))
+    for t in range(2, T):
+        v[t] = 0.5 * v[t - 1] + rng.standard_normal(4)
+        v[t, 0] += 0.4 * v[t - 2, 3]
+        v[t, 1] += 0.6 * v[t - 1, 0]
+        v[t, 2] += 0.5 * v[t - 1, 1]
+        v[t, 3] += 0.5 * v[t, 2]
+    return v
+
+
+def stacked_svd_only(monkeypatch):
+    """Send every CI test down the stacked-column SVD least-squares path."""
+    for module in (pcmci, stats):
+        monkeypatch.setattr(module, "partial_correlation_block", lambda *args: None)
+
+
+def count_stacked_tests(monkeypatch):
+    """Wrap pcmci.partial_correlation; returns the conditioning width of
+    every call it sees."""
+    widths = []
+
+    def counted(x, y, z=None):
+        widths.append(0 if z is None else z.shape[1])
+        return partial_correlation(x, y, z)
+
+    monkeypatch.setattr(pcmci, "partial_correlation", counted)
+    return widths
+
+
+def link_table(graph):
+    return {(l.source, l.target, l.lag, l.oriented): l for l in graph.links}
 
 
 class TestPc1:
@@ -211,6 +251,93 @@ class TestRun:
         rate = total / (runs * per_run)
         sigma = np.sqrt(alpha * (1 - alpha) / (runs * per_run))
         assert rate <= alpha + 2 * sigma
+
+
+class TestCrossProducts:
+    def test_matches_stacked_partial_correlation(self, monkeypatch):
+        values, max_lag = var_panel(20), 4
+        cross = LaggedCrossProducts(values, max_lag)
+        stacked = count_stacked_tests(monkeypatch)
+        nodes = [(i, lag) for i in range(4) for lag in range(max_lag + 1)]
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            picked = rng.choice(len(nodes), int(rng.integers(2, 14)), replace=False)
+            *conds, x, y = [nodes[p] for p in picked]
+            conds += conds[:1]  # a repeated node is one conditioning column
+            got = cross.test(x, y, conds)
+            want = partial_correlation(
+                _column(values, max_lag, x),
+                _column(values, max_lag, y),
+                _conditions(values, max_lag, conds),
+            )
+            assert got.effective_dof == want.effective_dof
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+        assert stacked == []  # every test was answered from its block
+        assert cross.tests == 60
+
+    def test_degenerate_columns_match_the_stacked_path(self, monkeypatch):
+        # v3 shifted by 1e6, v4 constant, v5 an exact copy of v1
+        base = var_panel(22)
+        base[:, 3] += 1e6
+        values = np.column_stack([base, np.full(len(base), 0.3), base[:, 1]])
+        ds = make_dataset(values, frequency=Frequency.DAILY)
+        extras = ([], [(0, 1)], [(2, 2), (3, 1)])
+        cases = [
+            case
+            for lag in (1, 2, 3)
+            for j in (0, 2, 3)
+            for extra in extras
+            for case in (((5, lag), (j, 0), [(1, lag)] + extra),
+                         ((1, lag), (j, 0), extra + [(5, lag)]))
+        ]
+        cases += [
+            ((4, 1), (0, 0), []),
+            ((0, 1), (2, 0), [(4, 1)]),
+            ((3, 1), (2, 0), [(0, 1), (3, 2)]),
+            ((1, 1), (3, 0), [(4, 2), (3, 1)]),
+        ]
+        got = [LaggedCrossProducts(values, 3).test(*case) for case in cases]
+        graph = run_pcmci_plus(ds, max_lag=3)
+        stacked_svd_only(monkeypatch)
+        want = [LaggedCrossProducts(values, 3).test(*case) for case in cases]
+        reference = run_pcmci_plus(ds, max_lag=3)
+
+        assert sum((w.statistic, w.p_value) == (0.0, 1.0) for w in want) == 55
+        for g, w in zip(got, want):
+            assert g.effective_dof == w.effective_dof
+            assert g.statistic == pytest.approx(w.statistic, rel=1e-9, abs=0.0)
+            assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=0.0)
+        links, ref_links = link_table(graph), link_table(reference)
+        assert links.keys() == ref_links.keys()
+        for key, link in links.items():
+            assert link.statistic == pytest.approx(ref_links[key].statistic, rel=1e-9, abs=0.0)
+            assert link.p_value == pytest.approx(ref_links[key].p_value, rel=1e-9, abs=0.0)
+
+    def test_graph_counts_every_ci_test(self, monkeypatch):
+        # the stacked path calls partial_correlation once per CI test, as
+        # every test did before the shared cross-products: 167 tests, at
+        # most 5 conditioning columns on this panel
+        ds = make_dataset(var_panel(30), frequency=Frequency.DAILY)
+        graph = run_pcmci_plus(ds, max_lag=3)
+        stacked_svd_only(monkeypatch)
+        widths = count_stacked_tests(monkeypatch)
+        reference = run_pcmci_plus(ds, max_lag=3)
+        assert (graph.ci_tests, graph.max_cond_dim) == (167, 5)
+        assert (len(widths), max(widths)) == (167, 5)
+        assert (reference.ci_tests, reference.max_cond_dim) == (167, 5)
+        assert link_table(reference).keys() == link_table(graph).keys()
+        doc = graph.to_dict()
+        assert (doc["ci_tests"], doc["max_cond_dim"]) == (167, 5)
+        assert CausalGraph.from_dict(doc) == graph
+
+    def test_shared_products_must_match_the_call(self):
+        ds = lagged_pair(14, T=400)
+        other = LaggedCrossProducts(ds.values, 3)
+        with pytest.raises(InvalidArgument, match="another dataset or max_lag"):
+            pc1_condition_selection(ds, "y", max_lag=2, shared=other)
+        with pytest.raises(InvalidArgument, match="another dataset or max_lag"):
+            contemporaneous_phase(ds, {}, max_lag=3, shared=LaggedCrossProducts(ds.values.copy(), 3))
 
 
 class TestGraphContainer:

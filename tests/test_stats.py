@@ -139,6 +139,49 @@ class TestPartialCorrelation:
         assert scaled.statistic == pytest.approx(base.statistic, abs=1e-10)
         assert scaled.p_value == pytest.approx(base.p_value, abs=1e-10)
 
+    def test_condition_far_from_zero_still_conditions(self):
+        # beside an intercept column, z + 1e6 falls below the SVD rank
+        # tolerance; the statistic must still see z's spread
+        rng = np.random.default_rng(8)
+        n = 2000
+        z = rng.standard_normal(n)
+        x = z + rng.standard_normal(n)
+        y = z + rng.standard_normal(n)
+        base = partial_correlation(x, y, z)
+        shifted = partial_correlation(x, y, z + 1e6)
+        assert abs(base.statistic) < 0.05
+        assert shifted.statistic == pytest.approx(base.statistic, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 12])
+    def test_matches_least_squares_residuals(self, k):
+        # reference: residuals of x and y on [z, 1] by SVD least squares
+        rng = np.random.default_rng(11 + k)
+        n = 600
+        z = rng.standard_normal((n, k))
+        x = z @ rng.standard_normal(k) + rng.standard_normal(n) + 3.0
+        y = 0.2 * x + z @ rng.standard_normal(k) + rng.standard_normal(n)
+        design = np.column_stack([z, np.ones(n)])
+        rhs = np.column_stack([x, y])
+        rx, ry = (rhs - design @ np.linalg.lstsq(design, rhs, rcond=None)[0]).T
+        r = (rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry))
+        res = partial_correlation(x, y, z)
+        assert res.statistic == pytest.approx(r, rel=1e-12, abs=0.0)
+        assert res.effective_dof == n - k - 2
+
+    def test_duplicated_offset_conditions_fall_back_exactly(self):
+        # a repeated column makes the block singular, so the SVD path
+        # answers; it must still see w's spread under a 1e6 offset
+        rng = np.random.default_rng(12)
+        n = 2000
+        w = rng.standard_normal(n)
+        x = w + rng.standard_normal(n)
+        y = w + rng.standard_normal(n)
+        once = partial_correlation(x, y, w)
+        twice = partial_correlation(x, y, np.column_stack([w, w]) + 1e6)
+        assert abs(once.statistic) < 0.05
+        assert twice.statistic == pytest.approx(once.statistic, rel=1e-6, abs=0.0)
+        assert twice.effective_dof == once.effective_dof - 1
+
     @pytest.mark.parametrize("coef", [0.0, 0.1, 0.3, 0.6, 2.0])
     def test_p_value_matches_scipy_tail(self, coef):
         # p spans 0.5 down to 1e-199; 2 * (1 - cdf) reads 0 below ~1e-16
