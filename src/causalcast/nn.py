@@ -28,16 +28,26 @@ The GRU uses split input/recurrent biases with the reset gate applied
 after the recurrent matmul (so the two candidate biases are not
 redundant), and the update convention h_t = (1 - z) * h_{t-1} + z * n_t.
 
-Internally the kernels are time-major: ``_forward`` transposes the
-(B, tau, .) batch once, so each timestep reads and writes one contiguous
-(B, .) block, and each layer keeps its states in one (T+1, B, units)
-array whose first row is the initial state.  The input matmul is hoisted
-out of the time loop, each step activates its sigmoid gates ([z, r] or
-[i, f, o]) with one in-place call, and backward computes the
-recursion-free derivative factors before its loop.  Numerical checks run
-once per sequence: all hidden states must lie in [-1, 1] (a NaN fails
-this and reaches every later step), and the final LSTM cell state must
-be finite (tanh hides an infinite cell state from h, but it persists).
+Internally the kernels are batch-last: ``_forward`` transposes the
+(B, tau, F) batch once to (T, F, B), and initial states (B, units) enter
+as (units, B).  Each layer keeps its states in one (T+1, units, B) array
+whose first row is the initial state, and each step computes its gate
+block as ``U.T @ h`` with shape (n * units, B), so every gate is a row
+block: one contiguous (units, B) slab.  The parameters keep the layout
+in the table above; ``U.T`` and ``W.T`` are views that BLAS reads with a
+transpose flag, so checkpoints are unaffected.  The input matmul is
+hoisted out of the time loop, each step activates its sigmoid gates
+([z, r] or [i, f, o]) with one in-place call, and backward computes the
+recursion-free derivative factors before its loop, then contracts the
+weight gradients over (t, b) from one (T*B, .) copy per operand.
+Numerical checks run once per sequence: all hidden states must lie in
+[-1, 1] (a NaN fails this and reaches every later step), and the final
+LSTM cell state must be finite (tanh hides an infinite cell state from
+h, but it persists).
+
+``train`` holds every parameter in one flat float64 buffer, with the
+model's arrays as named views into it, so one Adam update covers the
+whole model and the best-epoch snapshot is one copy.
 """
 
 from __future__ import annotations
@@ -117,6 +127,10 @@ class TrainConfig:
             raise InvalidArgument("max_epochs must be >= 1")
         if self.patience < 1:
             raise InvalidArgument("patience must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidArgument(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,6 +139,8 @@ class TrainHistory:
     validation_loss: tuple[float, ...]
     best_epoch: int
     stopped_epoch: int
+    n_train: int
+    n_val: int
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +205,49 @@ def _check_hidden(hs: np.ndarray, layer: str) -> None:
         raise NumericalError(f"{layer} hidden state non-finite or out of [-1, 1]")
 
 
-def _time_major(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
+def _batch_last(x: np.ndarray) -> np.ndarray:
+    """(B, T, C) -> contiguous (T, C, B)."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
+def _state(s) -> np.ndarray:
+    """An initial state (units,) or (B, units) as a (units, 1) or
+    (units, B) column block."""
+    s = np.asarray(s, dtype=np.float64)
+    return s[:, None] if s.ndim == 1 else s.T
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(T, C, B) -> a new (T*B, C) array, one row per (t, b), for the
+    weight and bias gradients.  Always a copy: at B = 1 the transpose is
+    already contiguous, and a view would see later writes to ``a``."""
+    T, C, B = a.shape
+    return a.transpose(0, 2, 1).copy().reshape(T * B, C)
 
 
 def _gru_forward(params, x: np.ndarray, h0=None, want_cache: bool = False):
-    """GRU over time-major ``x`` (T, B, F); states (T+1, B, G) hold h0 first."""
+    """GRU over batch-last ``x`` (T, F, B); states (T+1, G, B) hold h0 first."""
     W, U = params["gru_W"], params["gru_U"]
-    bx, bh = params["gru_bx"], params["gru_bh"]
-    T, B, F = x.shape
+    bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
+    T, F, B = x.shape
     G = U.shape[0]
     if W.shape[0] != F:
         raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
-    hs = np.empty((T + 1, B, G))
-    hs[0] = 0.0 if h0 is None else h0
+    hs = np.empty((T + 1, G, B))
+    hs[0] = 0.0 if h0 is None else _state(h0)
     # input projections; the loop turns them into the gates [z, r, n]
-    gates = (x.reshape(T * B, F) @ W).reshape(T, B, 3 * G)
+    gates = np.matmul(W.T, x)
     gates += bx
-    ghs = np.empty((T, B, 3 * G)) if want_cache else None
+    ghs = np.empty((T, 3 * G, B)) if want_cache else None
     for t in range(T):
-        gh = np.matmul(hs[t], U, out=ghs[t] if want_cache else None)
+        gh = np.matmul(U.T, hs[t], out=ghs[t] if want_cache else None)
         gh += bh
-        zr = gates[t, :, : 2 * G]
-        zr += gh[:, : 2 * G]
+        zr = gates[t, : 2 * G]
+        zr += gh[: 2 * G]
         _sigmoid(zr)
-        z = zr[:, :G]
-        n = gates[t, :, 2 * G :]
-        n += zr[:, G:] * gh[:, 2 * G :]
+        z = zr[:G]
+        n = gates[t, 2 * G :]
+        n += zr[G:] * gh[2 * G :]
         np.tanh(n, out=n)
         step = n - hs[t]
         step *= z
@@ -226,30 +258,30 @@ def _gru_forward(params, x: np.ndarray, h0=None, want_cache: bool = False):
 
 
 def _lstm_forward(params, x: np.ndarray, h0=None, c0=None, want_cache: bool = False):
-    """LSTM over time-major ``x`` (T, B, K); returns (T+1, B, L) hidden
+    """LSTM over batch-last ``x`` (T, K, B); returns (T+1, L, B) hidden
     and cell states, first row the initial state."""
     W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"]
-    T, B, K = x.shape
+    T, K, B = x.shape
     L = U.shape[0]
     if W.shape[0] != K:
         raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
-    hs = np.empty((T + 1, B, L))
-    cs = np.empty((T + 1, B, L))
-    hs[0] = 0.0 if h0 is None else h0
-    cs[0] = 0.0 if c0 is None else c0
+    hs = np.empty((T + 1, L, B))
+    cs = np.empty((T + 1, L, B))
+    hs[0] = 0.0 if h0 is None else _state(h0)
+    cs[0] = 0.0 if c0 is None else _state(c0)
     # input projections; the loop turns them into the gates [i, f, o, g]
-    gates = (x.reshape(T * B, K) @ W).reshape(T, B, 4 * L)
-    gates += b
-    tcs = np.empty((T, B, L)) if want_cache else None
+    gates = np.matmul(W.T, x)
+    gates += b[:, None]
+    tcs = np.empty((T, L, B)) if want_cache else None
     for t in range(T):
         pre = gates[t]
-        pre += hs[t] @ U
-        _sigmoid(pre[:, : 3 * L])
-        g = np.tanh(pre[:, 3 * L :], out=pre[:, 3 * L :])
-        np.multiply(pre[:, L : 2 * L], cs[t], out=cs[t + 1])
-        cs[t + 1] += pre[:, :L] * g
+        pre += U.T @ hs[t]
+        _sigmoid(pre[: 3 * L])
+        g = np.tanh(pre[3 * L :], out=pre[3 * L :])
+        np.multiply(pre[L : 2 * L], cs[t], out=cs[t + 1])
+        cs[t + 1] += pre[:L] * g
         tc = np.tanh(cs[t + 1], out=tcs[t] if want_cache else None)
-        np.multiply(pre[:, 2 * L : 3 * L], tc, out=hs[t + 1])
+        np.multiply(pre[2 * L : 3 * L], tc, out=hs[t + 1])
     _check_hidden(hs[1:], "LSTM")
     if not np.all(np.isfinite(cs[-1])):
         raise NumericalError("LSTM cell state non-finite")
@@ -262,25 +294,27 @@ def gru_forward(params, x_sequence, h0=None) -> np.ndarray:
 
     Accepts one sequence (tau, F) or a batch (B, tau, F); the result
     mirrors the input's leading dimensions with the feature axis
-    replaced by the hidden size.
+    replaced by the hidden size.  ``h0`` is (G,) or one row per
+    sequence, (B, G).
     """
     x = np.asarray(x_sequence, dtype=np.float64)
     single = x.ndim == 2
     if single:
         x = x[None]
-    hs, _ = _gru_forward(params, _time_major(x), h0=h0)
-    hs = hs[1:].transpose(1, 0, 2)
+    hs, _ = _gru_forward(params, _batch_last(x), h0=h0)
+    hs = hs[1:].transpose(2, 0, 1)
     return hs[0] if single else hs
 
 
 def lstm_forward(params, x_sequence, h0=None, c0=None):
-    """(hidden sequence, final cell state) of an LSTM over ``x_sequence``."""
+    """(hidden sequence, final cell state) of an LSTM over ``x_sequence``;
+    ``h0`` and ``c0`` are (L,) or (B, L)."""
     x = np.asarray(x_sequence, dtype=np.float64)
     single = x.ndim == 2
     if single:
         x = x[None]
-    hs, cs, _ = _lstm_forward(params, _time_major(x), h0=h0, c0=c0)
-    hs, c = hs[1:].transpose(1, 0, 2), cs[-1]
+    hs, cs, _ = _lstm_forward(params, _batch_last(x), h0=h0, c0=c0)
+    hs, c = hs[1:].transpose(2, 0, 1), cs[-1].T
     return (hs[0], c[0]) if single else (hs, c)
 
 
@@ -313,11 +347,11 @@ def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite values in input batch")
     p = model.params
-    hs, gru_cache = _gru_forward(p, _time_major(x), want_cache=want_cache)
-    seq_mask = _time_major(masks[0]) if masks is not None else None
+    hs, gru_cache = _gru_forward(p, _batch_last(x), want_cache=want_cache)
+    seq_mask = _batch_last(masks[0]) if masks is not None else None
     seq = hs[1:] * seq_mask if masks is not None else hs[1:]
     lstm_hs, _, lstm_cache = _lstm_forward(p, seq, want_cache=want_cache)
-    h_final = lstm_hs[-1]
+    h_final = lstm_hs[-1].T
     hd = h_final * masks[1] if masks is not None else h_final
     dense_pre = hd @ p["dense_W"] + p["dense_b"]
     dense_out = np.maximum(dense_pre, 0.0)
@@ -353,77 +387,79 @@ def model_forward(
 
 
 def _gru_backward(params, cache, dhs):
-    """Parameter gradients from the loss gradient ``dhs`` (T, B, G) with
+    """Parameter gradients from the loss gradient ``dhs`` (T, G, B) with
     respect to every GRU output state."""
     U = params["gru_U"]
     x, hs, gates = cache["x"], cache["hs"], cache["gates"]
-    T, B, F = x.shape
+    T, _, B = x.shape
     G = U.shape[0]
-    z, r, n = gates[..., :G], gates[..., G : 2 * G], gates[..., 2 * G :]
-    a = cache["gh"][..., 2 * G :]
+    z, r, n = gates[:, :G], gates[:, G : 2 * G], gates[:, 2 * G :]
+    a = cache["gh"][:, 2 * G :]
     # recursion-free factors: each gate pre-activation's gradient is
     # dh_t times one of these
     dn = z * (1.0 - n * n)
-    dz = (n - hs[:-1]) * z * (1.0 - z)
-    dr = dn * a * r * (1.0 - r)
-    factors = np.concatenate([dz, dr, dn * r], axis=-1).reshape(T, B, 3, G)
+    factors = np.concatenate(
+        [(n - hs[:-1]) * z * (1.0 - z), dn * a * r * (1.0 - r), dn * r], axis=1
+    ).reshape(T, 3, G, B)
     keep = 1.0 - z
-    dgh = np.empty((T, B, 3, G))
-    dh_all = np.empty((T, B, G))
-    dh_next = np.zeros((B, G))
+    dgh = np.empty((T, 3 * G, B))
+    dh_all = np.empty((T, G, B))
+    dh_next = np.zeros((G, B))
     for t in range(T - 1, -1, -1):
         dh = np.add(dhs[t], dh_next, out=dh_all[t])
-        np.multiply(factors[t], dh[:, None], out=dgh[t])
-        dh_next = dgh[t].reshape(B, 3 * G) @ U.T
+        np.multiply(factors[t], dh, out=dgh[t].reshape(3, G, B))
+        dh_next = U @ dgh[t]
         dh_next += dh * keep[t]
+    # freed before the (T*B, .) copies below, which would raise the peak
+    del factors, keep
+    flat_gh = _rows(dgh)
     # the candidate's input side is not scaled by the reset gate
-    dgx = dgh.copy()
-    dgx[:, :, 2] = dh_all * dn
-    flat_gx = dgx.reshape(T * B, 3 * G)
-    flat_gh = dgh.reshape(T * B, 3 * G)
+    np.multiply(dh_all, dn, out=dgh[:, 2 * G :])
+    flat_gx = _rows(dgh)
     return {
-        "gru_W": x.reshape(T * B, F).T @ flat_gx,
-        "gru_U": hs[:-1].reshape(T * B, G).T @ flat_gh,
+        "gru_W": _rows(x).T @ flat_gx,
+        "gru_U": _rows(hs[:-1]).T @ flat_gh,
         "gru_bx": flat_gx.sum(axis=0),
         "gru_bh": flat_gh.sum(axis=0),
     }
 
 
 def _lstm_backward(params, cache, dh_last):
-    """(input gradient (T, B, K), parameter gradients) from the loss
-    gradient with respect to the last hidden state only."""
+    """(input gradient (T, K, B), parameter gradients) from the loss
+    gradient (L, B) with respect to the last hidden state only."""
     W, U = params["lstm_W"], params["lstm_U"]
     x, hs, gates = cache["x"], cache["hs"], cache["gates"]
     cs, tc = cache["cs"], cache["tc"]
-    T, B, K = x.shape
+    T, _, B = x.shape
     L = U.shape[0]
-    i, f = gates[..., :L], gates[..., L : 2 * L]
-    o, g = gates[..., 2 * L : 3 * L], gates[..., 3 * L :]
+    i, f = gates[:, :L], gates[:, L : 2 * L]
+    o, g = gates[:, 2 * L : 3 * L], gates[:, 3 * L :]
     # recursion-free factors: dc_t gains dh_t * dc_dh, and the gate
     # pre-activation gradients are dc_t (i, f, g) or dh_t (o) times these
     dc_dh = o * (1.0 - tc * tc)
     factors = np.concatenate(
         [g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o),
          i * (1.0 - g * g)],
-        axis=-1,
-    ).reshape(T, B, 4, L)
-    dpre = np.empty((T, B, 4, L))
+        axis=1,
+    )
+    dpre = np.empty((T, 4 * L, B))
     dh = dh_last
-    dc = np.zeros((B, L))
+    dc = np.zeros((L, B))
     for t in range(T - 1, -1, -1):
         dc += dh * dc_dh[t]
-        np.multiply(factors[t], dc[:, None], out=dpre[t])
-        np.multiply(factors[t, :, 2], dh, out=dpre[t, :, 2])
-        dh = dpre[t].reshape(B, 4 * L) @ U.T
+        np.multiply(factors[t].reshape(4, L, B), dc, out=dpre[t].reshape(4, L, B))
+        np.multiply(factors[t, 2 * L : 3 * L], dh, out=dpre[t, 2 * L : 3 * L])
+        dh = U @ dpre[t]
         dc *= f[t]
-    flat = dpre.reshape(T * B, 4 * L)
+    # freed before the (T*B, .) copies below, which would raise the peak
+    del factors, dc_dh
+    flat = _rows(dpre)
     grads = {
-        "lstm_W": x.reshape(T * B, K).T @ flat,
-        "lstm_U": hs[:-1].reshape(T * B, L).T @ flat,
+        "lstm_W": _rows(x).T @ flat,
+        "lstm_U": _rows(hs[:-1]).T @ flat,
         "lstm_b": flat.sum(axis=0),
     }
-    dx = (flat @ W.T).reshape(T, B, K)
-    return dx, grads
+    return np.matmul(W, dpre), grads
 
 
 def backward(model: RecurrentModel, batch, targets, masks=None):
@@ -456,7 +492,7 @@ def backward(model: RecurrentModel, batch, targets, masks=None):
     grads["dense_b"] = ddense.sum(axis=0)
     dhd = ddense @ p["dense_W"].T
     dh_final = dhd * masks[1] if masks is not None else dhd
-    dseq, lstm_grads = _lstm_backward(p, cache["lstm"], dh_final)
+    dseq, lstm_grads = _lstm_backward(p, cache["lstm"], dh_final.T)
     grads.update(lstm_grads)
     dhs = dseq * cache["seq_mask"] if masks is not None else dseq
     grads.update(_gru_backward(p, cache["gru"], dhs))
@@ -553,8 +589,13 @@ def evaluate_mse(model: RecurrentModel, inputs, targets) -> float:
     return float(resid @ resid) / y.shape[0]
 
 
-def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
+def _flat_views(buffer: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into ``buffer`` shaped and keyed like ``like``, in its order."""
+    views, start = {}, 0
+    for key, p in like.items():
+        views[key] = buffer[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return views
 
 
 def train(
@@ -572,6 +613,10 @@ def train(
     weights, so the returned model never validates worse than any epoch
     seen.  One generator seeded with `config.seed` drives both shuffling
     and dropout, making runs exactly repeatable.
+
+    The parameters live in one flat buffer while training: the returned
+    ``model.params`` are named views into it, so Adam runs once over the
+    whole model and the best-epoch snapshot is one copy.
     """
     x_tr, y_tr = _window_arrays(train_windows)
     x_va, y_va = _window_arrays(validation_windows)
@@ -580,9 +625,14 @@ def train(
     if x_va.shape[0] == 0:
         raise EmptySplit("no validation samples")
     rng = np.random.default_rng(config.seed)
-    state = adam_init(model.params, learning_rate=config.learning_rate)
+    flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
+    model.params = _flat_views(flat, model.params)
+    grad = np.empty_like(flat)
+    # adam_step updates dicts of arrays; here each dict holds one buffer
+    flat_params, flat_grads = {"all": flat}, {"all": grad}
+    state = adam_init(flat_params, learning_rate=config.learning_rate)
     stopper = EarlyStopping(config.patience)
-    best = _copy_params(model.params)
+    best = flat.copy()
     train_losses: list[float] = []
     val_losses: list[float] = []
     n = x_tr.shape[0]
@@ -590,31 +640,34 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         sse = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            masks = draw_dropout_masks(model.config, idx.size, rng)
-            try:
+        try:
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                masks = draw_dropout_masks(model.config, idx.size, rng)
                 grads, loss = backward(model, x_tr[idx], y_tr[idx], masks)
-                adam_step(state, model.params, grads)
-            except NumericalError as exc:
-                raise NumericalError(f"epoch {epoch}: {exc}") from exc
-            sse += loss * idx.size
+                np.concatenate([grads[k].reshape(-1) for k in model.params], out=grad)
+                adam_step(state, flat_params, flat_grads)
+                sse += loss * idx.size
+            val_loss = evaluate_mse(model, x_va, y_va)
+        except NumericalError as exc:
+            raise NumericalError(f"epoch {epoch}: {exc}") from exc
         train_losses.append(sse / n)
-        val_loss = evaluate_mse(model, x_va, y_va)
         val_losses.append(val_loss)
         improved = val_loss < stopper.best_loss
         should_stop = stopper.update(epoch, val_loss)
         if improved:
-            best = _copy_params(model.params)
+            np.copyto(best, flat)
         stopped = epoch
         if should_stop:
             break
-    model.params = best
+    np.copyto(flat, best)
     return model, TrainHistory(
         train_loss=tuple(train_losses),
         validation_loss=tuple(val_losses),
         best_epoch=stopper.best_epoch,
         stopped_epoch=stopped,
+        n_train=n,
+        n_val=x_va.shape[0],
     )
 
 

@@ -243,6 +243,9 @@ class EvalReport:
     records: tuple[EvalRecord, ...]
     failures: tuple[dict, ...] = ()
     artifacts: tuple[str, ...] = ()
+    # one entry per trained cell: its sample counts, best and stopped
+    # epoch, and validation curve (report.json only, never the CSV)
+    training: tuple[dict, ...] = ()
 
     def __post_init__(self):
         for rec in self.records:
@@ -275,6 +278,7 @@ class EvalReport:
         return {
             "records": [rec.to_dict() for rec in self.records],
             "failures": list(self.failures),
+            "training": list(self.training),
             "artifacts": list(self.artifacts),
         }
 
@@ -478,12 +482,14 @@ def _roster(config: ExperimentConfig, frequency: Frequency):
     ]
 
 
-def _run_cell(args) -> tuple[EvalRecord | None, dict | None, str | None]:
+def _run_cell(
+    args,
+) -> tuple[EvalRecord | None, dict | None, str | None, dict | None]:
     """Train and score one (frequency, variant, lead) cell.
 
     Module-level so a process pool can pickle it.  Returns
-    (record, failure, checkpoint_path); exactly one of record/failure is
-    set.
+    (record, failure, checkpoint_path, training); exactly one of
+    record/failure is set, and ``training`` with the record.
     """
     (config, freq, variant, feature_set, lead, normalized, stats, out_dir) = args
     label = f"{freq.value}:{variant.value}:lead{lead}"
@@ -491,7 +497,7 @@ def _run_cell(args) -> tuple[EvalRecord | None, dict | None, str | None]:
         if isinstance(feature_set, Exception):
             raise feature_set
         seed = derive_seed(config.seed, label)
-        checkpoint, test_w, _ = fit_cell(
+        checkpoint, test_w, history = fit_cell(
             config, freq, feature_set, lead, normalized, stats, seed
         )
         record = score(checkpoint, test_w)
@@ -499,7 +505,17 @@ def _run_cell(args) -> tuple[EvalRecord | None, dict | None, str | None]:
             Path(out_dir) / f"model_{freq.value}_{variant.value}_lead{lead}.json"
         )
         save_checkpoint(ck_path, checkpoint)
-        return record, None, ck_path
+        training = {
+            "frequency": freq.value,
+            "variant": variant.value,
+            "lead": lead,
+            "n_train": history.n_train,
+            "n_val": history.n_val,
+            "best_epoch": history.best_epoch,
+            "stopped_epoch": history.stopped_epoch,
+            "validation_loss": list(history.validation_loss),
+        }
+        return record, None, ck_path, training
     except (CausalcastError, OSError) as exc:
         # isolate the cell, keep the experiment alive; any other
         # exception is a program bug and must not pass as a failed cell
@@ -509,7 +525,7 @@ def _run_cell(args) -> tuple[EvalRecord | None, dict | None, str | None]:
             "lead": lead,
             "error": f"{type(exc).__name__}: {exc}",
         }
-        return None, failure, None
+        return None, failure, None, None
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -557,10 +573,12 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     records = []
     failures = []
-    for record, failure, ck_path in outcomes:
+    training = []
+    for record, failure, ck_path, cell_training in outcomes:
         if record is not None:
             records.append(record)
             artifacts.append(ck_path)
+            training.append(cell_training)
         else:
             failures.append(failure)
 
@@ -568,6 +586,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         records=tuple(records),
         failures=tuple(failures),
         artifacts=tuple(artifacts),
+        training=tuple(training),
     )
     csv_path = out / "report.csv"
     json_path = out / "report.json"
@@ -578,12 +597,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             spath = out / f"r2_series_{freq.value}.csv"
             spath.write_text(report.r2_series_csv(freq.value))
             series_paths.append(str(spath))
-    report = EvalReport(
-        records=report.records,
-        failures=report.failures,
-        artifacts=tuple(
-            list(report.artifacts) + [str(csv_path), str(json_path)] + series_paths
-        ),
+    report = replace(
+        report,
+        artifacts=report.artifacts + (str(csv_path), str(json_path), *series_paths),
     )
     json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return report

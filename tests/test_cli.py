@@ -235,6 +235,16 @@ class TestTrainEvaluate:
         assert result.exit_code == 1
         assert "constant" in result.stderr
 
+    @pytest.mark.parametrize("rate", ["-1", "0", "nan"])
+    def test_bad_learning_rate_is_exit_two(self, runner, trained, tmp_path, rate):
+        _, data, _ = trained
+        args = list(TRAIN_ARGS)
+        args[args.index("--learning-rate") + 1] = rate
+        result = invoke(runner, "train", data, *args, "-o", tmp_path / "m.json")
+        assert result.exit_code == 2
+        assert "learning_rate" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_incomplete_checkpoint_is_exit_two(self, runner, trained, tmp_path):
         _, data, _ = trained
         bare = tmp_path / "bare.json"

@@ -141,6 +141,29 @@ class TestForward:
                     layer(inputs[b]), batch[b], rtol=1e-12, atol=1e-15
                 )
 
+    def test_batched_initial_states_match_per_sequence_calls(self):
+        # B equals the unit count, so an initial state laid out the wrong
+        # way round would broadcast without a shape error
+        cfg = tiny_config()
+        model = jittered_model(cfg, 25)
+        rng = np.random.default_rng(26)
+        G, L = cfg.gru_units, cfg.lstm_units
+        x = rng.standard_normal((G, cfg.lookback, cfg.feature_count))
+        H0 = rng.uniform(-1.0, 1.0, (G, G))
+        hs = gru_forward(model.params, x, h0=H0)
+        seq = rng.standard_normal((L, cfg.lookback, G))
+        H0_l = rng.uniform(-1.0, 1.0, (L, L))
+        C0 = rng.standard_normal((L, L))
+        lstm_hs, c = lstm_forward(model.params, seq, h0=H0_l, c0=C0)
+        for b in range(G):
+            np.testing.assert_allclose(
+                gru_forward(model.params, x[b], h0=H0[b]), hs[b], rtol=1e-12, atol=1e-15
+            )
+        for b in range(L):
+            one_hs, one_c = lstm_forward(model.params, seq[b], h0=H0_l[b], c0=C0[b])
+            np.testing.assert_allclose(one_hs, lstm_hs[b], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(one_c, c[b], rtol=1e-12, atol=1e-15)
+
     def test_shape_errors(self):
         model = init_model(tiny_config(), seed=0)
         with pytest.raises(ShapeError):
@@ -214,11 +237,10 @@ class TestDropout:
 
 
 class TestGradients:
-    def _fd_check(self, dropout, seed):
+    def _fd_check(self, dropout, seed, B=2):
         cfg = tiny_config(dropout=dropout)
         model = jittered_model(cfg, seed)
         rng = np.random.default_rng(seed)
-        B = 2
         x = rng.standard_normal((B, cfg.lookback, cfg.feature_count))
         y = rng.standard_normal(B)
         mask_seed = seed + 1
@@ -251,6 +273,10 @@ class TestGradients:
 
     def test_finite_differences_with_dropout(self):
         assert self._fd_check(dropout=0.3, seed=1) < 1e-4
+
+    def test_finite_differences_single_window(self):
+        # one window: every batch-last block is a single column
+        assert self._fd_check(dropout=0.3, seed=2, B=1) < 1e-4
 
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_config()
@@ -428,6 +454,54 @@ class TestTraining:
         model.params["gru_U"][1, 2] = np.nan
         with pytest.raises(NumericalError, match="epoch 1: GRU"):
             train(model, tr, va, TrainConfig(batch_size=32, max_epochs=3))
+
+    def test_validation_failure_names_the_epoch(self):
+        # one step per epoch; the step itself is finite, but it throws the
+        # weights so far that the validation pass overflows
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((64, 4, 1))
+        y = x[:, -1, 0]
+        cfg = ModelConfig(feature_count=1, lookback=4, gru_units=3, lstm_units=4,
+                          dense_units=3, dropout_rate=0.0)
+        model = init_model(cfg, seed=5)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="epoch 1: non-finite prediction"
+        ):
+            train(model, (x[:32], y[:32]), (x[32:], y[32:]),
+                  TrainConfig(batch_size=64, max_epochs=3, learning_rate=1e300))
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(InvalidArgument, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    def test_trained_model_round_trips_and_trains_again(self, tmp_path):
+        tr, va = self._task(seed=6)
+        cfg = ModelConfig(feature_count=1, lookback=4, gru_units=3, lstm_units=4,
+                          dense_units=3, dropout_rate=0.1)
+        model, hist = train(init_model(cfg, seed=6), tr, va,
+                            TrainConfig(batch_size=64, max_epochs=3))
+        assert (hist.n_train, hist.n_val) == (256, 64)
+        path = tmp_path / "m.json"
+        save_checkpoint(path, Checkpoint(model=model))
+        back = load_checkpoint(path).model
+        assert back.params.keys() == model.params.keys()
+        for k, v in model.params.items():
+            assert back.params[k].shape == v.shape
+            np.testing.assert_array_equal(back.params[k], v)
+        np.testing.assert_array_equal(predict(back, va[0]), predict(model, va[0]))
+
+        # training the returned model again starts from its weights
+        model, hist = train(model, tr, va, TrainConfig(batch_size=64, max_epochs=2))
+        assert hist.stopped_epoch == 2
+        assert not np.array_equal(model.params["gru_U"], back.params["gru_U"])
+
+        # each key owns its values: writing or replacing one moves no other
+        others = {k: v.copy() for k, v in model.params.items() if k != "gru_U"}
+        model.params["gru_U"][...] = 7.0
+        model.params["gru_U"] = np.zeros((3, 9))
+        for k, v in others.items():
+            np.testing.assert_array_equal(model.params[k], v)
 
     def test_predict_chunking_matches_single_batch(self):
         cfg = tiny_config()

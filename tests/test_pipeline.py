@@ -249,6 +249,23 @@ class TestRunExperiment:
         assert (tmp_path / "b" / "report.csv").read_bytes() == first
         assert (tmp_path / "c" / "report.csv").read_bytes() == first
 
+    def test_report_json_records_training(self, experiment_data, tmp_path):
+        path, stamps = experiment_data
+        report = run_experiment(small_config(path, stamps, tmp_path / "o"))
+        doc = json.loads((tmp_path / "o" / "report.json").read_text())
+        cells = doc["training"]
+        assert [(c["frequency"], c["variant"], c["lead"]) for c in cells] == [
+            (r.frequency, r.variant, r.lead) for r in report.records
+        ]
+        for cell in cells:
+            assert cell["n_train"] > cell["n_val"] > 0
+            curve = cell["validation_loss"]
+            assert len(curve) == cell["stopped_epoch"] <= 6
+            assert curve[cell["best_epoch"] - 1] == min(curve)
+        # the training record stays out of the CSV table
+        header = (tmp_path / "o" / "report.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(REPORT_COLUMNS)
+
     def test_gc_selects_planted_driver(self, experiment_data, tmp_path):
         path, stamps = experiment_data
         run_experiment(small_config(path, stamps, tmp_path / "o"))
