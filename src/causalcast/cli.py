@@ -3,12 +3,13 @@
 Every command is a thin binding to one library operation with uniform
 exit codes: 0 on success, 1 on runtime failure, 2 on invalid input or
 configuration.  Experiment runs are driven by a YAML/JSON config file
-checked against a published schema; a few flags (output dir, seed,
-jobs) override file values.  Each run can record a manifest listing the
-command, the config hash, seed, toolkit, numpy and scipy versions, the
-BLAS numpy was built against, the core count, a sha256 of every input
-file, and every artifact written.  The config hash
-covers every option of the command except ``--manifest`` itself (for
+whose keys and value types are checked against the file's layout, and
+whose values by the config classes that own them; a few flags (output
+dir, seed, jobs) override file values.  Each run can record a manifest
+listing the command, the config hash, seed, toolkit, numpy and scipy
+versions, the BLAS numpy was built against, the core count, a sha256 of
+every input file, and every artifact written.  The config hash covers
+every option of the command except ``--manifest`` itself (for
 ``experiment``, the resolved config document), so two runs with the same
 hash ran with the same settings.
 """
@@ -24,7 +25,6 @@ import sys
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 import scipy
 import yaml
@@ -57,104 +57,6 @@ from .pipeline import (
     score,
 )
 from .synth import PlantedGraph, generate_var, random_planted_graph
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["target", "datasets", "split", "output_dir"],
-    "additionalProperties": False,
-    "properties": {
-        "target": {"type": "string"},
-        "datasets": {
-            "type": "object",
-            "additionalProperties": False,
-            "minProperties": 1,
-            "properties": {
-                "daily": {"type": "string"},
-                "monthly": {"type": "string"},
-            },
-        },
-        "split": {
-            "type": "object",
-            "required": ["train_end", "test_start", "test_end"],
-            "additionalProperties": False,
-            "properties": {
-                "train_end": {"type": "string"},
-                "validation_fraction": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-                "test_start": {"type": "string"},
-                "test_end": {"type": "string"},
-            },
-        },
-        "frequencies": {
-            "type": "array",
-            "items": {"type": "string", "enum": [f.value for f in Frequency]},
-            "minItems": 1,
-        },
-        "leads": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "variants": {
-            "type": "array",
-            "items": {
-                "type": "string",
-                "enum": [m.value for m in FeatureMethod],
-            },
-            "minItems": 1,
-        },
-        "discovery": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "max_lag": {"type": "integer", "minimum": 1},
-                "gc_alpha": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-                "pcmci_alpha": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-                "max_samples": {"type": "integer", "minimum": 0},
-            },
-        },
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lookback": {"type": "integer", "minimum": 1},
-                "gru_units": {"type": "integer", "minimum": 1},
-                "lstm_units": {"type": "integer", "minimum": 1},
-                "dense_units": {"type": "integer", "minimum": 1},
-                "dropout_rate": {
-                    "type": "number",
-                    "minimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-            },
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "batch_size": {"type": "integer", "minimum": 1},
-                "max_epochs": {"type": "integer", "minimum": 1},
-                "patience": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "daily_steps_per_month": {"type": "integer", "minimum": 1},
-        "output_dir": {"type": "string"},
-        "seed": {"type": "integer"},
-        "jobs": {"type": "integer", "minimum": 1},
-    },
-}
 
 
 def _cli_errors(fn):
@@ -463,6 +365,58 @@ def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
 # experiment
 # ---------------------------------------------------------------------------
 
+# The experiment file's layout: each key's value type, a nested table,
+# or a one-item list for a non-empty list of that type.  Ranges, choices
+# and cross-field rules belong to the config classes that read the values.
+_LAYOUT = {
+    "target": str,
+    "datasets": {"daily": str, "monthly": str},
+    "split": {"train_end": str, "validation_fraction": float, "test_start": str, "test_end": str},
+    "frequencies": [str],
+    "leads": [int],
+    "variants": [str],
+    "discovery": {"max_lag": int, "gc_alpha": float, "pcmci_alpha": float, "max_samples": int},
+    "model": {"lookback": int, "gru_units": int, "lstm_units": int, "dense_units": int,
+              "dropout_rate": float},
+    "train": {"batch_size": int, "max_epochs": int, "patience": int, "learning_rate": float},
+    "daily_steps_per_month": int,
+    "output_dir": str,
+    "seed": int,
+    "jobs": int,
+}
+_REQUIRED = ("target", "datasets", "split", "split/train_end", "split/test_start",
+             "split/test_end", "output_dir")
+_KINDS = {dict: "a mapping", list: "a non-empty list", str: "a string",
+          int: "an integer", float: "a number"}
+
+
+def _check_layout(node, layout, where: str = "") -> None:
+    """Raise a ConfigError naming the key path (``split/test_end``) of the
+    first unknown key, missing required key, or value of the wrong type."""
+    kind = type(layout) if isinstance(layout, (dict, list)) else layout
+    # a bool is no number, and a number field takes an int
+    fits = not isinstance(node, bool) and isinstance(
+        node, (int, float) if kind is float else kind
+    )
+    if not fits or (kind is list and not node):
+        raise ConfigError(
+            f"config key {where or '<root>'}: expected {_KINDS[kind]}, got {node!r}"
+        )
+    prefix = f"{where}/" if where else ""
+    if kind is list:
+        for i, item in enumerate(node):
+            _check_layout(item, layout[0], f"{prefix}{i}")
+    elif kind is dict:
+        for key in node:
+            if key not in layout:
+                raise ConfigError(f"config key {prefix}{key}: unknown key")
+        for key, sub in layout.items():
+            if key in node:
+                _check_layout(node[key], sub, prefix + key)
+            elif prefix + key in _REQUIRED:
+                raise ConfigError(f"config key {prefix}{key}: required key missing")
+
+
 def _stringify_dates(node):
     if isinstance(node, dict):
         return {k: _stringify_dates(v) for k, v in node.items()}
@@ -479,7 +433,7 @@ def load_experiment_config(
     seed: int | None = None,
     jobs: int | None = None,
 ) -> tuple[ExperimentConfig, dict]:
-    """Parse, validate, and resolve an experiment config file.
+    """Parse, check, and resolve an experiment config file.
 
     Dataset and output paths in the file are taken relative to the
     file's directory; flag overrides are taken relative to the caller's
@@ -490,14 +444,8 @@ def load_experiment_config(
         doc = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
     doc = _stringify_dates(doc)
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config key {where}: {exc.message}")
+    _check_layout(doc, _LAYOUT)
 
     base = Path(path).resolve().parent
 

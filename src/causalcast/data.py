@@ -127,6 +127,16 @@ class TimeSeriesDataset:
             target_name=self.target_name,
         )
 
+    def rows(self, start: int, stop: int | None = None) -> "TimeSeriesDataset":
+        """Rows ``start:stop`` as a dataset of their own."""
+        return TimeSeriesDataset(
+            variable_names=self.variable_names,
+            timestamps=self.timestamps[start:stop],
+            values=self.values[start:stop],
+            frequency=self.frequency,
+            target_name=self.target_name,
+        )
+
     def summary(self) -> dict:
         """Per-variable ranges and missing counts, for sanity-checking
         against known climatologies of the supplied series."""

@@ -65,7 +65,7 @@ class NonStationary(InputError):
 
 
 class ConfigError(InputError):
-    """Experiment configuration missing keys or failing schema validation."""
+    """Experiment configuration with a bad key, value type or choice."""
 
 
 # -- numerical / runtime ----------------------------------------------------

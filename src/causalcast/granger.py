@@ -20,7 +20,7 @@ from scipy.special import betainc
 
 from .data import TimeSeriesDataset
 from .errors import InsufficientHistory, InvalidArgument
-from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, RANK_RTOL, benjamini_hochberg, ols
+from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, RANK_RTOL, benjamini_hochberg, check_max_lag, ols
 
 
 class FeatureMethod(str, Enum):
@@ -98,8 +98,7 @@ def mvgc_test(
     out scores F = 0, p = 1.  ``selected`` flags come from
     Benjamini-Hochberg FDR across the N-1 tests at ``alpha``.
     """
-    if max_lag < 1:
-        raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
+    check_max_lag(max_lag)
     target = target if target is not None else dataset.target_name
     if target not in dataset.variable_names:
         raise InvalidArgument(f"unknown target {target!r}")

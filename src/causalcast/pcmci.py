@@ -33,6 +33,8 @@ from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
     CITestResult,
+    check_alpha,
+    check_max_lag,
     partial_correlation,
     partial_correlation_block,
 )
@@ -41,6 +43,14 @@ from .stats import (
 # the caller overrides (0 keeps every step); discovery cost grows
 # superlinearly with T.
 DEFAULT_MAX_SAMPLES = 8000
+
+
+def check_max_samples(max_samples: int) -> None:
+    """Raise unless ``max_samples`` is a step count (0 keeps every step)."""
+    if max_samples < 0:
+        raise InvalidArgument(
+            f"max_samples must be >= 0 (0 keeps every step), got {max_samples}"
+        )
 
 
 @dataclass(frozen=True)
@@ -189,8 +199,7 @@ class LaggedCrossProducts:
 
     def __init__(self, values: np.ndarray, max_lag: int):
         T, N = values.shape
-        if max_lag < 1:
-            raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
+        check_max_lag(max_lag)
         if T <= max_lag + 4:
             raise InsufficientHistory(
                 f"T = {T} leaves no testable samples at max_lag = {max_lag}"
@@ -561,7 +570,9 @@ def run_pcmci_plus(
     """PC1 per variable, MCI over surviving lagged candidates, then the
     contemporaneous phase; keeps links with p <= pc_alpha.  Runs on the
     ``max_samples`` most recent steps only (0 keeps every step)."""
-    work = _truncate(dataset, max_samples)
+    check_alpha(pc_alpha)
+    check_max_samples(max_samples)
+    work = dataset.rows(-max_samples) if max_samples else dataset
     cross = LaggedCrossProducts(work.values, max_lag)
     parents = {
         var: pc1_condition_selection(work, var, max_lag, pc_alpha, shared=cross)
@@ -614,21 +625,4 @@ def select_features_pcmci(graph: CausalGraph, target: str) -> FeatureSet:
     return FeatureSet(
         method=FeatureMethod.PCMCI_PLUS,
         features=tuple(v for v in graph.variables if v in chosen),
-    )
-
-
-def _truncate(dataset: TimeSeriesDataset, max_samples: int) -> TimeSeriesDataset:
-    if max_samples < 0:
-        raise InvalidArgument(
-            f"max_samples must be >= 0 (0 keeps every step), got {max_samples}"
-        )
-    if max_samples == 0 or dataset.n_timesteps <= max_samples:
-        return dataset
-    keep = dataset.n_timesteps - max_samples
-    return TimeSeriesDataset(
-        variable_names=dataset.variable_names,
-        timestamps=dataset.timestamps[keep:],
-        values=dataset.values[keep:],
-        frequency=dataset.frequency,
-        target_name=dataset.target_name,
     )

@@ -1,22 +1,24 @@
 """Experiment orchestration: preprocess, discover, train, evaluate.
 
 One :func:`run_experiment` call walks the full roster: for each
-frequency with a dataset, discover causal drivers (as required by the
-requested variants), then train and score one model per (variant, lead)
-cell.  Cells are independent: a ``CausalcastError`` or ``OSError`` in
-one is recorded and the rest proceed (any other exception is a bug and
-propagates), and with ``jobs > 1`` they run in a process pool.  Reports,
-graphs, and checkpoints land in the configured output directory, and
-every random draw descends from the one root seed, so identical configs
-yield byte-identical report CSVs.
+frequency with a dataset, discover causal drivers on the training rows
+(as required by the requested variants), then train and score one model
+per (variant, lead) cell.  Cells are independent: a ``CausalcastError``
+or ``OSError`` in one is recorded and the rest proceed (any other
+exception is a bug and propagates), and with ``jobs > 1`` they run in a
+process pool.  Reports, graphs, and checkpoints land in the configured
+output directory, and every random draw descends from the one root
+seed, so identical configs yield byte-identical report CSVs.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import io
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,8 +58,8 @@ from .nn import (
     save_checkpoint,
     train,
 )
-from .pcmci import DEFAULT_MAX_SAMPLES, run_pcmci_plus, select_features_pcmci
-from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG
+from .pcmci import DEFAULT_MAX_SAMPLES, check_max_samples, run_pcmci_plus, select_features_pcmci
+from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, check_alpha, check_max_lag
 
 REPORT_COLUMNS = (
     "frequency",
@@ -159,18 +161,16 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "leads", tuple(int(l) for l in self.leads))
-        try:
-            object.__setattr__(
-                self, "variants", tuple(FeatureMethod(v) for v in self.variants)
-            )
-        except ValueError:
+        if not self.leads or not all(
+            isinstance(l, numbers.Integral) and l >= 1 for l in self.leads
+        ):
             raise ConfigError(
-                f"unknown variant in {list(self.variants)}; choose from "
-                f"{[m.value for m in VARIANTS]}"
+                f"leads must be a non-empty list of integers >= 1, got {list(self.leads)}"
             )
-        if not self.leads or any(l < 1 for l in self.leads):
-            raise ConfigError("leads must be a non-empty list of integers >= 1")
+        object.__setattr__(self, "leads", tuple(int(l) for l in self.leads))
+        object.__setattr__(
+            self, "variants", _members(FeatureMethod, self.variants, "variants")
+        )
         if not self.variants:
             raise ConfigError("variants must be non-empty")
         if len(set(self.variants)) != len(self.variants):
@@ -179,7 +179,7 @@ class ExperimentConfig:
             raise ConfigError("at least one of daily/monthly datasets required")
         # frequencies = which datasets get trained/reported on; a dataset
         # outside the roster is still available to discovery (dpcmci+)
-        freqs = tuple(Frequency(f) for f in self.frequencies)
+        freqs = _members(Frequency, self.frequencies, "frequencies")
         if not freqs:
             freqs = tuple(
                 f
@@ -207,6 +207,22 @@ class ExperimentConfig:
             raise ConfigError("daily_steps_per_month must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        check_alpha(self.gc_alpha, "gc_alpha")
+        check_alpha(self.pcmci_alpha, "pcmci_alpha")
+        check_max_lag(self.discovery_max_lag)
+        check_max_samples(self.max_samples)
+        self.model_config(feature_count=1)  # ModelConfig owns the layer rules
+
+    def model_config(self, feature_count: int) -> ModelConfig:
+        """The forecaster's layout for ``feature_count`` input variables."""
+        return ModelConfig(
+            feature_count=feature_count,
+            lookback=self.lookback,
+            gru_units=self.gru_units,
+            lstm_units=self.lstm_units,
+            dense_units=self.dense_units,
+            dropout_rate=self.dropout_rate,
+        )
 
     def path_for(self, frequency: Frequency) -> str | None:
         return (
@@ -308,6 +324,15 @@ class EvalReport:
         return buf.getvalue()
 
 
+def _members(enum, values, key: str) -> tuple:
+    """``values`` as members of ``enum``; an unknown one is a ConfigError
+    that names the config ``key``."""
+    try:
+        return tuple(enum(v) for v in values)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}; choose from {[m.value for m in enum]}")
+
+
 def derive_seed(root: int, label: str) -> int:
     """Stable per-stage child seed from the one root seed."""
     digest = hashlib.sha256(f"{root}:{label}".encode("utf-8")).digest()
@@ -344,17 +369,7 @@ def fit_cell(
         normalized, features.features, lookback=config.lookback, lead=lead_steps
     )
     train_w, val_w, test_w = split_windows(windows, config.split)
-    model = init_model(
-        ModelConfig(
-            feature_count=len(features.features),
-            lookback=config.lookback,
-            gru_units=config.gru_units,
-            lstm_units=config.lstm_units,
-            dense_units=config.dense_units,
-            dropout_rate=config.dropout_rate,
-        ),
-        seed=seed,
-    )
+    model = init_model(config.model_config(len(features.features)), seed=seed)
     train_config = replace(config.train, seed=seed)
     model, history = train(model, train_w, val_w, train_config)
     checkpoint = Checkpoint(
@@ -435,10 +450,10 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
     artifact files discovery writes.
 
     Each (method, frequency) pair runs :func:`discover` once; dpcmci+
-    takes the daily PCMCI+ drivers.  Discovery runs on the imputed,
-    un-normalized series; both tests are invariant to per-variable affine
-    rescaling, so normalization would change nothing but the stored
-    statistics.
+    takes the daily PCMCI+ drivers.  ``datasets`` are the imputed,
+    un-normalized training rows; both tests are invariant to per-variable
+    affine rescaling, so normalization would change nothing but the
+    stored statistics.
     """
     features: dict[tuple[Frequency, FeatureMethod], FeatureSet | Exception] = {}
     runs: dict[tuple[str, Frequency], FeatureSet | Exception] = {}
@@ -545,7 +560,12 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         if path is not None:
             datasets[freq] = impute(load_csv(path, config.target, freq))
 
-    features, artifacts = _discover_features(config, datasets, out)
+    # driver selection sees the training rows only, never the test range
+    train_rows = {
+        freq: ds.rows(0, bisect.bisect_right(ds.timestamps, config.split.train_end))
+        for freq, ds in datasets.items()
+    }
+    features, artifacts = _discover_features(config, train_rows, out)
 
     cells = []
     for freq in config.frequencies:

@@ -34,6 +34,18 @@ DEFAULT_ALPHA = 0.05
 DEFAULT_MAX_LAG = 21
 
 
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """Raise unless ``alpha`` is a test level in (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidArgument(f"{name} must lie in (0, 1), got {alpha}")
+
+
+def check_max_lag(max_lag: int) -> None:
+    """Raise unless ``max_lag`` reaches at least one step back."""
+    if max_lag < 1:
+        raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
+
+
 @dataclass(frozen=True)
 class OlsFit:
     coefficients: np.ndarray
@@ -213,8 +225,7 @@ def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if ((p < 0) | (p > 1)).any():
         raise InvalidArgument("p-values must lie in [0, 1]")
-    if not (0.0 < alpha < 1.0):
-        raise InvalidArgument(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     m = p.size
     order = np.argsort(p, kind="stable")
     thresholds = alpha * (np.arange(1, m + 1) / m)

@@ -166,6 +166,17 @@ class TestDiscover:
         assert "max_samples must be >= 0 (0 keeps every step), got -5" in result.stderr
         assert not (tmp_path / "pc.json").exists()
 
+    @pytest.mark.parametrize("method", ["mvgc", "pcmci+"])
+    @pytest.mark.parametrize("alpha", [1.5, 0])
+    def test_alpha_outside_unit_interval_is_exit_two(self, runner, tmp_path, method, alpha):
+        write_panel(tmp_path / "data.csv", T=200)
+        result = invoke(runner, "discover", tmp_path / "data.csv",
+                        "--method", method, "--target", "y",
+                        "--frequency", "monthly", "--max-lag", 3,
+                        "--alpha", alpha, "-o", tmp_path / "out")
+        assert result.exit_code == 2
+        assert f"alpha must lie in (0, 1), got {float(alpha)}" in result.stderr
+
     def test_infeasible_horizon_is_exit_two(self, runner, tmp_path):
         write_panel(tmp_path / "data.csv", T=120)
         result = invoke(runner, "discover", tmp_path / "data.csv",
@@ -377,7 +388,10 @@ seed: 3
             .replace("  max_lag: 3\n", "  max_lag: 3\n  gc_alpha: 0.1\n  pcmci_alpha: 0.1\n")
         )
         assert invoke(runner, "experiment", cfg).exit_code == 0
-        result = invoke(runner, "discover", tmp_path / "monthly.csv", "--method", method,
+        # the experiment discovers on the rows up to train_end only
+        ds = load_csv(tmp_path / "monthly.csv", "y", "monthly")
+        save_csv(ds.rows(0, ds.timestamps.index(dt.date(1990, 8, 1)) + 1), tmp_path / "train.csv")
+        result = invoke(runner, "discover", tmp_path / "train.csv", "--method", method,
                         "--target", "y", "--frequency", "monthly", "--max-lag", 3,
                         "--alpha", 0.1, "-o", tmp_path / "cli")
         assert result.exit_code == 0, result.output
@@ -450,6 +464,33 @@ seed: 3
         result = invoke(runner, "experiment", cfg)
         assert result.exit_code == 2
         assert "variants" in result.stderr
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("  gru_units: 4\n", "  gru_units: 4.0\n", "model/gru_units"),
+        ("  max_epochs: 5\n", "  max_epochs: 2.0\n", "train/max_epochs"),
+        ("  batch_size: 32\n", "  batch_size: 4.0\n", "train/batch_size"),
+        ("seed: 3\n", "seed: 3\njobs: 2.0\n", "jobs"),
+        ("  max_lag: 3\n", "  max_lag: 2.0\n", "discovery/max_lag"),
+        ("  gru_units: 4\n", "  gru_units: true\n", "model/gru_units"),
+        ("seed: 3\n", "seed: 3\nfrequencies: [weekly]\n", "frequencies"),
+    ], ids=["gru_units-float", "max_epochs-float", "batch_size-float", "jobs-float",
+            "max_lag-float", "gru_units-bool", "frequencies-weekly"])
+    def test_wrong_type_is_exit_two(self, runner, tmp_path, old, new, where):
+        cfg = self._setup(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        result = invoke(runner, "experiment", cfg)
+        assert result.exit_code == 2
+        assert where in result.stderr
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment config\n", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(block)
+        config, _ = load_experiment_config(cfg)
+        assert config.target == "v0"
+        assert config.output_dir == str(tmp_path.resolve() / "out")
 
     def test_malformed_yaml_is_exit_two(self, runner, tmp_path):
         cfg = tmp_path / "bad.yaml"

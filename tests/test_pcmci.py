@@ -233,6 +233,12 @@ class TestRun:
         with pytest.raises(InvalidArgument, match="max_samples must be >= 0"):
             run_pcmci_plus(ds, max_lag=2, max_samples=-1)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # the same rule, and message, as MVGC's Benjamini-Hochberg level
+        with pytest.raises(InvalidArgument, match=r"alpha must lie in \(0, 1\)"):
+            run_pcmci_plus(lagged_pair(13, T=200), max_lag=2, pc_alpha=alpha)
+
     def test_deterministic(self):
         ds = lagged_pair(12, T=1200)
         a = run_pcmci_plus(ds, max_lag=3, pc_alpha=0.05)

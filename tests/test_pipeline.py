@@ -14,6 +14,7 @@ from causalcast import (
     TrainConfig,
     derive_seed,
     generate_var,
+    load_csv,
     mae,
     percentage_metrics,
     r2,
@@ -25,6 +26,7 @@ from causalcast.errors import (
     ConfigError,
     DegeneratePercentage,
     DegenerateR2,
+    InputError,
     InvalidArgument,
     ShapeError,
 )
@@ -139,6 +141,21 @@ class TestConfig:
         from causalcast import Frequency
         assert cfg.lead_steps(Frequency.MONTHLY, 3) == 3
         assert cfg.lead_steps(Frequency.DAILY, 3) == 90
+
+    @pytest.mark.parametrize("field, value", [
+        ("gc_alpha", 1.5),
+        ("pcmci_alpha", 0.0),
+        ("discovery_max_lag", 0),
+        ("max_samples", -1),
+        ("gru_units", 0),
+        ("dropout_rate", 1.0),
+        ("leads", (1.5, 2.9)),
+        ("frequencies", ("weekly",)),
+    ])
+    def test_bad_value_rejected_at_construction(self, tmp_path, field, value):
+        # each message names the field as the config file spells it
+        with pytest.raises(InputError, match=field.removeprefix("discovery_")):
+            self._base(tmp_path, **{field: value})
 
     def test_no_datasets_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -289,6 +306,35 @@ class TestRunExperiment:
         assert len(doc["failures"]) == 2
         csv_text = (tmp_path / "o" / "report.csv").read_text()
         assert "gc" not in csv_text.splitlines()[1]
+
+    def test_discovery_sees_training_rows_only(self, experiment_data, tmp_path):
+        # rewriting only the test-range rows leaves every graph unchanged
+        path, stamps = experiment_data
+        ds = load_csv(path, "y", "monthly")
+        test_rows = np.array([t > stamps[139] for t in ds.timestamps])[:, None]
+        moved = tmp_path / "moved.csv"
+        save_csv(ds.with_values(np.where(test_rows, 1.5 * ds.values + 0.3, ds.values)), moved)
+        for name, data in (("a", path), ("b", str(moved))):
+            run_experiment(small_config(data, stamps, tmp_path / name, leads=(1,),
+                                        variants=("gc", "pcmci+")))
+        graphs = ("granger_monthly", "graph_monthly_pcmci")
+        for graph in graphs:
+            for suffix in (".json", ".dot"):
+                a = (tmp_path / "a" / f"{graph}{suffix}").read_bytes()
+                assert (tmp_path / "b" / f"{graph}{suffix}").read_bytes() == a
+
+    def test_train_range_too_short_for_max_lag(self, experiment_data, tmp_path):
+        # the whole series supports max_lag 16, its first 20 rows do not
+        path, stamps = experiment_data
+        report = run_experiment(small_config(
+            path, stamps, tmp_path / "o", leads=(1,), discovery_max_lag=16,
+            variants=("vanilla", "gc", "pcmci+"),
+            split=SplitSpec(stamps[19], 0.15, (stamps[20], stamps[-1])),
+        ))
+        assert {r.variant for r in report.records} == {"vanilla"}
+        assert [f["variant"] for f in report.failures] == ["gc", "pcmci+"]
+        for failure in report.failures:
+            assert "InsufficientHistory" in failure["error"]
 
     def test_program_bug_is_not_a_failed_cell(self, experiment_data, tmp_path,
                                               monkeypatch):
