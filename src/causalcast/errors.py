@@ -6,6 +6,8 @@ everything else under ``CausalcastError`` is a runtime failure (exit
 code 1).
 """
 
+import numbers
+
 
 class CausalcastError(Exception):
     """Base class for all causalcast errors."""
@@ -92,3 +94,17 @@ class DegeneratePercentage(CausalcastError):
 
 class GenerationFailed(CausalcastError):
     """Rejection sampling for a stationary planted graph exceeded its cap."""
+
+
+def is_integer(value) -> bool:
+    """True for an integer of any integral type; 4.0 and True are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integers(owner, names, error=InvalidArgument) -> None:
+    """Raise ``error`` naming the first of ``owner``'s fields ``names``
+    that does not hold an integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if not is_integer(value):
+            raise error(f"{name} must be an integer, got {value!r}")

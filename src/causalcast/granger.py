@@ -20,7 +20,15 @@ from scipy.special import betainc
 
 from .data import TimeSeriesDataset
 from .errors import InsufficientHistory, InvalidArgument
-from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, RANK_RTOL, benjamini_hochberg, check_max_lag, ols
+from .stats import (
+    DEFAULT_ALPHA,
+    DEFAULT_MAX_LAG,
+    RANK_RTOL,
+    LaggedCrossProducts,
+    benjamini_hochberg,
+    check_max_lag,
+    ols,
+)
 
 
 class FeatureMethod(str, Enum):
@@ -84,19 +92,35 @@ def lagged_design(values: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
+class GrangerResults(list):
+    """One :func:`mvgc_test` call's results, in dataset column order, plus
+    the work it did: the ``regressions`` whose RSS the F-tests read, and
+    the lag columns kept in and dropped from the full model as collinear."""
+
+    def __init__(self, results, regressions: int, columns_kept: int, columns_dropped: int):
+        super().__init__(results)
+        self.regressions = regressions
+        self.columns_kept = columns_kept
+        self.columns_dropped = columns_dropped
+
+
 def mvgc_test(
     dataset: TimeSeriesDataset,
     target: str | None = None,
     max_lag: int = DEFAULT_MAX_LAG,
     alpha: float = DEFAULT_ALPHA,
-) -> list[GrangerResult]:
+) -> GrangerResults:
     """Granger F-tests of every non-target variable into the target.
 
-    Expects a preprocessed (imputed, normalized) dataset.  Collinear lag
-    columns are dropped before testing (pivoted QR, most dependent
-    columns first) with a warning; a variable whose lag columns all drop
-    out scores F = 0, p = 1.  ``selected`` flags come from
-    Benjamini-Hochberg FDR across the N-1 tests at ``alpha``.
+    Expects a preprocessed (imputed, normalized) dataset.  Every RSS is
+    the squared last pivot of one Cholesky of the lag columns' centered
+    cross-products with the target last (centering stands in for the
+    intercept).  Where a pivot trips the guard, the fits run on the
+    stacked design instead: collinear lag columns are dropped first
+    (pivoted QR, most dependent columns first) with a warning, and a
+    variable whose lag columns all drop out scores F = 0, p = 1.
+    ``selected`` flags come from Benjamini-Hochberg FDR across the N-1
+    tests at ``alpha``.
     """
     check_max_lag(max_lag)
     target = target if target is not None else dataset.target_name
@@ -109,10 +133,54 @@ def mvgc_test(
             f"T = {T} but conditional Granger testing at max_lag {max_lag} "
             f"with {N} variables needs T > {N * max_lag + max_lag + 10}"
         )
+    t = dataset.variable_names.index(target)
+    cross = LaggedCrossProducts(values, max_lag)
 
+    def rss_without(skip: int | None) -> float | None:
+        """RSS of the target on the lag columns of every variable but ``skip``."""
+        regressors = [
+            (i, lag) for i in range(N) if i != skip for lag in range(1, max_lag + 1)
+        ]
+        return cross.residual_ss(regressors, (t, 0))
+
+    rss = [rss_without(None)] + [rss_without(i) for i in range(N) if i != t]
+    if None in rss:
+        rss_full, d2, reduced, dropped = _stacked_fits(values, t, max_lag)
+    else:
+        rss_full, d2, dropped = rss[0], cross.n - N * max_lag - 1, 0
+        reduced = [(max_lag, rss_r) for rss_r in rss[1:]]
+
+    results = []
+    others = [name for name in dataset.variable_names if name != target]
+    for name, (d1, rss_r) in zip(others, reduced):
+        f_stat, p = _f_test(rss_r, rss_full, d1, d2) if d1 else (0.0, 1.0)
+        results.append((name, f_stat, p, (d1, d2)))
+    mask = benjamini_hochberg([r[2] for r in results], alpha)
+    return GrangerResults(
+        [
+            GrangerResult(
+                variable=name, f_statistic=f, p_value=p, dof=dof, selected=bool(sel)
+            )
+            for (name, f, p, dof), sel in zip(results, mask)
+        ],
+        regressions=1 + sum(1 for d1, _ in reduced if d1),
+        columns_kept=N * max_lag - dropped,
+        columns_dropped=dropped,
+    )
+
+
+def _stacked_fits(values: np.ndarray, t: int, max_lag: int):
+    """MVGC's fits on the stacked design with an intercept, for panels
+    whose cross-product blocks are too close to singular.
+
+    Returns the full model's RSS and residual dof, (d1, RSS) of the
+    reduced model of every variable but the target, and the number of
+    collinear columns dropped.
+    """
+    N = values.shape[1]
     lagged = lagged_design(values, max_lag)
     design = np.column_stack([np.ones(lagged.shape[0]), lagged])
-    response = values[max_lag:, dataset.variable_names.index(target)]
+    response = values[max_lag:, t]
 
     kept = _independent_columns(design)
     n_dropped = design.shape[1] - kept.size
@@ -120,33 +188,21 @@ def mvgc_test(
         warnings.warn(
             f"dropped {n_dropped} collinear lag column(s) before Granger "
             f"testing",
-            stacklevel=2,
+            stacklevel=3,
         )
     full_fit = ols(design[:, kept], response)
-    n_obs = full_fit.n_obs
-    d2 = n_obs - full_fit.n_params
+    d2 = full_fit.n_obs - full_fit.n_params
 
-    results: list[tuple[str, float, float, tuple[int, int]]] = []
-    for i, name in enumerate(dataset.variable_names):
-        if name == target:
+    reduced = []
+    for i in range(N):
+        if i == t:
             continue
         var_cols = set(range(1 + i * max_lag, 1 + (i + 1) * max_lag))
         reduced_cols = np.array([c for c in kept if c not in var_cols], dtype=int)
         d1 = kept.size - reduced_cols.size
-        if d1 == 0:
-            results.append((name, 0.0, 1.0, (0, d2)))
-            continue
-        reduced_fit = ols(design[:, reduced_cols], response)
-        f_stat, p = _f_test(reduced_fit.rss, full_fit.rss, d1, d2)
-        results.append((name, f_stat, p, (d1, d2)))
-
-    mask = benjamini_hochberg([r[2] for r in results], alpha)
-    return [
-        GrangerResult(
-            variable=name, f_statistic=f, p_value=p, dof=dof, selected=bool(sel)
-        )
-        for (name, f, p, dof), sel in zip(results, mask)
-    ]
+        rss_r = ols(design[:, reduced_cols], response).rss if d1 else full_fit.rss
+        reduced.append((d1, rss_r))
+    return full_fit.rss, d2, reduced, n_dropped
 
 
 def select_features_gc(
@@ -162,7 +218,7 @@ def select_features_gc(
 
 
 def results_to_dict(
-    results: list[GrangerResult],
+    results: GrangerResults,
     dataset: TimeSeriesDataset,
     max_lag: int,
     alpha: float,
@@ -172,6 +228,9 @@ def results_to_dict(
         "target": dataset.target_name,
         "max_lag": max_lag,
         "alpha": alpha,
+        "regressions": results.regressions,
+        "columns_kept": results.columns_kept,
+        "columns_dropped": results.columns_dropped,
         "variables": list(dataset.variable_names),
         "results": [r.to_dict() for r in results],
         "features": list(select_features_gc(results, dataset).features),

@@ -67,6 +67,7 @@ from .errors import (
     NumericalError,
     ParseError,
     ShapeError,
+    check_integers,
 )
 
 CHECKPOINT_FORMAT = "causalcast.checkpoint"
@@ -85,8 +86,9 @@ class ModelConfig:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        for name in ("feature_count", "lookback", "gru_units", "lstm_units",
-                     "dense_units"):
+        sizes = ("feature_count", "lookback", "gru_units", "lstm_units", "dense_units")
+        check_integers(self, sizes)
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise InvalidArgument(f"{name} must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -121,6 +123,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, ("batch_size", "max_epochs", "patience", "seed"))
         if self.batch_size < 1:
             raise InvalidArgument("batch_size must be >= 1")
         if self.max_epochs < 1:

@@ -27,16 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InsufficientHistory, InvalidArgument
+from .errors import InvalidArgument
 from .granger import FeatureMethod, FeatureSet
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
     CITestResult,
+    LaggedCrossProducts,
     check_alpha,
-    check_max_lag,
-    partial_correlation,
-    partial_correlation_block,
 )
 
 # Daily-scale runs keep at most this many most recent timesteps unless
@@ -186,74 +184,6 @@ class CausalGraph:
 # shared cross-products
 # ---------------------------------------------------------------------------
 
-class LaggedCrossProducts:
-    """Centered cross-products of every node (variable i at t - lag, lag
-    0..max_lag) over rows t = max_lag..T-1.
-
-    Every PC1 and contemporaneous CI test reads these rows, so each one is
-    answered from its (k+2)x(k+2) block by :func:`partial_correlation_block`;
-    blocks too close to singular for Cholesky fall back to
-    :func:`partial_correlation` on the stacked columns.  Counts the tests
-    it answers and their largest conditioning set.
-    """
-
-    def __init__(self, values: np.ndarray, max_lag: int):
-        T, N = values.shape
-        check_max_lag(max_lag)
-        if T <= max_lag + 4:
-            raise InsufficientHistory(
-                f"T = {T} leaves no testable samples at max_lag = {max_lag}"
-            )
-        self.values, self.max_lag, self.n = values, max_lag, T - max_lag
-        # centering each variable first keeps the per-block mean correction
-        # n * mu_a mu_b^T small next to the products it corrects
-        centered = values - values.mean(axis=0)
-        views = [centered[max_lag - lag : T - lag] for lag in range(max_lag + 1)]
-        means = [view.mean(axis=0) for view in views]
-        size = N * (max_lag + 1)
-        self.cross = np.empty((size, size))
-        for a in range(max_lag + 1):
-            for b in range(a, max_lag + 1):
-                block = views[a].T @ views[b] - self.n * np.outer(means[a], means[b])
-                self.cross[a * N : (a + 1) * N, b * N : (b + 1) * N] = block
-                self.cross[b * N : (b + 1) * N, a * N : (a + 1) * N] = block.T
-        # raw (uncentered) norm of every node, for the degenerate-test rule
-        self.norms = np.sqrt(np.concatenate([
-            np.einsum("ij,ij->j", raw, raw)
-            for raw in (values[max_lag - lag : T - lag] for lag in range(max_lag + 1))
-        ]))
-        self.tests = 0
-        self.max_cond_dim = 0
-
-    def count(self, n_conds: int) -> None:
-        """Record one CI test with ``n_conds`` distinct conditioning columns."""
-        self.tests += 1
-        self.max_cond_dim = max(self.max_cond_dim, n_conds)
-
-    def test(
-        self, x: tuple[int, int], y: tuple[int, int], conds: list[tuple[int, int]]
-    ) -> CITestResult:
-        """Partial correlation of nodes x and y given the distinct ``conds``."""
-        nodes = list(dict.fromkeys(conds))
-        self.count(len(nodes))
-        n_vars = self.values.shape[1]
-        idx = np.array([lag * n_vars + i for i, lag in nodes + [x, y]], dtype=np.intp)
-        res = partial_correlation_block(
-            self.cross.take(idx, 0).take(idx, 1),
-            float(self.norms[idx[-2]]),
-            float(self.norms[idx[-1]]),
-            self.n,
-        )
-        if res is None:
-            start = self.max_lag
-            res = partial_correlation(
-                _column(self.values, start, x),
-                _column(self.values, start, y),
-                _conditions(self.values, start, nodes),
-            )
-        return res
-
-
 def _cross_products(
     dataset: TimeSeriesDataset, max_lag: int, shared: LaggedCrossProducts | None
 ) -> LaggedCrossProducts:
@@ -301,18 +231,16 @@ def pc1_condition_selection(
     q = 0
     while q <= len(survivors) - 1:
         order = _rank(survivors, stat)
-        removals = []
-        for cand in survivors:
-            # the first q ranked survivors other than cand
-            conds = [c for c in order[: q + 1] if c != cand][:q]
-            res = cross.test(cand, target, conds)
-            stat[cand] = res.statistic
-            pval[cand] = res.p_value
-            if res.p_value > pc_alpha:
-                removals.append(cand)
-        if removals:
-            gone = set(removals)
-            survivors = [c for c in survivors if c not in gone]
+        # each candidate is conditioned on the first q ranked survivors
+        # other than itself: one shared set for all but the first q
+        head = order[:q]
+        rest = [c for c in survivors if c not in head]
+        for cand, s, p in zip(rest, *cross.test_each(rest, target, head)):
+            stat[cand], pval[cand] = float(s), float(p)
+        for cand in head:
+            res = cross.test(cand, target, [c for c in order[: q + 1] if c != cand])
+            stat[cand], pval[cand] = res.statistic, res.p_value
+        survivors = [c for c in survivors if pval[c] <= pc_alpha]
         q += 1
 
     return [
@@ -342,18 +270,19 @@ def mci_test(
     parents_of_target: list[Candidate],
     parents_of_source: list[Candidate],
     max_lag: int,
+    *,
+    shared: LaggedCrossProducts | None = None,
 ) -> CITestResult:
     """MCI test of (source at t - lag) vs (target at t).
 
     Conditions on the target's parents minus the tested link, plus the
     source's parents shifted back by the link lag; samples align over
     t = max_lag + lag .. T-1 so every conditioning node is observable.
+    ``shared`` is as for :func:`pc1_condition_selection`.
     """
     source, lag, target = link
     if lag < 0 or lag > max_lag:
         raise InvalidArgument(f"link lag {lag} outside 0..{max_lag}")
-    values = dataset.values
-    T = values.shape[0]
     names = dataset.variable_names
     i, j = names.index(source), names.index(target)
 
@@ -361,18 +290,8 @@ def mci_test(
     conds = [node for node in target_nodes if node != (i, lag)] + [
         (names.index(c.variable), c.lag + lag) for c in parents_of_source
     ]
-    n_conds = len(set(conds))
-    t0 = max_lag + lag
-    if T <= t0 + n_conds + 3:
-        raise InsufficientHistory(
-            f"T = {T} cannot support an MCI test at lag {lag} with "
-            f"{n_conds} conditions"
-        )
-    return partial_correlation(
-        _column(values, t0, (i, lag)),
-        _column(values, t0, (j, 0)),
-        _conditions(values, t0, conds),
-    )
+    cross = _cross_products(dataset, max_lag, shared)
+    return cross.test_from(max_lag + lag, (i, lag), (j, 0), conds)
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +392,6 @@ def contemporaneous_phase(
     return links
 
 
-def _column(values: np.ndarray, start: int, node: tuple[int, int]) -> np.ndarray:
-    """Variable i at t - lag, for node (i, lag), over rows t = start..T-1."""
-    i, lag = node
-    return values[start - lag : values.shape[0] - lag, i]
-
-
-def _conditions(
-    values: np.ndarray, start: int, nodes: list[tuple[int, int]]
-) -> np.ndarray | None:
-    """Conditioning matrix over rows t = start..T-1: one :func:`_column`
-    per distinct node, in order of first appearance; None if no nodes."""
-    distinct = list(dict.fromkeys(nodes))
-    if not distinct:
-        return None
-    return np.column_stack([_column(values, start, node) for node in distinct])
-
-
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
@@ -588,9 +490,8 @@ def run_pcmci_plus(
                 parents_of_target=parents[target],
                 parents_of_source=parents[cand.variable],
                 max_lag=max_lag,
+                shared=cross,
             )
-            # MCI rows start at max_lag + lag; dof = rows - #conditions - 2
-            cross.count(work.n_timesteps - max_lag - cand.lag - 2 - res.effective_dof)
             if res.p_value <= pc_alpha:
                 links.append(
                     CausalLink(

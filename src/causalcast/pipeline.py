@@ -18,7 +18,7 @@ import csv
 import hashlib
 import io
 import json
-import numbers
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,6 +46,8 @@ from .errors import (
     DegenerateR2,
     InvalidArgument,
     ShapeError,
+    check_integers,
+    is_integer,
 )
 from .granger import FeatureMethod, FeatureSet, mvgc_dot, mvgc_test, results_to_dict, select_features_gc
 from .nn import (
@@ -136,6 +138,13 @@ def percentage_metrics(rmse_value: float, mae_value: float, obs) -> tuple[float,
 # configuration and report types
 # ---------------------------------------------------------------------------
 
+# ExperimentConfig's integer fields; the leads are checked one by one
+_INTEGER_FIELDS = (
+    "lookback", "discovery_max_lag", "daily_steps_per_month", "max_samples",
+    "gru_units", "lstm_units", "dense_units", "seed", "jobs",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     target: str
@@ -161,9 +170,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.leads or not all(
-            isinstance(l, numbers.Integral) and l >= 1 for l in self.leads
-        ):
+        check_integers(self, _INTEGER_FIELDS, ConfigError)
+        if not self.leads or not all(is_integer(l) and l >= 1 for l in self.leads):
             raise ConfigError(
                 f"leads must be a non-empty list of integers >= 1, got {list(self.leads)}"
             )
@@ -446,8 +454,8 @@ def discover(
 
 
 def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
-    """FeatureSet (or caught error) per (frequency, variant), plus the
-    artifact files discovery writes.
+    """FeatureSet (or caught error) per (frequency, variant), the artifact
+    files discovery writes, and each discovery run's wall time.
 
     Each (method, frequency) pair runs :func:`discover` once; dpcmci+
     takes the daily PCMCI+ drivers.  ``datasets`` are the imputed,
@@ -458,6 +466,7 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
     features: dict[tuple[Frequency, FeatureMethod], FeatureSet | Exception] = {}
     runs: dict[tuple[str, Frequency], FeatureSet | Exception] = {}
     artifacts: list[str] = []
+    timings: list[dict] = []
     for freq in config.frequencies:
         for variant in _roster(config, freq):
             if variant is FeatureMethod.VANILLA:
@@ -472,6 +481,7 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
                     prefix, alpha = f"granger_{source.value}", config.gc_alpha
                 else:
                     prefix, alpha = f"graph_{source.value}_pcmci", config.pcmci_alpha
+                start = time.perf_counter()
                 try:
                     runs[(method, source)], paths = discover(
                         datasets[source], method, out / prefix,
@@ -480,13 +490,18 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
                     artifacts.extend(str(p) for p in paths)
                 except CausalcastError as exc:
                     runs[(method, source)] = exc
+                timings.append({
+                    "method": method,
+                    "frequency": source.value,
+                    "seconds": time.perf_counter() - start,
+                })
             fs = runs[(method, source)]
             if variant is FeatureMethod.DPCMCI_PLUS and isinstance(fs, FeatureSet):
                 # daily-discovered drivers, monthly columns
                 monthly = datasets[Frequency.MONTHLY].variable_names
                 fs = FeatureSet(variant, tuple(v for v in monthly if v in fs.features))
             features[(freq, variant)] = fs
-    return features, artifacts
+    return features, artifacts, timings
 
 
 def _roster(config: ExperimentConfig, frequency: Frequency):
@@ -499,12 +514,12 @@ def _roster(config: ExperimentConfig, frequency: Frequency):
 
 def _run_cell(
     args,
-) -> tuple[EvalRecord | None, dict | None, str | None, dict | None]:
+) -> tuple[EvalRecord | None, dict | None, str | None, dict | None, dict | None]:
     """Train and score one (frequency, variant, lead) cell.
 
     Module-level so a process pool can pickle it.  Returns
-    (record, failure, checkpoint_path, training); exactly one of
-    record/failure is set, and ``training`` with the record.
+    (record, failure, checkpoint_path, training, timing); exactly one of
+    record/failure is set, and ``training`` and ``timing`` with the record.
     """
     (config, freq, variant, feature_set, lead, normalized, stats, out_dir) = args
     label = f"{freq.value}:{variant.value}:lead{lead}"
@@ -512,10 +527,19 @@ def _run_cell(
         if isinstance(feature_set, Exception):
             raise feature_set
         seed = derive_seed(config.seed, label)
+        start = time.perf_counter()
         checkpoint, test_w, history = fit_cell(
             config, freq, feature_set, lead, normalized, stats, seed
         )
+        trained = time.perf_counter()
         record = score(checkpoint, test_w)
+        timing = {
+            "frequency": freq.value,
+            "variant": variant.value,
+            "lead": lead,
+            "train_s": trained - start,
+            "predict_s": time.perf_counter() - trained,
+        }
         ck_path = str(
             Path(out_dir) / f"model_{freq.value}_{variant.value}_lead{lead}.json"
         )
@@ -530,7 +554,7 @@ def _run_cell(
             "stopped_epoch": history.stopped_epoch,
             "validation_loss": list(history.validation_loss),
         }
-        return record, None, ck_path, training
+        return record, None, ck_path, training, timing
     except (CausalcastError, OSError) as exc:
         # isolate the cell, keep the experiment alive; any other
         # exception is a program bug and must not pass as a failed cell
@@ -540,7 +564,7 @@ def _run_cell(
             "lead": lead,
             "error": f"{type(exc).__name__}: {exc}",
         }
-        return None, failure, None, None
+        return None, failure, None, None, None
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -548,24 +572,35 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     Emits ``report.csv`` / ``report.json`` plus per-frequency
     ``r2_series_<frequency>.csv``, a causal-graph JSON/DOT pair per
-    discovery run, and one checkpoint per trained cell, all under
-    ``config.output_dir``.
+    discovery run, one checkpoint per trained cell, and ``timings.json``
+    (the wall time of each load, discovery run and cell, kept out of
+    every other file so that they stay byte-identical across reruns), all
+    under ``config.output_dir``.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     datasets: dict[Frequency, TimeSeriesDataset] = {}
+    loads = []
     for freq in (Frequency.DAILY, Frequency.MONTHLY):
         path = config.path_for(freq)
         if path is not None:
-            datasets[freq] = impute(load_csv(path, config.target, freq))
+            start = time.perf_counter()
+            raw = load_csv(path, config.target, freq)
+            loaded = time.perf_counter()
+            datasets[freq] = impute(raw)
+            loads.append({
+                "frequency": freq.value,
+                "load_s": loaded - start,
+                "impute_s": time.perf_counter() - loaded,
+            })
 
     # driver selection sees the training rows only, never the test range
     train_rows = {
         freq: ds.rows(0, bisect.bisect_right(ds.timestamps, config.split.train_end))
         for freq, ds in datasets.items()
     }
-    features, artifacts = _discover_features(config, train_rows, out)
+    features, artifacts, discovery = _discover_features(config, train_rows, out)
 
     cells = []
     for freq in config.frequencies:
@@ -594,11 +629,13 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     records = []
     failures = []
     training = []
-    for record, failure, ck_path, cell_training in outcomes:
+    cell_timings = []
+    for record, failure, ck_path, cell_training, timing in outcomes:
         if record is not None:
             records.append(record)
             artifacts.append(ck_path)
             training.append(cell_training)
+            cell_timings.append(timing)
         else:
             failures.append(failure)
 
@@ -610,7 +647,10 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     )
     csv_path = out / "report.csv"
     json_path = out / "report.json"
+    timings_path = out / "timings.json"
     csv_path.write_text(report.to_csv())
+    timings = {"datasets": loads, "discovery": discovery, "cells": cell_timings}
+    timings_path.write_text(json.dumps(timings, indent=2) + "\n")
     series_paths = []
     for freq in (Frequency.DAILY, Frequency.MONTHLY):
         if any(rec.frequency == freq.value for rec in report.records):
@@ -619,7 +659,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             series_paths.append(str(spath))
     report = replace(
         report,
-        artifacts=report.artifacts + (str(csv_path), str(json_path), *series_paths),
+        artifacts=report.artifacts
+        + (str(csv_path), str(json_path), str(timings_path), *series_paths),
     )
     json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     return report

@@ -1,12 +1,15 @@
 """Shared statistical machinery for both causal-discovery engines.
 
-Least squares (SVD-backed) for MVGC; linear partial correlation with a
-t-distributed statistic, answered from a centered cross-product block
-by one small Cholesky factorization, with an SVD least-squares
-residualization as the exact fallback for near-singular blocks; F/t
-distribution tails through the regularized incomplete beta function;
-and Benjamini-Hochberg step-up FDR control.  All functions are pure;
-callers may evaluate many tests in parallel.
+One core answers all of discovery: :class:`LaggedCrossProducts` holds
+the centered cross-products of a panel's lagged columns, and each MVGC
+regression and each PCMCI+ CI test is one small Cholesky factorization
+of a block of it (a PC1 round's tests share one).  Around that core:
+linear partial correlation with a t-distributed statistic, whose
+verdict rules live once, in :func:`_verdicts`; SVD least squares as the
+exact fallback for blocks too close to singular; F/t distribution tails
+through the regularized incomplete beta function; and Benjamini-Hochberg
+step-up FDR control.  The functions are pure; callers may evaluate many
+tests in parallel.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import betainc
 
 from .errors import InsufficientHistory, InvalidArgument, RankDeficient
@@ -160,38 +164,241 @@ def partial_correlation_block(
     cross = L L^T, the last 2x2 block of L holds the residual sums of x
     and y given [Z, intercept]: r_xx = L[x,x]^2, r_xy = L[y,x] L[x,x] and
     r_yy = L[y,x]^2 + L[y,y]^2.  Returns None, for the caller to take the
-    SVD path, when the factorization fails or a pivot keeps less than
-    PIVOT_RTOL of its column's centered sum of squares.
+    SVD path, where :func:`_cholesky` does.
     """
     k = cross.shape[0] - 2
-    if n <= k + 3:
-        raise InsufficientHistory(f"{n} samples cannot support {k} conditioning columns")
-    low, info = dpotrf(cross, lower=1, clean=0)
-    if info != 0:
-        return None
-    pivots = np.diagonal(low)
-    if (pivots * pivots < PIVOT_RTOL * np.diagonal(cross)).any():
+    _check_history(n, k)
+    low = _cholesky(cross)
+    if low is None:
         return None
     sx, yx, yy = float(low[k, k]), float(low[k + 1, k]), float(low[k + 1, k + 1])
     return _verdict(yx * sx, sx, math.hypot(yx, yy), norm_x, norm_y, n - k - 2)
 
 
+def _check_history(n: int, k: int) -> None:
+    """Raise unless ``n`` rows leave dof >= 2 after ``k`` conditioning columns."""
+    if n <= k + 3:
+        raise InsufficientHistory(f"{n} samples cannot support {k} conditioning columns")
+
+
+def _kept(pivot_sq: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Where a squared Cholesky pivot is positive and keeps at least
+    PIVOT_RTOL of its column's centered sum of squares ``diag``."""
+    return (pivot_sq > 0.0) & (pivot_sq >= PIVOT_RTOL * diag)
+
+
+def _cholesky(cross: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a centered cross-product block (the upper
+    triangle is left as it was), or None where the factorization fails or
+    a pivot trips :func:`_kept`."""
+    low, info = dpotrf(cross, lower=1, clean=0)
+    if info != 0 or not _kept(np.diagonal(low) ** 2, np.diagonal(cross)).all():
+        return None
+    return low
+
+
+def _verdicts(rxy, sx, sy, norm_x, norm_y, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """Statistics and p-values, elementwise, from the residual
+    cross-products ``rxy``, the residual norms ``sx``/``sy`` and the raw
+    norms of x and y."""
+    # a degenerate test is folded into the independence verdict
+    degenerate = (sx <= 1e-12 * (norm_x + 1.0)) | (sy <= 1e-12 * (norm_y + 1.0))
+    r = np.where(degenerate, 0.0, rxy / np.where(degenerate, 1.0, sx * sy))
+    r = np.minimum(np.maximum(r, -1.0), 1.0)
+    # two-sided tail of t = r sqrt(dof / (1 - r^2)), taken directly so it
+    # does not cancel to 0: I_x(dof/2, 1/2) at x = dof / (dof + t^2) = 1 - r^2,
+    # which is exactly 0 where |r| = 1
+    return r, np.where(degenerate, 1.0, betainc(dof / 2.0, 0.5, 1.0 - r * r))
+
+
 def _verdict(
     rxy: float, sx: float, sy: float, norm_x: float, norm_y: float, dof: int
 ) -> CITestResult:
-    """Test result from the residual cross-product ``rxy``, the residual
-    norms ``sx``/``sy`` and the raw norms of x and y."""
-    if sx <= 1e-12 * (norm_x + 1.0) or sy <= 1e-12 * (norm_y + 1.0):
-        # degenerate test, folded into the independence verdict
-        return CITestResult(statistic=0.0, p_value=1.0, effective_dof=dof)
-    r = rxy / (sx * sy)
-    r = max(-1.0, min(1.0, r))
-    if abs(r) >= 1.0:
-        return CITestResult(statistic=r, p_value=0.0, effective_dof=dof)
-    # two-sided tail of t = r sqrt(dof / (1 - r^2)), taken directly so it
-    # does not cancel to 0: I_x(dof/2, 1/2) at x = dof / (dof + t^2) = 1 - r^2
-    p = float(betainc(dof / 2.0, 0.5, 1.0 - r * r))
-    return CITestResult(statistic=r, p_value=min(max(p, 0.0), 1.0), effective_dof=dof)
+    """One test's :func:`_verdicts`."""
+    r, p = _verdicts(*(np.float64(v) for v in (rxy, sx, sy, norm_x, norm_y)), dof)
+    return CITestResult(statistic=float(r), p_value=float(p), effective_dof=dof)
+
+
+def _column(values: np.ndarray, start: int, node: tuple[int, int]) -> np.ndarray:
+    """Variable i at t - lag, for node (i, lag), over rows t = start..T-1."""
+    i, lag = node
+    return values[start - lag : values.shape[0] - lag, i]
+
+
+def _conditions(
+    values: np.ndarray, start: int, nodes: list[tuple[int, int]]
+) -> np.ndarray | None:
+    """Conditioning matrix over rows t = start..T-1: one :func:`_column`
+    per distinct node, in order of first appearance; None if no nodes."""
+    distinct = list(dict.fromkeys(nodes))
+    if not distinct:
+        return None
+    return np.column_stack([_column(values, start, node) for node in distinct])
+
+
+# ---------------------------------------------------------------------------
+# lagged cross-products
+# ---------------------------------------------------------------------------
+
+Node = tuple[int, int]
+
+
+class LaggedCrossProducts:
+    """Centered cross-products of every node (variable i at t - lag, lag
+    0..max_lag) over rows t = max_lag..T-1, and the blocks of any other
+    row range.
+
+    Every MVGC regression and every PC1 and contemporaneous CI test reads
+    these rows, so each is answered from its block by a small Cholesky
+    factorization: :meth:`residual_ss`, :meth:`test`, and
+    :meth:`test_each` for a PC1 round's shared conditioning set.  MCI
+    tests start later and reach further back; :meth:`test_from` builds
+    their blocks from each variable's contiguous centered series.  A CI
+    test whose block trips the pivot guard falls back to
+    :func:`partial_correlation` on the stacked columns.  Counts the CI
+    tests it answers and their largest conditioning set.
+    """
+
+    def __init__(self, values: np.ndarray, max_lag: int):
+        T, N = values.shape
+        check_max_lag(max_lag)
+        if T <= max_lag + 4:
+            raise InsufficientHistory(
+                f"T = {T} leaves no testable samples at max_lag = {max_lag}"
+            )
+        self.values, self.max_lag, self.n = values, max_lag, T - max_lag
+        # centering each variable first keeps the per-block mean correction
+        # n * mu_a mu_b^T small next to the products it corrects
+        centered = values - values.mean(axis=0)
+        views = [centered[max_lag - lag : T - lag] for lag in range(max_lag + 1)]
+        means = [view.mean(axis=0) for view in views]
+        size = N * (max_lag + 1)
+        self.cross = np.empty((size, size))
+        for a in range(max_lag + 1):
+            for b in range(a, max_lag + 1):
+                block = views[a].T @ views[b] - self.n * np.outer(means[a], means[b])
+                self.cross[a * N : (a + 1) * N, b * N : (b + 1) * N] = block
+                self.cross[b * N : (b + 1) * N, a * N : (a + 1) * N] = block.T
+        # raw (uncentered) norm of every node, for the degenerate-test rule
+        self.norms = np.sqrt(np.concatenate([
+            np.einsum("ij,ij->j", raw, raw)
+            for raw in (values[max_lag - lag : T - lag] for lag in range(max_lag + 1))
+        ]))
+        # one row per variable, so node (i, lag) over rows start..T-1 is
+        # the contiguous slice series[i, start - lag : T - lag]
+        self.series = np.ascontiguousarray(centered.T)
+        self.tests = 0
+        self.max_cond_dim = 0
+
+    def count(self, n_conds: int, tests: int = 1) -> None:
+        """Record ``tests`` CI tests with ``n_conds`` distinct conditioning columns."""
+        self.tests += tests
+        self.max_cond_dim = max(self.max_cond_dim, n_conds)
+
+    def _index(self, nodes: list[Node]) -> np.ndarray:
+        n_vars = self.values.shape[1]
+        return np.array([lag * n_vars + i for i, lag in nodes], dtype=np.intp)
+
+    def residual_ss(self, regressors: list[Node], response: Node) -> float | None:
+        """Residual sum of squares of ``response`` regressed on
+        ``regressors`` and an intercept: the squared last pivot of one
+        Cholesky of their block with the response last.  None where a
+        pivot trips the guard."""
+        idx = self._index(regressors + [response])
+        low = _cholesky(self.cross.take(idx, 0).take(idx, 1))
+        return None if low is None else float(low[-1, -1]) ** 2
+
+    def test(self, x: Node, y: Node, conds: list[Node]) -> CITestResult:
+        """Partial correlation of nodes x and y given the distinct ``conds``."""
+        nodes = list(dict.fromkeys(conds))
+        self.count(len(nodes))
+        return self._answer(x, y, nodes)
+
+    def _answer(self, x: Node, y: Node, nodes: list[Node]) -> CITestResult:
+        idx = self._index(nodes + [x, y])
+        res = partial_correlation_block(
+            self.cross.take(idx, 0).take(idx, 1),
+            float(self.norms[idx[-2]]),
+            float(self.norms[idx[-1]]),
+            self.n,
+        )
+        return res if res is not None else self._stacked(self.max_lag, x, y, nodes)
+
+    def test_each(
+        self, xs: list[Node], y: Node, conds: list[Node]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Statistic and p-value of every node in ``xs`` against ``y``, each
+        given the same distinct ``conds`` (none of them in ``xs``).
+
+        One Cholesky of the conditioning block, C_ZZ = L L^T, and one
+        triangular solve W = L^-1 C_Z[xs, y] answer them all: the residual
+        cross-products given [Z, intercept] are C_AB - W_A^T W_B.  The
+        pivots that x and y would add to L are checked against the guard
+        for each x, and one that trips it takes :meth:`test`'s path.
+        """
+        k, m = len(conds), len(xs)
+        _check_history(self.n, k)
+        self.count(k, tests=m)
+        z, a = self._index(conds), self._index(xs)
+        yi = int(self._index([y])[0])
+        low = _cholesky(self.cross[np.ix_(z, z)])
+        c_aa, c_ay, c_yy = self.cross[a, a], self.cross[a, yi], self.cross[yi, yi]
+        if low is None:
+            ok = np.zeros(m, dtype=bool)
+        else:
+            w = self.cross[np.ix_(z, np.append(a, yi))]
+            if k:  # W = L^-1 C_Z[xs, y]; LAPACK takes no empty system
+                w = dtrtrs(low, w, lower=1)[0]
+            wa, wy = w[:, :-1], w[:, -1]
+            r_aa = c_aa - np.einsum("ij,ij->j", wa, wa)
+            r_ay = c_ay - wy @ wa
+            r_yy = c_yy - wy @ wy
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ok = _kept(r_aa, c_aa) & _kept(r_yy - r_ay * r_ay / r_aa, c_yy)
+        stat, p = np.zeros(m), np.ones(m)
+        if ok.any():
+            stat[ok], p[ok] = _verdicts(
+                r_ay[ok], np.sqrt(r_aa[ok]), math.sqrt(r_yy),
+                self.norms[a[ok]], self.norms[yi], self.n - k - 2,
+            )
+        for j in np.flatnonzero(~ok):
+            res = self._answer(xs[j], y, conds)
+            stat[j], p[j] = res.statistic, res.p_value
+        return stat, p
+
+    def test_from(self, start: int, x: Node, y: Node, conds: list[Node]) -> CITestResult:
+        """Partial correlation of nodes x and y given the distinct ``conds``
+        over rows t = start..T-1, for nodes at any lag up to ``start``.
+
+        The block is the Gram matrix of the nodes' centered series over
+        those rows, less n mu mu^T for their means over the same rows.
+        """
+        nodes = list(dict.fromkeys(conds))
+        T = self.values.shape[0]
+        n = T - start
+        _check_history(n, len(nodes))
+        self.count(len(nodes))
+        # windows[i * T + s] is series[i, s : s + n]
+        windows = sliding_window_view(self.series.ravel(), n)
+        rows = windows[[i * T + start - lag for i, lag in nodes + [x, y]]]
+        sums = rows.sum(axis=1)
+        cols = [_column(self.values, start, node) for node in (x, y)]
+        res = partial_correlation_block(
+            rows @ rows.T - np.outer(sums, sums / n),
+            math.sqrt(float(cols[0] @ cols[0])),
+            math.sqrt(float(cols[1] @ cols[1])),
+            n,
+        )
+        return res if res is not None else self._stacked(start, x, y, nodes)
+
+    def _stacked(self, start: int, x: Node, y: Node, nodes: list[Node]) -> CITestResult:
+        """The test on stacked columns over rows start..T-1: the exact SVD
+        path for blocks too close to singular."""
+        return partial_correlation(
+            _column(self.values, start, x),
+            _column(self.values, start, y),
+            _conditions(self.values, start, nodes),
+        )
 
 
 def f_cdf(x: float, d1: int, d2: int) -> float:

@@ -1,12 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from causalcast import Frequency, mvgc_test, select_features_gc
+from causalcast import Frequency, granger, mvgc_test, select_features_gc, stats
 from causalcast.errors import InsufficientHistory
 from causalcast.granger import FeatureMethod, lagged_design, results_to_dict
 
 from conftest import make_dataset, noise_dataset
+
+
+def count_stacked_fits(monkeypatch):
+    """Wrap granger.ols; returns the column count of every fit it sees."""
+    widths = []
+
+    def counted(design, response):
+        widths.append(design.shape[1])
+        return stats.ols(design, response)
+
+    monkeypatch.setattr(granger, "ols", counted)
+    return widths
 
 
 def var_with_two_drivers(seed, T=5000, n_vars=11):
@@ -80,6 +94,22 @@ class TestMvgc:
         for a, b in zip(base, scaled):
             assert b.f_statistic == pytest.approx(a.f_statistic, rel=1e-8)
 
+    def test_driver_far_from_zero_keeps_every_column(self):
+        # beside the stacked design's intercept, v3 + 1e7 pushed the
+        # intercept below the pivoted QR's rank tolerance, and it was
+        # dropped with a warning; the centered blocks see only the spread
+        ds = var_with_two_drivers(2, T=1500, n_vars=5)
+        base = mvgc_test(ds, max_lag=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shifted = mvgc_test(
+                ds.with_values(ds.values + np.array([0.0, 0.0, 0.0, 1e7, 0.0])), max_lag=3
+            )
+        assert shifted.columns_dropped == 0
+        for a, b in zip(base, shifted):
+            assert b.dof == a.dof
+            assert b.f_statistic == pytest.approx(a.f_statistic, rel=1e-6)
+
     def test_deterministic(self):
         ds = noise_dataset(4, T=300, N=4)
         a = mvgc_test(ds, max_lag=3)
@@ -97,15 +127,40 @@ class TestMvgc:
             oracle = scipy_stats.f.sf(r.f_statistic, *r.dof)
             assert r.p_value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
-    def test_duplicate_column_handled(self):
-        # an exact copy of another variable must not crash the solver
+    def test_duplicate_column_handled(self, monkeypatch):
+        # an exact copy of another variable must not crash the solver: its
+        # block trips the pivot guard, and the stacked fits drop the copy's
+        # lag columns with a warning
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 3))
         vals = np.column_stack([x, x[:, 1]])
         ds = make_dataset(vals, names=["y", "a", "b", "a_copy"], target="y")
-        with pytest.warns(UserWarning):
+        fits = count_stacked_fits(monkeypatch)
+        with pytest.warns(UserWarning, match="dropped 2 collinear"):
             results = mvgc_test(ds, max_lag=2)
         assert len(results) == 3
+        assert [r.dof for r in results] == [(2, 391), (2, 391), (0, 391)]
+        assert (results.regressions, results.columns_kept, results.columns_dropped) == (3, 6, 2)
+        assert fits == [7, 5, 5]
+        doc = results_to_dict(results, ds, max_lag=2, alpha=0.05)
+        assert (doc["regressions"], doc["columns_kept"], doc["columns_dropped"]) == (3, 6, 2)
+
+    def test_block_path_matches_stacked_fits(self, monkeypatch):
+        panels = [var_with_two_drivers(seed, T=300, n_vars=5) for seed in range(20)]
+        fits = count_stacked_fits(monkeypatch)
+        block = [mvgc_test(ds, max_lag=3) for ds in panels]
+        assert fits == []  # every RSS came from a cross-product block
+        monkeypatch.setattr(stats, "PIVOT_RTOL", np.inf)  # no pivot passes
+        stacked = [mvgc_test(ds, max_lag=3) for ds in panels]
+        assert len(fits) == 20 * 5
+        for got, want in zip(block, stacked):
+            work = (got.regressions, got.columns_kept, got.columns_dropped)
+            assert work == (want.regressions, want.columns_kept, want.columns_dropped)
+            assert work == (5, 15, 0)
+            for g, w in zip(got, want):
+                assert (g.variable, g.dof, g.selected) == (w.variable, w.dof, w.selected)
+                assert g.f_statistic == pytest.approx(w.f_statistic, rel=1e-9, abs=0.0)
+                assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=0.0)
 
     def test_short_series_rejected(self):
         ds = noise_dataset(6, T=30, N=5)
@@ -135,6 +190,7 @@ class TestSelection:
         ds = noise_dataset(9, T=200, N=3)
         results = mvgc_test(ds, max_lag=2, alpha=0.1)
         doc = results_to_dict(results, ds, max_lag=2, alpha=0.1)
+        assert (doc["regressions"], doc["columns_kept"], doc["columns_dropped"]) == (3, 6, 0)
         assert doc["method"] == "mvgc"
         assert doc["target"] == "v0"
         assert len(doc["results"]) == 2

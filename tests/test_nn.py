@@ -205,6 +205,11 @@ class TestForward:
         with pytest.raises(InvalidArgument):
             ModelConfig(feature_count=2, dropout_rate=1.0)
 
+    @pytest.mark.parametrize("field, value", [("gru_units", 4.0), ("gru_units", True), ("lookback", 3.0)])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(InvalidArgument, match=field):
+            ModelConfig(feature_count=3, **{field: value})
+
 
 class TestDropout:
     def test_zero_rate_yields_no_masks(self):

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci, stats
+from causalcast import Frequency, run_pcmci_plus, select_features_pcmci, stats
 from causalcast.errors import InvalidArgument
 from causalcast.pcmci import (
     CausalGraph,
     CausalLink,
     LaggedCrossProducts,
-    _column,
-    _conditions,
     contemporaneous_phase,
     mci_test,
     pc1_condition_selection,
 )
-from causalcast.stats import partial_correlation
+from causalcast.stats import _column, _conditions, partial_correlation
 
 from conftest import make_dataset, noise_dataset
 
@@ -54,21 +52,21 @@ def var_panel(seed, T=1500):
 
 
 def stacked_svd_only(monkeypatch):
-    """Send every CI test down the stacked-column SVD least-squares path."""
-    for module in (pcmci, stats):
-        monkeypatch.setattr(module, "partial_correlation_block", lambda *args: None)
+    """Send every CI test down the stacked-column SVD least-squares path:
+    no Cholesky pivot passes the guard."""
+    monkeypatch.setattr(stats, "PIVOT_RTOL", np.inf)
 
 
 def count_stacked_tests(monkeypatch):
-    """Wrap pcmci.partial_correlation; returns the conditioning width of
-    every call it sees."""
+    """Wrap stats.partial_correlation, which every block falls back to;
+    returns the conditioning width of every call it sees."""
     widths = []
 
     def counted(x, y, z=None):
         widths.append(0 if z is None else z.shape[1])
         return partial_correlation(x, y, z)
 
-    monkeypatch.setattr(pcmci, "partial_correlation", counted)
+    monkeypatch.setattr(stats, "partial_correlation", counted)
     return widths
 
 
@@ -336,6 +334,71 @@ class TestCrossProducts:
         doc = graph.to_dict()
         assert (doc["ci_tests"], doc["max_cond_dim"]) == (167, 5)
         assert CausalGraph.from_dict(doc) == graph
+
+    def test_batched_round_matches_per_test(self):
+        values, max_lag = var_panel(23), 4
+        nodes = [(i, lag) for i in range(4) for lag in range(1, max_lag + 1)]
+        rng = np.random.default_rng(24)
+        for q in range(9):
+            picked = [nodes[p] for p in rng.permutation(len(nodes))]
+            conds, xs, y = picked[:q], picked[q:], (int(rng.integers(4)), 0)
+            cross = LaggedCrossProducts(values, max_lag)
+            stat, p = cross.test_each(xs, y, conds)
+            assert (cross.tests, cross.max_cond_dim) == (len(xs), q)
+            for x, s, pv in zip(xs, stat, p):
+                want = cross.test(x, y, conds)
+                assert s == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
+                assert pv == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+
+    def test_batched_round_falls_back_per_candidate(self, monkeypatch):
+        # v5 copies v1 and v4 is constant: given (1, 1), candidate (5, 1)
+        # and every v4 node trip the pivot guard, the others do not
+        base = var_panel(22)
+        base[:, 3] += 1e6
+        values = np.column_stack([base, np.full(len(base), 0.3), base[:, 1]])
+        nodes = [(i, lag) for i in range(6) for lag in (1, 2, 3)]
+        xs = [node for node in nodes if node != (1, 1)]
+        stacked = count_stacked_tests(monkeypatch)
+        stat, p = LaggedCrossProducts(values, 3).test_each(xs, (0, 0), [(1, 1)])
+        assert len(stacked) == 4
+        monkeypatch.undo()
+        for x, s, pv in zip(xs, stat, p):
+            want = LaggedCrossProducts(values, 3).test(x, (0, 0), [(1, 1)])
+            assert s == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
+            assert pv == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("lag", [0, 1, 3])
+    def test_mci_blocks_match_stacked_columns(self, monkeypatch, lag):
+        values, max_lag = var_panel(25), 3
+        start = max_lag + lag
+        nodes = [(i, l) for i in range(4) for l in range(start + 1)]
+        cross = LaggedCrossProducts(values, max_lag)
+        stacked = count_stacked_tests(monkeypatch)
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            picked = rng.choice(len(nodes), int(rng.integers(2, 12)), replace=False)
+            *conds, x, y = [nodes[p] for p in picked]
+            got = cross.test_from(start, x, y, conds + conds[:1])
+            want = partial_correlation(
+                _column(values, start, x),
+                _column(values, start, y),
+                _conditions(values, start, conds),
+            )
+            assert got.effective_dof == want.effective_dof
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+        assert stacked == []
+        assert cross.tests == 30
+
+    def test_mci_shared_products_change_nothing(self):
+        ds = make_dataset(var_panel(27), frequency=Frequency.DAILY)
+        names = ds.variable_names
+        parents = {v: pc1_condition_selection(ds, v, 3) for v in names}
+        cross = LaggedCrossProducts(ds.values, 3)
+        for link in (("v0", 1, "v1"), ("v3", 2, "v0"), ("v2", 0, "v3")):
+            args = (ds, link, parents[link[2]], parents[link[0]], 3)
+            assert mci_test(*args, shared=cross) == mci_test(*args)
+        assert cross.tests == 3
 
     def test_shared_products_must_match_the_call(self):
         ds = lagged_pair(14, T=400)

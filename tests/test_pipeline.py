@@ -151,11 +151,26 @@ class TestConfig:
         ("dropout_rate", 1.0),
         ("leads", (1.5, 2.9)),
         ("frequencies", ("weekly",)),
+        # an integer field holds an integer: not a float, not a bool
+        ("gru_units", 4.0),
+        ("gru_units", True),
+        ("jobs", 2.0),
+        ("seed", 1.0),
+        ("discovery_max_lag", 3.0),
+        ("max_samples", 100.0),
+        ("leads", (True,)),
     ])
     def test_bad_value_rejected_at_construction(self, tmp_path, field, value):
         # each message names the field as the config file spells it
         with pytest.raises(InputError, match=field.removeprefix("discovery_")):
             self._base(tmp_path, **{field: value})
+
+    def test_train_config_integer_fields(self):
+        with pytest.raises(InvalidArgument, match="batch_size"):
+            TrainConfig(batch_size=8.0)
+        with pytest.raises(InvalidArgument, match="max_epochs"):
+            TrainConfig(max_epochs=True)
+        assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
 
     def test_no_datasets_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -282,6 +297,23 @@ class TestRunExperiment:
         # the training record stays out of the CSV table
         header = (tmp_path / "o" / "report.csv").read_text().splitlines()[0]
         assert header.split(",") == list(REPORT_COLUMNS)
+
+    def test_timings_stay_out_of_the_reports(self, experiment_data, tmp_path):
+        path, stamps = experiment_data
+        report = run_experiment(small_config(path, stamps, tmp_path / "o", jobs=2))
+        out = tmp_path / "o"
+        timings = json.loads((out / "timings.json").read_text())
+        assert str(out / "timings.json") in report.artifacts
+        assert [(d["frequency"], d["load_s"] >= 0, d["impute_s"] >= 0)
+                for d in timings["datasets"]] == [("monthly", True, True)]
+        assert [(d["method"], d["frequency"], d["seconds"] >= 0)
+                for d in timings["discovery"]] == [("mvgc", "monthly", True)]
+        assert [(c["variant"], c["lead"]) for c in timings["cells"]] == [
+            (r.variant, r.lead) for r in report.records
+        ]
+        assert all(c["train_s"] >= 0 and c["predict_s"] >= 0 for c in timings["cells"])
+        for name in ("report.csv", "report.json", "granger_monthly.json"):
+            assert "_s\"" not in (out / name).read_text()
 
     def test_gc_selects_planted_driver(self, experiment_data, tmp_path):
         path, stamps = experiment_data
