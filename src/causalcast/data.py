@@ -41,7 +41,9 @@ class Frequency(str, Enum):
 
 def _check_spacing(timestamps: Sequence[dt.date], frequency: Frequency) -> None:
     for prev, cur in zip(timestamps, timestamps[1:]):
-        if cur <= prev:
+        if cur == prev:
+            raise DuplicateTimestamp(f"duplicate timestamp {cur.isoformat()}")
+        if cur < prev:
             raise DuplicateTimestamp(
                 f"timestamps not strictly increasing at {cur.isoformat()}"
             )
@@ -346,11 +348,6 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
 
     if not rows:
         raise ParseError(f"{path} has no data rows")
-    seen: set[dt.date] = set()
-    for date, _ in rows:
-        if date in seen:
-            raise DuplicateTimestamp(f"duplicate timestamp {date.isoformat()}")
-        seen.add(date)
     rows.sort(key=lambda item: item[0])
 
     if target_name not in variable_names:

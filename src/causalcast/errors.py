@@ -72,10 +72,6 @@ class ConfigError(InputError):
 
 # -- numerical / runtime ----------------------------------------------------
 
-class RankDeficient(CausalcastError):
-    """Design matrix rank-deficient beyond tolerance."""
-
-
 class NumericalError(CausalcastError):
     """NaN/Inf appeared where finite values are required."""
 

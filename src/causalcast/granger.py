@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-import scipy.linalg
 from scipy.special import betainc
 
 from .data import TimeSeriesDataset
@@ -23,11 +21,9 @@ from .errors import InsufficientHistory, InvalidArgument
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
-    RANK_RTOL,
     LaggedCrossProducts,
     benjamini_hochberg,
     check_max_lag,
-    ols,
 )
 
 
@@ -77,21 +73,6 @@ class GrangerResult:
         }
 
 
-def lagged_design(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """Stack lags 1..max_lag of every column over rows t = max_lag..T-1.
-
-    Column layout: variable i owns the max_lag consecutive columns
-    starting at i * max_lag, ordered by increasing lag.
-    """
-    T, N = values.shape
-    n_obs = T - max_lag
-    out = np.empty((n_obs, N * max_lag), dtype=np.float64)
-    for i in range(N):
-        for lag in range(1, max_lag + 1):
-            out[:, i * max_lag + (lag - 1)] = values[max_lag - lag : T - lag, i]
-    return out
-
-
 class GrangerResults(list):
     """One :func:`mvgc_test` call's results, in dataset column order, plus
     the work it did: the ``regressions`` whose RSS the F-tests read, and
@@ -115,10 +96,9 @@ def mvgc_test(
     Expects a preprocessed (imputed, normalized) dataset.  Every RSS is
     the squared last pivot of one Cholesky of the lag columns' centered
     cross-products with the target last (centering stands in for the
-    intercept).  Where a pivot trips the guard, the fits run on the
-    stacked design instead: collinear lag columns are dropped first
-    (pivoted QR, most dependent columns first) with a warning, and a
-    variable whose lag columns all drop out scores F = 0, p = 1.
+    intercept).  A lag column whose pivot trips the guard is collinear
+    with the columns before it: the full model drops it with a warning,
+    and a variable whose lag columns all drop out scores F = 0, p = 1.
     ``selected`` flags come from Benjamini-Hochberg FDR across the N-1
     tests at ``alpha``.
     """
@@ -135,25 +115,23 @@ def mvgc_test(
         )
     t = dataset.variable_names.index(target)
     cross = LaggedCrossProducts(values, max_lag)
-
-    def rss_without(skip: int | None) -> float | None:
-        """RSS of the target on the lag columns of every variable but ``skip``."""
-        regressors = [
-            (i, lag) for i in range(N) if i != skip for lag in range(1, max_lag + 1)
-        ]
-        return cross.residual_ss(regressors, (t, 0))
-
-    rss = [rss_without(None)] + [rss_without(i) for i in range(N) if i != t]
-    if None in rss:
-        rss_full, d2, reduced, dropped = _stacked_fits(values, t, max_lag)
-    else:
-        rss_full, d2, dropped = rss[0], cross.n - N * max_lag - 1, 0
-        reduced = [(max_lag, rss_r) for rss_r in rss[1:]]
+    lags = range(1, max_lag + 1)
+    kept, rss_full = cross.fit([(i, lag) for i in range(N) for lag in lags], (t, 0))
+    dropped = N * max_lag - len(kept)
+    if dropped:
+        warnings.warn(
+            f"dropped {dropped} collinear lag column(s) before Granger testing",
+            stacklevel=2,
+        )
+    d2 = cross.n - len(kept) - 1
 
     results = []
-    others = [name for name in dataset.variable_names if name != target]
-    for name, (d1, rss_r) in zip(others, reduced):
-        f_stat, p = _f_test(rss_r, rss_full, d1, d2) if d1 else (0.0, 1.0)
+    for i, name in enumerate(dataset.variable_names):
+        if i == t:
+            continue
+        rest = [node for node in kept if node[0] != i]
+        d1 = len(kept) - len(rest)
+        f_stat, p = _f_test(cross.fit(rest, (t, 0))[1], rss_full, d1, d2) if d1 else (0.0, 1.0)
         results.append((name, f_stat, p, (d1, d2)))
     mask = benjamini_hochberg([r[2] for r in results], alpha)
     return GrangerResults(
@@ -163,46 +141,10 @@ def mvgc_test(
             )
             for (name, f, p, dof), sel in zip(results, mask)
         ],
-        regressions=1 + sum(1 for d1, _ in reduced if d1),
-        columns_kept=N * max_lag - dropped,
+        regressions=1 + sum(d1 > 0 for *_, (d1, _) in results),
+        columns_kept=len(kept),
         columns_dropped=dropped,
     )
-
-
-def _stacked_fits(values: np.ndarray, t: int, max_lag: int):
-    """MVGC's fits on the stacked design with an intercept, for panels
-    whose cross-product blocks are too close to singular.
-
-    Returns the full model's RSS and residual dof, (d1, RSS) of the
-    reduced model of every variable but the target, and the number of
-    collinear columns dropped.
-    """
-    N = values.shape[1]
-    lagged = lagged_design(values, max_lag)
-    design = np.column_stack([np.ones(lagged.shape[0]), lagged])
-    response = values[max_lag:, t]
-
-    kept = _independent_columns(design)
-    n_dropped = design.shape[1] - kept.size
-    if n_dropped:
-        warnings.warn(
-            f"dropped {n_dropped} collinear lag column(s) before Granger "
-            f"testing",
-            stacklevel=3,
-        )
-    full_fit = ols(design[:, kept], response)
-    d2 = full_fit.n_obs - full_fit.n_params
-
-    reduced = []
-    for i in range(N):
-        if i == t:
-            continue
-        var_cols = set(range(1 + i * max_lag, 1 + (i + 1) * max_lag))
-        reduced_cols = np.array([c for c in kept if c not in var_cols], dtype=int)
-        d1 = kept.size - reduced_cols.size
-        rss_r = ols(design[:, reduced_cols], response).rss if d1 else full_fit.rss
-        reduced.append((d1, rss_r))
-    return full_fit.rss, d2, reduced, n_dropped
 
 
 def select_features_gc(
@@ -250,16 +192,6 @@ def mvgc_dot(doc: dict) -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _independent_columns(design: np.ndarray) -> np.ndarray:
-    """Indices of a maximal well-conditioned column subset (pivoted QR)."""
-    _, R, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.array([], dtype=int)
-    rank = int(np.sum(diag > RANK_RTOL * diag[0]))
-    return np.sort(piv[:rank])
 
 
 def _f_test(rss_r: float, rss_f: float, d1: int, d2: int) -> tuple[float, float]:

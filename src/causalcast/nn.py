@@ -656,9 +656,8 @@ def train(
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
         train_losses.append(sse / n)
         val_losses.append(val_loss)
-        improved = val_loss < stopper.best_loss
         should_stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             np.copyto(best, flat)
         stopped = epoch
         if should_stop:

@@ -291,7 +291,7 @@ def mci_test(
         (names.index(c.variable), c.lag + lag) for c in parents_of_source
     ]
     cross = _cross_products(dataset, max_lag, shared)
-    return cross.test_from(max_lag + lag, (i, lag), (j, 0), conds)
+    return cross.test((i, lag), (j, 0), conds, start=max_lag + lag)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 One core answers all of discovery: :class:`LaggedCrossProducts` holds
 the centered cross-products of a panel's lagged columns, and each MVGC
 regression and each PCMCI+ CI test is one small Cholesky factorization
-of a block of it (a PC1 round's tests share one).  Around that core:
-linear partial correlation with a t-distributed statistic, whose
-verdict rules live once, in :func:`_verdicts`; SVD least squares as the
-exact fallback for blocks too close to singular; F/t distribution tails
+of a block of it (a PC1 round's tests share one).  One pivot guard,
+:func:`_kept`, is the collinearity rule for both: an MVGC fit drops a
+lag column that trips it.  Around that core: linear partial correlation
+with a t-distributed statistic, whose verdict rules live once, in
+:func:`_verdicts`; SVD least squares as the exact fallback for CI-test
+blocks too close to singular; F/t distribution tails
 through the regularized incomplete beta function; and Benjamini-Hochberg
 step-up FDR control.  The functions are pure; callers may evaluate many
 tests in parallel.
@@ -22,14 +24,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import betainc
 
-from .errors import InsufficientHistory, InvalidArgument, RankDeficient
+from .errors import InsufficientHistory, InvalidArgument
 
-# Singular values below RANK_RTOL * s_max count as zero when deciding rank.
+# Singular values below RANK_RTOL * s_max count as zero in
+# partial_correlation's SVD fallback.
 RANK_RTOL = 1e-10
 
 # A Cholesky pivot that keeps less than this share of its column's
-# centered sum of squares marks a duplicated or collinear column; such
-# blocks take the SVD path, whose verdicts on them are exact.
+# centered sum of squares marks a duplicated or collinear column: an MVGC
+# fit drops that lag column, and a CI test takes the SVD path, whose
+# verdicts on such blocks are exact.
 PIVOT_RTOL = 1e-8
 
 # Discovery defaults shared by both engines, the experiment config and
@@ -51,54 +55,10 @@ def check_max_lag(max_lag: int) -> None:
 
 
 @dataclass(frozen=True)
-class OlsFit:
-    coefficients: np.ndarray
-    residuals: np.ndarray
-    rss: float
-    n_obs: int
-    n_params: int
-
-
-@dataclass(frozen=True)
 class CITestResult:
     statistic: float
     p_value: float
     effective_dof: int
-
-
-def ols(design: np.ndarray, response: np.ndarray) -> OlsFit:
-    """Least-squares fit of ``response`` on the columns of ``design``.
-
-    Solved via SVD (numpy lstsq); singular values below
-    ``RANK_RTOL * s_max`` are treated as zero and trip
-    :class:`RankDeficient` so callers can drop collinear columns.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    response = np.asarray(response, dtype=np.float64)
-    if design.ndim != 2:
-        raise InvalidArgument(f"design must be 2-D, got shape {design.shape}")
-    n, k = design.shape
-    if response.shape != (n,):
-        raise InvalidArgument(
-            f"response shape {response.shape} does not match design rows {n}"
-        )
-    if n <= k:
-        raise InsufficientHistory(
-            f"need more observations ({n}) than parameters ({k})"
-        )
-    beta, _, rank, _ = np.linalg.lstsq(design, response, rcond=RANK_RTOL)
-    if rank < k:
-        raise RankDeficient(
-            f"design rank {rank} below column count {k}"
-        )
-    residuals = response - design @ beta
-    return OlsFit(
-        coefficients=beta,
-        residuals=residuals,
-        rss=float(residuals @ residuals),
-        n_obs=n,
-        n_params=k,
-    )
 
 
 def partial_correlation(
@@ -250,13 +210,14 @@ class LaggedCrossProducts:
 
     Every MVGC regression and every PC1 and contemporaneous CI test reads
     these rows, so each is answered from its block by a small Cholesky
-    factorization: :meth:`residual_ss`, :meth:`test`, and
-    :meth:`test_each` for a PC1 round's shared conditioning set.  MCI
-    tests start later and reach further back; :meth:`test_from` builds
-    their blocks from each variable's contiguous centered series.  A CI
-    test whose block trips the pivot guard falls back to
-    :func:`partial_correlation` on the stacked columns.  Counts the CI
-    tests it answers and their largest conditioning set.
+    factorization: :meth:`fit`, :meth:`test`, and :meth:`test_each` for a
+    PC1 round's shared conditioning set.  MCI tests start later and reach
+    further back; :meth:`test` builds their blocks from each variable's
+    contiguous centered series.  The pivot guard is the one collinearity
+    rule: :meth:`fit` drops a lag column that trips it, and a CI test
+    whose block trips it falls back to :func:`partial_correlation` on the
+    stacked columns.  Counts the CI tests it answers and their largest
+    conditioning set.
     """
 
     def __init__(self, values: np.ndarray, max_lag: int):
@@ -299,30 +260,71 @@ class LaggedCrossProducts:
         n_vars = self.values.shape[1]
         return np.array([lag * n_vars + i for i, lag in nodes], dtype=np.intp)
 
-    def residual_ss(self, regressors: list[Node], response: Node) -> float | None:
-        """Residual sum of squares of ``response`` regressed on
-        ``regressors`` and an intercept: the squared last pivot of one
-        Cholesky of their block with the response last.  None where a
-        pivot trips the guard."""
-        idx = self._index(regressors + [response])
-        low = _cholesky(self.cross.take(idx, 0).take(idx, 1))
-        return None if low is None else float(low[-1, -1]) ** 2
+    def fit(self, regressors: list[Node], response: Node) -> tuple[list[Node], float]:
+        """Least-squares fit of ``response`` on ``regressors`` and an
+        intercept: the regressors kept, and the residual sum of squares.
 
-    def test(self, x: Node, y: Node, conds: list[Node]) -> CITestResult:
-        """Partial correlation of nodes x and y given the distinct ``conds``."""
+        One Cholesky of their block, with the response last, gives the RSS
+        as its squared last pivot (0 where the factorization stops there).
+        The first regressor whose pivot trips :func:`_kept`, or where the
+        factorization stops, is collinear with those before it: it is
+        dropped and the block is factored again.
+        """
+        kept = list(regressors)
+        while True:
+            k = len(kept)
+            idx = self._index(kept + [response])
+            block = self.cross.take(idx, 0).take(idx, 1)
+            low, info = dpotrf(block, lower=1, clean=0)
+            # dpotrf stops at column info - 1; the pivots before it are final
+            done = min(info - 1 if info else k, k)
+            pivot_sq, diag = np.diagonal(low)[:done] ** 2, np.diagonal(block)[:done]
+            tripped = np.flatnonzero(~_kept(pivot_sq, diag))
+            drop = int(tripped[0]) if tripped.size else done
+            if drop == k:
+                return kept, 0.0 if info else float(low[-1, -1]) ** 2
+            del kept[drop]
+
+    def test(
+        self, x: Node, y: Node, conds: list[Node], start: int | None = None
+    ) -> CITestResult:
+        """Partial correlation of nodes x and y given the distinct ``conds``
+        over rows t = start..T-1 (by default max_lag..T-1), for nodes at
+        any lag up to ``start``."""
+        start = self.max_lag if start is None else start
         nodes = list(dict.fromkeys(conds))
+        _check_history(self.values.shape[0] - start, len(nodes))
         self.count(len(nodes))
-        return self._answer(x, y, nodes)
+        return self._answer(x, y, nodes, start)
 
-    def _answer(self, x: Node, y: Node, nodes: list[Node]) -> CITestResult:
-        idx = self._index(nodes + [x, y])
-        res = partial_correlation_block(
-            self.cross.take(idx, 0).take(idx, 1),
-            float(self.norms[idx[-2]]),
-            float(self.norms[idx[-1]]),
-            self.n,
+    def _answer(self, x: Node, y: Node, nodes: list[Node], start: int) -> CITestResult:
+        res = partial_correlation_block(*self._block(start, nodes + [x, y]))
+        return res if res is not None else self._stacked(start, x, y, nodes)
+
+    def _block(self, start: int, nodes: list[Node]) -> tuple[np.ndarray, float, float, int]:
+        """Centered cross-products of ``nodes`` over rows t = start..T-1,
+        the raw norms of the last two, and the row count.
+
+        Over rows max_lag..T-1 these are read from the shared matrix.  Any
+        later start (MCI tests reach further back) takes the Gram matrix of
+        the nodes' contiguous centered series over those rows, less
+        n mu mu^T for their means over the same rows.
+        """
+        if start == self.max_lag:
+            idx = self._index(nodes)
+            block = self.cross.take(idx, 0).take(idx, 1)
+            return block, float(self.norms[idx[-2]]), float(self.norms[idx[-1]]), self.n
+        T = self.values.shape[0]
+        n = T - start
+        # windows[i * T + s] is series[i, s : s + n]
+        windows = sliding_window_view(self.series.ravel(), n)
+        rows = windows[[i * T + start - lag for i, lag in nodes]]
+        sums = rows.sum(axis=1)
+        norm_x, norm_y = (
+            math.sqrt(float(col @ col))
+            for col in (_column(self.values, start, node) for node in nodes[-2:])
         )
-        return res if res is not None else self._stacked(self.max_lag, x, y, nodes)
+        return rows @ rows.T - np.outer(sums, sums / n), norm_x, norm_y, n
 
     def test_each(
         self, xs: list[Node], y: Node, conds: list[Node]
@@ -362,34 +364,9 @@ class LaggedCrossProducts:
                 self.norms[a[ok]], self.norms[yi], self.n - k - 2,
             )
         for j in np.flatnonzero(~ok):
-            res = self._answer(xs[j], y, conds)
+            res = self._answer(xs[j], y, conds, self.max_lag)
             stat[j], p[j] = res.statistic, res.p_value
         return stat, p
-
-    def test_from(self, start: int, x: Node, y: Node, conds: list[Node]) -> CITestResult:
-        """Partial correlation of nodes x and y given the distinct ``conds``
-        over rows t = start..T-1, for nodes at any lag up to ``start``.
-
-        The block is the Gram matrix of the nodes' centered series over
-        those rows, less n mu mu^T for their means over the same rows.
-        """
-        nodes = list(dict.fromkeys(conds))
-        T = self.values.shape[0]
-        n = T - start
-        _check_history(n, len(nodes))
-        self.count(len(nodes))
-        # windows[i * T + s] is series[i, s : s + n]
-        windows = sliding_window_view(self.series.ravel(), n)
-        rows = windows[[i * T + start - lag for i, lag in nodes + [x, y]]]
-        sums = rows.sum(axis=1)
-        cols = [_column(self.values, start, node) for node in (x, y)]
-        res = partial_correlation_block(
-            rows @ rows.T - np.outer(sums, sums / n),
-            math.sqrt(float(cols[0] @ cols[0])),
-            math.sqrt(float(cols[1] @ cols[1])),
-            n,
-        )
-        return res if res is not None else self._stacked(start, x, y, nodes)
 
     def _stacked(self, start: int, x: Node, y: Node, nodes: list[Node]) -> CITestResult:
         """The test on stacked columns over rows start..T-1: the exact SVD

@@ -140,7 +140,13 @@ class TestCsv:
     def test_duplicate_date_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("date,x\n2000-01-01,1\n2000-01-01,2\n")
-        with pytest.raises(DuplicateTimestamp):
+        with pytest.raises(DuplicateTimestamp, match="duplicate timestamp 2000-01-01"):
+            load_csv(path, "x", "monthly")
+
+    def test_duplicate_date_found_after_sort(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("date,x\n2000-02-01,1\n2000-01-01,2\n2000-02-01,3\n")
+        with pytest.raises(DuplicateTimestamp, match="duplicate timestamp 2000-02-01"):
             load_csv(path, "x", "monthly")
 
     def test_header_must_start_with_date(self, tmp_path):

@@ -4,23 +4,41 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from causalcast import Frequency, granger, mvgc_test, select_features_gc, stats
+from causalcast import Frequency, mvgc_test, select_features_gc
 from causalcast.errors import InsufficientHistory
-from causalcast.granger import FeatureMethod, lagged_design, results_to_dict
+from causalcast.granger import FeatureMethod, results_to_dict
+from causalcast.stats import benjamini_hochberg
 
 from conftest import make_dataset, noise_dataset
 
 
-def count_stacked_fits(monkeypatch):
-    """Wrap granger.ols; returns the column count of every fit it sees."""
-    widths = []
+def lstsq_granger(ds, max_lag):
+    """(variable, F, p, dof) of every non-target variable from
+    np.linalg.lstsq fits on the stacked design [1, lags 1..max_lag of
+    every variable], with p from scipy's F tail."""
+    values = ds.values
+    T, N = values.shape
+    t = ds.variable_names.index(ds.target_name)
+    lags = [
+        np.column_stack([values[max_lag - lag : T - lag, i] for lag in range(1, max_lag + 1)])
+        for i in range(N)
+    ]
+    response = values[max_lag:, t]
 
-    def counted(design, response):
-        widths.append(design.shape[1])
-        return stats.ols(design, response)
+    def rss(skip):
+        design = np.column_stack(
+            [np.ones(T - max_lag)] + [cols for i, cols in enumerate(lags) if i != skip]
+        )
+        resid = response - design @ np.linalg.lstsq(design, response, rcond=None)[0]
+        return float(resid @ resid)
 
-    monkeypatch.setattr(granger, "ols", counted)
-    return widths
+    rss_full, d2 = rss(None), T - max_lag - N * max_lag - 1
+    out = []
+    for i, name in enumerate(ds.variable_names):
+        if i != t:
+            f = (rss(i) - rss_full) / max_lag / (rss_full / d2)
+            out.append((name, f, scipy_stats.f.sf(f, max_lag, d2), (max_lag, d2)))
+    return out
 
 
 def var_with_two_drivers(seed, T=5000, n_vars=11):
@@ -35,18 +53,6 @@ def var_with_two_drivers(seed, T=5000, n_vars=11):
     return make_dataset(
         vals[100:], names=[f"v{i}" for i in range(n_vars)], frequency=Frequency.DAILY
     )
-
-
-class TestLaggedDesign:
-    def test_column_layout(self):
-        vals = np.arange(12.0).reshape(6, 2)
-        design = lagged_design(vals, 2)
-        assert design.shape == (4, 4)
-        # variable 0, lag 1 then lag 2; variable 1 likewise
-        np.testing.assert_array_equal(design[:, 0], vals[1:5, 0])
-        np.testing.assert_array_equal(design[:, 1], vals[0:4, 0])
-        np.testing.assert_array_equal(design[:, 2], vals[1:5, 1])
-        np.testing.assert_array_equal(design[:, 3], vals[0:4, 1])
 
 
 class TestMvgc:
@@ -95,9 +101,9 @@ class TestMvgc:
             assert b.f_statistic == pytest.approx(a.f_statistic, rel=1e-8)
 
     def test_driver_far_from_zero_keeps_every_column(self):
-        # beside the stacked design's intercept, v3 + 1e7 pushed the
-        # intercept below the pivoted QR's rank tolerance, and it was
-        # dropped with a warning; the centered blocks see only the spread
+        # beside an intercept column, v3 + 1e7 falls below a rank
+        # tolerance on singular values; the centered blocks see only the
+        # spread
         ds = var_with_two_drivers(2, T=1500, n_vars=5)
         base = mvgc_test(ds, max_lag=3)
         with warnings.catch_warnings():
@@ -127,40 +133,47 @@ class TestMvgc:
             oracle = scipy_stats.f.sf(r.f_statistic, *r.dof)
             assert r.p_value == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
-    def test_duplicate_column_handled(self, monkeypatch):
-        # an exact copy of another variable must not crash the solver: its
-        # block trips the pivot guard, and the stacked fits drop the copy's
-        # lag columns with a warning
+    def test_duplicate_column_handled(self):
+        # an exact copy of another variable must not crash the solver: the
+        # copy's lag columns trip the pivot guard and are dropped with a
+        # warning
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 3))
         vals = np.column_stack([x, x[:, 1]])
         ds = make_dataset(vals, names=["y", "a", "b", "a_copy"], target="y")
-        fits = count_stacked_fits(monkeypatch)
         with pytest.warns(UserWarning, match="dropped 2 collinear"):
             results = mvgc_test(ds, max_lag=2)
         assert len(results) == 3
         assert [r.dof for r in results] == [(2, 391), (2, 391), (0, 391)]
         assert (results.regressions, results.columns_kept, results.columns_dropped) == (3, 6, 2)
-        assert fits == [7, 5, 5]
         doc = results_to_dict(results, ds, max_lag=2, alpha=0.05)
         assert (doc["regressions"], doc["columns_kept"], doc["columns_dropped"]) == (3, 6, 2)
 
-    def test_block_path_matches_stacked_fits(self, monkeypatch):
-        panels = [var_with_two_drivers(seed, T=300, n_vars=5) for seed in range(20)]
-        fits = count_stacked_fits(monkeypatch)
-        block = [mvgc_test(ds, max_lag=3) for ds in panels]
-        assert fits == []  # every RSS came from a cross-product block
-        monkeypatch.setattr(stats, "PIVOT_RTOL", np.inf)  # no pivot passes
-        stacked = [mvgc_test(ds, max_lag=3) for ds in panels]
-        assert len(fits) == 20 * 5
-        for got, want in zip(block, stacked):
-            work = (got.regressions, got.columns_kept, got.columns_dropped)
-            assert work == (want.regressions, want.columns_kept, want.columns_dropped)
-            assert work == (5, 15, 0)
-            for g, w in zip(got, want):
-                assert (g.variable, g.dof, g.selected) == (w.variable, w.dof, w.selected)
-                assert g.f_statistic == pytest.approx(w.f_statistic, rel=1e-9, abs=0.0)
-                assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=0.0)
+    def test_near_duplicate_column_dropped(self):
+        # a copy of a plus noise at 1e-7 of its spread keeps far less than
+        # PIVOT_RTOL of its sum of squares: the one collinearity rule drops
+        # its lag columns as it drops an exact copy's
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((400, 3))
+        vals = np.column_stack([x, x[:, 1] + 1e-7 * rng.standard_normal(400)])
+        ds = make_dataset(vals, names=["y", "a", "b", "a_near"], target="y")
+        with pytest.warns(UserWarning, match="dropped 2 collinear"):
+            results = mvgc_test(ds, max_lag=2)
+        assert [r.dof for r in results] == [(2, 391), (2, 391), (0, 391)]
+        assert (results.regressions, results.columns_kept, results.columns_dropped) == (3, 6, 2)
+        assert (results[2].f_statistic, results[2].p_value) == (0.0, 1.0)
+
+    def test_block_path_matches_stacked_fits(self):
+        for seed in range(20):
+            ds = var_with_two_drivers(seed, T=300, n_vars=5)
+            got = mvgc_test(ds, max_lag=3)
+            assert (got.regressions, got.columns_kept, got.columns_dropped) == (5, 15, 0)
+            want = lstsq_granger(ds, 3)
+            selected = benjamini_hochberg([w[2] for w in want], 0.05)
+            for g, (name, f, p, dof), sel in zip(got, want, selected):
+                assert (g.variable, g.dof, g.selected) == (name, dof, sel)
+                assert g.f_statistic == pytest.approx(f, rel=1e-9, abs=0.0)
+                assert g.p_value == pytest.approx(p, rel=1e-9, abs=0.0)
 
     def test_short_series_rejected(self):
         ds = noise_dataset(6, T=30, N=5)

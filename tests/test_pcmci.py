@@ -378,7 +378,7 @@ class TestCrossProducts:
         for _ in range(30):
             picked = rng.choice(len(nodes), int(rng.integers(2, 12)), replace=False)
             *conds, x, y = [nodes[p] for p in picked]
-            got = cross.test_from(start, x, y, conds + conds[:1])
+            got = cross.test(x, y, conds + conds[:1], start=start)
             want = partial_correlation(
                 _column(values, start, x),
                 _column(values, start, y),

@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate
 from scipy import stats as scipy_stats
 
-from causalcast.errors import InsufficientHistory, InvalidArgument, RankDeficient
+from causalcast.errors import InvalidArgument
 from causalcast.stats import (
+    LaggedCrossProducts,
+    _column,
     benjamini_hochberg,
     f_cdf,
-    ols,
     partial_correlation,
     t_cdf,
 )
@@ -37,51 +38,45 @@ def t_pdf(x, dof):
     return math.exp(log_num)
 
 
-class TestOls:
-    def test_exact_line_through_origin(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        y = np.array([2.0, 4.0, 6.0])
-        fit = ols(x, y)
-        np.testing.assert_allclose(fit.coefficients, [2.0], atol=1e-12)
-        assert fit.rss == pytest.approx(0.0, abs=1e-20)
+class TestFit:
+    """LaggedCrossProducts.fit: one node regressed on lagged nodes and an
+    intercept, from one Cholesky of their centered block."""
 
-    def test_slope_three(self):
-        x = np.arange(1.0, 11.0)[:, None]
-        fit = ols(x, 3.0 * x[:, 0])
-        np.testing.assert_allclose(fit.coefficients, [3.0], atol=1e-12)
-
-    def test_matches_normal_equations(self):
+    def test_rss_matches_lstsq(self):
         rng = np.random.default_rng(0)
-        X = rng.standard_normal((50, 3))
-        y = rng.standard_normal(50)
-        fit = ols(X, y)
-        beta = np.linalg.solve(X.T @ X, X.T @ y)
-        np.testing.assert_allclose(fit.coefficients, beta, atol=1e-8)
+        values = rng.standard_normal((200, 3))
+        regressors = [(i, lag) for i in range(3) for lag in (1, 2)]
+        kept, rss = LaggedCrossProducts(values, 2).fit(regressors, (0, 0))
+        design = np.column_stack(
+            [np.ones(198)] + [_column(values, 2, node) for node in regressors]
+        )
+        response = values[2:, 0]
+        resid = response - design @ np.linalg.lstsq(design, response, rcond=None)[0]
+        assert kept == regressors
+        assert rss == pytest.approx(float(resid @ resid), rel=1e-12, abs=0.0)
 
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((200, 4))
-        y = rng.standard_normal(200)
-        fit = ols(X, y)
-        assert np.abs(X.T @ fit.residuals).max() < 1e-8 * len(y)
+    def test_exact_fit_has_zero_rss(self):
+        # y_t = 3 x_{t-1} + 2: the response's last pivot cancels to rounding
+        x = np.random.default_rng(1).standard_normal(100)
+        values = np.column_stack([np.r_[0.0, 3.0 * x[:-1] + 2.0], x])
+        kept, rss = LaggedCrossProducts(values, 1).fit([(1, 1)], (0, 0))
+        assert kept == [(1, 1)]
+        assert 0.0 <= rss <= 1e-12 * float(np.var(values[1:, 0]) * 99)
 
-    def test_rss_consistent_with_residuals(self):
+    def test_collinear_regressor_dropped(self):
+        # v3 is constant, v2 an affine copy of v1 and v4 a copy of v1 plus
+        # noise at 1e-7 of its spread: each is dropped where its pivot trips
+        # the guard or the factorization stops, and the fit on what is kept
+        # is unchanged
         rng = np.random.default_rng(2)
-        X = rng.standard_normal((30, 2))
-        y = rng.standard_normal(30)
-        fit = ols(X, y)
-        assert fit.rss == pytest.approx(float(fit.residuals @ fit.residuals))
-
-    def test_collinear_design_rejected(self):
-        x = np.arange(1.0, 21.0)
-        X = np.column_stack([x, 2.0 * x])
-        with pytest.raises(RankDeficient):
-            ols(X, x)
-
-    def test_more_params_than_rows_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(InsufficientHistory):
-            ols(rng.standard_normal((3, 5)), rng.standard_normal(3))
+        x = rng.standard_normal((300, 2))
+        near = x[:, 1] + 1e-7 * rng.standard_normal(300)
+        values = np.column_stack([x, 2.0 * x[:, 1] + 1.0, np.full(300, 0.5), near])
+        cross = LaggedCrossProducts(values, 2)
+        regressors = [(3, 1), (1, 1), (2, 1), (4, 1), (1, 2), (0, 1)]
+        kept, rss = cross.fit(regressors, (0, 0))
+        assert kept == [(1, 1), (1, 2), (0, 1)]
+        assert cross.fit(kept, (0, 0)) == (kept, rss)
 
 
 class TestPartialCorrelation:
