@@ -38,11 +38,41 @@ def t_pdf(x, dof):
     return math.exp(log_num)
 
 
-class TestFit:
-    """LaggedCrossProducts.fit: one node regressed on lagged nodes and an
-    intercept, from one Cholesky of their centered block."""
+class TestOls:
+    """LaggedCrossProducts.fit as least squares: one node regressed on
+    lagged nodes and an intercept, from one Cholesky of their centered
+    block, reports the residual sum of squares of that regression."""
 
-    def test_rss_matches_lstsq(self):
+    def test_exact_line_through_origin(self):
+        # y_t = 2 x_{t-1}: the response's last pivot cancels to rounding
+        x = np.arange(1.0, 9.0)
+        values = np.column_stack([np.r_[0.0, 2.0 * x[:-1]], x])
+        kept, rss = LaggedCrossProducts(values, 1).fit([(1, 1)], (0, 0))
+        assert kept == [(1, 1)]
+        assert 0.0 <= rss <= 1e-12 * float(np.var(values[1:, 0]) * 7)
+
+    def test_slope_three(self):
+        # y_t = 3 x_{t-1} + 2 over noise: the intercept absorbs the offset
+        x = np.random.default_rng(1).standard_normal(100)
+        values = np.column_stack([np.r_[0.0, 3.0 * x[:-1] + 2.0], x])
+        kept, rss = LaggedCrossProducts(values, 1).fit([(1, 1)], (0, 0))
+        assert kept == [(1, 1)]
+        assert 0.0 <= rss <= 1e-12 * float(np.var(values[1:, 0]) * 99)
+
+    def test_matches_normal_equations(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((50, 3))
+        regressors = [(i, 1) for i in range(3)]
+        kept, rss = LaggedCrossProducts(values, 1).fit(regressors, (0, 0))
+        X = np.column_stack(
+            [np.ones(49)] + [_column(values, 1, node) for node in regressors]
+        )
+        y = values[1:, 0]
+        beta = np.linalg.solve(X.T @ X, X.T @ y)
+        assert kept == regressors
+        assert rss == pytest.approx(float(y @ y - (X.T @ y) @ beta), rel=1e-10, abs=0.0)
+
+    def test_rss_consistent_with_residuals(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal((200, 3))
         regressors = [(i, lag) for i in range(3) for lag in (1, 2)]
@@ -55,13 +85,10 @@ class TestFit:
         assert kept == regressors
         assert rss == pytest.approx(float(resid @ resid), rel=1e-12, abs=0.0)
 
-    def test_exact_fit_has_zero_rss(self):
-        # y_t = 3 x_{t-1} + 2: the response's last pivot cancels to rounding
-        x = np.random.default_rng(1).standard_normal(100)
-        values = np.column_stack([np.r_[0.0, 3.0 * x[:-1] + 2.0], x])
-        kept, rss = LaggedCrossProducts(values, 1).fit([(1, 1)], (0, 0))
-        assert kept == [(1, 1)]
-        assert 0.0 <= rss <= 1e-12 * float(np.var(values[1:, 0]) * 99)
+
+class TestFit:
+    """LaggedCrossProducts.fit drops a regressor collinear with those
+    before it instead of rejecting the design."""
 
     def test_collinear_regressor_dropped(self):
         # v3 is constant, v2 an affine copy of v1 and v4 a copy of v1 plus
