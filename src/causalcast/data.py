@@ -349,11 +349,6 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
     if not rows:
         raise ParseError(f"{path} has no data rows")
     rows.sort(key=lambda item: item[0])
-
-    if target_name not in variable_names:
-        raise UnknownTarget(
-            f"target {target_name!r} not among columns {variable_names}"
-        )
     return TimeSeriesDataset(
         variable_names=tuple(variable_names),
         timestamps=tuple(date for date, _ in rows),

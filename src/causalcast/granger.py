@@ -17,7 +17,7 @@ from enum import Enum
 from scipy.special import betainc
 
 from .data import TimeSeriesDataset
-from .errors import InsufficientHistory, InvalidArgument
+from .errors import InsufficientHistory
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
@@ -87,11 +87,10 @@ class GrangerResults(list):
 
 def mvgc_test(
     dataset: TimeSeriesDataset,
-    target: str | None = None,
     max_lag: int = DEFAULT_MAX_LAG,
     alpha: float = DEFAULT_ALPHA,
 ) -> GrangerResults:
-    """Granger F-tests of every non-target variable into the target.
+    """Granger F-tests of every other variable into the dataset's target.
 
     Expects a preprocessed (imputed, normalized) dataset.  Every RSS is
     the squared last pivot of one Cholesky of the lag columns' centered
@@ -103,9 +102,6 @@ def mvgc_test(
     tests at ``alpha``.
     """
     check_max_lag(max_lag)
-    target = target if target is not None else dataset.target_name
-    if target not in dataset.variable_names:
-        raise InvalidArgument(f"unknown target {target!r}")
     values = dataset.values
     T, N = values.shape
     if T <= N * max_lag + max_lag + 10:
@@ -113,7 +109,7 @@ def mvgc_test(
             f"T = {T} but conditional Granger testing at max_lag {max_lag} "
             f"with {N} variables needs T > {N * max_lag + max_lag + 10}"
         )
-    t = dataset.variable_names.index(target)
+    t = dataset.target_index
     cross = LaggedCrossProducts(values, max_lag)
     lags = range(1, max_lag + 1)
     kept, rss_full = cross.fit([(i, lag) for i in range(N) for lag in lags], (t, 0))

@@ -38,8 +38,8 @@ from .stats import (
 )
 
 # Daily-scale runs keep at most this many most recent timesteps unless
-# the caller overrides (0 keeps every step); discovery cost grows
-# superlinearly with T.
+# the caller overrides (0 keeps every step): on long daily panels the cap
+# bounds the rows that discovery reads.
 DEFAULT_MAX_SAMPLES = 8000
 
 
@@ -181,31 +181,14 @@ class CausalGraph:
 
 
 # ---------------------------------------------------------------------------
-# shared cross-products
-# ---------------------------------------------------------------------------
-
-def _cross_products(
-    dataset: TimeSeriesDataset, max_lag: int, shared: LaggedCrossProducts | None
-) -> LaggedCrossProducts:
-    """``shared`` if it was built for this dataset and max_lag, else a new one."""
-    if shared is None:
-        return LaggedCrossProducts(dataset.values, max_lag)
-    if shared.values is not dataset.values or shared.max_lag != max_lag:
-        raise InvalidArgument("shared cross-products belong to another dataset or max_lag")
-    return shared
-
-
-# ---------------------------------------------------------------------------
 # phase 1: lagged condition selection
 # ---------------------------------------------------------------------------
 
 def pc1_condition_selection(
-    dataset: TimeSeriesDataset,
+    cross: LaggedCrossProducts,
+    names: tuple[str, ...],
     target_var: str,
-    max_lag: int,
     pc_alpha: float = DEFAULT_ALPHA,
-    *,
-    shared: LaggedCrossProducts | None = None,
 ) -> list[Candidate]:
     """Iteratively prune lagged parent candidates of one variable.
 
@@ -214,16 +197,14 @@ def pc1_condition_selection(
     statistic from the previous round, ties by variable index then lag).
     Candidates with p > pc_alpha after a full sweep are removed; rounds
     stop once q exceeds the number of remaining other candidates.
-    Returns survivors sorted by |statistic| descending.  ``shared``
-    cross-products, built once by :func:`run_pcmci_plus`, save building
-    them here.
+    Returns survivors sorted by |statistic| descending.  ``cross`` is the
+    lagged panel :func:`run_pcmci_plus` builds once for all three phases,
+    and ``names`` labels its columns.
     """
-    cross = _cross_products(dataset, max_lag, shared)
-    N = dataset.n_variables
-    target = (dataset.variable_names.index(target_var), 0)
+    target = (names.index(target_var), 0)
 
     survivors: list[tuple[int, int]] = [
-        (i, lag) for i in range(N) for lag in range(1, max_lag + 1)
+        (i, lag) for i in range(len(names)) for lag in range(1, cross.max_lag + 1)
     ]
     stat: dict[tuple[int, int], float] = {}
     pval: dict[tuple[int, int], float] = {}
@@ -245,7 +226,7 @@ def pc1_condition_selection(
 
     return [
         Candidate(
-            variable=dataset.variable_names[i],
+            variable=names[i],
             lag=lag,
             statistic=stat[(i, lag)],
             p_value=pval[(i, lag)],
@@ -265,33 +246,28 @@ def _rank(
 # ---------------------------------------------------------------------------
 
 def mci_test(
-    dataset: TimeSeriesDataset,
+    cross: LaggedCrossProducts,
+    names: tuple[str, ...],
     link: tuple[str, int, str],
     parents_of_target: list[Candidate],
     parents_of_source: list[Candidate],
-    max_lag: int,
-    *,
-    shared: LaggedCrossProducts | None = None,
 ) -> CITestResult:
     """MCI test of (source at t - lag) vs (target at t).
 
     Conditions on the target's parents minus the tested link, plus the
     source's parents shifted back by the link lag; samples align over
     t = max_lag + lag .. T-1 so every conditioning node is observable.
-    ``shared`` is as for :func:`pc1_condition_selection`.
     """
     source, lag, target = link
-    if lag < 0 or lag > max_lag:
-        raise InvalidArgument(f"link lag {lag} outside 0..{max_lag}")
-    names = dataset.variable_names
+    if lag < 0 or lag > cross.max_lag:
+        raise InvalidArgument(f"link lag {lag} outside 0..{cross.max_lag}")
     i, j = names.index(source), names.index(target)
 
     target_nodes = [(names.index(c.variable), c.lag) for c in parents_of_target]
     conds = [node for node in target_nodes if node != (i, lag)] + [
         (names.index(c.variable), c.lag + lag) for c in parents_of_source
     ]
-    cross = _cross_products(dataset, max_lag, shared)
-    return cross.test((i, lag), (j, 0), conds, start=max_lag + lag)
+    return cross.test((i, lag), (j, 0), conds, start=cross.max_lag + lag)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +275,10 @@ def mci_test(
 # ---------------------------------------------------------------------------
 
 def contemporaneous_phase(
-    dataset: TimeSeriesDataset,
+    cross: LaggedCrossProducts,
+    names: tuple[str, ...],
     lagged_parents: dict[str, list[Candidate]],
     pc_alpha: float = DEFAULT_ALPHA,
-    max_lag: int | None = None,
-    *,
-    shared: LaggedCrossProducts | None = None,
 ) -> list[CausalLink]:
     """Discover and (partially) orient same-timestep links.
 
@@ -313,18 +287,11 @@ def contemporaneous_phase(
     strongest other contemporaneous neighbors; pairs with p > pc_alpha
     drop out, remembering that neighbor subset as their separating set.
     Surviving links are oriented by unshielded colliders and Meek rule 1
-    where possible.  ``shared`` is as for :func:`pc1_condition_selection`.
+    where possible.
     """
-    names = dataset.variable_names
     N = len(names)
     if N < 2:
         return []
-    if max_lag is None:
-        max_lag = max(
-            (c.lag for cands in lagged_parents.values() for c in cands),
-            default=1,
-        )
-    cross = _cross_products(dataset, max_lag, shared)
 
     parent_nodes: dict[int, list[tuple[int, int]]] = {}
     for i, name in enumerate(names):
@@ -333,7 +300,6 @@ def contemporaneous_phase(
         ]
 
     adjacent: set[tuple[int, int]] = {(i, j) for i in range(N) for j in range(i + 1, N)}
-    strength: dict[tuple[int, int], float] = {}
     p_max: dict[tuple[int, int], float] = {}
     last_stat: dict[tuple[int, int], float] = {}
     sepset: dict[tuple[int, int], frozenset[int]] = {}
@@ -350,8 +316,8 @@ def contemporaneous_phase(
         for a, b in pairs:
             others = sorted(
                 (neighbors[a] | neighbors[b]) - {a, b},
-                key=lambda k: (-strength.get(_pair(k, a), 0.0)
-                               - strength.get(_pair(k, b), 0.0), k),
+                key=lambda k: (-abs(last_stat.get(_pair(k, a), 0.0))
+                               - abs(last_stat.get(_pair(k, b), 0.0)), k),
             )
             if q > len(others):
                 continue
@@ -362,7 +328,6 @@ def contemporaneous_phase(
                 (b, 0),
                 parent_nodes[a] + parent_nodes[b] + [(k, 0) for k in subset],
             )
-            strength[(a, b)] = abs(res.statistic)
             last_stat[(a, b)] = res.statistic
             p_max[(a, b)] = max(p_max.get((a, b), 0.0), res.p_value)
             if res.p_value > pc_alpha:
@@ -475,22 +440,19 @@ def run_pcmci_plus(
     check_alpha(pc_alpha)
     check_max_samples(max_samples)
     work = dataset.rows(-max_samples) if max_samples else dataset
+    names = work.variable_names
     cross = LaggedCrossProducts(work.values, max_lag)
-    parents = {
-        var: pc1_condition_selection(work, var, max_lag, pc_alpha, shared=cross)
-        for var in work.variable_names
-    }
+    parents = {var: pc1_condition_selection(cross, names, var, pc_alpha) for var in names}
 
     links: list[CausalLink] = []
-    for target in work.variable_names:
+    for target in names:
         for cand in parents[target]:
             res = mci_test(
-                work,
+                cross,
+                names,
                 (cand.variable, cand.lag, target),
                 parents_of_target=parents[target],
                 parents_of_source=parents[cand.variable],
-                max_lag=max_lag,
-                shared=cross,
             )
             if res.p_value <= pc_alpha:
                 links.append(
@@ -504,11 +466,9 @@ def run_pcmci_plus(
                     )
                 )
 
-    links.extend(
-        contemporaneous_phase(work, parents, pc_alpha, max_lag=max_lag, shared=cross)
-    )
+    links.extend(contemporaneous_phase(cross, names, parents, pc_alpha))
     return CausalGraph(
-        variables=work.variable_names,
+        variables=names,
         max_lag=max_lag,
         links=tuple(links),
         alpha=pc_alpha,

@@ -158,7 +158,7 @@ class TestCsv:
     def test_unknown_target_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("date,x\n2000-01-01,1\n")
-        with pytest.raises(UnknownTarget):
+        with pytest.raises(UnknownTarget, match="not among variables"):
             load_csv(path, "y", "monthly")
 
     def test_summary_file(self, tmp_path):
