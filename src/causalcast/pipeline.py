@@ -548,6 +548,7 @@ def _run_cell(
             "frequency": freq.value,
             "variant": variant.value,
             "lead": lead,
+            "features": list(feature_set.features),
             "n_train": history.n_train,
             "n_val": history.n_val,
             "best_epoch": history.best_epoch,

@@ -3,15 +3,16 @@
 One core answers all of discovery: :class:`LaggedCrossProducts` holds
 the centered cross-products of a panel's lagged columns, and each MVGC
 regression and each PCMCI+ CI test is one small Cholesky factorization
-of a block of it (a PC1 round's tests share one).  One pivot guard,
-:func:`_kept`, is the collinearity rule for both: an MVGC fit drops a
-lag column that trips it.  Around that core: linear partial correlation
-with a t-distributed statistic, whose verdict rules live once, in
-:func:`_verdicts`; SVD least squares as the exact fallback for CI-test
-blocks too close to singular; F/t distribution tails
-through the regularized incomplete beta function; and Benjamini-Hochberg
-step-up FDR control.  The functions are pure; callers may evaluate many
-tests in parallel.
+of a block of it (a PC1 round's tests share one).  One helper,
+:func:`_factor`, makes every such factorization, and one pivot guard,
+:func:`_kept`, is the collinearity rule for all of them: a regressor or
+conditioning column that trips it is dropped, and an x or y that trips
+it given the conditions is a degenerate test.  Around that core: linear
+partial correlation with a t-distributed statistic, whose verdict rules
+live once, in :func:`_verdicts`; F/t distribution tails through the
+regularized incomplete beta function; and Benjamini-Hochberg step-up
+FDR control.  The functions are pure; callers may evaluate many tests
+in parallel.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ from scipy.special import betainc
 
 from .errors import InsufficientHistory, InvalidArgument
 
-# Singular values below RANK_RTOL * s_max count as zero in
-# partial_correlation's SVD fallback.
-RANK_RTOL = 1e-10
-
 # A Cholesky pivot that keeps less than this share of its column's
 # centered sum of squares marks a duplicated or collinear column: an MVGC
-# fit drops that lag column, and a CI test takes the SVD path, whose
-# verdicts on such blocks are exact.
+# fit or a CI test drops that regressor or conditioning column, and a CI
+# test whose x or y trips it given the conditions reports independence.
 PIVOT_RTOL = 1e-8
 
 # Discovery defaults shared by both engines, the experiment config and
@@ -68,11 +65,8 @@ def partial_correlation(
 
     Both series are regressed on [conditioning, intercept]; the statistic
     is the Pearson correlation of the residuals, with a two-sided t-test
-    at dof = n - #conditions - 2.  Zero-variance residuals are reported
-    as independence (statistic 0, p 1) so constant columns are silently
-    non-causal.  The residual sums come from :func:`partial_correlation_block`
-    on the columns' own cross-products, or from an SVD least-squares fit
-    where that block is too close to singular.
+    at dof = n - #conditions kept - 2.  The columns are centered here, and
+    :func:`partial_correlation_block` answers from their cross-products.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -87,52 +81,43 @@ def partial_correlation(
             z = z[:, None]
         if z.shape[0] != n:
             raise InvalidArgument("conditioning rows must match x length")
-    norm_x, norm_y = math.sqrt(float(x @ x)), math.sqrt(float(y @ y))
     cols = np.column_stack([z, x, y])
     centered = cols - cols.mean(axis=0)
-    res = partial_correlation_block(centered.T @ centered, norm_x, norm_y, n)
-    if res is not None:
-        return res
-
-    # Centered columns carry the intercept, so the rank rule sees each
-    # column's spread, not its mean (beside an intercept column, a column
-    # at 1e6 +- 1 falls below RANK_RTOL).  lstsq without a rank gate:
-    # collinear conditioning columns simply waste dof here, they do not
-    # invalidate the residualization.
-    design, rhs = centered[:, :-2], centered[:, -2:]
-    beta, _, _, _ = np.linalg.lstsq(design, rhs, rcond=RANK_RTOL)
-    resid = rhs - design @ beta
-    rx, ry = resid[:, 0], resid[:, 1]
-    return _verdict(
-        float(rx @ ry),
-        math.sqrt(float(rx @ rx)),
-        math.sqrt(float(ry @ ry)),
-        norm_x,
-        norm_y,
-        n - z.shape[1] - 2,
+    return partial_correlation_block(
+        centered.T @ centered, math.sqrt(float(x @ x)), math.sqrt(float(y @ y)), n
     )
 
 
 def partial_correlation_block(
     cross: np.ndarray, norm_x: float, norm_y: float, n: int
-) -> CITestResult | None:
+) -> CITestResult:
     """Partial correlation of the last two of k+2 columns given the first k.
 
     ``cross`` is the columns' centered cross-product matrix over ``n``
     rows, so the intercept is already regressed out; ``norm_x`` and
     ``norm_y`` are the raw (uncentered) norms of x and y.  With
-    cross = L L^T, the last 2x2 block of L holds the residual sums of x
-    and y given [Z, intercept]: r_xx = L[x,x]^2, r_xy = L[y,x] L[x,x] and
-    r_yy = L[y,x]^2 + L[y,y]^2.  Returns None, for the caller to take the
-    SVD path, where :func:`_cholesky` does.
+    cross = L L^T over the conditioning columns :func:`_factor` keeps,
+    the last 2x2 block of L holds the residual sums of x and y given
+    [Z, intercept]: r_xx = L[x,x]^2, r_xy = L[y,x] L[x,x] and
+    r_yy = L[y,x]^2 + L[y,y]^2.  An x or y whose residual trips
+    :func:`_kept` is degenerate (statistic 0, p 1), so constant and
+    duplicated columns are silently non-causal.
     """
     k = cross.shape[0] - 2
     _check_history(n, k)
-    low = _cholesky(cross)
-    if low is None:
-        return None
-    sx, yx, yy = float(low[k, k]), float(low[k + 1, k]), float(low[k + 1, k + 1])
-    return _verdict(yx * sx, sx, math.hypot(yx, yy), norm_x, norm_y, n - k - 2)
+    low, kept, info = _factor(cross, k)
+    k = len(kept)
+    # dpotrf stops at x where x lies in the span of Z, and at y where y
+    # lies in that of Z and x; that pivot and any after it read 0
+    pivots = np.diagonal(low)[k:].copy()
+    if info:
+        pivots[info - k - 1 :] = 0.0
+    sx, yx = float(pivots[0]), float(low[k + 1, k])
+    sy = math.hypot(yx, float(pivots[1]))
+    c_xx, c_yy = np.diagonal(cross)[-2:]
+    sx = sx if _kept(sx * sx, c_xx) else 0.0
+    sy = sy if _kept(sy * sy, c_yy) else 0.0
+    return _verdict(yx * sx, sx, sy, norm_x, norm_y, n - k - 2)
 
 
 def _check_history(n: int, k: int) -> None:
@@ -147,14 +132,29 @@ def _kept(pivot_sq: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return (pivot_sq > 0.0) & (pivot_sq >= PIVOT_RTOL * diag)
 
 
-def _cholesky(cross: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of a centered cross-product block (the upper
-    triangle is left as it was), or None where the factorization fails or
-    a pivot trips :func:`_kept`."""
-    low, info = dpotrf(cross, lower=1, clean=0)
-    if info != 0 or not _kept(np.diagonal(low) ** 2, np.diagonal(cross)).all():
-        return None
-    return low
+def _factor(block: np.ndarray, k: int) -> tuple[np.ndarray, list[int], int]:
+    """Lower Cholesky factor of a centered cross-product block whose first
+    ``k`` columns are regressors or conditions (the upper triangle is left
+    as it was): the factor, the indices of the first k columns kept, and
+    dpotrf's ``info``, 0 or 1 + the column after them where it stopped.
+
+    The first of those k columns whose pivot trips :func:`_kept`, or where
+    the factorization stops, is collinear with those before it: it is
+    dropped, and the block of what is left is factored again.
+    """
+    kept, sub = list(range(k)), block
+    while True:
+        low, info = dpotrf(sub, lower=1, clean=0)
+        # dpotrf stops at column info - 1; the pivots before it are final
+        done = min(info - 1 if info else len(kept), len(kept))
+        pivot_sq, diag = np.diagonal(low)[:done] ** 2, np.diagonal(sub)[:done]
+        tripped = np.flatnonzero(~_kept(pivot_sq, diag))
+        drop = int(tripped[0]) if tripped.size else done
+        if drop == len(kept):
+            return low, kept, info
+        del kept[drop]
+        idx = kept + list(range(k, block.shape[0]))
+        sub = block.take(idx, 0).take(idx, 1)
 
 
 def _verdicts(rxy, sx, sy, norm_x, norm_y, dof: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,17 +185,6 @@ def _column(values: np.ndarray, start: int, node: tuple[int, int]) -> np.ndarray
     return values[start - lag : values.shape[0] - lag, i]
 
 
-def _conditions(
-    values: np.ndarray, start: int, nodes: list[tuple[int, int]]
-) -> np.ndarray | None:
-    """Conditioning matrix over rows t = start..T-1: one :func:`_column`
-    per distinct node, in order of first appearance; None if no nodes."""
-    distinct = list(dict.fromkeys(nodes))
-    if not distinct:
-        return None
-    return np.column_stack([_column(values, start, node) for node in distinct])
-
-
 # ---------------------------------------------------------------------------
 # lagged cross-products
 # ---------------------------------------------------------------------------
@@ -213,11 +202,10 @@ class LaggedCrossProducts:
     factorization: :meth:`fit`, :meth:`test`, and :meth:`test_each` for a
     PC1 round's shared conditioning set.  MCI tests start later and reach
     further back; :meth:`test` builds their blocks from each variable's
-    contiguous centered series.  The pivot guard is the one collinearity
-    rule: :meth:`fit` drops a lag column that trips it, and a CI test
-    whose block trips it falls back to :func:`partial_correlation` on the
-    stacked columns.  Counts the CI tests it answers and their largest
-    conditioning set.
+    contiguous centered series.  :func:`_factor` makes every one of those
+    factorizations, so the pivot guard is the one collinearity rule: a
+    regressor or conditioning column that trips it is dropped.  Counts the
+    CI tests it answers and their largest conditioning set.
     """
 
     def __init__(self, values: np.ndarray, max_lag: int):
@@ -265,25 +253,12 @@ class LaggedCrossProducts:
         intercept: the regressors kept, and the residual sum of squares.
 
         One Cholesky of their block, with the response last, gives the RSS
-        as its squared last pivot (0 where the factorization stops there).
-        The first regressor whose pivot trips :func:`_kept`, or where the
-        factorization stops, is collinear with those before it: it is
-        dropped and the block is factored again.
+        as its squared last pivot (0 where the factorization stops there);
+        :func:`_factor` drops the regressors collinear with those before them.
         """
-        kept = list(regressors)
-        while True:
-            k = len(kept)
-            idx = self._index(kept + [response])
-            block = self.cross.take(idx, 0).take(idx, 1)
-            low, info = dpotrf(block, lower=1, clean=0)
-            # dpotrf stops at column info - 1; the pivots before it are final
-            done = min(info - 1 if info else k, k)
-            pivot_sq, diag = np.diagonal(low)[:done] ** 2, np.diagonal(block)[:done]
-            tripped = np.flatnonzero(~_kept(pivot_sq, diag))
-            drop = int(tripped[0]) if tripped.size else done
-            if drop == k:
-                return kept, 0.0 if info else float(low[-1, -1]) ** 2
-            del kept[drop]
+        idx = self._index(regressors + [response])
+        low, kept, info = _factor(self.cross.take(idx, 0).take(idx, 1), len(regressors))
+        return [regressors[i] for i in kept], 0.0 if info else float(low[-1, -1]) ** 2
 
     def test(
         self, x: Node, y: Node, conds: list[Node], start: int | None = None
@@ -292,14 +267,13 @@ class LaggedCrossProducts:
         over rows t = start..T-1 (by default max_lag..T-1), for nodes at
         any lag up to ``start``."""
         start = self.max_lag if start is None else start
+        for node in (x, y, *conds):
+            if not 0 <= node[1] <= start:
+                raise InvalidArgument(f"node {node} lags outside 0..{start}")
         nodes = list(dict.fromkeys(conds))
         _check_history(self.values.shape[0] - start, len(nodes))
         self.count(len(nodes))
-        return self._answer(x, y, nodes, start)
-
-    def _answer(self, x: Node, y: Node, nodes: list[Node], start: int) -> CITestResult:
-        res = partial_correlation_block(*self._block(start, nodes + [x, y]))
-        return res if res is not None else self._stacked(start, x, y, nodes)
+        return partial_correlation_block(*self._block(start, nodes + [x, y]))
 
     def _block(self, start: int, nodes: list[Node]) -> tuple[np.ndarray, float, float, int]:
         """Centered cross-products of ``nodes`` over rows t = start..T-1,
@@ -332,49 +306,30 @@ class LaggedCrossProducts:
         """Statistic and p-value of every node in ``xs`` against ``y``, each
         given the same distinct ``conds`` (none of them in ``xs``).
 
-        One Cholesky of the conditioning block, C_ZZ = L L^T, and one
-        triangular solve W = L^-1 C_Z[xs, y] answer them all: the residual
-        cross-products given [Z, intercept] are C_AB - W_A^T W_B.  The
-        pivots that x and y would add to L are checked against the guard
-        for each x, and one that trips it takes :meth:`test`'s path.
+        One Cholesky of the conditioning block, C_ZZ = L L^T over the
+        columns :func:`_factor` keeps, and one triangular solve
+        W = L^-1 C_Z[xs, y] answer them all: the residual cross-products
+        given [Z, intercept] are C_AB - W_A^T W_B.  An x or y whose
+        residual trips the pivot guard is degenerate (statistic 0, p 1),
+        as in :func:`partial_correlation_block`.
         """
-        k, m = len(conds), len(xs)
-        _check_history(self.n, k)
-        self.count(k, tests=m)
+        _check_history(self.n, len(conds))
+        self.count(len(conds), tests=len(xs))
         z, a = self._index(conds), self._index(xs)
         yi = int(self._index([y])[0])
-        low = _cholesky(self.cross[np.ix_(z, z)])
-        c_aa, c_ay, c_yy = self.cross[a, a], self.cross[a, yi], self.cross[yi, yi]
-        if low is None:
-            ok = np.zeros(m, dtype=bool)
-        else:
-            w = self.cross[np.ix_(z, np.append(a, yi))]
-            if k:  # W = L^-1 C_Z[xs, y]; LAPACK takes no empty system
-                w = dtrtrs(low, w, lower=1)[0]
-            wa, wy = w[:, :-1], w[:, -1]
-            r_aa = c_aa - np.einsum("ij,ij->j", wa, wa)
-            r_ay = c_ay - wy @ wa
-            r_yy = c_yy - wy @ wy
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ok = _kept(r_aa, c_aa) & _kept(r_yy - r_ay * r_ay / r_aa, c_yy)
-        stat, p = np.zeros(m), np.ones(m)
-        if ok.any():
-            stat[ok], p[ok] = _verdicts(
-                r_ay[ok], np.sqrt(r_aa[ok]), math.sqrt(r_yy),
-                self.norms[a[ok]], self.norms[yi], self.n - k - 2,
-            )
-        for j in np.flatnonzero(~ok):
-            res = self._answer(xs[j], y, conds, self.max_lag)
-            stat[j], p[j] = res.statistic, res.p_value
-        return stat, p
-
-    def _stacked(self, start: int, x: Node, y: Node, nodes: list[Node]) -> CITestResult:
-        """The test on stacked columns over rows start..T-1: the exact SVD
-        path for blocks too close to singular."""
-        return partial_correlation(
-            _column(self.values, start, x),
-            _column(self.values, start, y),
-            _conditions(self.values, start, nodes),
+        low, kept, _ = _factor(self.cross[np.ix_(z, z)], len(z))
+        w = self.cross[np.ix_(z[kept], np.append(a, yi))]
+        if kept:  # W = L^-1 C_Z[xs, y]; LAPACK takes no empty system
+            w = dtrtrs(low, w, lower=1)[0]
+        wa, wy = w[:, :-1], w[:, -1]
+        c_aa, c_yy = self.cross[a, a], self.cross[yi, yi]
+        r_aa = c_aa - np.einsum("ij,ij->j", wa, wa)
+        r_ay = self.cross[a, yi] - wy @ wa
+        r_yy = c_yy - wy @ wy
+        sx = np.sqrt(np.where(_kept(r_aa, c_aa), r_aa, 0.0))
+        sy = math.sqrt(r_yy) if _kept(r_yy, c_yy) else 0.0
+        return _verdicts(
+            r_ay, sx, sy, self.norms[a], self.norms[yi], self.n - len(kept) - 2
         )
 
 

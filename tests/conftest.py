@@ -1,10 +1,16 @@
 """Shared test helpers plus the acceptance-criteria summary hook."""
 
 import datetime as dt
+import math
 
 import numpy as np
 
 from causalcast import Frequency, TimeSeriesDataset
+from causalcast.stats import _column, _verdict
+
+# Singular values below RANK_RTOL * s_max count as zero in the
+# least-squares oracle.
+RANK_RTOL = 1e-10
 
 # Filled by tests/test_acceptance.py; printed after the run so each
 # criterion gets exactly one visible pass/fail line.
@@ -69,4 +75,39 @@ def noise_dataset(seed: int, T: int = 500, N: int = 5, frequency=Frequency.MONTH
         rng.standard_normal((T, N)),
         frequency=frequency,
         start=dt.date(1979, 1, 1),
+    )
+
+
+def conditions(values, start, nodes):
+    """Conditioning matrix over rows t = start..T-1: one column per
+    distinct node, in order of first appearance; None if no nodes."""
+    distinct = list(dict.fromkeys(nodes))
+    if not distinct:
+        return None
+    return np.column_stack([_column(values, start, node) for node in distinct])
+
+
+def lstsq_partial_correlation(x, y, conditioning=None, dof=None):
+    """Reference partial correlation: x and y regressed on [conditioning,
+    intercept] by SVD least squares, and the verdict on their residuals.
+
+    The dof defaults to n - #conditioning columns - 2; a caller whose
+    columns are collinear passes the dof of their known rank.
+    """
+    n = len(x)
+    z = np.empty((n, 0)) if conditioning is None else np.reshape(conditioning, (n, -1))
+    cols = np.column_stack([z, x, y])
+    # centered columns carry the intercept, so the rank rule sees each
+    # column's spread, not its mean (beside an intercept column, a column
+    # at 1e6 +- 1 falls below RANK_RTOL)
+    centered = cols - cols.mean(axis=0)
+    design, rhs = centered[:, :-2], centered[:, -2:]
+    rx, ry = (rhs - design @ np.linalg.lstsq(design, rhs, rcond=RANK_RTOL)[0]).T
+    return _verdict(
+        float(rx @ ry),
+        math.sqrt(float(rx @ rx)),
+        math.sqrt(float(ry @ ry)),
+        math.sqrt(float(x @ x)),
+        math.sqrt(float(y @ y)),
+        n - z.shape[1] - 2 if dof is None else dof,
     )

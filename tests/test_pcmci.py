@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci, stats
+from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci
 from causalcast.errors import InvalidArgument
 from causalcast.pcmci import (
+    Candidate,
     CausalGraph,
     CausalLink,
     LaggedCrossProducts,
@@ -11,9 +12,9 @@ from causalcast.pcmci import (
     mci_test,
     pc1_condition_selection,
 )
-from causalcast.stats import _column, _conditions, partial_correlation
+from causalcast.stats import _column, partial_correlation
 
-from conftest import make_dataset, noise_dataset
+from conftest import conditions, lstsq_partial_correlation, make_dataset, noise_dataset
 
 
 def ar1(seed, T=3000, phi=0.8):
@@ -51,27 +52,31 @@ def var_panel(seed, T=1500):
     return v
 
 
-def stacked_svd_only(monkeypatch):
-    """Send every CI test down the stacked-column SVD least-squares path:
-    no Cholesky pivot passes the guard."""
-    monkeypatch.setattr(stats, "PIVOT_RTOL", np.inf)
+def degenerate_panel():
+    """var_panel(22) with v3 shifted by 1e6, plus v4 constant and v5 an
+    exact copy of v1."""
+    base = var_panel(22)
+    base[:, 3] += 1e6
+    return np.column_stack([base, np.full(len(base), 0.3), base[:, 1]])
 
 
-def count_stacked_tests(monkeypatch):
-    """Wrap stats.partial_correlation, which every block falls back to;
-    returns the conditioning width of every call it sees."""
+def count_ci_tests(monkeypatch):
+    """Wrap LaggedCrossProducts.test (one test a call) and test_each (one
+    a candidate); returns the conditioning width of every test they see."""
     widths = []
+    test, test_each = LaggedCrossProducts.test, LaggedCrossProducts.test_each
 
-    def counted(x, y, z=None):
-        widths.append(0 if z is None else z.shape[1])
-        return partial_correlation(x, y, z)
+    def counted_test(self, x, y, conds, start=None):
+        widths.append(len(set(conds)))
+        return test(self, x, y, conds, start)
 
-    monkeypatch.setattr(stats, "partial_correlation", counted)
+    def counted_each(self, xs, y, conds):
+        widths.extend([len(set(conds))] * len(xs))
+        return test_each(self, xs, y, conds)
+
+    monkeypatch.setattr(LaggedCrossProducts, "test", counted_test)
+    monkeypatch.setattr(LaggedCrossProducts, "test_each", counted_each)
     return widths
-
-
-def link_table(graph):
-    return {(l.source, l.target, l.lag, l.oriented): l for l in graph.links}
 
 
 def panel(ds, max_lag):
@@ -293,10 +298,9 @@ class TestRun:
 
 
 class TestCrossProducts:
-    def test_matches_stacked_partial_correlation(self, monkeypatch):
+    def test_matches_stacked_partial_correlation(self):
         values, max_lag = var_panel(20), 4
         cross = LaggedCrossProducts(values, max_lag)
-        stacked = count_stacked_tests(monkeypatch)
         nodes = [(i, lag) for i in range(4) for lag in range(max_lag + 1)]
         rng = np.random.default_rng(21)
         for _ in range(60):
@@ -304,23 +308,20 @@ class TestCrossProducts:
             *conds, x, y = [nodes[p] for p in picked]
             conds += conds[:1]  # a repeated node is one conditioning column
             got = cross.test(x, y, conds)
-            want = partial_correlation(
+            want = lstsq_partial_correlation(
                 _column(values, max_lag, x),
                 _column(values, max_lag, y),
-                _conditions(values, max_lag, conds),
+                conditions(values, max_lag, conds),
             )
             assert got.effective_dof == want.effective_dof
             assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
             assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
-        assert stacked == []  # every test was answered from its block
         assert cross.tests == 60
 
-    def test_degenerate_columns_match_the_stacked_path(self, monkeypatch):
-        # v3 shifted by 1e6, v4 constant, v5 an exact copy of v1
-        base = var_panel(22)
-        base[:, 3] += 1e6
-        values = np.column_stack([base, np.full(len(base), 0.3), base[:, 1]])
-        ds = make_dataset(values, frequency=Frequency.DAILY)
+    def test_degenerate_columns_match_the_stacked_path(self):
+        # v5 copies v1 and v4 is constant: the reference dof counts the
+        # distinct non-constant columns, a rank the panel fixes by design
+        values = degenerate_panel()
         extras = ([], [(0, 1)], [(2, 2), (3, 1)])
         cases = [
             case
@@ -336,36 +337,34 @@ class TestCrossProducts:
             ((3, 1), (2, 0), [(0, 1), (3, 2)]),
             ((1, 1), (3, 0), [(4, 2), (3, 1)]),
         ]
-        got = [LaggedCrossProducts(values, 3).test(*case) for case in cases]
-        graph = run_pcmci_plus(ds, max_lag=3)
-        stacked_svd_only(monkeypatch)
-        want = [LaggedCrossProducts(values, 3).test(*case) for case in cases]
-        reference = run_pcmci_plus(ds, max_lag=3)
+        n = len(values) - 3
+        got, want = [], []
+        for x, y, conds in cases:
+            got.append(LaggedCrossProducts(values, 3).test(x, y, conds))
+            rank = len({(1, l) if i == 5 else (i, l) for i, l in conds if i != 4})
+            want.append(lstsq_partial_correlation(
+                _column(values, 3, x),
+                _column(values, 3, y),
+                conditions(values, 3, conds),
+                dof=n - rank - 2,
+            ))
 
         assert sum((w.statistic, w.p_value) == (0.0, 1.0) for w in want) == 55
         for g, w in zip(got, want):
             assert g.effective_dof == w.effective_dof
             assert g.statistic == pytest.approx(w.statistic, rel=1e-9, abs=0.0)
             assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=0.0)
-        links, ref_links = link_table(graph), link_table(reference)
-        assert links.keys() == ref_links.keys()
-        for key, link in links.items():
-            assert link.statistic == pytest.approx(ref_links[key].statistic, rel=1e-9, abs=0.0)
-            assert link.p_value == pytest.approx(ref_links[key].p_value, rel=1e-9, abs=0.0)
+        graph = run_pcmci_plus(make_dataset(values, frequency=Frequency.DAILY), max_lag=3)
+        assert "v4" not in {name for l in graph.links for name in (l.source, l.target)}
 
     def test_graph_counts_every_ci_test(self, monkeypatch):
-        # the stacked path calls partial_correlation once per CI test, as
-        # every test did before the shared cross-products: 167 tests, at
-        # most 5 conditioning columns on this panel
+        # counted one per test call and one per batched candidate: 167
+        # tests, at most 5 conditioning columns on this panel
         ds = make_dataset(var_panel(30), frequency=Frequency.DAILY)
+        widths = count_ci_tests(monkeypatch)
         graph = run_pcmci_plus(ds, max_lag=3)
-        stacked_svd_only(monkeypatch)
-        widths = count_stacked_tests(monkeypatch)
-        reference = run_pcmci_plus(ds, max_lag=3)
         assert (graph.ci_tests, graph.max_cond_dim) == (167, 5)
         assert (len(widths), max(widths)) == (167, 5)
-        assert (reference.ci_tests, reference.max_cond_dim) == (167, 5)
-        assert link_table(reference).keys() == link_table(graph).keys()
         doc = graph.to_dict()
         assert (doc["ci_tests"], doc["max_cond_dim"]) == (167, 5)
         assert CausalGraph.from_dict(doc) == graph
@@ -374,56 +373,80 @@ class TestCrossProducts:
         values, max_lag = var_panel(23), 4
         nodes = [(i, lag) for i in range(4) for lag in range(1, max_lag + 1)]
         rng = np.random.default_rng(24)
+        rounds = []
         for q in range(9):
             picked = [nodes[p] for p in rng.permutation(len(nodes))]
-            conds, xs, y = picked[:q], picked[q:], (int(rng.integers(4)), 0)
-            cross = LaggedCrossProducts(values, max_lag)
+            rounds.append((values, picked[q:], (int(rng.integers(4)), 0), picked[:q]))
+        # a copied and a constant condition are dropped from the round's dof
+        rounds.append((degenerate_panel(), [(0, 1), (2, 1), (3, 2)], (0, 0),
+                       [(1, 1), (5, 1), (4, 2)]))
+        # y = x + z with x independent of z: given z, y's residual is x's
+        x, z = rng.standard_normal((2, 500))
+        rounds.append((np.column_stack([x, z, x + z]), [(0, 0)], (2, 0), [(1, 0)]))
+        for panel_values, xs, y, conds in rounds:
+            cross = LaggedCrossProducts(panel_values, max_lag)
             stat, p = cross.test_each(xs, y, conds)
-            assert (cross.tests, cross.max_cond_dim) == (len(xs), q)
+            assert (cross.tests, cross.max_cond_dim) == (len(xs), len(conds))
             for x, s, pv in zip(xs, stat, p):
                 want = cross.test(x, y, conds)
                 assert s == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
                 assert pv == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+        # the batched round itself reads the exact dependence
+        assert abs(stat[0]) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert p[0] == 0.0
 
-    def test_batched_round_falls_back_per_candidate(self, monkeypatch):
-        # v5 copies v1 and v4 is constant: given (1, 1), candidate (5, 1)
-        # and every v4 node trip the pivot guard, the others do not
-        base = var_panel(22)
-        base[:, 3] += 1e6
-        values = np.column_stack([base, np.full(len(base), 0.3), base[:, 1]])
+    def test_batched_round_falls_back_per_candidate(self):
+        # given (1, 1), candidate (5, 1), a copy of it, and every node of
+        # the constant v4 trip the pivot guard: their batched verdicts are
+        # those of the per-test path, which reports independence
+        values = degenerate_panel()
         nodes = [(i, lag) for i in range(6) for lag in (1, 2, 3)]
         xs = [node for node in nodes if node != (1, 1)]
-        stacked = count_stacked_tests(monkeypatch)
         stat, p = LaggedCrossProducts(values, 3).test_each(xs, (0, 0), [(1, 1)])
-        assert len(stacked) == 4
-        monkeypatch.undo()
         for x, s, pv in zip(xs, stat, p):
             want = LaggedCrossProducts(values, 3).test(x, (0, 0), [(1, 1)])
             assert s == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
             assert pv == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+        degenerate = [x for x, s, pv in zip(xs, stat, p) if (s, pv) == (0.0, 1.0)]
+        assert degenerate == [(4, 1), (4, 2), (4, 3), (5, 1)]
 
     @pytest.mark.parametrize("lag", [0, 1, 3])
-    def test_mci_blocks_match_stacked_columns(self, monkeypatch, lag):
+    def test_mci_blocks_match_stacked_columns(self, lag):
         values, max_lag = var_panel(25), 3
         start = max_lag + lag
         nodes = [(i, l) for i in range(4) for l in range(start + 1)]
         cross = LaggedCrossProducts(values, max_lag)
-        stacked = count_stacked_tests(monkeypatch)
         rng = np.random.default_rng(26)
         for _ in range(30):
             picked = rng.choice(len(nodes), int(rng.integers(2, 12)), replace=False)
             *conds, x, y = [nodes[p] for p in picked]
             got = cross.test(x, y, conds + conds[:1], start=start)
-            want = partial_correlation(
+            want = lstsq_partial_correlation(
                 _column(values, start, x),
                 _column(values, start, y),
-                _conditions(values, start, conds),
+                conditions(values, start, conds),
             )
             assert got.effective_dof == want.effective_dof
             assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
             assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
-        assert stacked == []
         assert cross.tests == 30
+
+    def test_node_past_start_rejected(self):
+        # a node lagged past the first row would read another variable's
+        # rows, or none at all
+        values = np.random.default_rng(28).standard_normal((300, 3))
+        cross = LaggedCrossProducts(values, 2)
+        with pytest.raises(InvalidArgument, match=r"node \(0, 4\)"):
+            cross.test((0, 4), (1, 0), [], start=3)
+        with pytest.raises(InvalidArgument, match=r"node \(1, 3\)"):
+            cross.test((0, 1), (2, 0), [(1, 3)])
+        with pytest.raises(InvalidArgument, match=r"node \(0, -1\)"):
+            cross.test((0, -1), (1, 0), [])
+        # a parent list from a run at a larger max_lag
+        parents = [Candidate("a", 5, 0.5, 0.001)]
+        with pytest.raises(InvalidArgument, match=r"node \(0, 5\)"):
+            mci_test(cross, ("a", "b", "c"), ("b", 1, "c"), parents, [])
+        assert cross.tests == 0
 
 
 class TestGraphContainer:

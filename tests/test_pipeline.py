@@ -14,6 +14,7 @@ from causalcast import (
     TrainConfig,
     derive_seed,
     generate_var,
+    load_checkpoint,
     load_csv,
     mae,
     percentage_metrics,
@@ -291,6 +292,12 @@ class TestRunExperiment:
         ]
         for cell in cells:
             assert cell["n_train"] > cell["n_val"] > 0
+            # each entry names the input columns its checkpoint holds
+            ck = load_checkpoint(
+                tmp_path / "o"
+                / f"model_{cell['frequency']}_{cell['variant']}_lead{cell['lead']}.json"
+            )
+            assert cell["features"] == list(ck.features)
             curve = cell["validation_loss"]
             assert len(curve) == cell["stopped_epoch"] <= 6
             assert curve[cell["best_epoch"] - 1] == min(curve)

@@ -7,6 +7,7 @@ from scipy import stats as scipy_stats
 
 from causalcast.errors import InvalidArgument
 from causalcast.stats import (
+    CITestResult,
     LaggedCrossProducts,
     _column,
     benjamini_hochberg,
@@ -14,6 +15,8 @@ from causalcast.stats import (
     partial_correlation,
     t_cdf,
 )
+
+from conftest import lstsq_partial_correlation
 
 
 def f_pdf(x, d1, d2):
@@ -162,8 +165,8 @@ class TestPartialCorrelation:
         assert scaled.p_value == pytest.approx(base.p_value, abs=1e-10)
 
     def test_condition_far_from_zero_still_conditions(self):
-        # beside an intercept column, z + 1e6 falls below the SVD rank
-        # tolerance; the statistic must still see z's spread
+        # beside an intercept, z + 1e6 is all but collinear with it until
+        # centered; the statistic must still see z's spread
         rng = np.random.default_rng(8)
         n = 2000
         z = rng.standard_normal(n)
@@ -176,23 +179,21 @@ class TestPartialCorrelation:
 
     @pytest.mark.parametrize("k", [0, 1, 4, 12])
     def test_matches_least_squares_residuals(self, k):
-        # reference: residuals of x and y on [z, 1] by SVD least squares
         rng = np.random.default_rng(11 + k)
         n = 600
         z = rng.standard_normal((n, k))
         x = z @ rng.standard_normal(k) + rng.standard_normal(n) + 3.0
         y = 0.2 * x + z @ rng.standard_normal(k) + rng.standard_normal(n)
-        design = np.column_stack([z, np.ones(n)])
-        rhs = np.column_stack([x, y])
-        rx, ry = (rhs - design @ np.linalg.lstsq(design, rhs, rcond=None)[0]).T
-        r = (rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry))
         res = partial_correlation(x, y, z)
-        assert res.statistic == pytest.approx(r, rel=1e-12, abs=0.0)
-        assert res.effective_dof == n - k - 2
+        want = lstsq_partial_correlation(x, y, z)
+        assert res.statistic == pytest.approx(want.statistic, rel=1e-12, abs=0.0)
+        assert res.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+        assert res.effective_dof == want.effective_dof == n - k - 2
 
-    def test_duplicated_offset_conditions_fall_back_exactly(self):
-        # a repeated column makes the block singular, so the SVD path
-        # answers; it must still see w's spread under a 1e6 offset
+    def test_duplicated_offset_conditions_are_dropped(self):
+        # a repeated column trips the pivot guard and is dropped, so the
+        # test and its dof are those of one copy; it must still see w's
+        # spread under a 1e6 offset
         rng = np.random.default_rng(12)
         n = 2000
         w = rng.standard_normal(n)
@@ -202,7 +203,27 @@ class TestPartialCorrelation:
         twice = partial_correlation(x, y, np.column_stack([w, w]) + 1e6)
         assert abs(once.statistic) < 0.05
         assert twice.statistic == pytest.approx(once.statistic, rel=1e-6, abs=0.0)
-        assert twice.effective_dof == once.effective_dof - 1
+        assert twice.effective_dof == once.effective_dof
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_near_collinear_x_or_y_reports_independence(self, swap):
+        # x lies within 1e-6 of z: its residual given z trips the pivot
+        # guard, so the test is degenerate although that residual, e,
+        # drives y (an exact residual correlation would read about 0.65)
+        rng = np.random.default_rng(3)
+        n = 1000
+        z = rng.standard_normal(n)
+        e = rng.standard_normal(n)
+        x = z + 1e-6 * e
+        y = z + e + rng.standard_normal(n)
+        pair = (y, x) if swap else (x, y)
+        assert partial_correlation(*pair, z) == CITestResult(0.0, 1.0, n - 3)
+        # the same panel as lag-0 nodes (x, y, z) of the cross-product core
+        cross = LaggedCrossProducts(np.column_stack([*pair, z]), 1)
+        res = cross.test((0, 0), (1, 0), [(2, 0)])
+        assert (res.statistic, res.p_value) == (0.0, 1.0)
+        stat, p = cross.test_each([(0, 0)], (1, 0), [(2, 0)])
+        assert (stat.tolist(), p.tolist()) == ([0.0], [1.0])
 
     @pytest.mark.parametrize("coef", [0.0, 0.1, 0.3, 0.6, 2.0])
     def test_p_value_matches_scipy_tail(self, coef):
