@@ -41,7 +41,7 @@ from .data import (
     save_csv,
     write_summary,
 )
-from .errors import CausalcastError, ConfigError, InputError, ParseError
+from .errors import CausalcastError, ConfigError, InputError, ParseError, parse_errors
 from .granger import FeatureMethod, FeatureSet
 from .nn import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pcmci import CausalGraph, select_features_pcmci
@@ -208,16 +208,17 @@ def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples
 def _load_feature_set(source: str, dataset) -> FeatureSet:
     if source == "all":
         return FeatureSet(FeatureMethod.VANILLA, dataset.variable_names)
-    doc = json.loads(Path(source).read_text())
-    method = doc.get("method")
-    if method == "mvgc":
-        return FeatureSet(FeatureMethod.GC, tuple(doc["features"]))
-    if method == "pcmci+":
+    with parse_errors(source):
+        doc = json.loads(Path(source).read_text())
+        method = doc.get("method")
+        if method == "mvgc":
+            return FeatureSet(FeatureMethod.GC, tuple(doc["features"]))
+        if method != "pcmci+":
+            raise ConfigError(
+                f"{source}: unrecognized feature source (method {method!r})"
+            )
         graph = CausalGraph.from_dict(doc)
-        return select_features_pcmci(graph, dataset.target_name)
-    raise ConfigError(
-        f"{source}: unrecognized feature source (method {method!r})"
-    )
+    return select_features_pcmci(graph, dataset.target_name)
 
 
 @main.command("train")

@@ -7,6 +7,7 @@ code 1).
 """
 
 import numbers
+from contextlib import contextmanager
 
 
 class CausalcastError(Exception):
@@ -104,3 +105,17 @@ def check_integers(owner, names, error=InvalidArgument) -> None:
         value = getattr(owner, name)
         if not is_integer(value):
             raise error(f"{name} must be an integer, got {value!r}")
+
+
+@contextmanager
+def parse_errors(source):
+    """Re-raise a KeyError, TypeError or ValueError met while reading the
+    JSON document ``source`` as a ParseError naming it, and prefix
+    ``source`` to a ParseError: a missing key, a mistyped value or text
+    that is not JSON is bad input, not a program bug."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{source}: missing key {exc}") from exc
+    except (TypeError, ValueError, ParseError) as exc:
+        raise ParseError(f"{source}: {exc}") from exc

@@ -51,9 +51,6 @@ class FeatureSet:
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
 
-    def to_dict(self) -> dict:
-        return {"method": self.method.value, "features": list(self.features)}
-
 
 @dataclass(frozen=True)
 class GrangerResult:

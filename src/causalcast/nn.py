@@ -29,21 +29,21 @@ after the recurrent matmul (so the two candidate biases are not
 redundant), and the update convention h_t = (1 - z) * h_{t-1} + z * n_t.
 
 Internally the kernels are batch-last: ``_forward`` transposes the
-(B, tau, F) batch once to (T, F, B), and initial states (B, units) enter
-as (units, B).  Each layer keeps its states in one (T+1, units, B) array
-whose first row is the initial state, and each step computes its gate
-block as ``U.T @ h`` with shape (n * units, B), so every gate is a row
-block: one contiguous (units, B) slab.  The parameters keep the layout
-in the table above; ``U.T`` and ``W.T`` are views that BLAS reads with a
-transpose flag, so checkpoints are unaffected.  The input matmul is
-hoisted out of the time loop, each step activates its sigmoid gates
-([z, r] or [i, f, o]) with one in-place call, and backward computes the
-recursion-free derivative factors before its loop, then contracts the
-weight gradients over (t, b) from one (T*B, .) copy per operand.
+(B, tau, F) batch once to (T, F, B).  Each layer keeps its states in one
+(T+1, units, B) array whose first row is the zero initial state, and
+each step computes its gate block as ``U.T @ h`` with shape
+(n * units, B), so every gate is a row block: one contiguous (units, B)
+slab.  The parameters keep the layout in the table above; ``U.T`` and
+``W.T`` are views that BLAS reads with a transpose flag, so checkpoints
+are unaffected.  The input matmul is hoisted out of the time loop, each
+step activates its sigmoid gates ([z, r] or [i, f, o]) with one in-place
+call, and backward computes the recursion-free derivative factors before
+its loop, then contracts the weight gradients over (t, b) from one
+(T*B, .) copy per operand.
 Numerical checks run once per sequence: all hidden states must lie in
-[-1, 1] (a NaN fails this and reaches every later step), and the final
-LSTM cell state must be finite (tanh hides an infinite cell state from
-h, but it persists).
+[-1, 1] (a NaN fails this and reaches every later step).  The LSTM cell
+state needs no check of its own: from the zero state |c_t| <= t, because
+f, i lie in [0, 1] and |g| <= 1, and a NaN in c reaches h.
 
 ``train`` holds every parameter in one flat float64 buffer, with the
 model's arrays as named views into it, so one Adam update covers the
@@ -68,10 +68,18 @@ from .errors import (
     ParseError,
     ShapeError,
     check_integers,
+    parse_errors,
 )
 
 CHECKPOINT_FORMAT = "causalcast.checkpoint"
 CHECKPOINT_VERSION = 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+# windows per evaluation-mode forward pass in ``predict``
+PREDICT_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -106,9 +114,6 @@ class RecurrentModel:
 @dataclass
 class AdamState:
     learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -208,16 +213,12 @@ def _check_hidden(hs: np.ndarray, layer: str) -> None:
         raise NumericalError(f"{layer} hidden state non-finite or out of [-1, 1]")
 
 
-def _batch_last(x: np.ndarray) -> np.ndarray:
-    """(B, T, C) -> contiguous (T, C, B)."""
+def _batch_last(x) -> np.ndarray:
+    """(B, T, C) -> contiguous float64 (T, C, B)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"expected a batch B x T x C, got shape {x.shape}")
     return np.ascontiguousarray(x.transpose(1, 2, 0))
-
-
-def _state(s) -> np.ndarray:
-    """An initial state (units,) or (B, units) as a (units, 1) or
-    (units, B) column block."""
-    s = np.asarray(s, dtype=np.float64)
-    return s[:, None] if s.ndim == 1 else s.T
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -228,8 +229,8 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1).copy().reshape(T * B, C)
 
 
-def _gru_forward(params, x: np.ndarray, h0=None, want_cache: bool = False):
-    """GRU over batch-last ``x`` (T, F, B); states (T+1, G, B) hold h0 first."""
+def _gru_forward(params, x: np.ndarray, want_cache: bool = False):
+    """GRU over batch-last ``x`` (T, F, B); states (T+1, G, B), first row zero."""
     W, U = params["gru_W"], params["gru_U"]
     bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
     T, F, B = x.shape
@@ -237,7 +238,7 @@ def _gru_forward(params, x: np.ndarray, h0=None, want_cache: bool = False):
     if W.shape[0] != F:
         raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
     hs = np.empty((T + 1, G, B))
-    hs[0] = 0.0 if h0 is None else _state(h0)
+    hs[0] = 0.0
     # input projections; the loop turns them into the gates [z, r, n]
     gates = np.matmul(W.T, x)
     gates += bx
@@ -260,9 +261,9 @@ def _gru_forward(params, x: np.ndarray, h0=None, want_cache: bool = False):
     return hs, cache
 
 
-def _lstm_forward(params, x: np.ndarray, h0=None, c0=None, want_cache: bool = False):
+def _lstm_forward(params, x: np.ndarray, want_cache: bool = False):
     """LSTM over batch-last ``x`` (T, K, B); returns (T+1, L, B) hidden
-    and cell states, first row the initial state."""
+    and cell states, first row zero."""
     W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"]
     T, K, B = x.shape
     L = U.shape[0]
@@ -270,8 +271,8 @@ def _lstm_forward(params, x: np.ndarray, h0=None, c0=None, want_cache: bool = Fa
         raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
     hs = np.empty((T + 1, L, B))
     cs = np.empty((T + 1, L, B))
-    hs[0] = 0.0 if h0 is None else _state(h0)
-    cs[0] = 0.0 if c0 is None else _state(c0)
+    hs[0] = 0.0
+    cs[0] = 0.0
     # input projections; the loop turns them into the gates [i, f, o, g]
     gates = np.matmul(W.T, x)
     gates += b[:, None]
@@ -286,39 +287,22 @@ def _lstm_forward(params, x: np.ndarray, h0=None, c0=None, want_cache: bool = Fa
         tc = np.tanh(cs[t + 1], out=tcs[t] if want_cache else None)
         np.multiply(pre[2 * L : 3 * L], tc, out=hs[t + 1])
     _check_hidden(hs[1:], "LSTM")
-    if not np.all(np.isfinite(cs[-1])):
-        raise NumericalError("LSTM cell state non-finite")
     cache = dict(x=x, hs=hs, cs=cs, gates=gates, tc=tcs) if want_cache else None
     return hs, cs, cache
 
 
-def gru_forward(params, x_sequence, h0=None) -> np.ndarray:
-    """Hidden-state sequence of a GRU over ``x_sequence``.
-
-    Accepts one sequence (tau, F) or a batch (B, tau, F); the result
-    mirrors the input's leading dimensions with the feature axis
-    replaced by the hidden size.  ``h0`` is (G,) or one row per
-    sequence, (B, G).
-    """
-    x = np.asarray(x_sequence, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    hs, _ = _gru_forward(params, _batch_last(x), h0=h0)
-    hs = hs[1:].transpose(2, 0, 1)
-    return hs[0] if single else hs
+def gru_forward(params, x_sequence) -> np.ndarray:
+    """Hidden states (B, tau, G) of a GRU over a batch (B, tau, F),
+    from the zero state."""
+    hs, _ = _gru_forward(params, _batch_last(x_sequence))
+    return hs[1:].transpose(2, 0, 1)
 
 
-def lstm_forward(params, x_sequence, h0=None, c0=None):
-    """(hidden sequence, final cell state) of an LSTM over ``x_sequence``;
-    ``h0`` and ``c0`` are (L,) or (B, L)."""
-    x = np.asarray(x_sequence, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    hs, cs, _ = _lstm_forward(params, _batch_last(x), h0=h0, c0=c0)
-    hs, c = hs[1:].transpose(2, 0, 1), cs[-1].T
-    return (hs[0], c[0]) if single else (hs, c)
+def lstm_forward(params, x_sequence):
+    """(hidden states (B, tau, L), final cell state (B, L)) of an LSTM
+    over a batch (B, tau, K), from the zero state."""
+    hs, cs, _ = _lstm_forward(params, _batch_last(x_sequence))
+    return hs[1:].transpose(2, 0, 1), cs[-1].T
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +324,16 @@ def draw_dropout_masks(
 
 def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
     cfg = model.config
-    if x.ndim != 3:
-        raise ShapeError(f"batch must be B x tau x F, got shape {x.shape}")
-    if x.shape[1] != cfg.lookback or x.shape[2] != cfg.feature_count:
+    xb = _batch_last(x)
+    if xb.shape[:2] != (cfg.lookback, cfg.feature_count):
         raise ShapeError(
             f"batch windows are {x.shape[1]} x {x.shape[2]}, model expects "
             f"{cfg.lookback} x {cfg.feature_count}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(xb)):
         raise NumericalError("non-finite values in input batch")
     p = model.params
-    hs, gru_cache = _gru_forward(p, _batch_last(x), want_cache=want_cache)
+    hs, gru_cache = _gru_forward(p, xb, want_cache=want_cache)
     seq_mask = _batch_last(masks[0]) if masks is not None else None
     seq = hs[1:] * seq_mask if masks is not None else hs[1:]
     lstm_hs, _, lstm_cache = _lstm_forward(p, seq, want_cache=want_cache)
@@ -506,18 +489,9 @@ def backward(model: RecurrentModel, batch, targets, masks=None):
 # optimization
 # ---------------------------------------------------------------------------
 
-def adam_init(
-    params: dict[str, np.ndarray],
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def adam_init(params: dict[str, np.ndarray], learning_rate: float = 1e-3) -> AdamState:
     return AdamState(
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
         step=0,
         m={k: np.zeros_like(v) for k, v in params.items()},
         v={k: np.zeros_like(v) for k, v in params.items()},
@@ -527,40 +501,18 @@ def adam_init(
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update, in place; returns (params, state)."""
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for key, p in params.items():
         g = grads[key]
         m = state.m[key]
         v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     return params, state
-
-
-class EarlyStopping:
-    """Stop after `patience` epochs without strict improvement."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise InvalidArgument("patience must be >= 1")
-        self.patience = patience
-        self.best_loss = math.inf
-        self.best_epoch = 0
-        self.epochs_without_improvement = 0
-
-    def update(self, epoch: int, loss: float) -> bool:
-        """Record one epoch's validation loss; True means stop now."""
-        if loss < self.best_loss:
-            self.best_loss = loss
-            self.best_epoch = epoch
-            self.epochs_without_improvement = 0
-            return False
-        self.epochs_without_improvement += 1
-        return self.epochs_without_improvement >= self.patience
 
 
 # ---------------------------------------------------------------------------
@@ -574,14 +526,14 @@ def _window_arrays(windows) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
 
 
-def predict(model: RecurrentModel, inputs, batch_size: int = 512) -> np.ndarray:
+def predict(model: RecurrentModel, inputs) -> np.ndarray:
     """Evaluation-mode predictions flattened to shape (S,)."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[0] == 0:
         return np.empty(0)
     chunks = [
-        model_forward(model, x[s : s + batch_size])
-        for s in range(0, x.shape[0], batch_size)
+        model_forward(model, x[s : s + PREDICT_BATCH])
+        for s in range(0, x.shape[0], PREDICT_BATCH)
     ]
     return np.concatenate(chunks, axis=0)[:, 0]
 
@@ -611,7 +563,7 @@ def train(
 
     Each epoch shuffles the training samples, runs train-mode
     forward/backward/Adam per minibatch, then measures validation MSE in
-    evaluation mode.  Stops after `config.patience` epochs without
+    evaluation mode.  Stops after `config.patience` epochs without strict
     improvement (or at max_epochs) and restores the best epoch's
     weights, so the returned model never validates worse than any epoch
     seen.  One generator seeded with `config.seed` drives both shuffling
@@ -634,12 +586,10 @@ def train(
     # adam_step updates dicts of arrays; here each dict holds one buffer
     flat_params, flat_grads = {"all": flat}, {"all": grad}
     state = adam_init(flat_params, learning_rate=config.learning_rate)
-    stopper = EarlyStopping(config.patience)
-    best = flat.copy()
+    best, best_loss, best_epoch = flat.copy(), math.inf, 0
     train_losses: list[float] = []
     val_losses: list[float] = []
     n = x_tr.shape[0]
-    stopped = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         sse = 0.0
@@ -656,18 +606,17 @@ def train(
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
         train_losses.append(sse / n)
         val_losses.append(val_loss)
-        should_stop = stopper.update(epoch, val_loss)
-        if stopper.best_epoch == epoch:
+        if val_loss < best_loss:
+            best_loss, best_epoch = val_loss, epoch
             np.copyto(best, flat)
-        stopped = epoch
-        if should_stop:
+        elif epoch - best_epoch >= config.patience:
             break
     np.copyto(flat, best)
     return model, TrainHistory(
         train_loss=tuple(train_losses),
         validation_loss=tuple(val_losses),
-        best_epoch=stopper.best_epoch,
-        stopped_epoch=stopped,
+        best_epoch=best_epoch,
+        stopped_epoch=len(val_losses),
         n_train=n,
         n_val=x_va.shape[0],
     )
@@ -733,35 +682,44 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = json.loads(Path(path).read_text())
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ParseError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ParseError(
-            f"unsupported checkpoint version {blob.get('version')!r}"
+    with parse_errors(path):
+        blob = json.loads(Path(path).read_text())
+        if blob.get("format") != CHECKPOINT_FORMAT:
+            raise ParseError(f"not a {CHECKPOINT_FORMAT} file")
+        if blob.get("version") != CHECKPOINT_VERSION:
+            raise ParseError(
+                f"unsupported checkpoint version {blob.get('version')!r}"
+            )
+        config = ModelConfig(**blob["model"]["config"])
+        params = {k: _decode_array(v) for k, v in blob["model"]["params"].items()}
+        expected = {k: p.shape for k, p in init_model(config).params.items()}
+        wrong = sorted(
+            k for k in expected.keys() | params.keys()
+            if k not in params or params[k].shape != expected.get(k)
         )
-    model = RecurrentModel(
-        config=ModelConfig(**blob["model"]["config"]),
-        params={k: _decode_array(v) for k, v in blob["model"]["params"].items()},
-    )
-    return Checkpoint(
-        model=model,
-        features=tuple(blob.get("features", ())),
-        target=blob.get("target"),
-        lead=blob.get("lead"),
-        lead_steps=blob.get("lead_steps"),
-        frequency=(
-            Frequency(blob["frequency"]) if blob.get("frequency") else None
-        ),
-        normalization=(
-            NormalizationStats.from_dict(blob["normalization"])
-            if blob.get("normalization")
-            else None
-        ),
-        train_config=(
-            TrainConfig(**blob["train_config"])
-            if blob.get("train_config")
-            else None
-        ),
-        method=blob.get("method"),
-    )
+        if wrong:
+            raise ParseError(
+                f"parameters {', '.join(wrong)} missing, unknown or misshapen "
+                "for the model config"
+            )
+        return Checkpoint(
+            model=RecurrentModel(config=config, params=params),
+            features=tuple(blob.get("features", ())),
+            target=blob.get("target"),
+            lead=blob.get("lead"),
+            lead_steps=blob.get("lead_steps"),
+            frequency=(
+                Frequency(blob["frequency"]) if blob.get("frequency") else None
+            ),
+            normalization=(
+                NormalizationStats.from_dict(blob["normalization"])
+                if blob.get("normalization")
+                else None
+            ),
+            train_config=(
+                TrainConfig(**blob["train_config"])
+                if blob.get("train_config")
+                else None
+            ),
+            method=blob.get("method"),
+        )

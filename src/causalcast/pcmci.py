@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InvalidArgument
+from .errors import InvalidArgument, parse_errors
 from .granger import FeatureMethod, FeatureSet
 from .stats import (
     DEFAULT_ALPHA,
@@ -141,27 +141,29 @@ class CausalGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CausalGraph":
-        return cls(
-            variables=tuple(d["variables"]),
-            max_lag=int(d["max_lag"]),
-            links=tuple(
-                CausalLink(
-                    source=l["source"],
-                    target=l["target"],
-                    lag=int(l["lag"]),
-                    statistic=float(l["stat"]),
-                    p_value=float(l["p"]),
-                    oriented=bool(l.get("oriented", True)),
-                )
-                for l in d["links"]
-            ),
-            alpha=float(d["alpha"]),
-            **{key: int(d[key]) for key in ("ci_tests", "max_cond_dim") if key in d},
-        )
+        with parse_errors("pcmci+ graph"):
+            return cls(
+                variables=tuple(d["variables"]),
+                max_lag=int(d["max_lag"]),
+                links=tuple(
+                    CausalLink(
+                        source=l["source"],
+                        target=l["target"],
+                        lag=int(l["lag"]),
+                        statistic=float(l["stat"]),
+                        p_value=float(l["p"]),
+                        oriented=bool(l.get("oriented", True)),
+                    )
+                    for l in d["links"]
+                ),
+                alpha=float(d["alpha"]),
+                **{key: int(d[key]) for key in ("ci_tests", "max_cond_dim") if key in d},
+            )
 
     @classmethod
     def load(cls, path) -> "CausalGraph":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        with parse_errors(path):
+            return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dot(self) -> str:
         """Graphviz digraph with lag-labeled edges; unoriented lag-0

@@ -244,6 +244,17 @@ class LaggedCrossProducts:
         self.tests += tests
         self.max_cond_dim = max(self.max_cond_dim, n_conds)
 
+    def _check(self, nodes: list[Node], start: int) -> None:
+        """Raise InvalidArgument naming the first node whose variable is
+        not in 0..N-1 or whose lag is not in 0..start: such a node would
+        read another node's rows, or none."""
+        n_vars = self.values.shape[1]
+        for node in nodes:
+            if not (0 <= node[0] < n_vars and 0 <= node[1] <= start):
+                raise InvalidArgument(
+                    f"node {node} outside variables 0..{n_vars - 1} and lags 0..{start}"
+                )
+
     def _index(self, nodes: list[Node]) -> np.ndarray:
         n_vars = self.values.shape[1]
         return np.array([lag * n_vars + i for i, lag in nodes], dtype=np.intp)
@@ -256,6 +267,7 @@ class LaggedCrossProducts:
         as its squared last pivot (0 where the factorization stops there);
         :func:`_factor` drops the regressors collinear with those before them.
         """
+        self._check(regressors + [response], self.max_lag)
         idx = self._index(regressors + [response])
         low, kept, info = _factor(self.cross.take(idx, 0).take(idx, 1), len(regressors))
         return [regressors[i] for i in kept], 0.0 if info else float(low[-1, -1]) ** 2
@@ -267,9 +279,7 @@ class LaggedCrossProducts:
         over rows t = start..T-1 (by default max_lag..T-1), for nodes at
         any lag up to ``start``."""
         start = self.max_lag if start is None else start
-        for node in (x, y, *conds):
-            if not 0 <= node[1] <= start:
-                raise InvalidArgument(f"node {node} lags outside 0..{start}")
+        self._check([x, y, *conds], start)
         nodes = list(dict.fromkeys(conds))
         _check_history(self.values.shape[0] - start, len(nodes))
         self.count(len(nodes))
@@ -313,6 +323,7 @@ class LaggedCrossProducts:
         residual trips the pivot guard is degenerate (statistic 0, p 1),
         as in :func:`partial_correlation_block`.
         """
+        self._check([*xs, y, *conds], self.max_lag)
         _check_history(self.n, len(conds))
         self.count(len(conds), tests=len(xs))
         z, a = self._index(conds), self._index(xs)

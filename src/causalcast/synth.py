@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, TimeSeriesDataset
-from .errors import GenerationFailed, InvalidArgument, NonStationary
+from .errors import GenerationFailed, InvalidArgument, NonStationary, parse_errors
 
 BURN_IN = 200
 
@@ -97,21 +97,23 @@ class PlantedGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlantedGraph":
-        return cls(
-            variables=tuple(d["variables"]),
-            links=tuple(
-                (l["source"], l["target"], l["lag"], l["coefficient"])
-                for l in d["links"]
-            ),
-            noise_std=tuple(d["noise_std"]) if d.get("noise_std") else None,
-        )
+        with parse_errors("planted graph"):
+            return cls(
+                variables=tuple(d["variables"]),
+                links=tuple(
+                    (l["source"], l["target"], l["lag"], l["coefficient"])
+                    for l in d["links"]
+                ),
+                noise_std=tuple(d["noise_std"]) if d.get("noise_std") else None,
+            )
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "PlantedGraph":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        with parse_errors(path):
+            return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def generate_var(

@@ -265,6 +265,46 @@ class TestTrainEvaluate:
         for field in ("target", "lead", "lead_steps", "frequency", "normalization", "method"):
             assert field in result.stderr
 
+    @pytest.mark.parametrize("command, case", [
+        ("evaluate", "not-json"),
+        ("evaluate", "no-head_b"),
+        ("evaluate", "gru_U-shape"),
+        ("train", "not-json"),
+        ("train", "mvgc-no-features"),
+        ("train", "pcmci-no-max_lag"),
+        ("synth", "not-json"),
+        ("synth", "link-no-coefficient"),
+    ])
+    def test_malformed_json_is_exit_two(self, runner, trained, tmp_path, command, case):
+        _, data, ck = trained
+
+        def checkpoint(edit):
+            blob = json.loads(ck.read_text())
+            edit(blob["model"]["params"])
+            return blob
+
+        docs = {
+            "no-head_b": lambda: checkpoint(lambda p: p.pop("head_b")),
+            # 48 values under a (4, 11) shape
+            "gru_U-shape": lambda: checkpoint(lambda p: p["gru_U"].update(shape=[4, 11])),
+            "mvgc-no-features": lambda: {"method": "mvgc"},
+            "pcmci-no-max_lag": lambda: {"method": "pcmci+", "variables": ["y", "drv", "other"],
+                                         "alpha": 0.05, "links": []},
+            "link-no-coefficient": lambda: {"variables": ["a", "b"], "max_lag": 1,
+                                            "links": [{"source": "a", "target": "b", "lag": 1}]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(docs[case]()) if case in docs else "{not json")
+        args = {
+            "evaluate": ("evaluate", path, "--data", data, "-o", tmp_path / "eval"),
+            "train": ("train", data, *TRAIN_ARGS, "--features-from", path,
+                      "-o", tmp_path / "m.json"),
+            "synth": ("synth", "--graph", path, "-T", 50, "-o", tmp_path / "sim"),
+        }[command]
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.exception
+        assert result.stderr.startswith(f"error: {path}: ")
+
     def test_manifest_hash_covers_every_option(self, runner, trained, tmp_path):
         _, data, _ = trained
         hashes = []

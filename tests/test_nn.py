@@ -17,8 +17,8 @@ from causalcast import (
     train,
 )
 from causalcast.errors import InvalidArgument, NumericalError, ShapeError
+from causalcast import nn
 from causalcast.nn import (
-    EarlyStopping,
     adam_init,
     adam_step,
     backward,
@@ -62,107 +62,96 @@ class TestForward:
         np.testing.assert_array_equal(model_forward(model, x), np.zeros((5, 1)))
 
     def test_gru_frozen_update_gate_keeps_state(self):
-        # update gate forced shut: h_t = h_{t-1} for every step
+        # a large input kernel opens the update gate at x_1 = 1 and shuts
+        # it at x_t = 0, so h_t = h_1 for every later step
         cfg = ModelConfig(feature_count=1, lookback=1, gru_units=2, lstm_units=2,
                           dense_units=2, dropout_rate=0.0)
-        model = jittered_model(cfg, 1)
-        p = dict(model.params)
+        p = dict(jittered_model(cfg, 1).params)
+        G = cfg.gru_units
+        p["gru_W"] = p["gru_W"].copy()
         p["gru_bx"] = p["gru_bx"].copy()
-        p["gru_bx"][: cfg.gru_units] = -1e6
-        h0 = np.array([0.3, -0.2])
-        x = np.random.default_rng(2).standard_normal((6, 1))
-        hs = gru_forward(p, x, h0=h0)
-        np.testing.assert_allclose(hs, np.tile(h0, (6, 1)), atol=1e-250)
+        p["gru_W"][0, :G] = 2e6
+        p["gru_bx"][:G] = -1e6
+        x = np.zeros((2, 6, 1))
+        x[:, 0, 0] = 1.0
+        hs = gru_forward(p, x)
+        assert np.all(hs[:, 0] != 0.0)
+        np.testing.assert_array_equal(hs, np.repeat(hs[:, :1], 6, axis=1))
 
     def test_lstm_frozen_gates_preserve_cell(self):
-        # forget gate locked open and input gate shut: c_t = c_0
+        # forget gate pinned open; a large input kernel opens the input
+        # gate at x_1 = 1 and shuts it at x_t = 0, so c_t = c_1 = g_1
         rng = np.random.default_rng(3)
         L = 3
+        W = 0.1 * rng.standard_normal((1, 4 * L))
         b = 0.1 * rng.standard_normal(4 * L)
+        W[0, :L] = 2e6
         b[:L] = -1e6
         b[L : 2 * L] = 1e6
-        p = {
-            "lstm_W": 0.1 * rng.standard_normal((1, 4 * L)),
-            "lstm_U": 0.1 * rng.standard_normal((L, 4 * L)),
-            "lstm_b": b,
-        }
-        c0 = np.array([0.4, -0.1, 0.25])
-        x = np.random.default_rng(4).standard_normal((8, 1))
-        _, c = lstm_forward(p, x, c0=c0)
-        np.testing.assert_allclose(c, c0, atol=1e-12)
+        p = {"lstm_W": W, "lstm_U": 0.1 * rng.standard_normal((L, 4 * L)), "lstm_b": b}
+        x = np.zeros((2, 8, 1))
+        x[:, 0, 0] = 1.0
+        _, c = lstm_forward(p, x)
+        c1 = np.tanh(W[0, 3 * L :] + b[3 * L :])
+        np.testing.assert_allclose(c, np.tile(c1, (2, 1)), rtol=1e-15, atol=0.0)
 
     def test_gru_scalar_step_hand_evaluated(self):
+        # two steps from h_0 = 0: step 2 exercises U, bh and the carried h_1
         p = {
             "gru_W": np.array([[0.5, 0.25, 1.0]]),
             "gru_U": np.array([[0.3, 0.2, 0.4]]),
             "gru_bx": np.array([0.1, 0.0, -0.1]),
             "gru_bh": np.array([0.05, 0.1, 0.2]),
         }
-        h0, x = 0.5, 1.0
-        z = sigmoid((0.5 * x + 0.1) + (0.3 * h0 + 0.05))
-        r = sigmoid((0.25 * x + 0.0) + (0.2 * h0 + 0.1))
-        a = 0.4 * h0 + 0.2
-        n = math.tanh((1.0 * x - 0.1) + r * a)
-        expected = (1.0 - z) * h0 + z * n
-        hs = gru_forward(p, np.array([[x]]), h0=np.array([h0]))
-        assert hs[0, 0] == pytest.approx(expected, abs=1e-14)
+        expected, h = [], 0.0
+        for x in (1.0, -0.6):
+            z = sigmoid((0.5 * x + 0.1) + (0.3 * h + 0.05))
+            r = sigmoid((0.25 * x + 0.0) + (0.2 * h + 0.1))
+            a = 0.4 * h + 0.2
+            n = math.tanh((1.0 * x - 0.1) + r * a)
+            h = (1.0 - z) * h + z * n
+            expected.append(h)
+        hs = gru_forward(p, np.array([[[1.0], [-0.6]]]))
+        np.testing.assert_allclose(hs[0, :, 0], expected, rtol=0.0, atol=1e-14)
 
     def test_lstm_scalar_step_hand_evaluated(self):
+        # two steps from h_0 = c_0 = 0: step 2 exercises U and the carried state
         p = {
             "lstm_W": np.array([[0.5, -0.3, 0.8, 1.0]]),
             "lstm_U": np.array([[0.2, 0.1, -0.1, 0.3]]),
             "lstm_b": np.array([0.0, 1.0, 0.1, -0.2]),
         }
-        h0, c0, x = 0.4, 0.3, 0.7
-        i = sigmoid(0.5 * x + 0.0 + 0.2 * h0)
-        f = sigmoid(-0.3 * x + 1.0 + 0.1 * h0)
-        o = sigmoid(0.8 * x + 0.1 - 0.1 * h0)
-        g = math.tanh(1.0 * x - 0.2 + 0.3 * h0)
-        c1 = f * c0 + i * g
-        h1 = o * math.tanh(c1)
-        hs, c = lstm_forward(p, np.array([[x]]), h0=np.array([h0]), c0=np.array([c0]))
-        assert c[0] == pytest.approx(c1, abs=1e-14)
-        assert hs[0, 0] == pytest.approx(h1, abs=1e-14)
+        expected, h, c = [], 0.0, 0.0
+        for x in (0.7, -0.4):
+            i = sigmoid(0.5 * x + 0.0 + 0.2 * h)
+            f = sigmoid(-0.3 * x + 1.0 + 0.1 * h)
+            o = sigmoid(0.8 * x + 0.1 - 0.1 * h)
+            g = math.tanh(1.0 * x - 0.2 + 0.3 * h)
+            c = f * c + i * g
+            h = o * math.tanh(c)
+            expected.append(h)
+        hs, c_final = lstm_forward(p, np.array([[[0.7], [-0.4]]]))
+        assert c_final[0, 0] == pytest.approx(c, abs=1e-14)
+        np.testing.assert_allclose(hs[0, :, 0], expected, rtol=0.0, atol=1e-14)
 
     def test_batch_and_single_sequence_agree(self):
+        # B equals the unit count, so states laid out the wrong way round
+        # would broadcast without a shape error
         cfg = tiny_config()
         model = jittered_model(cfg, 5)
-        x = np.random.default_rng(6).standard_normal((3, cfg.lookback, cfg.feature_count))
-        seq = np.random.default_rng(7).standard_normal((3, cfg.lookback, cfg.gru_units))
+        G, L = cfg.gru_units, cfg.lstm_units
+        x = np.random.default_rng(6).standard_normal((G, cfg.lookback, cfg.feature_count))
+        seq = np.random.default_rng(7).standard_normal((L, cfg.lookback, G))
         cases = [
-            (lambda v: gru_forward(model.params, v), x),
-            (lambda v: lstm_forward(model.params, v)[0], seq),
+            (lambda v: (gru_forward(model.params, v),), x),
+            (lambda v: lstm_forward(model.params, v), seq),
         ]
         for layer, inputs in cases:
             batch = layer(inputs)
-            for b in range(3):
-                # BLAS paths differ by shape, so only bitwise-near agreement
-                np.testing.assert_allclose(
-                    layer(inputs[b]), batch[b], rtol=1e-12, atol=1e-15
-                )
-
-    def test_batched_initial_states_match_per_sequence_calls(self):
-        # B equals the unit count, so an initial state laid out the wrong
-        # way round would broadcast without a shape error
-        cfg = tiny_config()
-        model = jittered_model(cfg, 25)
-        rng = np.random.default_rng(26)
-        G, L = cfg.gru_units, cfg.lstm_units
-        x = rng.standard_normal((G, cfg.lookback, cfg.feature_count))
-        H0 = rng.uniform(-1.0, 1.0, (G, G))
-        hs = gru_forward(model.params, x, h0=H0)
-        seq = rng.standard_normal((L, cfg.lookback, G))
-        H0_l = rng.uniform(-1.0, 1.0, (L, L))
-        C0 = rng.standard_normal((L, L))
-        lstm_hs, c = lstm_forward(model.params, seq, h0=H0_l, c0=C0)
-        for b in range(G):
-            np.testing.assert_allclose(
-                gru_forward(model.params, x[b], h0=H0[b]), hs[b], rtol=1e-12, atol=1e-15
-            )
-        for b in range(L):
-            one_hs, one_c = lstm_forward(model.params, seq[b], h0=H0_l[b], c0=C0[b])
-            np.testing.assert_allclose(one_hs, lstm_hs[b], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(one_c, c[b], rtol=1e-12, atol=1e-15)
+            for b in range(inputs.shape[0]):
+                for one, rows in zip(layer(inputs[b : b + 1]), batch):
+                    # BLAS paths differ by shape, so only bitwise-near agreement
+                    np.testing.assert_allclose(one[0], rows[b], rtol=1e-12, atol=1e-15)
 
     def test_shape_errors(self):
         model = init_model(tiny_config(), seed=0)
@@ -170,6 +159,11 @@ class TestForward:
             model_forward(model, np.zeros((2, 3, 2)))
         with pytest.raises(ShapeError):
             model_forward(model, np.zeros((2, 4, 5)))
+        # the layers take batches only, not one (tau, F) sequence
+        with pytest.raises(ShapeError):
+            gru_forward(model.params, np.zeros((4, 2)))
+        with pytest.raises(ShapeError):
+            lstm_forward(model.params, np.zeros((4, 3)))
 
     def test_nonfinite_input_rejected(self):
         model = init_model(tiny_config(), seed=0)
@@ -186,14 +180,6 @@ class TestForward:
         x = np.random.default_rng(22).standard_normal((2, 4, 2))
         with pytest.raises(NumericalError, match=layer):
             model_forward(model, x)
-
-    def test_infinite_cell_state_detected(self):
-        # tanh(inf) = 1 keeps the hidden states finite; only c shows it
-        model = jittered_model(tiny_config(), 23)
-        x = np.random.default_rng(24).standard_normal((2, 4, 3))
-        c0 = np.array([np.inf, 0.0, 0.0, 0.0])
-        with pytest.raises(NumericalError, match="cell state"):
-            lstm_forward(model.params, x, c0=c0)
 
     def test_parameter_count_formula(self):
         cfg = ModelConfig(feature_count=10)
@@ -348,31 +334,41 @@ class TestAdam:
 
 
 class TestEarlyStopping:
-    def test_stops_one_epoch_after_best_with_patience_one(self):
-        stopper = EarlyStopping(patience=1)
-        assert stopper.update(1, 1.0) is False
-        assert stopper.update(2, 0.9) is False
-        assert stopper.update(3, 0.95) is True
-        assert stopper.best_epoch == 2
+    """``train``'s stopping rule, on a scripted validation curve."""
 
-    def test_plateau_counts_as_no_improvement(self):
-        stopper = EarlyStopping(patience=2)
-        stopper.update(1, 1.0)
-        assert stopper.update(2, 1.0) is False
-        assert stopper.update(3, 1.0) is True
+    def _run(self, monkeypatch, curve, patience):
+        snapshots = []
 
-    def test_counter_resets_on_improvement(self):
-        stopper = EarlyStopping(patience=2)
-        stopper.update(1, 1.0)
-        stopper.update(2, 1.1)
-        assert stopper.update(3, 0.5) is False
-        assert stopper.update(4, 0.6) is False
-        assert stopper.update(5, 0.7) is True
-        assert stopper.best_epoch == 3
+        def scripted(model, inputs, targets):
+            snapshots.append({k: v.copy() for k, v in model.params.items()})
+            return curve[len(snapshots) - 1]
+
+        monkeypatch.setattr(nn, "evaluate_mse", scripted)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, 4, 2))
+        y = rng.standard_normal(16)
+        model, hist = train(
+            jittered_model(tiny_config(), 0), (x[:8], y[:8]), (x[8:], y[8:]),
+            TrainConfig(batch_size=4, max_epochs=10, patience=patience),
+        )
+        assert hist.validation_loss == tuple(curve[: hist.stopped_epoch])
+        # the returned weights are the ones validated at the best epoch
+        for k, v in snapshots[hist.best_epoch - 1].items():
+            np.testing.assert_array_equal(model.params[k], v)
+        return hist.stopped_epoch, hist.best_epoch
+
+    def test_stops_one_epoch_after_best_with_patience_one(self, monkeypatch):
+        assert self._run(monkeypatch, [1.0, 0.9, 0.95], patience=1) == (3, 2)
+
+    def test_plateau_counts_as_no_improvement(self, monkeypatch):
+        assert self._run(monkeypatch, [1.0, 1.0, 1.0], patience=2) == (3, 1)
+
+    def test_counter_resets_on_improvement(self, monkeypatch):
+        assert self._run(monkeypatch, [1.0, 1.1, 0.5, 0.6, 0.7], patience=2) == (5, 3)
 
     def test_invalid_patience(self):
-        with pytest.raises(InvalidArgument):
-            EarlyStopping(patience=0)
+        with pytest.raises(InvalidArgument, match="patience"):
+            TrainConfig(patience=0)
 
 
 class TestTraining:
@@ -513,7 +509,7 @@ class TestTraining:
         model = jittered_model(cfg, 17)
         x = np.random.default_rng(18).standard_normal((1100, 4, 2))
         np.testing.assert_array_equal(
-            predict(model, x, batch_size=512), model_forward(model, x)[:, 0]
+            predict(model, x), model_forward(model, x)[:, 0]
         )
 
 

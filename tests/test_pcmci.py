@@ -448,6 +448,25 @@ class TestCrossProducts:
             mci_test(cross, ("a", "b", "c"), ("b", 1, "c"), parents, [])
         assert cross.tests == 0
 
+    def test_out_of_range_node_rejected(self):
+        # a variable outside 0..N-1 or a negative lag would alias another
+        # node's row of the shared matrix, or index past the panel
+        values = np.random.default_rng(0).standard_normal((300, 3))
+        cross = LaggedCrossProducts(values, 2)
+        calls = [
+            (lambda: cross.test((3, 0), (1, 0), []), r"node \(3, 0\)"),
+            (lambda: cross.test((3, 0), (1, 0), [], start=4), r"node \(3, 0\)"),
+            (lambda: cross.test((0, 1), (1, 0), [(-1, 0)]), r"node \(-1, 0\)"),
+            (lambda: cross.test_each([(0, -1)], (1, 0), []), r"node \(0, -1\)"),
+            (lambda: cross.test_each([(0, 1)], (1, 0), [(3, 1)]), r"node \(3, 1\)"),
+            (lambda: cross.fit([(0, 1), (5, 1)], (1, 0)), r"node \(5, 1\)"),
+            (lambda: cross.fit([(0, 1)], (1, 3)), r"node \(1, 3\)"),
+        ]
+        for call, node in calls:
+            with pytest.raises(InvalidArgument, match=node):
+                call()
+        assert cross.tests == 0
+
 
 class TestGraphContainer:
     def _link(self, **kw):
