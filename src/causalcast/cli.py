@@ -41,7 +41,7 @@ from .data import (
     save_csv,
     write_summary,
 )
-from .errors import CausalcastError, ConfigError, InputError, ParseError, parse_errors
+from .errors import CausalcastError, ConfigError, InputError, ParseError, json_object, string_list
 from .granger import FeatureMethod, FeatureSet
 from .nn import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pcmci import CausalGraph, select_features_pcmci
@@ -208,11 +208,10 @@ def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples
 def _load_feature_set(source: str, dataset) -> FeatureSet:
     if source == "all":
         return FeatureSet(FeatureMethod.VANILLA, dataset.variable_names)
-    with parse_errors(source):
-        doc = json.loads(Path(source).read_text())
+    with json_object(source) as doc:
         method = doc.get("method")
         if method == "mvgc":
-            return FeatureSet(FeatureMethod.GC, tuple(doc["features"]))
+            return FeatureSet(FeatureMethod.GC, string_list(doc["features"], "features"))
         if method != "pcmci+":
             raise ConfigError(
                 f"{source}: unrecognized feature source (method {method!r})"

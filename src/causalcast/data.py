@@ -296,9 +296,9 @@ class SplitSpec:
 def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDataset:
     """Load a ``date,<var1>,...,<varN>`` CSV into a dataset.
 
-    Empty cells are flagged as missing (NaN).  Rows are sorted by date;
-    duplicate dates raise :class:`DuplicateTimestamp`, malformed cells
-    raise :class:`ParseError` with row/column context.
+    Empty and ``nan`` cells are missing (NaN).  Rows are sorted by date;
+    duplicate dates raise :class:`DuplicateTimestamp`, malformed and
+    infinite cells raise :class:`ParseError` with row/column context.
     """
     frequency = Frequency(frequency)
     path = Path(path)
@@ -339,11 +339,14 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
                     vals.append(math.nan)
                     continue
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"non-numeric cell {cell!r}", row=r, column=name
                     ) from None
+                if math.isinf(value):
+                    raise ParseError(f"infinite cell {cell!r}", row=r, column=name)
+                vals.append(value)
             rows.append((date, vals))
 
     if not rows:

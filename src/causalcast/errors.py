@@ -6,8 +6,10 @@ everything else under ``CausalcastError`` is a runtime failure (exit
 code 1).
 """
 
+import json
 import numbers
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class CausalcastError(Exception):
@@ -119,3 +121,21 @@ def parse_errors(source):
         raise ParseError(f"{source}: missing key {exc}") from exc
     except (TypeError, ValueError, ParseError) as exc:
         raise ParseError(f"{source}: {exc}") from exc
+
+
+@contextmanager
+def json_object(path):
+    """The JSON object in the file ``path``, read and used under
+    :func:`parse_errors`; a document that is not an object is a ParseError."""
+    with parse_errors(path):
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ParseError("expected a JSON object")
+        yield doc
+
+
+def string_list(value, name: str) -> tuple[str, ...]:
+    """``value`` as a tuple; a ParseError unless it is a list of strings."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ParseError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)

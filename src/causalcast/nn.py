@@ -68,7 +68,9 @@ from .errors import (
     ParseError,
     ShapeError,
     check_integers,
-    parse_errors,
+    is_integer,
+    json_object,
+    string_list,
 )
 
 CHECKPOINT_FORMAT = "causalcast.checkpoint"
@@ -682,8 +684,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with parse_errors(path):
-        blob = json.loads(Path(path).read_text())
+    with json_object(path) as blob:
         if blob.get("format") != CHECKPOINT_FORMAT:
             raise ParseError(f"not a {CHECKPOINT_FORMAT} file")
         if blob.get("version") != CHECKPOINT_VERSION:
@@ -702,9 +703,16 @@ def load_checkpoint(path) -> Checkpoint:
                 f"parameters {', '.join(wrong)} missing, unknown or misshapen "
                 "for the model config"
             )
+        # a field saved as None is absent; evaluate names what it lacks
+        for key in ("lead", "lead_steps"):
+            if blob.get(key) is not None and not (is_integer(blob[key]) and blob[key] >= 1):
+                raise ParseError(f"{key} must be an integer >= 1, got {blob[key]!r}")
+        for key in ("target", "method"):
+            if blob.get(key) is not None and not isinstance(blob[key], str):
+                raise ParseError(f"{key} must be a string, got {blob[key]!r}")
         return Checkpoint(
             model=RecurrentModel(config=config, params=params),
-            features=tuple(blob.get("features", ())),
+            features=string_list(blob.get("features", []), "features"),
             target=blob.get("target"),
             lead=blob.get("lead"),
             lead_steps=blob.get("lead_steps"),

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InvalidArgument, parse_errors
+from .errors import InvalidArgument, json_object, parse_errors
 from .granger import FeatureMethod, FeatureSet
 from .stats import (
     DEFAULT_ALPHA,
@@ -162,8 +162,8 @@ class CausalGraph:
 
     @classmethod
     def load(cls, path) -> "CausalGraph":
-        with parse_errors(path):
-            return cls.from_dict(json.loads(Path(path).read_text()))
+        with json_object(path) as doc:
+            return cls.from_dict(doc)
 
     def to_dot(self) -> str:
         """Graphviz digraph with lag-labeled edges; unoriented lag-0

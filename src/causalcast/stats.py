@@ -1,9 +1,11 @@
 """Shared statistical machinery for both causal-discovery engines.
 
 One core answers all of discovery: :class:`LaggedCrossProducts` holds
-the centered cross-products of a panel's lagged columns, and each MVGC
-regression and each PCMCI+ CI test is one small Cholesky factorization
-of a block of it (a PC1 round's tests share one).  One helper,
+the centered cross-products of a panel's lagged columns.  Each MVGC
+regression is one small Cholesky factorization of a block of it, and one
+routine, :func:`_partial`, answers every CI test, alone or in a PC1
+round's batch, by one factorization of its conditioning block and one
+triangular solve.  One helper,
 :func:`_factor`, makes every such factorization, and one pivot guard,
 :func:`_kept`, is the collinearity rule for all of them: a regressor or
 conditioning column that trips it is dropped, and an x or y that trips
@@ -66,7 +68,7 @@ def partial_correlation(
     Both series are regressed on [conditioning, intercept]; the statistic
     is the Pearson correlation of the residuals, with a two-sided t-test
     at dof = n - #conditions kept - 2.  The columns are centered here, and
-    :func:`partial_correlation_block` answers from their cross-products.
+    :func:`_partial` answers from their cross-products.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -83,47 +85,44 @@ def partial_correlation(
             raise InvalidArgument("conditioning rows must match x length")
     cols = np.column_stack([z, x, y])
     centered = cols - cols.mean(axis=0)
-    return partial_correlation_block(
-        centered.T @ centered, math.sqrt(float(x @ x)), math.sqrt(float(y @ y)), n
-    )
+    k = z.shape[1]
+    norms = np.sqrt([x @ x, y @ y])
+    stat, p, dof = _partial(centered.T @ centered, np.arange(k), np.array([k, k + 1]), norms, n)
+    return CITestResult(statistic=float(stat[0]), p_value=float(p[0]), effective_dof=dof)
 
 
-def partial_correlation_block(
-    cross: np.ndarray, norm_x: float, norm_y: float, n: int
-) -> CITestResult:
-    """Partial correlation of the last two of k+2 columns given the first k.
+def _partial(
+    cross: np.ndarray, z: np.ndarray, xy: np.ndarray, norms: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Partial correlation of each of the columns ``xy`` but the last (the
+    xs) with the last (y), each given the columns ``z``, from their centered
+    cross-product matrix ``cross`` over ``n`` rows (so the intercept is
+    already regressed out): the statistics, the p-values and their dof.
+    ``norms`` holds the raw (uncentered) norms of the ``xy`` columns.
 
-    ``cross`` is the columns' centered cross-product matrix over ``n``
-    rows, so the intercept is already regressed out; ``norm_x`` and
-    ``norm_y`` are the raw (uncentered) norms of x and y.  With
-    cross = L L^T over the conditioning columns :func:`_factor` keeps,
-    the last 2x2 block of L holds the residual sums of x and y given
-    [Z, intercept]: r_xx = L[x,x]^2, r_xy = L[y,x] L[x,x] and
-    r_yy = L[y,x]^2 + L[y,y]^2.  An x or y whose residual trips
-    :func:`_kept` is degenerate (statistic 0, p 1), so constant and
-    duplicated columns are silently non-causal.
+    One Cholesky of the conditioning block, C_ZZ = L L^T over the columns
+    :func:`_factor` keeps, and one triangular solve W = L^-1 C_Z[xs, y]
+    answer them all: the residual cross-products given [Z, intercept] are
+    C_AB - W_A^T W_B.  An x or y whose residual trips :func:`_kept` is
+    degenerate (statistic 0, p 1), so constant and duplicated columns are
+    silently non-causal.
     """
-    k = cross.shape[0] - 2
-    _check_history(n, k)
-    low, kept, info = _factor(cross, k)
-    k = len(kept)
-    # dpotrf stops at x where x lies in the span of Z, and at y where y
-    # lies in that of Z and x; that pivot and any after it read 0
-    pivots = np.diagonal(low)[k:].copy()
-    if info:
-        pivots[info - k - 1 :] = 0.0
-    sx, yx = float(pivots[0]), float(low[k + 1, k])
-    sy = math.hypot(yx, float(pivots[1]))
-    c_xx, c_yy = np.diagonal(cross)[-2:]
-    sx = sx if _kept(sx * sx, c_xx) else 0.0
-    sy = sy if _kept(sy * sy, c_yy) else 0.0
-    return _verdict(yx * sx, sx, sy, norm_x, norm_y, n - k - 2)
-
-
-def _check_history(n: int, k: int) -> None:
-    """Raise unless ``n`` rows leave dof >= 2 after ``k`` conditioning columns."""
-    if n <= k + 3:
-        raise InsufficientHistory(f"{n} samples cannot support {k} conditioning columns")
+    if n <= len(z) + 3:  # dof would fall below 2
+        raise InsufficientHistory(f"{n} samples cannot support {len(z)} conditioning columns")
+    low, kept, _ = _factor(cross.take(z, 0).take(z, 1), len(z))
+    w = cross.take(z[kept], 0).take(xy, 1)
+    if kept:  # LAPACK takes no empty system
+        w = dtrtrs(low, w, lower=1)[0]
+    wa, wy = w[:, :-1], w[:, -1]
+    xs, y = xy[:-1], xy[-1]
+    c_aa, c_yy = cross[xs, xs], cross[y, y]
+    r_aa = c_aa - np.einsum("ij,ij->j", wa, wa)
+    r_ay = cross[xs, y] - wy @ wa
+    r_yy = c_yy - wy @ wy
+    sx = np.sqrt(np.where(_kept(r_aa, c_aa), r_aa, 0.0))
+    sy = math.sqrt(r_yy) if _kept(r_yy, c_yy) else 0.0
+    dof = n - len(kept) - 2
+    return (*_verdicts(r_ay, sx, sy, norms[:-1], norms[-1], dof), dof)
 
 
 def _kept(pivot_sq: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -171,14 +170,6 @@ def _verdicts(rxy, sx, sy, norm_x, norm_y, dof: int) -> tuple[np.ndarray, np.nda
     return r, np.where(degenerate, 1.0, betainc(dof / 2.0, 0.5, 1.0 - r * r))
 
 
-def _verdict(
-    rxy: float, sx: float, sy: float, norm_x: float, norm_y: float, dof: int
-) -> CITestResult:
-    """One test's :func:`_verdicts`."""
-    r, p = _verdicts(*(np.float64(v) for v in (rxy, sx, sy, norm_x, norm_y)), dof)
-    return CITestResult(statistic=float(r), p_value=float(p), effective_dof=dof)
-
-
 def _column(values: np.ndarray, start: int, node: tuple[int, int]) -> np.ndarray:
     """Variable i at t - lag, for node (i, lag), over rows t = start..T-1."""
     i, lag = node
@@ -198,14 +189,14 @@ class LaggedCrossProducts:
     row range.
 
     Every MVGC regression and every PC1 and contemporaneous CI test reads
-    these rows, so each is answered from its block by a small Cholesky
-    factorization: :meth:`fit`, :meth:`test`, and :meth:`test_each` for a
-    PC1 round's shared conditioning set.  MCI tests start later and reach
-    further back; :meth:`test` builds their blocks from each variable's
-    contiguous centered series.  :func:`_factor` makes every one of those
-    factorizations, so the pivot guard is the one collinearity rule: a
-    regressor or conditioning column that trips it is dropped.  Counts the
-    CI tests it answers and their largest conditioning set.
+    these rows: :meth:`fit` answers a regression from its block, and
+    :meth:`test` and :meth:`test_each` (for a PC1 round's shared
+    conditioning set) answer CI tests through :func:`_partial`.  MCI tests
+    start later and reach further back; :meth:`test` builds their Gram
+    matrix from each variable's contiguous centered series.  :func:`_factor`
+    makes every factorization, so the pivot guard is the one collinearity
+    rule: a regressor or conditioning column that trips it is dropped.
+    Counts the CI tests it answers and their largest conditioning set.
     """
 
     def __init__(self, values: np.ndarray, max_lag: int):
@@ -277,71 +268,44 @@ class LaggedCrossProducts:
     ) -> CITestResult:
         """Partial correlation of nodes x and y given the distinct ``conds``
         over rows t = start..T-1 (by default max_lag..T-1), for nodes at
-        any lag up to ``start``."""
-        start = self.max_lag if start is None else start
-        self._check([x, y, *conds], start)
-        nodes = list(dict.fromkeys(conds))
-        _check_history(self.values.shape[0] - start, len(nodes))
-        self.count(len(nodes))
-        return partial_correlation_block(*self._block(start, nodes + [x, y]))
+        any lag up to ``start``.
 
-    def _block(self, start: int, nodes: list[Node]) -> tuple[np.ndarray, float, float, int]:
-        """Centered cross-products of ``nodes`` over rows t = start..T-1,
-        the raw norms of the last two, and the row count.
-
-        Over rows max_lag..T-1 these are read from the shared matrix.  Any
+        Over rows max_lag..T-1 it is read from the shared matrix.  Any
         later start (MCI tests reach further back) takes the Gram matrix of
         the nodes' contiguous centered series over those rows, less
         n mu mu^T for their means over the same rows.
         """
+        start = self.max_lag if start is None else start
+        self._check([x, y, *conds], start)
+        nodes = list(dict.fromkeys(conds)) + [x, y]
         if start == self.max_lag:
-            idx = self._index(nodes)
-            block = self.cross.take(idx, 0).take(idx, 1)
-            return block, float(self.norms[idx[-2]]), float(self.norms[idx[-1]]), self.n
-        T = self.values.shape[0]
-        n = T - start
-        # windows[i * T + s] is series[i, s : s + n]
-        windows = sliding_window_view(self.series.ravel(), n)
-        rows = windows[[i * T + start - lag for i, lag in nodes]]
-        sums = rows.sum(axis=1)
-        norm_x, norm_y = (
-            math.sqrt(float(col @ col))
-            for col in (_column(self.values, start, node) for node in nodes[-2:])
-        )
-        return rows @ rows.T - np.outer(sums, sums / n), norm_x, norm_y, n
+            cross, idx, n = self.cross, self._index(nodes), self.n
+            norms = self.norms[idx[-2:]]
+        else:
+            T = self.values.shape[0]
+            n = T - start
+            # windows[i * T + s] is series[i, s : s + n]
+            windows = sliding_window_view(self.series.ravel(), n)
+            rows = windows[[i * T + start - lag for i, lag in nodes]]
+            sums = rows.sum(axis=1)
+            cross, idx = rows @ rows.T - np.outer(sums, sums / n), np.arange(len(nodes))
+            raw = [_column(self.values, start, node) for node in nodes[-2:]]
+            norms = np.sqrt([col @ col for col in raw])
+        stat, p, dof = _partial(cross, idx[:-2], idx[-2:], norms, n)
+        self.count(len(nodes) - 2)
+        return CITestResult(statistic=float(stat[0]), p_value=float(p[0]), effective_dof=dof)
 
     def test_each(
         self, xs: list[Node], y: Node, conds: list[Node]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Statistic and p-value of every node in ``xs`` against ``y``, each
-        given the same distinct ``conds`` (none of them in ``xs``).
-
-        One Cholesky of the conditioning block, C_ZZ = L L^T over the
-        columns :func:`_factor` keeps, and one triangular solve
-        W = L^-1 C_Z[xs, y] answer them all: the residual cross-products
-        given [Z, intercept] are C_AB - W_A^T W_B.  An x or y whose
-        residual trips the pivot guard is degenerate (statistic 0, p 1),
-        as in :func:`partial_correlation_block`.
-        """
+        given the same distinct ``conds`` (none of them in ``xs``), from
+        one :func:`_partial` over the shared matrix."""
         self._check([*xs, y, *conds], self.max_lag)
-        _check_history(self.n, len(conds))
+        xy = self._index([*xs, y])
+        stat, p, _ = _partial(self.cross, self._index(conds), xy, self.norms[xy], self.n)
         self.count(len(conds), tests=len(xs))
-        z, a = self._index(conds), self._index(xs)
-        yi = int(self._index([y])[0])
-        low, kept, _ = _factor(self.cross[np.ix_(z, z)], len(z))
-        w = self.cross[np.ix_(z[kept], np.append(a, yi))]
-        if kept:  # W = L^-1 C_Z[xs, y]; LAPACK takes no empty system
-            w = dtrtrs(low, w, lower=1)[0]
-        wa, wy = w[:, :-1], w[:, -1]
-        c_aa, c_yy = self.cross[a, a], self.cross[yi, yi]
-        r_aa = c_aa - np.einsum("ij,ij->j", wa, wa)
-        r_ay = self.cross[a, yi] - wy @ wa
-        r_yy = c_yy - wy @ wy
-        sx = np.sqrt(np.where(_kept(r_aa, c_aa), r_aa, 0.0))
-        sy = math.sqrt(r_yy) if _kept(r_yy, c_yy) else 0.0
-        return _verdicts(
-            r_ay, sx, sy, self.norms[a], self.norms[yi], self.n - len(kept) - 2
-        )
+        return stat, p
 
 
 def f_cdf(x: float, d1: int, d2: int) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, TimeSeriesDataset
-from .errors import GenerationFailed, InvalidArgument, NonStationary, parse_errors
+from .errors import GenerationFailed, InvalidArgument, NonStationary, json_object, parse_errors
 
 BURN_IN = 200
 
@@ -112,8 +112,8 @@ class PlantedGraph:
 
     @classmethod
     def load(cls, path) -> "PlantedGraph":
-        with parse_errors(path):
-            return cls.from_dict(json.loads(Path(path).read_text()))
+        with json_object(path) as doc:
+            return cls.from_dict(doc)
 
 
 def generate_var(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from causalcast import Frequency, TimeSeriesDataset
-from causalcast.stats import _column, _verdict
+from causalcast.stats import CITestResult, _column, _verdicts
 
 # Singular values below RANK_RTOL * s_max count as zero in the
 # least-squares oracle.
@@ -103,11 +103,13 @@ def lstsq_partial_correlation(x, y, conditioning=None, dof=None):
     centered = cols - cols.mean(axis=0)
     design, rhs = centered[:, :-2], centered[:, -2:]
     rx, ry = (rhs - design @ np.linalg.lstsq(design, rhs, rcond=RANK_RTOL)[0]).T
-    return _verdict(
-        float(rx @ ry),
-        math.sqrt(float(rx @ rx)),
-        math.sqrt(float(ry @ ry)),
-        math.sqrt(float(x @ x)),
-        math.sqrt(float(y @ y)),
-        n - z.shape[1] - 2 if dof is None else dof,
+    dof = n - z.shape[1] - 2 if dof is None else dof
+    r, p = _verdicts(
+        rx @ ry,
+        np.sqrt(rx @ rx),
+        np.sqrt(ry @ ry),
+        np.sqrt(x @ x),
+        np.sqrt(y @ y),
+        dof,
     )
+    return CITestResult(statistic=float(r), p_value=float(p), effective_dof=dof)

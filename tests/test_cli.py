@@ -274,6 +274,18 @@ class TestTrainEvaluate:
         ("train", "pcmci-no-max_lag"),
         ("synth", "not-json"),
         ("synth", "link-no-coefficient"),
+        ("evaluate", "array"),
+        ("evaluate", "lead_steps-string"),
+        ("evaluate", "lead_steps-float"),
+        ("evaluate", "lead-zero"),
+        ("evaluate", "lead-bool"),
+        ("evaluate", "features-string"),
+        ("evaluate", "features-not-strings"),
+        ("evaluate", "target-int"),
+        ("evaluate", "method-list"),
+        ("train", "array"),
+        ("train", "mvgc-features-string"),
+        ("synth", "array"),
     ])
     def test_malformed_json_is_exit_two(self, runner, trained, tmp_path, command, case):
         _, data, ck = trained
@@ -283,11 +295,24 @@ class TestTrainEvaluate:
             edit(blob["model"]["params"])
             return blob
 
+        def meta(key, value):
+            return {**json.loads(ck.read_text()), key: value}
+
         docs = {
             "no-head_b": lambda: checkpoint(lambda p: p.pop("head_b")),
             # 48 values under a (4, 11) shape
             "gru_U-shape": lambda: checkpoint(lambda p: p["gru_U"].update(shape=[4, 11])),
+            "array": lambda: [],
+            "lead_steps-string": lambda: meta("lead_steps", "1"),
+            "lead_steps-float": lambda: meta("lead_steps", 1.5),
+            "lead-zero": lambda: meta("lead", 0),
+            "lead-bool": lambda: meta("lead", True),
+            "features-string": lambda: meta("features", "drv"),
+            "features-not-strings": lambda: meta("features", ["drv", 2]),
+            "target-int": lambda: meta("target", 3),
+            "method-list": lambda: meta("method", ["gc"]),
             "mvgc-no-features": lambda: {"method": "mvgc"},
+            "mvgc-features-string": lambda: {"method": "mvgc", "features": "drv"},
             "pcmci-no-max_lag": lambda: {"method": "pcmci+", "variables": ["y", "drv", "other"],
                                          "alpha": 0.05, "links": []},
             "link-no-coefficient": lambda: {"variables": ["a", "b"], "max_lag": 1,
@@ -304,6 +329,8 @@ class TestTrainEvaluate:
         result = invoke(runner, *args)
         assert result.exit_code == 2, result.exception
         assert result.stderr.startswith(f"error: {path}: ")
+        if case == "array":
+            assert "expected a JSON object" in result.stderr
 
     def test_manifest_hash_covers_every_option(self, runner, trained, tmp_path):
         _, data, _ = trained

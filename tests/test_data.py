@@ -130,6 +130,19 @@ class TestCsv:
         assert "row 3" in str(err.value)
         assert "'x'" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+    def test_infinite_cell_reports_row_and_column(self, tmp_path, cell):
+        # an infinite cell would spread NaN through discovery's products
+        path = tmp_path / "d.csv"
+        path.write_text(f"date,x,y\n2000-01-01,1.0,2.0\n2000-02-01,3.0,{cell}\n")
+        with pytest.raises(ParseError, match=r"infinite cell .*\(row 3, column 'y'\)"):
+            load_csv(path, "x", "monthly")
+
+    def test_nan_cell_is_missing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("date,x\n2000-01-01,nan\n2000-02-01,2.0\n")
+        assert math.isnan(load_csv(path, "x", "monthly").values[0, 0])
+
     def test_bad_date_reports_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("date,x\nnot-a-date,1.0\n")

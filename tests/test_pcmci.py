@@ -395,6 +395,22 @@ class TestCrossProducts:
         assert abs(stat[0]) == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert p[0] == 0.0
 
+    def test_one_test_is_a_batched_round_of_one(self):
+        # test and test_each answer through one routine, so a single test
+        # and a round of one agree to the last bit, duplicates and all
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((300, 4))
+        values[:, 3] = values[:, 0] + 0.5 * values[:, 1] + 0.1 * rng.standard_normal(300)
+        cross, y = LaggedCrossProducts(values, 2), (3, 0)
+        for conds in ([], [(1, 1)], [(2, 1), (0, 2)], [(1, 1), (1, 1)]):
+            distinct = list(dict.fromkeys(conds))
+            for x in [(i, lag) for i in range(4) for lag in range(3)]:
+                if x == y or x in distinct:
+                    continue
+                res = cross.test(x, y, conds)
+                stat, p = cross.test_each([x], y, distinct)
+                assert (res.statistic, res.p_value) == (stat[0], p[0])
+
     def test_batched_round_falls_back_per_candidate(self):
         # given (1, 1), candidate (5, 1), a copy of it, and every node of
         # the constant v4 trip the pivot guard: their batched verdicts are
