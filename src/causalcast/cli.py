@@ -325,7 +325,10 @@ def train_cmd(
 @_cli_errors
 def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
     """Score checkpoints written by train or experiment on a dataset."""
+    first = _parse_date(test_start) if test_start else dt.date.min
+    last = _parse_date(test_end) if test_end else dt.date.max
     records = []
+    datasets = {}
     for ck_path in checkpoints:
         ck = load_checkpoint(ck_path)
         fields = ("target", "lead", "lead_steps", "frequency", "normalization", "method")
@@ -335,21 +338,16 @@ def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
                 f"{ck_path}: checkpoint lacks {', '.join(missing)}; "
                 "evaluate needs one written by train or experiment"
             )
-        dataset = impute(load_csv(dataset_csv, ck.target, ck.frequency))
+        key = (ck.target, ck.frequency)
+        if key not in datasets:
+            datasets[key] = impute(load_csv(dataset_csv, *key))
         windows = build_lag_windows(
-            apply_normalization(dataset, ck.normalization),
+            apply_normalization(datasets[key], ck.normalization),
             ck.features,
             ck.model.config.lookback,
             ck.lead_steps,
         )
-        if test_start is not None or test_end is not None:
-            lo = _parse_date(test_start) if test_start else dt.date.min
-            hi = _parse_date(test_end) if test_end else dt.date.max
-            keep = [
-                i for i, d in enumerate(windows.sample_dates) if lo <= d <= hi
-            ]
-            windows = windows.subset(np.asarray(keep, dtype=int))
-        records.append(score(ck, windows))
+        records.append(score(ck, windows.between(first, last)))
     report = EvalReport(records=tuple(records))
     csv_path = Path(f"{output}.csv")
     json_path = Path(f"{output}.json")

@@ -10,6 +10,7 @@ train/validation/test splitting by target date.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import json
@@ -110,10 +111,6 @@ class TimeSeriesDataset:
     @property
     def target_index(self) -> int:
         return self.variable_names.index(self.target_name)
-
-    @property
-    def has_missing(self) -> bool:
-        return bool(np.isnan(self.values).any())
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.variable_names:
@@ -217,7 +214,8 @@ class LagWindowSet:
     """Supervised samples: S windows of shape tau x F and S scalar targets.
 
     ``sample_dates[s]`` is the calendar date of the target value, i.e. the
-    date the model is asked to predict for sample s.
+    date the model is asked to predict for sample s.  The dates increase
+    strictly, so every date range is one contiguous slice.
     """
 
     inputs: np.ndarray       # S x tau x F
@@ -237,6 +235,8 @@ class LagWindowSet:
             raise ParseError("sample_dates length inconsistent with inputs")
         if inputs.shape[2] != len(self.feature_names):
             raise ParseError("feature count inconsistent with feature_names")
+        if any(b <= a for a, b in zip(self.sample_dates, self.sample_dates[1:])):
+            raise ParseError("sample_dates must increase strictly")
         inputs.flags.writeable = False
         targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
@@ -252,13 +252,21 @@ class LagWindowSet:
     def lookback(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "LagWindowSet":
+    def subset(self, rows: slice) -> "LagWindowSet":
+        """Samples ``rows``, as views of this set's arrays."""
         return LagWindowSet(
-            inputs=self.inputs[indices],
-            targets=self.targets[indices],
+            inputs=self.inputs[rows],
+            targets=self.targets[rows],
             lead=self.lead,
             feature_names=self.feature_names,
-            sample_dates=tuple(self.sample_dates[i] for i in indices),
+            sample_dates=self.sample_dates[rows],
+        )
+
+    def between(self, first: dt.date, last: dt.date) -> "LagWindowSet":
+        """Samples with target dates in ``first..last``, both included."""
+        dates = self.sample_dates
+        return self.subset(
+            slice(bisect.bisect_left(dates, first), bisect.bisect_right(dates, last))
         )
 
 
@@ -393,19 +401,17 @@ def impute(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
 
 def fit_normalization(dataset: TimeSeriesDataset, split: SplitSpec) -> NormalizationStats:
     """Per-variable mean and population std over rows dated <= train_end."""
-    mask = np.array([ts <= split.train_end for ts in dataset.timestamps])
-    if not mask.any():
+    stop = bisect.bisect_right(dataset.timestamps, split.train_end)
+    if stop == 0:
         raise EmptySplit(
             f"no rows at or before train_end {split.train_end.isoformat()}"
         )
-    train = dataset.values[mask]
-    first = dataset.timestamps[int(np.argmax(mask))]
-    last = dataset.timestamps[int(len(mask) - 1 - np.argmax(mask[::-1]))]
+    train = dataset.values[:stop]
     return NormalizationStats(
         variable_names=dataset.variable_names,
         mean=train.mean(axis=0),
         std=train.std(axis=0, ddof=0),
-        fitted_on=(first, last),
+        fitted_on=(dataset.timestamps[0], dataset.timestamps[stop - 1]),
     )
 
 
@@ -510,39 +516,32 @@ def split_windows(
     Samples dated <= train_end form train+validation, with the
     chronologically last ceil(fraction * count) held out as validation;
     samples inside test_range form the test set.  Anything between
-    train_end and the test range is dropped.
+    train_end and the test range is dropped.  All three are views of
+    ``windows``.
     """
     if split.test_range is None:
         raise EmptySplit("split has no test_range")
-    dates = windows.sample_dates
-    train_idx = np.array(
-        [i for i, d in enumerate(dates) if d <= split.train_end], dtype=int
-    )
+    train = windows.between(dt.date.min, split.train_end)
     start, end = split.test_range
-    test_idx = np.array(
-        [i for i, d in enumerate(dates) if start <= d <= end], dtype=int
-    )
-    if test_idx.size == 0:
+    test = windows.between(start, end)
+    if test.n_samples == 0:
         raise EmptySplit(
             f"no samples with target dates inside test range "
             f"[{start.isoformat()}, {end.isoformat()}]"
         )
-    if train_idx.size == 0:
+    if train.n_samples == 0:
         raise EmptySplit(
             f"no samples with target dates at or before "
             f"{split.train_end.isoformat()}"
         )
-    n_val = math.ceil(split.validation_fraction * train_idx.size)
-    if n_val >= train_idx.size:
+    n_val = math.ceil(split.validation_fraction * train.n_samples)
+    n_fit = train.n_samples - n_val
+    if n_fit <= 0:
         raise EmptySplit(
             f"validation fraction {split.validation_fraction} leaves no "
-            f"training samples out of {train_idx.size}"
+            f"training samples out of {train.n_samples}"
         )
-    return (
-        windows.subset(train_idx[: train_idx.size - n_val]),
-        windows.subset(train_idx[train_idx.size - n_val :]),
-        windows.subset(test_idx),
-    )
+    return train.subset(slice(n_fit)), train.subset(slice(n_fit, None)), test
 
 
 def write_summary(dataset: TimeSeriesDataset, path) -> None:

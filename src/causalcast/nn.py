@@ -145,7 +145,6 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainHistory:
-    train_loss: tuple[float, ...]
     validation_loss: tuple[float, ...]
     best_epoch: int
     stopped_epoch: int
@@ -589,24 +588,20 @@ def train(
     flat_params, flat_grads = {"all": flat}, {"all": grad}
     state = adam_init(flat_params, learning_rate=config.learning_rate)
     best, best_loss, best_epoch = flat.copy(), math.inf, 0
-    train_losses: list[float] = []
     val_losses: list[float] = []
     n = x_tr.shape[0]
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
-        sse = 0.0
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 masks = draw_dropout_masks(model.config, idx.size, rng)
-                grads, loss = backward(model, x_tr[idx], y_tr[idx], masks)
+                grads, _ = backward(model, x_tr[idx], y_tr[idx], masks)
                 np.concatenate([grads[k].reshape(-1) for k in model.params], out=grad)
                 adam_step(state, flat_params, flat_grads)
-                sse += loss * idx.size
             val_loss = evaluate_mse(model, x_va, y_va)
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
-        train_losses.append(sse / n)
         val_losses.append(val_loss)
         if val_loss < best_loss:
             best_loss, best_epoch = val_loss, epoch
@@ -615,7 +610,6 @@ def train(
             break
     np.copyto(flat, best)
     return model, TrainHistory(
-        train_loss=tuple(train_losses),
         validation_loss=tuple(val_losses),
         best_epoch=best_epoch,
         stopped_epoch=len(val_losses),

@@ -16,6 +16,8 @@ Three phases compose into :func:`run_pcmci_plus`:
 
 All ordering is deterministic: candidate ties break by (variable index,
 lag), so a fixed dataset, max_lag, and alpha reproduce the graph exactly.
+The phases pass the core's nodes (variable index, lag); variable names
+attach only where a :class:`CausalLink` is built.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .stats import (
     DEFAULT_MAX_LAG,
     CITestResult,
     LaggedCrossProducts,
+    Node,
     check_alpha,
 )
 
@@ -49,16 +52,6 @@ def check_max_samples(max_samples: int) -> None:
         raise InvalidArgument(
             f"max_samples must be >= 0 (0 keeps every step), got {max_samples}"
         )
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """A lagged parent candidate (variable at t - lag) for some target."""
-
-    variable: str
-    lag: int
-    statistic: float
-    p_value: float
 
 
 @dataclass(frozen=True)
@@ -188,28 +181,24 @@ class CausalGraph:
 
 def pc1_condition_selection(
     cross: LaggedCrossProducts,
-    names: tuple[str, ...],
-    target_var: str,
+    target: int,
     pc_alpha: float = DEFAULT_ALPHA,
-) -> list[Candidate]:
-    """Iteratively prune lagged parent candidates of one variable.
+) -> list[Node]:
+    """Iteratively prune the lagged parent candidates of variable ``target``.
 
-    Round q tests each surviving candidate against the target at time t,
-    conditioned on the q strongest *other* survivors (ranked by absolute
-    statistic from the previous round, ties by variable index then lag).
-    Candidates with p > pc_alpha after a full sweep are removed; rounds
-    stop once q exceeds the number of remaining other candidates.
-    Returns survivors sorted by |statistic| descending.  ``cross`` is the
-    lagged panel :func:`run_pcmci_plus` builds once for all three phases,
-    and ``names`` labels its columns.
+    Round q tests each surviving candidate (i, lag) against the target at
+    time t, conditioned on the q strongest *other* survivors (ranked by
+    absolute statistic from the previous round, ties by variable index
+    then lag).  Survivors with p > pc_alpha after a full sweep are
+    removed; rounds stop once q exceeds the number of remaining other
+    candidates.  Returns survivors sorted by |statistic| descending.
+    ``cross`` is the lagged panel :func:`run_pcmci_plus` builds once for
+    all three phases.
     """
-    target = (names.index(target_var), 0)
-
-    survivors: list[tuple[int, int]] = [
-        (i, lag) for i in range(len(names)) for lag in range(1, cross.max_lag + 1)
-    ]
-    stat: dict[tuple[int, int], float] = {}
-    pval: dict[tuple[int, int], float] = {}
+    n_vars = cross.values.shape[1]
+    survivors = [(i, lag) for i in range(n_vars) for lag in range(1, cross.max_lag + 1)]
+    stat: dict[Node, float] = {}
+    pval: dict[Node, float] = {}
 
     q = 0
     while q <= len(survivors) - 1:
@@ -218,28 +207,18 @@ def pc1_condition_selection(
         # other than itself: one shared set for all but the first q
         head = order[:q]
         rest = [c for c in survivors if c not in head]
-        for cand, s, p in zip(rest, *cross.test_each(rest, target, head)):
+        for cand, s, p in zip(rest, *cross.test_each(rest, (target, 0), head)):
             stat[cand], pval[cand] = float(s), float(p)
         for cand in head:
-            res = cross.test(cand, target, [c for c in order[: q + 1] if c != cand])
+            res = cross.test(cand, (target, 0), [c for c in order[: q + 1] if c != cand])
             stat[cand], pval[cand] = res.statistic, res.p_value
         survivors = [c for c in survivors if pval[c] <= pc_alpha]
         q += 1
 
-    return [
-        Candidate(
-            variable=names[i],
-            lag=lag,
-            statistic=stat[(i, lag)],
-            p_value=pval[(i, lag)],
-        )
-        for i, lag in _rank(survivors, stat)
-    ]
+    return _rank(survivors, stat)
 
 
-def _rank(
-    candidates: list[tuple[int, int]], stat: dict[tuple[int, int], float]
-) -> list[tuple[int, int]]:
+def _rank(candidates: list[Node], stat: dict[Node, float]) -> list[Node]:
     return sorted(candidates, key=lambda c: (-abs(stat.get(c, np.inf)), c[0], c[1]))
 
 
@@ -249,25 +228,21 @@ def _rank(
 
 def mci_test(
     cross: LaggedCrossProducts,
-    names: tuple[str, ...],
-    link: tuple[str, int, str],
-    parents_of_target: list[Candidate],
-    parents_of_source: list[Candidate],
+    link: tuple[int, int, int],
+    parents_of_target: list[Node],
+    parents_of_source: list[Node],
 ) -> CITestResult:
-    """MCI test of (source at t - lag) vs (target at t).
+    """MCI test of (source i at t - lag) vs (target j at t), ``link`` = (i, lag, j).
 
     Conditions on the target's parents minus the tested link, plus the
     source's parents shifted back by the link lag; samples align over
     t = max_lag + lag .. T-1 so every conditioning node is observable.
     """
-    source, lag, target = link
+    i, lag, j = link
     if lag < 0 or lag > cross.max_lag:
         raise InvalidArgument(f"link lag {lag} outside 0..{cross.max_lag}")
-    i, j = names.index(source), names.index(target)
-
-    target_nodes = [(names.index(c.variable), c.lag) for c in parents_of_target]
-    conds = [node for node in target_nodes if node != (i, lag)] + [
-        (names.index(c.variable), c.lag + lag) for c in parents_of_source
+    conds = [node for node in parents_of_target if node != (i, lag)] + [
+        (k, k_lag + lag) for k, k_lag in parents_of_source
     ]
     return cross.test((i, lag), (j, 0), conds, start=cross.max_lag + lag)
 
@@ -279,27 +254,21 @@ def mci_test(
 def contemporaneous_phase(
     cross: LaggedCrossProducts,
     names: tuple[str, ...],
-    lagged_parents: dict[str, list[Candidate]],
+    parents: list[list[Node]],
     pc_alpha: float = DEFAULT_ALPHA,
 ) -> list[CausalLink]:
     """Discover and (partially) orient same-timestep links.
 
     Every pair starts adjacent.  Round q tests each surviving pair
-    conditioned on both endpoints' full lagged parent sets plus the q
-    strongest other contemporaneous neighbors; pairs with p > pc_alpha
-    drop out, remembering that neighbor subset as their separating set.
-    Surviving links are oriented by unshielded colliders and Meek rule 1
-    where possible.
+    conditioned on both endpoints' full lagged parent sets (``parents[i]``
+    for variable i) plus the q strongest other contemporaneous neighbors;
+    pairs with p > pc_alpha drop out, remembering that neighbor subset as
+    their separating set.  Surviving links are oriented by unshielded
+    colliders and Meek rule 1 where possible; ``names`` labels them.
     """
     N = len(names)
     if N < 2:
         return []
-
-    parent_nodes: dict[int, list[tuple[int, int]]] = {}
-    for i, name in enumerate(names):
-        parent_nodes[i] = [
-            (names.index(c.variable), c.lag) for c in lagged_parents.get(name, [])
-        ]
 
     adjacent: set[tuple[int, int]] = {(i, j) for i in range(N) for j in range(i + 1, N)}
     p_max: dict[tuple[int, int], float] = {}
@@ -328,7 +297,7 @@ def contemporaneous_phase(
             res = cross.test(
                 (a, 0),
                 (b, 0),
-                parent_nodes[a] + parent_nodes[b] + [(k, 0) for k in subset],
+                parents[a] + parents[b] + [(k, 0) for k in subset],
             )
             last_stat[(a, b)] = res.statistic
             p_max[(a, b)] = max(p_max.get((a, b), 0.0), res.p_value)
@@ -444,29 +413,17 @@ def run_pcmci_plus(
     work = dataset.rows(-max_samples) if max_samples else dataset
     names = work.variable_names
     cross = LaggedCrossProducts(work.values, max_lag)
-    parents = {var: pc1_condition_selection(cross, names, var, pc_alpha) for var in names}
+    parents = [pc1_condition_selection(cross, j, pc_alpha) for j in range(len(names))]
 
     links: list[CausalLink] = []
-    for target in names:
-        for cand in parents[target]:
-            res = mci_test(
-                cross,
-                names,
-                (cand.variable, cand.lag, target),
-                parents_of_target=parents[target],
-                parents_of_source=parents[cand.variable],
-            )
+    for j, target in enumerate(names):
+        for i, lag in parents[j]:
+            res = mci_test(cross, (i, lag, j), parents[j], parents[i])
             if res.p_value <= pc_alpha:
-                links.append(
-                    CausalLink(
-                        source=cand.variable,
-                        target=target,
-                        lag=cand.lag,
-                        statistic=res.statistic,
-                        p_value=res.p_value,
-                        oriented=True,
-                    )
-                )
+                links.append(CausalLink(
+                    source=names[i], target=target, lag=lag,
+                    statistic=res.statistic, p_value=res.p_value,
+                ))
 
     links.extend(contemporaneous_phase(cross, names, parents, pc_alpha))
     return CausalGraph(

@@ -235,6 +235,24 @@ class TestTrainEvaluate:
         doc = json.loads((root / "restricted.json").read_text())
         assert doc["records"][0]["n_test"] == 12
 
+    def test_evaluate_reads_the_csv_once(self, runner, trained, tmp_path, monkeypatch):
+        # three checkpoints with one target and frequency share one read
+        _, data, ck = trained
+        copies = [tmp_path / f"model{k}.json" for k in range(3)]
+        for copy in copies:
+            copy.write_bytes(ck.read_bytes())
+        reads = []
+
+        def counted(*args):
+            reads.append(args)
+            return load_csv(*args)
+
+        monkeypatch.setattr("causalcast.cli.load_csv", counted)
+        result = invoke(runner, "evaluate", *copies, "--data", data, "-o", tmp_path / "eval")
+        assert result.exit_code == 0, result.output
+        assert len(reads) == 1
+        assert len((tmp_path / "eval.csv").read_text().splitlines()) == 4
+
     def test_degenerate_evaluation_is_exit_one(self, runner, trained, tmp_path):
         root, data, ck = trained
         ds = load_csv(data, "y", "monthly")

@@ -6,6 +6,7 @@ import pytest
 
 from causalcast import (
     Frequency,
+    LagWindowSet,
     NormalizationStats,
     SplitSpec,
     TimeSeriesDataset,
@@ -41,7 +42,6 @@ class TestDataset:
         assert ds.n_timesteps == 4
         assert ds.n_variables == 3
         assert ds.target_index == 1
-        assert not ds.has_missing
         np.testing.assert_array_equal(ds.column("v2"), [2.0, 5.0, 8.0, 11.0])
 
     def test_values_are_immutable(self):
@@ -343,6 +343,12 @@ class TestLagWindows:
         with pytest.raises(UnknownVariable):
             build_lag_windows(ds, ["nope"], lookback=3, lead=1)
 
+    def test_sample_dates_must_increase(self):
+        # a date range is cut by bisection, which unordered dates would defeat
+        dates = tuple(dt.date(2000, m, 1) for m in (3, 1, 2))
+        with pytest.raises(ParseError, match="increase strictly"):
+            LagWindowSet(np.zeros((3, 2, 1)), np.zeros(3), 1, ("v0",), dates)
+
 
 class TestSplit:
     def _windows(self, n=120):
@@ -359,6 +365,21 @@ class TestSplit:
         assert val.n_samples == 10
         assert test.n_samples == 20
         assert max(train.sample_dates) < min(val.sample_dates)
+        assert all(np.shares_memory(part.inputs, w.inputs) for part in (train, val, test))
+
+    def test_between_includes_both_ends(self):
+        w = self._windows(30)
+        dates = w.sample_dates
+        inner = w.between(dates[3], dates[7])
+        assert inner.sample_dates == dates[3:8]
+        np.testing.assert_array_equal(inner.targets, w.targets[3:8])
+        # a bound that falls between two samples' dates keeps the inner one
+        day = dt.timedelta(days=1)
+        assert w.between(dates[3] + day, dates[7] - day).sample_dates == dates[4:7]
+        assert w.between(dt.date.min, dates[0]).sample_dates == dates[:1]
+        for first, last in ((dates[7], dates[3]), (dates[-1] + day, dt.date.max)):
+            empty = w.between(first, last)
+            assert (empty.n_samples, empty.sample_dates) == (0, ())
 
     def test_boundary_dates(self):
         ds = make_dataset(

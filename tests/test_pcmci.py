@@ -4,7 +4,6 @@ import pytest
 from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci
 from causalcast.errors import InvalidArgument
 from causalcast.pcmci import (
-    Candidate,
     CausalGraph,
     CausalLink,
     LaggedCrossProducts,
@@ -80,15 +79,15 @@ def count_ci_tests(monkeypatch):
 
 
 def panel(ds, max_lag):
-    """The cross-products and column names every phase reads."""
-    return LaggedCrossProducts(ds.values, max_lag), ds.variable_names
+    """The cross-products every phase reads."""
+    return LaggedCrossProducts(ds.values, max_lag)
 
 
 class TestPc1:
     def test_autoregressive_memory_retained(self):
         ds = make_dataset(ar1(0), names=["x"], frequency=Frequency.DAILY)
-        parents = pc1_condition_selection(*panel(ds, 3), "x")
-        assert ("x", 1) in {(c.variable, c.lag) for c in parents}
+        parents = pc1_condition_selection(panel(ds, 3), 0)
+        assert (0, 1) in parents
 
     def test_white_noise_keeps_nothing(self):
         ds = make_dataset(
@@ -96,7 +95,7 @@ class TestPc1:
             names=["x"],
             frequency=Frequency.DAILY,
         )
-        parents = pc1_condition_selection(*panel(ds, 5), "x", pc_alpha=0.01)
+        parents = pc1_condition_selection(panel(ds, 5), 0, pc_alpha=0.01)
         assert parents == []
 
     def test_chain_prunes_indirect_parent(self):
@@ -113,31 +112,31 @@ class TestPc1:
         ds = make_dataset(
             np.column_stack([x, y, z]), names=["x", "y", "z"], frequency=Frequency.DAILY
         )
-        parents = pc1_condition_selection(*panel(ds, 3), "z", pc_alpha=0.01)
-        assert ("y", 1) in {(c.variable, c.lag) for c in parents}
-        assert "x" not in {c.variable for c in parents}
+        parents = pc1_condition_selection(panel(ds, 3), 2, pc_alpha=0.01)
+        assert (1, 1) in parents
+        assert 0 not in {i for i, _ in parents}
 
     def test_candidates_ranked_by_strength(self):
-        ds = lagged_pair(3)
-        parents = pc1_condition_selection(*panel(ds, 4), "y")
-        stats = [abs(c.statistic) for c in parents]
-        assert stats == sorted(stats, reverse=True)
+        # in the last round x at lag 2 reads |r| 0.4729 and y at lag 1
+        # reads 0.4015, so x comes first though y has the lower index
+        parents = pc1_condition_selection(panel(lagged_pair(3), 4), 1)
+        assert parents == [(0, 2), (1, 1)]
 
 
 class TestMci:
     def test_true_link_significant(self):
         ds = lagged_pair(4, lag=2, coef=0.5)
-        cross, names = panel(ds, 4)
-        px = pc1_condition_selection(cross, names, "x")
-        py = pc1_condition_selection(cross, names, "y")
-        res = mci_test(cross, names, ("x", 2, "y"), py, px)
+        cross = panel(ds, 4)
+        px = pc1_condition_selection(cross, 0)
+        py = pc1_condition_selection(cross, 1)
+        res = mci_test(cross, (0, 2, 1), py, px)
         assert res.p_value < 0.01
         assert res.statistic > 0.2
 
     def test_empty_conditions_match_plain_correlation(self):
         ds = noise_dataset(5, T=800, N=2, frequency=Frequency.DAILY)
         max_lag, lag = 4, 2
-        res = mci_test(*panel(ds, max_lag), ("v0", lag, "v1"), [], [])
+        res = mci_test(panel(ds, max_lag), (0, lag, 1), [], [])
         t0 = max_lag + lag
         x = ds.values[t0 - lag : -lag, 0]
         y = ds.values[t0:, 1]
@@ -173,7 +172,7 @@ class TestContemporaneous:
         ds = make_dataset(
             np.column_stack([x, y]), names=["x", "y"], frequency=Frequency.DAILY
         )
-        links = contemporaneous_phase(*panel(ds, 3), {"x": [], "y": []}, pc_alpha=0.01)
+        links = contemporaneous_phase(panel(ds, 3), ds.variable_names, [[], []], pc_alpha=0.01)
         assert len(links) == 1
         assert links[0].lag == 0
         assert not links[0].oriented
@@ -260,8 +259,8 @@ class TestRun:
         calls = {"pc1": [], "mci": [], "contemp": []}
 
         def counting(key, original):
-            def wrapper(cross, names, *args, **kwargs):
-                result = original(cross, names, *args, **kwargs)
+            def wrapper(cross, *args, **kwargs):
+                result = original(cross, *args, **kwargs)
                 calls[key].append((cross, args[0], result))
                 return result
             monkeypatch.setattr(pcmci, original.__name__, wrapper)
@@ -272,9 +271,9 @@ class TestRun:
         ds = make_dataset(var_panel(31, T=600), frequency=Frequency.DAILY)
         graph = run_pcmci_plus(ds, max_lag=3)
 
-        assert [target for _, target, _ in calls["pc1"]] == list(ds.variable_names)
+        assert [target for _, target, _ in calls["pc1"]] == list(range(ds.n_variables))
         survivors = [
-            (c.variable, c.lag, target) for _, target, found in calls["pc1"] for c in found
+            (i, lag, target) for _, target, found in calls["pc1"] for i, lag in found
         ]
         assert survivors and [link for _, link, _ in calls["mci"]] == survivors
         assert len(calls["contemp"]) == 1
@@ -459,9 +458,8 @@ class TestCrossProducts:
         with pytest.raises(InvalidArgument, match=r"node \(0, -1\)"):
             cross.test((0, -1), (1, 0), [])
         # a parent list from a run at a larger max_lag
-        parents = [Candidate("a", 5, 0.5, 0.001)]
         with pytest.raises(InvalidArgument, match=r"node \(0, 5\)"):
-            mci_test(cross, ("a", "b", "c"), ("b", 1, "c"), parents, [])
+            mci_test(cross, (1, 1, 2), [(0, 5)], [])
         assert cross.tests == 0
 
     def test_out_of_range_node_rejected(self):
