@@ -56,7 +56,7 @@ from .pipeline import (
     run_experiment,
     score,
 )
-from .synth import PlantedGraph, generate_var, random_planted_graph
+from .synth import DEFAULT_FREQUENCY, DEFAULT_GRAPH_MAX_LAG, DEFAULT_START, PlantedGraph, generate_var, random_planted_graph
 
 
 def _cli_errors(fn):
@@ -532,16 +532,16 @@ def experiment(config_file, output_dir, seed, jobs):
 @click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), default=None, help="planted-graph JSON to simulate (instead of a random graph)")
 @click.option("--n-vars", type=int, default=5, show_default=True)
 @click.option("--n-links", type=int, default=6, show_default=True)
-@click.option("--max-lag", type=int, default=5, show_default=True)
+@click.option("--max-lag", type=int, default=DEFAULT_GRAPH_MAX_LAG, show_default=True)
 @click.option("--timesteps", "-T", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--frequency",
     type=click.Choice([f.value for f in Frequency]),
-    default="monthly",
+    default=DEFAULT_FREQUENCY.value,
     show_default=True,
 )
-@click.option("--start-date", default="1979-01-01", show_default=True)
+@click.option("--start-date", default=DEFAULT_START.isoformat(), show_default=True)
 @click.option("--target", default=None, help="target column (default: last variable)")
 @click.option(
     "--output",

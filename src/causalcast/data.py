@@ -220,8 +220,6 @@ class LagWindowSet:
 
     inputs: np.ndarray       # S x tau x F
     targets: np.ndarray      # S
-    lead: int
-    feature_names: tuple[str, ...]
     sample_dates: tuple[dt.date, ...]
 
     def __post_init__(self):
@@ -233,32 +231,23 @@ class LagWindowSet:
             raise ParseError("targets length inconsistent with inputs")
         if len(self.sample_dates) != inputs.shape[0]:
             raise ParseError("sample_dates length inconsistent with inputs")
-        if inputs.shape[2] != len(self.feature_names):
-            raise ParseError("feature count inconsistent with feature_names")
         if any(b <= a for a, b in zip(self.sample_dates, self.sample_dates[1:])):
             raise ParseError("sample_dates must increase strictly")
         inputs.flags.writeable = False
         targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "sample_dates", tuple(self.sample_dates))
 
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def lookback(self) -> int:
-        return self.inputs.shape[1]
-
     def subset(self, rows: slice) -> "LagWindowSet":
         """Samples ``rows``, as views of this set's arrays."""
         return LagWindowSet(
             inputs=self.inputs[rows],
             targets=self.targets[rows],
-            lead=self.lead,
-            feature_names=self.feature_names,
             sample_dates=self.sample_dates[rows],
         )
 
@@ -502,8 +491,6 @@ def build_lag_windows(
     return LagWindowSet(
         inputs=inputs,
         targets=dataset.values[target_rows, target_col],
-        lead=lead,
-        feature_names=tuple(features),
         sample_dates=tuple(dataset.timestamps[r] for r in target_rows),
     )
 

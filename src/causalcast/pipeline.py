@@ -20,7 +20,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +62,6 @@ from .nn import (
 )
 from .pcmci import DEFAULT_MAX_SAMPLES, check_max_samples, run_pcmci_plus, select_features_pcmci
 from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, check_alpha, check_max_lag
-
-REPORT_COLUMNS = (
-    "frequency",
-    "variant",
-    "lead",
-    "rmse",
-    "mae",
-    "rmse_pct",
-    "mae_pct",
-    "r2",
-    "n_test",
-)
 
 VARIANTS = (
     FeatureMethod.VANILLA,
@@ -191,7 +179,7 @@ class ExperimentConfig:
         if not freqs:
             freqs = tuple(
                 f
-                for f in (Frequency.DAILY, Frequency.MONTHLY)
+                for f in Frequency
                 if self.path_for(f) is not None
             )
         object.__setattr__(self, "frequencies", freqs)
@@ -258,8 +246,9 @@ class EvalRecord:
     r2: float
     n_test: int
 
-    def to_dict(self) -> dict:
-        return {c: getattr(self, c) for c in REPORT_COLUMNS}
+
+# the report's columns, in the CSV's order
+REPORT_COLUMNS = tuple(f.name for f in fields(EvalRecord))
 
 
 @dataclass(frozen=True)
@@ -283,24 +272,12 @@ class EvalReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for rec in self.records:
-            writer.writerow(
-                [
-                    rec.frequency,
-                    rec.variant,
-                    rec.lead,
-                    repr(rec.rmse),
-                    repr(rec.mae),
-                    repr(rec.rmse_pct),
-                    repr(rec.mae_pct),
-                    repr(rec.r2),
-                    rec.n_test,
-                ]
-            )
+            writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(rec))
         return buf.getvalue()
 
     def to_dict(self) -> dict:
         return {
-            "records": [rec.to_dict() for rec in self.records],
+            "records": [asdict(rec) for rec in self.records],
             "failures": list(self.failures),
             "training": list(self.training),
             "artifacts": list(self.artifacts),
@@ -308,27 +285,14 @@ class EvalReport:
 
     def r2_series_csv(self, frequency: str) -> str:
         """Plot-ready lead-vs-R2 table, one column per variant."""
-        variants = []
-        for rec in self.records:
-            if rec.frequency == frequency and rec.variant not in variants:
-                variants.append(rec.variant)
-        leads = sorted(
-            {rec.lead for rec in self.records if rec.frequency == frequency}
-        )
-        cell = {
-            (rec.lead, rec.variant): rec.r2
-            for rec in self.records
-            if rec.frequency == frequency
-        }
+        records = [rec for rec in self.records if rec.frequency == frequency]
+        variants = list(dict.fromkeys(rec.variant for rec in records))
+        cell = {(rec.lead, rec.variant): repr(rec.r2) for rec in records}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lead"] + variants)
-        for lead in leads:
-            row = [lead]
-            for v in variants:
-                value = cell.get((lead, v))
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+        for lead in sorted({rec.lead for rec in records}):
+            writer.writerow([lead] + [cell.get((lead, v), "") for v in variants])
         return buf.getvalue()
 
 
@@ -513,59 +477,56 @@ def _roster(config: ExperimentConfig, frequency: Frequency):
 
 
 def _run_cell(
-    args,
-) -> tuple[EvalRecord | None, dict | None, str | None, dict | None, dict | None]:
+    config: ExperimentConfig,
+    freq: Frequency,
+    variant: FeatureMethod,
+    feature_set: FeatureSet | Exception,
+    lead: int,
+    normalized: TimeSeriesDataset,
+    stats: NormalizationStats,
+    out_dir: str,
+) -> dict:
     """Train and score one (frequency, variant, lead) cell.
 
-    Module-level so a process pool can pickle it.  Returns
-    (record, failure, checkpoint_path, training, timing); exactly one of
-    record/failure is set, and ``training`` and ``timing`` with the record.
+    Module-level so a process pool can pickle it.  A failed cell's
+    outcome is its labels and ``error``; a trained one's is its
+    ``record``, ``checkpoint`` path, and ``training`` and ``timing``
+    entries, both labelled.
     """
-    (config, freq, variant, feature_set, lead, normalized, stats, out_dir) = args
-    label = f"{freq.value}:{variant.value}:lead{lead}"
+    cell = {"frequency": freq.value, "variant": variant.value, "lead": lead}
     try:
         if isinstance(feature_set, Exception):
             raise feature_set
-        seed = derive_seed(config.seed, label)
+        seed = derive_seed(config.seed, f"{freq.value}:{variant.value}:lead{lead}")
         start = time.perf_counter()
         checkpoint, test_w, history = fit_cell(
             config, freq, feature_set, lead, normalized, stats, seed
         )
         trained = time.perf_counter()
         record = score(checkpoint, test_w)
-        timing = {
-            "frequency": freq.value,
-            "variant": variant.value,
-            "lead": lead,
-            "train_s": trained - start,
-            "predict_s": time.perf_counter() - trained,
-        }
+        predicted = time.perf_counter()
         ck_path = str(
             Path(out_dir) / f"model_{freq.value}_{variant.value}_lead{lead}.json"
         )
         save_checkpoint(ck_path, checkpoint)
-        training = {
-            "frequency": freq.value,
-            "variant": variant.value,
-            "lead": lead,
+    except (CausalcastError, OSError) as exc:
+        # isolate the cell, keep the experiment alive; any other
+        # exception is a program bug and must not pass as a failed cell
+        return {**cell, "error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "record": record,
+        "checkpoint": ck_path,
+        "training": {
+            **cell,
             "features": list(feature_set.features),
             "n_train": history.n_train,
             "n_val": history.n_val,
             "best_epoch": history.best_epoch,
             "stopped_epoch": history.stopped_epoch,
             "validation_loss": list(history.validation_loss),
-        }
-        return record, None, ck_path, training, timing
-    except (CausalcastError, OSError) as exc:
-        # isolate the cell, keep the experiment alive; any other
-        # exception is a program bug and must not pass as a failed cell
-        failure = {
-            "frequency": freq.value,
-            "variant": variant.value,
-            "lead": lead,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        return None, failure, None, None, None
+        },
+        "timing": {**cell, "train_s": trained - start, "predict_s": predicted - trained},
+    }
 
 
 def run_experiment(config: ExperimentConfig) -> EvalReport:
@@ -583,7 +544,7 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
 
     datasets: dict[Frequency, TimeSeriesDataset] = {}
     loads = []
-    for freq in (Frequency.DAILY, Frequency.MONTHLY):
+    for freq in Frequency:
         path = config.path_for(freq)
         if path is not None:
             start = time.perf_counter()
@@ -603,65 +564,42 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     }
     features, artifacts, discovery = _discover_features(config, train_rows, out)
 
-    cells = []
-    for freq in config.frequencies:
-        stats, normalized = prepare(datasets[freq], config.split)
-        for variant in _roster(config, freq):
-            for lead in config.leads:
-                cells.append(
-                    (
-                        config,
-                        freq,
-                        variant,
-                        features[(freq, variant)],
-                        lead,
-                        normalized,
-                        stats,
-                        str(out),
-                    )
-                )
-
+    cells = [
+        (config, freq, variant, features[(freq, variant)], lead, normalized, stats, str(out))
+        for freq in config.frequencies
+        for stats, normalized in [prepare(datasets[freq], config.split)]
+        for variant in _roster(config, freq)
+        for lead in config.leads
+    ]
     if config.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+            outcomes = list(pool.map(_run_cell, *zip(*cells)))
     else:
-        outcomes = [_run_cell(cell) for cell in cells]
+        outcomes = [_run_cell(*cell) for cell in cells]
+    trained = [o for o in outcomes if "error" not in o]
 
-    records = []
-    failures = []
-    training = []
-    cell_timings = []
-    for record, failure, ck_path, cell_training, timing in outcomes:
-        if record is not None:
-            records.append(record)
-            artifacts.append(ck_path)
-            training.append(cell_training)
-            cell_timings.append(timing)
-        else:
-            failures.append(failure)
-
+    records = tuple(o["record"] for o in trained)
+    reports = [out / name for name in ("report.csv", "report.json", "timings.json")]
+    series = {
+        freq.value: out / f"r2_series_{freq.value}.csv"
+        for freq in Frequency
+        if any(rec.frequency == freq.value for rec in records)
+    }
     report = EvalReport(
-        records=tuple(records),
-        failures=tuple(failures),
-        artifacts=tuple(artifacts),
-        training=tuple(training),
+        records=records,
+        failures=tuple(o for o in outcomes if "error" in o),
+        artifacts=(
+            *artifacts,
+            *(o["checkpoint"] for o in trained),
+            *(str(p) for p in (*reports, *series.values())),
+        ),
+        training=tuple(o["training"] for o in trained),
     )
-    csv_path = out / "report.csv"
-    json_path = out / "report.json"
-    timings_path = out / "timings.json"
+    csv_path, json_path, timings_path = reports
     csv_path.write_text(report.to_csv())
-    timings = {"datasets": loads, "discovery": discovery, "cells": cell_timings}
-    timings_path.write_text(json.dumps(timings, indent=2) + "\n")
-    series_paths = []
-    for freq in (Frequency.DAILY, Frequency.MONTHLY):
-        if any(rec.frequency == freq.value for rec in report.records):
-            spath = out / f"r2_series_{freq.value}.csv"
-            spath.write_text(report.r2_series_csv(freq.value))
-            series_paths.append(str(spath))
-    report = replace(
-        report,
-        artifacts=report.artifacts
-        + (str(csv_path), str(json_path), str(timings_path), *series_paths),
-    )
     json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    timings = {"datasets": loads, "discovery": discovery, "cells": [o["timing"] for o in trained]}
+    timings_path.write_text(json.dumps(timings, indent=2) + "\n")
+    for freq, path in series.items():
+        path.write_text(report.r2_series_csv(freq))
     return report

@@ -20,6 +20,11 @@ from .errors import GenerationFailed, InvalidArgument, NonStationary, json_objec
 
 BURN_IN = 200
 
+# defaults of random_planted_graph and generate_var, and so of `causalcast synth`
+DEFAULT_GRAPH_MAX_LAG = 5
+DEFAULT_FREQUENCY = Frequency.MONTHLY
+DEFAULT_START = dt.date(1979, 1, 1)
+
 
 @dataclass(frozen=True)
 class PlantedGraph:
@@ -120,8 +125,8 @@ def generate_var(
     graph: PlantedGraph,
     T: int,
     seed: int,
-    frequency: Frequency | str = Frequency.MONTHLY,
-    start: dt.date = dt.date(1979, 1, 1),
+    frequency: Frequency | str = DEFAULT_FREQUENCY,
+    start: dt.date = DEFAULT_START,
     target: str | None = None,
 ) -> TimeSeriesDataset:
     """Simulate T steps of the planted VAR after a 200-step burn-in.
@@ -165,7 +170,7 @@ def random_planted_graph(
     n_vars: int,
     n_links: int,
     seed: int,
-    max_lag: int = 5,
+    max_lag: int = DEFAULT_GRAPH_MAX_LAG,
     coef_range: tuple[float, float] = (0.3, 0.6),
     max_tries: int = 1000,
 ) -> PlantedGraph:

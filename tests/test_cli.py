@@ -20,6 +20,7 @@ from causalcast import (
     generate_var,
     init_model,
     load_csv,
+    random_planted_graph,
     save_checkpoint,
     save_csv,
 )
@@ -82,6 +83,16 @@ class TestSynth:
         for name in ("a", "b"):
             invoke(runner, "synth", "-T", 200, "--seed", 9, "-o", tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_defaults_are_the_library_defaults(self, runner, tmp_path):
+        # --max-lag, --frequency and --start-date left out: the series is
+        # the one random_planted_graph and generate_var give by default
+        invoke(runner, "synth", "-T", 120, "--seed", 4, "-o", tmp_path / "cli")
+        graph = random_planted_graph(5, 6, derive_seed(4, "graph"))
+        save_csv(generate_var(graph, 120, derive_seed(4, "series")),
+                 tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert PlantedGraph.load(tmp_path / "cli.graph.json").links == graph.links
 
     def test_reuses_saved_graph(self, runner, tmp_path):
         invoke(runner, "synth", "-T", 200, "--seed", 1, "-o", tmp_path / "a")

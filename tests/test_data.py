@@ -347,7 +347,7 @@ class TestLagWindows:
         # a date range is cut by bisection, which unordered dates would defeat
         dates = tuple(dt.date(2000, m, 1) for m in (3, 1, 2))
         with pytest.raises(ParseError, match="increase strictly"):
-            LagWindowSet(np.zeros((3, 2, 1)), np.zeros(3), 1, ("v0",), dates)
+            LagWindowSet(np.zeros((3, 2, 1)), np.zeros(3), dates)
 
 
 class TestSplit:

@@ -322,6 +322,41 @@ class TestRunExperiment:
         for name in ("report.csv", "report.json", "granger_monthly.json"):
             assert "_s\"" not in (out / name).read_text()
 
+    def test_artifacts_in_write_order(self, experiment_data, tmp_path):
+        # discovery files, the checkpoints in record order, then the reports
+        path, stamps = experiment_data
+        out = tmp_path / "o"
+        report = run_experiment(small_config(
+            path, stamps, out, variants=("vanilla", "gc", "pcmci+"),
+        ))
+        assert len(report.records) == 6
+        checkpoints = [
+            f"model_{r.frequency}_{r.variant}_lead{r.lead}.json" for r in report.records
+        ]
+        assert list(report.artifacts) == [str(out / name) for name in [
+            "granger_monthly.json", "granger_monthly.dot",
+            "graph_monthly_pcmci.json", "graph_monthly_pcmci.dot",
+            *checkpoints,
+            "report.csv", "report.json", "timings.json", "r2_series_monthly.csv",
+        ]]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["artifacts"] == list(report.artifacts)
+
+    def test_report_json_same_serial_and_parallel(self, experiment_data, tmp_path):
+        path, stamps = experiment_data
+        docs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_experiment(small_config(
+                path, stamps, out, jobs=jobs, discovery_max_lag=60,
+                variants=("vanilla", "gc", "pcmci+"),
+            ))
+            doc = json.loads((out / "report.json").read_text())
+            doc.pop("artifacts")
+            docs.append(doc)
+        assert docs[0]["records"] and docs[0]["failures"]
+        assert docs[0] == docs[1]
+
     def test_gc_selects_planted_driver(self, experiment_data, tmp_path):
         path, stamps = experiment_data
         run_experiment(small_config(path, stamps, tmp_path / "o"))
@@ -336,9 +371,12 @@ class TestRunExperiment:
             small_config(path, stamps, tmp_path / "o", discovery_max_lag=60)
         )
         assert {r.variant for r in report.records} == {"vanilla"}
-        assert len(report.failures) == 2
+        assert [(f["frequency"], f["variant"], f["lead"]) for f in report.failures] == [
+            ("monthly", "gc", 1), ("monthly", "gc", 2),
+        ]
         for failure in report.failures:
-            assert failure["variant"] == "gc"
+            # each entry names its cell and the error, nothing more
+            assert set(failure) == {"frequency", "variant", "lead", "error"}
             assert "InsufficientHistory" in failure["error"]
         # failures live in the JSON report, not the CSV table
         doc = json.loads((tmp_path / "o" / "report.json").read_text())
