@@ -266,7 +266,7 @@ def train_cmd(
     daily_steps_per_month, seed, output, manifest,
 ):
     """Train one forecaster and save its checkpoint."""
-    dataset = impute(load_csv(dataset_csv, target, frequency))
+    dataset = load_csv(dataset_csv, target, frequency)
     features = _load_feature_set(features_from, dataset)
     config = ExperimentConfig(
         target=target,
@@ -292,7 +292,7 @@ def train_cmd(
             learning_rate=learning_rate,
         ),
     )
-    stats, normalized = prepare(dataset, config.split)
+    _, stats, normalized = prepare(dataset, config.split)
     checkpoint, _, history = fit_cell(
         config, Frequency(frequency), features, lead, normalized, stats, seed
     )

@@ -198,14 +198,12 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationStats":
+        first, last = d["fitted_on"]
         return cls(
             variable_names=tuple(d["variables"]),
             mean=np.array(d["mean"], dtype=np.float64),
             std=np.array(d["std"], dtype=np.float64),
-            fitted_on=(
-                dt.date.fromisoformat(d["fitted_on"][0]),
-                dt.date.fromisoformat(d["fitted_on"][1]),
-            ),
+            fitted_on=(dt.date.fromisoformat(first), dt.date.fromisoformat(last)),
         )
 
 
@@ -374,6 +372,7 @@ def impute(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
 
     Interior gaps interpolate linearly between the nearest observed
     neighbors; leading/trailing gaps copy the nearest observed value.
+    A cell is filled from every row of ``dataset``, later ones included.
     """
     values = dataset.values.copy()
     idx = np.arange(dataset.n_timesteps, dtype=np.float64)
@@ -381,26 +380,23 @@ def impute(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
         col = values[:, j]
         observed = ~np.isnan(col)
         if not observed.any():
-            raise AllMissingColumn(f"variable {name!r} has no observed values")
+            raise AllMissingColumn(
+                f"variable {name!r} has no observed values in "
+                f"{dataset.timestamps[0]}..{dataset.timestamps[-1]}"
+            )
         if observed.all():
             continue
         values[:, j] = np.interp(idx, idx[observed], col[observed])
     return dataset.with_values(values)
 
 
-def fit_normalization(dataset: TimeSeriesDataset, split: SplitSpec) -> NormalizationStats:
-    """Per-variable mean and population std over rows dated <= train_end."""
-    stop = bisect.bisect_right(dataset.timestamps, split.train_end)
-    if stop == 0:
-        raise EmptySplit(
-            f"no rows at or before train_end {split.train_end.isoformat()}"
-        )
-    train = dataset.values[:stop]
+def fit_normalization(train: TimeSeriesDataset) -> NormalizationStats:
+    """Per-variable mean and population std over every row of ``train``."""
     return NormalizationStats(
-        variable_names=dataset.variable_names,
-        mean=train.mean(axis=0),
-        std=train.std(axis=0, ddof=0),
-        fitted_on=(dataset.timestamps[0], dataset.timestamps[stop - 1]),
+        variable_names=train.variable_names,
+        mean=train.values.mean(axis=0),
+        std=train.values.std(axis=0, ddof=0),
+        fitted_on=(train.timestamps[0], train.timestamps[-1]),
     )
 
 

@@ -520,13 +520,6 @@ def adam_step(state: AdamState, params, grads):
 # training
 # ---------------------------------------------------------------------------
 
-def _window_arrays(windows) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(windows, LagWindowSet):
-        return windows.inputs, windows.targets
-    x, y = windows
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-
-
 def predict(model: RecurrentModel, inputs) -> np.ndarray:
     """Evaluation-mode predictions flattened to shape (S,)."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -556,8 +549,8 @@ def _flat_views(buffer: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np
 
 def train(
     model: RecurrentModel,
-    train_windows,
-    validation_windows,
+    train_windows: LagWindowSet,
+    validation_windows: LagWindowSet,
     config: TrainConfig,
 ) -> tuple[RecurrentModel, TrainHistory]:
     """Minibatch Adam with seeded shuffling and early stopping.
@@ -574,8 +567,8 @@ def train(
     ``model.params`` are named views into it, so Adam runs once over the
     whole model and the best-epoch snapshot is one copy.
     """
-    x_tr, y_tr = _window_arrays(train_windows)
-    x_va, y_va = _window_arrays(validation_windows)
+    x_tr, y_tr = train_windows.inputs, train_windows.targets
+    x_va, y_va = validation_windows.inputs, validation_windows.targets
     if x_tr.shape[0] == 0:
         raise EmptySplit("no training samples")
     if x_va.shape[0] == 0:

@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     DegeneratePercentage,
     DegenerateR2,
+    EmptySplit,
     InvalidArgument,
     ShapeError,
     check_integers,
@@ -316,10 +317,21 @@ def derive_seed(root: int, label: str) -> int:
 # ---------------------------------------------------------------------------
 
 def prepare(raw: TimeSeriesDataset, split: SplitSpec):
-    """Normalization statistics fit on the training range, and the series
-    normalized with them."""
-    stats = fit_normalization(raw, split)
-    return stats, apply_normalization(raw, stats)
+    """Cut the un-imputed panel ``raw`` at ``split.train_end``.
+
+    The rows dated on or before ``train_end`` are imputed from themselves
+    alone, so no later row fills a training gap; the rest are imputed with
+    the training rows fixed.  Returns the imputed training rows, the
+    normalization statistics fit on them, and the whole series normalized
+    with those statistics.
+    """
+    stop = bisect.bisect_right(raw.timestamps, split.train_end)
+    if stop == 0:
+        raise EmptySplit(f"no rows at or before train_end {split.train_end.isoformat()}")
+    train_rows = impute(raw.rows(0, stop))
+    full = impute(raw.with_values(np.concatenate([train_rows.values, raw.values[stop:]])))
+    stats = fit_normalization(train_rows)
+    return train_rows, stats, apply_normalization(full, stats)
 
 
 def fit_cell(
@@ -542,7 +554,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    datasets: dict[Frequency, TimeSeriesDataset] = {}
+    # (training rows, stats, normalized series) per loaded panel; driver
+    # selection sees the training rows only, never the test range
+    prepared: dict[Frequency, tuple] = {}
     loads = []
     for freq in Frequency:
         path = config.path_for(freq)
@@ -550,24 +564,20 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
             start = time.perf_counter()
             raw = load_csv(path, config.target, freq)
             loaded = time.perf_counter()
-            datasets[freq] = impute(raw)
+            prepared[freq] = prepare(raw, config.split)
             loads.append({
                 "frequency": freq.value,
                 "load_s": loaded - start,
-                "impute_s": time.perf_counter() - loaded,
+                "prepare_s": time.perf_counter() - loaded,
             })
 
-    # driver selection sees the training rows only, never the test range
-    train_rows = {
-        freq: ds.rows(0, bisect.bisect_right(ds.timestamps, config.split.train_end))
-        for freq, ds in datasets.items()
-    }
+    train_rows = {freq: rows for freq, (rows, _, _) in prepared.items()}
     features, artifacts, discovery = _discover_features(config, train_rows, out)
 
     cells = [
         (config, freq, variant, features[(freq, variant)], lead, normalized, stats, str(out))
         for freq in config.frequencies
-        for stats, normalized in [prepare(datasets[freq], config.split)]
+        for _, stats, normalized in [prepared[freq]]
         for variant in _roster(config, freq)
         for lead in config.leads
     ]

@@ -312,6 +312,8 @@ class TestTrainEvaluate:
         ("evaluate", "features-not-strings"),
         ("evaluate", "target-int"),
         ("evaluate", "method-list"),
+        ("evaluate", "fitted_on-empty"),
+        ("evaluate", "fitted_on-three"),
         ("train", "array"),
         ("train", "mvgc-features-string"),
         ("synth", "array"),
@@ -327,6 +329,11 @@ class TestTrainEvaluate:
         def meta(key, value):
             return {**json.loads(ck.read_text()), key: value}
 
+        def fitted_on(dates):
+            blob = json.loads(ck.read_text())
+            blob["normalization"]["fitted_on"] = dates
+            return blob
+
         docs = {
             "no-head_b": lambda: checkpoint(lambda p: p.pop("head_b")),
             # 48 values under a (4, 11) shape
@@ -340,6 +347,8 @@ class TestTrainEvaluate:
             "features-not-strings": lambda: meta("features", ["drv", 2]),
             "target-int": lambda: meta("target", 3),
             "method-list": lambda: meta("method", ["gc"]),
+            "fitted_on-empty": lambda: fitted_on([]),
+            "fitted_on-three": lambda: fitted_on(["1975-01-01", "1990-08-01", "1993-12-01"]),
             "mvgc-no-features": lambda: {"method": "mvgc"},
             "mvgc-features-string": lambda: {"method": "mvgc", "features": "drv"},
             "pcmci-no-max_lag": lambda: {"method": "pcmci+", "variables": ["y", "drv", "other"],
@@ -470,13 +479,27 @@ seed: 3
         assert row in (out / "report.csv").read_text().splitlines()
         assert row.startswith("monthly,vanilla,1,")
 
-    @pytest.mark.parametrize(
-        "method, variant, artifact",
-        [("mvgc", "gc", "granger_monthly"), ("pcmci+", "pcmci+", "graph_monthly_pcmci")],
-    )
+    def _blank(self, tmp_path, column, first, last):
+        """Make ``column`` of monthly.csv missing from ``first`` to ``last``."""
+        ds = load_csv(tmp_path / "monthly.csv", "y", "monthly")
+        values = ds.values.copy()
+        rows = [first <= t <= last for t in ds.timestamps]
+        values[rows, ds.variable_names.index(column)] = np.nan
+        save_csv(ds.with_values(values), tmp_path / "monthly.csv")
+
+    @pytest.mark.parametrize("method, variant, artifact, gap", [
+        ("mvgc", "gc", "granger_monthly", False),
+        ("pcmci+", "pcmci+", "graph_monthly_pcmci", False),
+        ("mvgc", "gc", "granger_monthly", True),
+        ("pcmci+", "pcmci+", "graph_monthly_pcmci", True),
+    ], ids=["mvgc-gc-granger_monthly", "pcmci+-pcmci+-graph_monthly_pcmci",
+            "mvgc-gc-granger_monthly-gap", "pcmci+-pcmci+-graph_monthly_pcmci-gap"])
     def test_discover_writes_the_experiment_graph(self, runner, tmp_path, method,
-                                                  variant, artifact):
+                                                  variant, artifact, gap):
         cfg = self._setup(tmp_path)
+        if gap:
+            # a training gap up to train_end is filled from training rows only
+            self._blank(tmp_path, "drv", dt.date(1990, 5, 1), dt.date(1990, 8, 1))
         cfg.write_text(
             cfg.read_text()
             .replace("[vanilla, gc]", f"[{variant}]")
@@ -494,6 +517,19 @@ seed: 3
         for suffix in (".json", ".dot"):
             expected = (tmp_path / "out" / f"{artifact}{suffix}").read_bytes()
             assert (tmp_path / f"cli{suffix}").read_bytes() == expected
+
+    @pytest.mark.parametrize("command", ["experiment", "train"])
+    def test_variable_unobserved_in_training_is_exit_two(self, runner, tmp_path, command):
+        # observed in the test range only: nothing in training can fill it
+        cfg = self._setup(tmp_path)
+        self._blank(tmp_path, "other", dt.date.min, dt.date(1990, 8, 1))
+        args = {
+            "experiment": ("experiment", cfg),
+            "train": ("train", tmp_path / "monthly.csv", *TRAIN_ARGS, "-o", tmp_path / "m.json"),
+        }[command]
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.output
+        assert "variable 'other' has no observed values in 1979-01-01..1990-08-01" in result.stderr
 
     def test_loader_adds_no_defaults(self, tmp_path):
         cfg = tmp_path / "minimal.yaml"

@@ -21,6 +21,7 @@ from causalcast import (
     split_windows,
 )
 from causalcast.data import write_summary
+from causalcast.pipeline import prepare
 from causalcast.errors import (
     AllMissingColumn,
     DuplicateTimestamp,
@@ -207,34 +208,32 @@ class TestImpute:
 
 class TestNormalization:
     def test_fit_population_std(self):
-        ds = make_dataset([1.0, 2.0, 3.0])
-        split = SplitSpec(dt.date(2000, 3, 1), 0.2)
-        stats = fit_normalization(ds, split)
+        stats = fit_normalization(make_dataset([1.0, 2.0, 3.0]))
         assert stats.mean[0] == pytest.approx(2.0)
         assert stats.std[0] == pytest.approx(0.8165, abs=1e-4)
 
     def test_apply(self):
         ds = make_dataset([1.0, 2.0, 3.0])
-        stats = fit_normalization(ds, SplitSpec(dt.date(2000, 3, 1), 0.2))
+        stats = fit_normalization(ds)
         z = apply_normalization(ds, stats).values[:, 0]
         np.testing.assert_allclose(z, [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_fit_uses_only_train_rows(self):
         ds = make_dataset([1.0, 2.0, 3.0, 100.0])
-        stats = fit_normalization(ds, SplitSpec(dt.date(2000, 3, 1), 0.2))
+        stats = fit_normalization(ds.rows(0, 3))
         assert stats.mean[0] == pytest.approx(2.0)
         assert stats.fitted_on == (dt.date(2000, 1, 1), dt.date(2000, 3, 1))
 
     def test_constant_column_maps_to_zero(self):
         ds = make_dataset(np.full((5, 1), 7.0))
-        stats = fit_normalization(ds, SplitSpec(dt.date(2000, 5, 1), 0.2))
+        stats = fit_normalization(ds)
         z = apply_normalization(ds, stats)
         np.testing.assert_array_equal(z.values, np.zeros((5, 1)))
 
     def test_invert_round_trip(self):
         rng = np.random.default_rng(1)
         ds = make_dataset(rng.normal(10.0, 3.0, size=(50, 2)))
-        stats = fit_normalization(ds, SplitSpec(dt.date(2003, 12, 1), 0.2))
+        stats = fit_normalization(ds.rows(0, 48))
         z = apply_normalization(ds, stats)
         back = invert_normalization(z.values[:, 1], stats, "v1")
         np.testing.assert_allclose(back, ds.values[:, 1], rtol=1e-12)
@@ -251,16 +250,16 @@ class TestNormalization:
             apply_normalization(ds, stats)
 
     def test_round_trip_dict(self):
-        ds = make_dataset(np.ones((3, 2)))
-        stats = fit_normalization(ds, SplitSpec(dt.date(2000, 3, 1), 0.2))
+        stats = fit_normalization(make_dataset(np.ones((3, 2))))
         back = NormalizationStats.from_dict(stats.to_dict())
         assert back.variable_names == stats.variable_names
         np.testing.assert_array_equal(back.mean, stats.mean)
 
     def test_no_train_rows_rejected(self):
+        # the training cut belongs to prepare, which fits the statistics
         ds = make_dataset(np.ones((3, 1)), start=dt.date(2010, 1, 1))
-        with pytest.raises(EmptySplit):
-            fit_normalization(ds, SplitSpec(dt.date(2000, 1, 1), 0.2))
+        with pytest.raises(EmptySplit, match="no rows at or before train_end 2000-01-01"):
+            prepare(ds, SplitSpec(dt.date(2000, 1, 1), 0.2))
 
 
 class TestAggregation:

@@ -5,6 +5,7 @@ import pytest
 
 from causalcast import (
     Checkpoint,
+    LagWindowSet,
     ModelConfig,
     RecurrentModel,
     TrainConfig,
@@ -28,6 +29,8 @@ from causalcast.nn import (
     lstm_forward,
 )
 
+from conftest import daily_dates
+
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
@@ -42,6 +45,11 @@ def tiny_config(dropout=0.0):
         dense_units=3,
         dropout_rate=dropout,
     )
+
+
+def windows(x, y):
+    """``train``'s input: samples ``x`` with targets ``y``, on increasing dates."""
+    return LagWindowSet(inputs=x, targets=y, sample_dates=daily_dates(len(y)))
 
 
 def jittered_model(config, seed):
@@ -348,7 +356,7 @@ class TestEarlyStopping:
         x = rng.standard_normal((16, 4, 2))
         y = rng.standard_normal(16)
         model, hist = train(
-            jittered_model(tiny_config(), 0), (x[:8], y[:8]), (x[8:], y[8:]),
+            jittered_model(tiny_config(), 0), windows(x[:8], y[:8]), windows(x[8:], y[8:]),
             TrainConfig(batch_size=4, max_epochs=10, patience=patience),
         )
         assert hist.validation_loss == tuple(curve[: hist.stopped_epoch])
@@ -376,19 +384,19 @@ class TestTraining:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((S, 4, 1))
         y = x[:, -1, 0]
-        return (x[:256], y[:256]), (x[256:], y[256:])
+        return windows(x[:256], y[:256]), windows(x[256:], y[256:])
 
     def test_learns_identity_task(self):
         tr, va = self._task()
         cfg = ModelConfig(feature_count=1, lookback=4, gru_units=4, lstm_units=8,
                           dense_units=4, dropout_rate=0.0)
         model = init_model(cfg, seed=0)
-        initial = evaluate_mse(model, *va)
+        initial = evaluate_mse(model, va.inputs, va.targets)
         model, _ = train(
             model, tr, va,
             TrainConfig(batch_size=32, max_epochs=150, patience=150, learning_rate=0.01),
         )
-        assert evaluate_mse(model, *va) < 0.01 * initial
+        assert evaluate_mse(model, va.inputs, va.targets) < 0.01 * initial
 
     def test_restores_best_epoch_weights(self):
         tr, va = self._task(seed=1)
@@ -399,7 +407,7 @@ class TestTraining:
             model, tr, va,
             TrainConfig(batch_size=32, max_epochs=30, patience=5, learning_rate=0.02),
         )
-        assert evaluate_mse(model, *va) == pytest.approx(
+        assert evaluate_mse(model, va.inputs, va.targets) == pytest.approx(
             min(hist.validation_loss), rel=1e-12
         )
         assert hist.best_epoch == 1 + int(np.argmin(hist.validation_loss))
@@ -468,7 +476,7 @@ class TestTraining:
         with np.errstate(over="ignore"), pytest.raises(
             NumericalError, match="epoch 1: non-finite prediction"
         ):
-            train(model, (x[:32], y[:32]), (x[32:], y[32:]),
+            train(model, windows(x[:32], y[:32]), windows(x[32:], y[32:]),
                   TrainConfig(batch_size=64, max_epochs=3, learning_rate=1e300))
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
@@ -490,7 +498,7 @@ class TestTraining:
         for k, v in model.params.items():
             assert back.params[k].shape == v.shape
             np.testing.assert_array_equal(back.params[k], v)
-        np.testing.assert_array_equal(predict(back, va[0]), predict(model, va[0]))
+        np.testing.assert_array_equal(predict(back, va.inputs), predict(model, va.inputs))
 
         # training the returned model again starts from its weights
         model, hist = train(model, tr, va, TrainConfig(batch_size=64, max_epochs=2))

@@ -27,11 +27,14 @@ from causalcast.errors import (
     ConfigError,
     DegeneratePercentage,
     DegenerateR2,
+    EmptySplit,
     InputError,
     InvalidArgument,
     ShapeError,
 )
-from causalcast.pipeline import REPORT_COLUMNS
+from causalcast.pipeline import REPORT_COLUMNS, prepare
+
+from conftest import make_dataset
 
 
 class TestMetrics:
@@ -216,6 +219,21 @@ class TestReportContainer:
             EvalReport(records=(self._rec(r2=1.5),))
 
 
+class TestPrepare:
+    def test_training_gap_is_filled_from_training_rows(self):
+        # v1's gap runs from March to train_end (April) and on to June: the
+        # training rows copy February, and May and June interpolate from
+        # April to July
+        ds = make_dataset([[0.0, 1.0], [1.0, 3.0], [2.0, np.nan], [3.0, np.nan],
+                           [4.0, np.nan], [5.0, np.nan], [6.0, 9.0]])
+        train_rows, stats, normalized = prepare(ds, SplitSpec(dt.date(2000, 4, 1), 0.2))
+        np.testing.assert_array_equal(train_rows.values[:, 1], [1.0, 3.0, 3.0, 3.0])
+        assert stats.fitted_on == (dt.date(2000, 1, 1), dt.date(2000, 4, 1))
+        assert stats.mean[1] == 2.5
+        z = normalized.values[:, 1] * stats.std[1] + stats.mean[1]
+        np.testing.assert_allclose(z, [1.0, 3.0, 3.0, 3.0, 5.0, 7.0, 9.0])
+
+
 @pytest.fixture(scope="module")
 def experiment_data(tmp_path_factory):
     """Small monthly panel with one planted driver of the target."""
@@ -311,7 +329,7 @@ class TestRunExperiment:
         out = tmp_path / "o"
         timings = json.loads((out / "timings.json").read_text())
         assert str(out / "timings.json") in report.artifacts
-        assert [(d["frequency"], d["load_s"] >= 0, d["impute_s"] >= 0)
+        assert [(d["frequency"], d["load_s"] >= 0, d["prepare_s"] >= 0)
                 for d in timings["datasets"]] == [("monthly", True, True)]
         assert [(d["method"], d["frequency"], d["seconds"] >= 0)
                 for d in timings["discovery"]] == [("mvgc", "monthly", True)]
@@ -399,6 +417,39 @@ class TestRunExperiment:
             for suffix in (".json", ".dot"):
                 a = (tmp_path / "a" / f"{graph}{suffix}").read_bytes()
                 assert (tmp_path / "b" / f"{graph}{suffix}").read_bytes() == a
+
+    def test_test_range_cell_next_to_a_training_gap(self, experiment_data, tmp_path):
+        # drv is missing up to train_end; moving its first test-range value
+        # leaves every graph and every checkpoint as it was
+        path, stamps = experiment_data
+        ds = load_csv(path, "y", "monthly")
+        values = ds.values.copy()
+        values[136:140, 1] = np.nan
+        for name, shift in (("a", 0.0), ("b", 5.0)):
+            values[140, 1] = ds.values[140, 1] + shift
+            save_csv(ds.with_values(values), tmp_path / f"{name}.csv")
+            run_experiment(small_config(str(tmp_path / f"{name}.csv"), stamps,
+                                        tmp_path / name, leads=(1,),
+                                        variants=("vanilla", "gc", "pcmci+")))
+        names = ["granger_monthly.json", "granger_monthly.dot", "graph_monthly_pcmci.json",
+                 "graph_monthly_pcmci.dot", *(f"model_monthly_{v}_lead1.json"
+                                              for v in ("vanilla", "gc", "pcmci+"))]
+        for name in names:
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+    def test_panel_without_training_rows_stops_the_experiment(self, experiment_data,
+                                                              tmp_path):
+        # a daily panel loaded for dpcmci+ discovery only, dated after train_end
+        path, stamps = experiment_data
+        graph = PlantedGraph(variables=("y", "drv", "other"), links=(("drv", "y", 1, 0.6),))
+        daily = generate_var(graph, 300, seed=12, frequency="daily", start=stamps[140],
+                             target="y")
+        save_csv(daily, tmp_path / "daily.csv")
+        with pytest.raises(EmptySplit, match="no rows at or before train_end"):
+            run_experiment(small_config(
+                path, stamps, tmp_path / "o", daily_path=str(tmp_path / "daily.csv"),
+                frequencies=("monthly",), variants=("vanilla", "dpcmci+"), leads=(1,),
+            ))
 
     def test_train_range_too_short_for_max_lag(self, experiment_data, tmp_path):
         # the whole series supports max_lag 16, its first 20 rows do not
