@@ -52,6 +52,7 @@ from .pipeline import (
     derive_seed,
     discover as run_discovery,
     fit_cell,
+    impute_cut,
     prepare,
     run_experiment,
     score,
@@ -331,16 +332,17 @@ def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
     datasets = {}
     for ck_path in checkpoints:
         ck = load_checkpoint(ck_path)
-        fields = ("target", "lead", "lead_steps", "frequency", "normalization", "method")
-        missing = [f for f in fields if getattr(ck, f) is None]
+        fields = ("target", "lead", "lead_steps", "frequency", "normalization", "method", "features")
+        missing = [f for f in fields if getattr(ck, f) in (None, ())]
         if missing:
             raise ParseError(
                 f"{ck_path}: checkpoint lacks {', '.join(missing)}; "
                 "evaluate needs one written by train or experiment"
             )
-        key = (ck.target, ck.frequency)
+        # imputed as in training: no row after the last training date fills one before
+        key = (ck.target, ck.frequency, ck.normalization.fitted_on[1])
         if key not in datasets:
-            datasets[key] = impute(load_csv(dataset_csv, *key))
+            datasets[key] = impute_cut(load_csv(dataset_csv, *key[:2]), key[2])[1]
         windows = build_lag_windows(
             apply_normalization(datasets[key], ck.normalization),
             ck.features,

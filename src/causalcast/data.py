@@ -198,12 +198,14 @@ class NormalizationStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormalizationStats":
-        first, last = d["fitted_on"]
+        first, last = map(dt.date.fromisoformat, d["fitted_on"])
+        if last < first:
+            raise ParseError(f"fitted_on ends {last} before it starts {first}")
         return cls(
             variable_names=tuple(d["variables"]),
             mean=np.array(d["mean"], dtype=np.float64),
             std=np.array(d["std"], dtype=np.float64),
-            fitted_on=(dt.date.fromisoformat(first), dt.date.fromisoformat(last)),
+            fitted_on=(first, last),
         )
 
 
@@ -297,7 +299,8 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
     """
     frequency = Frequency(frequency)
     path = Path(path)
-    with path.open(newline="") as fh:
+    # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -359,7 +362,7 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
 def save_csv(dataset: TimeSeriesDataset, path) -> None:
     """Write the canonical CSV form (missing cells as empty strings)."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", *dataset.variable_names])
         for date, row in zip(dataset.timestamps, dataset.values):

@@ -697,9 +697,12 @@ def load_checkpoint(path) -> Checkpoint:
         for key in ("target", "method"):
             if blob.get(key) is not None and not isinstance(blob[key], str):
                 raise ParseError(f"{key} must be a string, got {blob[key]!r}")
+        features = string_list(blob.get("features", []), "features")
+        if features and len(features) != config.feature_count:  # [] is a bare model's
+            raise ParseError(f"{len(features)} features for {config.feature_count} model inputs")
         return Checkpoint(
             model=RecurrentModel(config=config, params=params),
-            features=string_list(blob.get("features", []), "features"),
+            features=features,
             target=blob.get("target"),
             lead=blob.get("lead"),
             lead_steps=blob.get("lead_steps"),

@@ -377,19 +377,16 @@ def _orient(
         for key in sorted(adjacent):
             if key in oriented or key in conflicted:
                 continue
-            k_candidates = [key, (key[1], key[0])]
-            for k, b in k_candidates:
-                hit = False
-                for a in range(n_vars):
-                    if a in (k, b):
-                        continue
-                    if oriented.get(_pair(a, k)) == (a, k) and _pair(a, b) not in adjacent:
-                        hit = True
-                        break
-                if hit:
+            for k, b in (key, (key[1], key[0])):
+                if any(
+                    a not in (k, b)
+                    and oriented.get(_pair(a, k)) == (a, k)
+                    and _pair(a, b) not in adjacent
+                    for a in range(n_vars)
+                ):
+                    # key was free, so propose orients or conflicts it
                     propose(k, b)
-                    if key in oriented or key in conflicted:
-                        changed = True
+                    changed = True
                     break
 
     return {key: oriented.get(key) for key in adjacent}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import datetime as dt
 import hashlib
 import io
 import json
@@ -316,20 +317,24 @@ def derive_seed(root: int, label: str) -> int:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def prepare(raw: TimeSeriesDataset, split: SplitSpec):
-    """Cut the un-imputed panel ``raw`` at ``split.train_end``.
-
-    The rows dated on or before ``train_end`` are imputed from themselves
-    alone, so no later row fills a training gap; the rest are imputed with
-    the training rows fixed.  Returns the imputed training rows, the
-    normalization statistics fit on them, and the whole series normalized
-    with those statistics.
-    """
-    stop = bisect.bisect_right(raw.timestamps, split.train_end)
-    if stop == 0:
-        raise EmptySplit(f"no rows at or before train_end {split.train_end.isoformat()}")
-    train_rows = impute(raw.rows(0, stop))
+def impute_cut(raw: TimeSeriesDataset, cut: dt.date):
+    """Impute ``raw`` so that no row dated after ``cut`` fills one on or
+    before it: those rows are imputed from themselves alone, the rest with
+    them fixed (a panel with no such row, from itself).  Returns (imputed
+    rows up to the cut, the whole imputed panel)."""
+    stop = bisect.bisect_right(raw.timestamps, cut)
+    train_rows = impute(raw.rows(0, stop)) if stop else raw.rows(0, 0)
     full = impute(raw.with_values(np.concatenate([train_rows.values, raw.values[stop:]])))
+    return train_rows, full
+
+
+def prepare(raw: TimeSeriesDataset, split: SplitSpec):
+    """Cut ``raw`` at ``split.train_end`` with :func:`impute_cut`; return the
+    imputed training rows, the normalization statistics fit on them, and
+    the whole series normalized with them."""
+    train_rows, full = impute_cut(raw, split.train_end)
+    if not train_rows.n_timesteps:
+        raise EmptySplit(f"no rows at or before train_end {split.train_end.isoformat()}")
     stats = fit_normalization(train_rows)
     return train_rows, stats, apply_normalization(full, stats)
 

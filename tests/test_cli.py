@@ -18,6 +18,7 @@ from causalcast import (
     SplitSpec,
     derive_seed,
     generate_var,
+    impute,
     init_model,
     load_csv,
     random_planted_graph,
@@ -264,6 +265,39 @@ class TestTrainEvaluate:
         assert len(reads) == 1
         assert len((tmp_path / "eval.csv").read_text().splitlines()) == 4
 
+    def test_model_inputs_are_imputed_by_the_cut_alone(self, runner, trained, tmp_path,
+                                                       monkeypatch):
+        # train and evaluate impute through pipeline's training cut only
+        _, data, _ = trained
+
+        def banned(*args):
+            raise AssertionError("model inputs imputed outside the training cut")
+
+        monkeypatch.setattr("causalcast.cli.impute", banned)
+        ck = tmp_path / "m.json"
+        result = invoke(runner, "train", data, *TRAIN_ARGS, "-o", ck)
+        assert result.exit_code == 0, result.output
+        result = invoke(runner, "evaluate", ck, "--data", data, "-o", tmp_path / "eval")
+        assert result.exit_code == 0, result.output
+
+    def test_panel_after_the_cut_is_imputed_from_itself(self, runner, trained, tmp_path):
+        # no row at or before the last training date: the file fills its own gaps
+        _, data, ck = trained
+        ds = load_csv(data, "y", "monthly")
+        tail = ds.rows(ds.timestamps.index(dt.date(1990, 9, 1)))
+        values = tail.values.copy()
+        values[:3, 1] = np.nan  # a leading gap in drv
+        values[10:14, 0] = np.nan  # an interior gap in y
+        save_csv(tail.with_values(values), tmp_path / "gappy.csv")
+        save_csv(impute(load_csv(tmp_path / "gappy.csv", "y", "monthly")), tmp_path / "filled.csv")
+        for name in ("gappy", "filled"):
+            result = invoke(runner, "evaluate", ck, "--data", tmp_path / f"{name}.csv",
+                            "-o", tmp_path / name)
+            assert result.exit_code == 0, result.output
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"gappy{suffix}").read_bytes()
+                    == (tmp_path / f"filled{suffix}").read_bytes())
+
     def test_degenerate_evaluation_is_exit_one(self, runner, trained, tmp_path):
         root, data, ck = trained
         ds = load_csv(data, "y", "monthly")
@@ -291,7 +325,8 @@ class TestTrainEvaluate:
         save_checkpoint(bare, Checkpoint(model=init_model(ModelConfig(feature_count=3))))
         result = invoke(runner, "evaluate", bare, "--data", data, "-o", tmp_path / "eval")
         assert result.exit_code == 2
-        for field in ("target", "lead", "lead_steps", "frequency", "normalization", "method"):
+        for field in ("target", "lead", "lead_steps", "frequency", "normalization", "method",
+                      "features"):
             assert field in result.stderr
 
     @pytest.mark.parametrize("command, case", [
@@ -314,6 +349,8 @@ class TestTrainEvaluate:
         ("evaluate", "method-list"),
         ("evaluate", "fitted_on-empty"),
         ("evaluate", "fitted_on-three"),
+        ("evaluate", "fitted_on-reversed"),
+        ("evaluate", "features-short"),
         ("train", "array"),
         ("train", "mvgc-features-string"),
         ("synth", "array"),
@@ -349,6 +386,9 @@ class TestTrainEvaluate:
             "method-list": lambda: meta("method", ["gc"]),
             "fitted_on-empty": lambda: fitted_on([]),
             "fitted_on-three": lambda: fitted_on(["1975-01-01", "1990-08-01", "1993-12-01"]),
+            "fitted_on-reversed": lambda: fitted_on(["1990-08-01", "1979-01-01"]),
+            # two names for a model of three inputs
+            "features-short": lambda: meta("features", ["y", "drv"]),
             "mvgc-no-features": lambda: {"method": "mvgc"},
             "mvgc-features-string": lambda: {"method": "mvgc", "features": "drv"},
             "pcmci-no-max_lag": lambda: {"method": "pcmci+", "variables": ["y", "drv", "other"],
@@ -462,8 +502,12 @@ seed: 3
             digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
             assert entry["sha256"] == digest
 
-    def test_cli_train_and_evaluate_reproduce_a_cell(self, runner, tmp_path):
+    @pytest.mark.parametrize("gap", [False, True], ids=["no-gap", "gap"])
+    def test_cli_train_and_evaluate_reproduce_a_cell(self, runner, tmp_path, gap):
         cfg = self._setup(tmp_path)
+        if gap:
+            # evaluate imputes as training did: no test-range row fills the gap
+            self._blank(tmp_path, "drv", dt.date(1990, 5, 1), dt.date(1990, 8, 1))
         assert invoke(runner, "experiment", cfg).exit_code == 0
         data, ck = tmp_path / "monthly.csv", tmp_path / "cli_model.json"
         result = invoke(runner, "train", data, *TRAIN_ARGS, "-o", ck,

@@ -110,6 +110,17 @@ class TestCsv:
         assert back.timestamps == ds.timestamps
         np.testing.assert_array_equal(back.values, vals)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; save_csv writes none
+        ds = make_dataset(np.array([[1.5, np.nan], [2.25, -3.0]]), target="v1")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        save_csv(ds, plain)
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = (load_csv(p, "v1", "monthly") for p in (plain, marked))
+        assert (b.variable_names, b.timestamps) == (a.variable_names, a.timestamps)
+        np.testing.assert_array_equal(b.values, a.values)
+
     def test_missing_cell_becomes_nan(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("date,x\n2000-01-01,\n2000-02-01,2.0\n")
