@@ -52,7 +52,6 @@ from .pipeline import (
     derive_seed,
     discover as run_discovery,
     fit_cell,
-    impute_cut,
     prepare,
     run_experiment,
     score,
@@ -342,7 +341,7 @@ def evaluate(checkpoints, dataset_csv, test_start, test_end, output, manifest):
         # imputed as in training: no row after the last training date fills one before
         key = (ck.target, ck.frequency, ck.normalization.fitted_on[1])
         if key not in datasets:
-            datasets[key] = impute_cut(load_csv(dataset_csv, *key[:2]), key[2])[1]
+            datasets[key] = impute(load_csv(dataset_csv, *key[:2]), key[2])
         windows = build_lag_windows(
             apply_normalization(datasets[key], ck.normalization),
             ck.features,
@@ -507,8 +506,7 @@ def experiment(config_file, output_dir, seed, jobs):
     _write_manifest(
         manifest_path,
         config.seed,
-        [config_file]
-        + [p for p in (config.daily_path, config.monthly_path) if p],
+        [config_file] + [config.path_for(f) for f in config.panels()],
         list(report.artifacts) + [str(manifest_path)],
         config=doc,
     )

@@ -370,26 +370,30 @@ def save_csv(dataset: TimeSeriesDataset, path) -> None:
             writer.writerow([date.isoformat(), *cells])
 
 
-def impute(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
+def impute(dataset: TimeSeriesDataset, cut: dt.date | None = None) -> TimeSeriesDataset:
     """Fill missing cells by per-variable linear interpolation.
 
     Interior gaps interpolate linearly between the nearest observed
     neighbors; leading/trailing gaps copy the nearest observed value.
-    A cell is filled from every row of ``dataset``, later ones included.
+    Rows dated up to ``cut`` are filled from themselves alone, then every
+    row with those fixed; with no cut, every row fills every other.
     """
     values = dataset.values.copy()
-    idx = np.arange(dataset.n_timesteps, dtype=np.float64)
-    for j, name in enumerate(dataset.variable_names):
-        col = values[:, j]
-        observed = ~np.isnan(col)
-        if not observed.any():
-            raise AllMissingColumn(
-                f"variable {name!r} has no observed values in "
-                f"{dataset.timestamps[0]}..{dataset.timestamps[-1]}"
-            )
-        if observed.all():
-            continue
-        values[:, j] = np.interp(idx, idx[observed], col[observed])
+    n = len(values)
+    stop = n if cut is None else bisect.bisect_right(dataset.timestamps, cut)
+    for end in [n] if stop in (0, n) else [stop, n]:
+        idx = np.arange(end, dtype=np.float64)
+        for j, name in enumerate(dataset.variable_names):
+            col = values[:end, j]
+            observed = ~np.isnan(col)
+            if not observed.any():
+                raise AllMissingColumn(
+                    f"variable {name!r} has no observed values in "
+                    f"{dataset.timestamps[0]}..{dataset.timestamps[end - 1]}"
+                )
+            if observed.all():
+                continue
+            values[:end, j] = np.interp(idx, idx[observed], col[observed])
     return dataset.with_values(values)
 
 

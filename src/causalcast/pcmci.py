@@ -407,9 +407,9 @@ def run_pcmci_plus(
     ``max_samples`` most recent steps only (0 keeps every step)."""
     check_alpha(pc_alpha)
     check_max_samples(max_samples)
-    work = dataset.rows(-max_samples) if max_samples else dataset
-    names = work.variable_names
-    cross = LaggedCrossProducts(work.values, max_lag)
+    names = dataset.variable_names
+    values = dataset.values[-max_samples:] if max_samples else dataset.values
+    cross = LaggedCrossProducts(values, max_lag)
     parents = [pc1_condition_selection(cross, j, pc_alpha) for j in range(len(names))]
 
     links: list[CausalLink] = []

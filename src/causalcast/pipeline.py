@@ -1,7 +1,7 @@
 """Experiment orchestration: preprocess, discover, train, evaluate.
 
 One :func:`run_experiment` call walks the full roster: for each
-frequency with a dataset, discover causal drivers on the training rows
+listed frequency, discover causal drivers on the training rows
 (as required by the requested variants), then train and score one model
 per (variant, lead) cell.  Cells are independent: a ``CausalcastError``
 or ``OSError`` in one is recorded and the rest proceed (any other
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import datetime as dt
 import hashlib
 import io
 import json
@@ -171,20 +170,17 @@ class ExperimentConfig:
         )
         if not self.variants:
             raise ConfigError("variants must be non-empty")
-        if len(set(self.variants)) != len(self.variants):
-            raise ConfigError("duplicate variants")
         if self.daily_path is None and self.monthly_path is None:
             raise ConfigError("at least one of daily/monthly datasets required")
         # frequencies = which datasets get trained/reported on; a dataset
         # outside the roster is still available to discovery (dpcmci+)
         freqs = _members(Frequency, self.frequencies, "frequencies")
         if not freqs:
-            freqs = tuple(
-                f
-                for f in Frequency
-                if self.path_for(f) is not None
-            )
+            freqs = tuple(f for f in Frequency if self.path_for(f) is not None)
         object.__setattr__(self, "frequencies", freqs)
+        for key in ("leads", "variants", "frequencies"):  # else a cell runs twice
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise ConfigError(f"duplicate {key}")
         for f in self.frequencies:
             if self.path_for(f) is None:
                 raise ConfigError(
@@ -228,6 +224,12 @@ class ExperimentConfig:
             if frequency is Frequency.DAILY
             else self.monthly_path
         )
+
+    def panels(self) -> tuple[Frequency, ...]:
+        """The panels the roster reads, daily first: each listed
+        frequency's, and each variant's discovery panel."""
+        read = {_discovery_panel(v, f) for f in self.frequencies for v in _roster(self, f)}
+        return tuple(f for f in Frequency if f in read)
 
     def lead_steps(self, frequency: Frequency, lead: int) -> int:
         """Lead times are stated in months; daily data needs them in steps."""
@@ -317,24 +319,15 @@ def derive_seed(root: int, label: str) -> int:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def impute_cut(raw: TimeSeriesDataset, cut: dt.date):
-    """Impute ``raw`` so that no row dated after ``cut`` fills one on or
-    before it: those rows are imputed from themselves alone, the rest with
-    them fixed (a panel with no such row, from itself).  Returns (imputed
-    rows up to the cut, the whole imputed panel)."""
-    stop = bisect.bisect_right(raw.timestamps, cut)
-    train_rows = impute(raw.rows(0, stop)) if stop else raw.rows(0, 0)
-    full = impute(raw.with_values(np.concatenate([train_rows.values, raw.values[stop:]])))
-    return train_rows, full
-
-
 def prepare(raw: TimeSeriesDataset, split: SplitSpec):
-    """Cut ``raw`` at ``split.train_end`` with :func:`impute_cut`; return the
-    imputed training rows, the normalization statistics fit on them, and
-    the whole series normalized with them."""
-    train_rows, full = impute_cut(raw, split.train_end)
-    if not train_rows.n_timesteps:
+    """Impute ``raw`` cut at ``split.train_end``; return the imputed
+    training rows, the normalization statistics fit on them, and the
+    whole series normalized with them."""
+    full = impute(raw, split.train_end)
+    stop = bisect.bisect_right(full.timestamps, split.train_end)
+    if not stop:
         raise EmptySplit(f"no rows at or before train_end {split.train_end.isoformat()}")
+    train_rows = full.rows(0, stop)
     stats = fit_normalization(train_rows)
     return train_rows, stats, apply_normalization(full, stats)
 
@@ -456,7 +449,7 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
                 )
                 continue
             method = "mvgc" if variant is FeatureMethod.GC else "pcmci+"
-            source = Frequency.DAILY if variant is FeatureMethod.DPCMCI_PLUS else freq
+            source = _discovery_panel(variant, freq)
             if (method, source) not in runs:
                 if method == "mvgc":
                     prefix, alpha = f"granger_{source.value}", config.gc_alpha
@@ -483,6 +476,11 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
                 fs = FeatureSet(variant, tuple(v for v in monthly if v in fs.features))
             features[(freq, variant)] = fs
     return features, artifacts, timings
+
+
+def _discovery_panel(variant: FeatureMethod, frequency: Frequency) -> Frequency:
+    """The panel whose drivers ``variant`` uses for cells at ``frequency``."""
+    return Frequency.DAILY if variant is FeatureMethod.DPCMCI_PLUS else frequency
 
 
 def _roster(config: ExperimentConfig, frequency: Frequency):
@@ -559,22 +557,20 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # (training rows, stats, normalized series) per loaded panel; driver
-    # selection sees the training rows only, never the test range
+    # (training rows, stats, normalized series) per panel the roster reads;
+    # driver selection sees the training rows only, never the test range
     prepared: dict[Frequency, tuple] = {}
     loads = []
-    for freq in Frequency:
-        path = config.path_for(freq)
-        if path is not None:
-            start = time.perf_counter()
-            raw = load_csv(path, config.target, freq)
-            loaded = time.perf_counter()
-            prepared[freq] = prepare(raw, config.split)
-            loads.append({
-                "frequency": freq.value,
-                "load_s": loaded - start,
-                "prepare_s": time.perf_counter() - loaded,
-            })
+    for freq in config.panels():
+        start = time.perf_counter()
+        raw = load_csv(config.path_for(freq), config.target, freq)
+        loaded = time.perf_counter()
+        prepared[freq] = prepare(raw, config.split)
+        loads.append({
+            "frequency": freq.value,
+            "load_s": loaded - start,
+            "prepare_s": time.perf_counter() - loaded,
+        })
 
     train_rows = {freq: rows for freq, (rows, _, _) in prepared.items()}
     features, artifacts, discovery = _discover_features(config, train_rows, out)

@@ -267,13 +267,16 @@ class TestTrainEvaluate:
 
     def test_model_inputs_are_imputed_by_the_cut_alone(self, runner, trained, tmp_path,
                                                        monkeypatch):
-        # train and evaluate impute through pipeline's training cut only
+        # train and evaluate impute model inputs with a training cut only
         _, data, _ = trained
 
-        def banned(*args):
-            raise AssertionError("model inputs imputed outside the training cut")
+        def cut_only(dataset, cut=None):
+            if cut is None:
+                raise AssertionError("model inputs imputed without a training cut")
+            return impute(dataset, cut)
 
-        monkeypatch.setattr("causalcast.cli.impute", banned)
+        monkeypatch.setattr("causalcast.cli.impute", cut_only)
+        monkeypatch.setattr("causalcast.pipeline.impute", cut_only)
         ck = tmp_path / "m.json"
         result = invoke(runner, "train", data, *TRAIN_ARGS, "-o", ck)
         assert result.exit_code == 0, result.output
@@ -502,6 +505,19 @@ seed: 3
             digest = hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
             assert entry["sha256"] == digest
 
+    def test_unread_panel_is_neither_loaded_nor_hashed(self, runner, tmp_path):
+        # vanilla and gc read only the monthly panel: a daily path that does
+        # not exist stays out of the run and of the manifest
+        cfg = self._setup(tmp_path)
+        cfg.write_text(cfg.read_text().replace(
+            "  monthly: monthly.csv\n", "  monthly: monthly.csv\n  daily: absent.csv\n"
+        ).replace("split:", "frequencies: [monthly]\nsplit:"))
+        result = invoke(runner, "experiment", cfg)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        names = [Path(e["path"]).name for e in manifest["inputs"]]
+        assert names == ["exp.yaml", "monthly.csv"]
+
     @pytest.mark.parametrize("gap", [False, True], ids=["no-gap", "gap"])
     def test_cli_train_and_evaluate_reproduce_a_cell(self, runner, tmp_path, gap):
         cfg = self._setup(tmp_path)
@@ -633,6 +649,14 @@ seed: 3
         cfg.write_text(cfg.read_text() + "mystery_knob: 7\n")
         result = invoke(runner, "experiment", cfg)
         assert result.exit_code == 2
+
+    def test_duplicate_lead_is_exit_two(self, runner, tmp_path):
+        cfg = self._setup(tmp_path)
+        cfg.write_text(cfg.read_text().replace("leads: [1, 2]", "leads: [1, 1]"))
+        result = invoke(runner, "experiment", cfg)
+        assert result.exit_code == 2
+        assert "duplicate leads" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_bad_variant_is_exit_two(self, runner, tmp_path):
         cfg = self._setup(tmp_path)

@@ -216,6 +216,30 @@ class TestImpute:
         ds = make_dataset(vals)
         np.testing.assert_array_equal(impute(ds).values, vals)
 
+    def test_rows_up_to_the_cut_are_filled_from_themselves(self):
+        # v1's gap runs from March to the cut (April) and on to June: the
+        # rows up to the cut copy February, and May and June interpolate
+        # from April to July
+        ds = make_dataset([[0.0, 1.0], [1.0, 3.0], [2.0, np.nan], [3.0, np.nan],
+                           [4.0, np.nan], [5.0, np.nan], [6.0, 9.0]])
+        filled = impute(ds, dt.date(2000, 4, 1))
+        np.testing.assert_array_equal(filled.values[:, 1], [1.0, 3.0, 3.0, 3.0, 5.0, 7.0, 9.0])
+        np.testing.assert_array_equal(filled.values[:, 0], ds.values[:, 0])
+        assert filled.timestamps == ds.timestamps
+
+    @pytest.mark.parametrize("cut", [dt.date(1999, 12, 31), dt.date(2000, 7, 1),
+                                     dt.date(2001, 1, 1)],
+                             ids=["before-first-row", "at-last-row", "after-last-row"])
+    def test_cut_outside_the_rows_fills_from_every_row(self, cut):
+        ds = make_dataset([[np.nan, 1.0], [1.0, 3.0], [2.0, np.nan], [np.nan, np.nan],
+                           [4.0, np.nan], [5.0, np.nan], [6.0, 9.0]])
+        np.testing.assert_array_equal(impute(ds, cut).values, impute(ds).values)
+
+    def test_column_unobserved_up_to_the_cut_names_those_rows(self):
+        ds = make_dataset([[0.0, np.nan], [1.0, np.nan], [2.0, 5.0]])
+        with pytest.raises(AllMissingColumn, match="2000-01-01..2000-02-01"):
+            impute(ds, dt.date(2000, 2, 1))
+
 
 class TestNormalization:
     def test_fit_population_std(self):

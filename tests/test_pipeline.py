@@ -163,6 +163,9 @@ class TestConfig:
         ("discovery_max_lag", 3.0),
         ("max_samples", 100.0),
         ("leads", (True,)),
+        # a repeated roster entry would train and write the same cells twice
+        ("leads", (1, 1)),
+        ("frequencies", ("monthly", "monthly")),
     ])
     def test_bad_value_rejected_at_construction(self, tmp_path, field, value):
         # each message names the field as the config file spells it
@@ -437,19 +440,29 @@ class TestRunExperiment:
         for name in names:
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
+    @pytest.mark.parametrize("variants", [("vanilla", "dpcmci+"), ("vanilla", "gc")],
+                             ids=["read", "unread"])
     def test_panel_without_training_rows_stops_the_experiment(self, experiment_data,
-                                                              tmp_path):
-        # a daily panel loaded for dpcmci+ discovery only, dated after train_end
+                                                              tmp_path, variants):
+        # a daily panel dated after train_end stops a roster that reads it
+        # (dpcmci+ discovers on it); one that does not never loads it
         path, stamps = experiment_data
         graph = PlantedGraph(variables=("y", "drv", "other"), links=(("drv", "y", 1, 0.6),))
         daily = generate_var(graph, 300, seed=12, frequency="daily", start=stamps[140],
                              target="y")
         save_csv(daily, tmp_path / "daily.csv")
-        with pytest.raises(EmptySplit, match="no rows at or before train_end"):
-            run_experiment(small_config(
-                path, stamps, tmp_path / "o", daily_path=str(tmp_path / "daily.csv"),
-                frequencies=("monthly",), variants=("vanilla", "dpcmci+"), leads=(1,),
-            ))
+        config = small_config(
+            path, stamps, tmp_path / "o", daily_path=str(tmp_path / "daily.csv"),
+            frequencies=("monthly",), variants=variants, leads=(1,),
+        )
+        if "dpcmci+" in variants:
+            with pytest.raises(EmptySplit, match="no rows at or before train_end"):
+                run_experiment(config)
+            return
+        report = run_experiment(config)
+        assert len(report.records) == 2 and report.failures == ()
+        timings = json.loads((tmp_path / "o" / "timings.json").read_text())
+        assert [d["frequency"] for d in timings["datasets"]] == ["monthly"]
 
     def test_train_range_too_short_for_max_lag(self, experiment_data, tmp_path):
         # the whole series supports max_lag 16, its first 20 rows do not
