@@ -1,10 +1,11 @@
 """From-scratch recurrent forecaster: GRU -> LSTM -> dense -> linear head.
 
-Pure numpy, float64 throughout.  Gradients come from handwritten
-backpropagation through time, optimization from a handwritten Adam, and
-regularization from inverted dropout so evaluation needs no rescaling.
-Checkpoints serialize every parameter as base64 little-endian float64,
-making save/load/predict round trips bit-identical.
+Pure numpy.  Gradients come from handwritten backpropagation through
+time, optimization from a handwritten Adam, and regularization from
+inverted dropout so evaluation needs no rescaling.  Every kernel computes
+in its parameters' dtype; models are float64.  Checkpoints serialize
+every parameter as base64 little-endian float64, making save/load/predict
+round trips bit-identical.
 
 Parameter dictionary layout (gate blocks stacked along columns):
 
@@ -45,9 +46,12 @@ Numerical checks run once per sequence: all hidden states must lie in
 state needs no check of its own: from the zero state |c_t| <= t, because
 f, i lie in [0, 1] and |g| <= 1, and a NaN in c reaches h.
 
-``train`` holds every parameter in one flat float64 buffer, with the
-model's arrays as named views into it, so one Adam update covers the
-whole model and the best-epoch snapshot is one copy.
+``train`` holds every parameter in one flat float64 master buffer, with
+the model's arrays as named views into it, so one Adam update covers the
+whole model and the best-epoch snapshot is one copy.  Each step runs on
+a float32 copy of that buffer, refreshed after each Adam update (mixed
+precision, Micikevicius et al. 2018); validation, ``predict`` and
+checkpoints use the float64 master.
 """
 
 from __future__ import annotations
@@ -214,12 +218,12 @@ def _check_hidden(hs: np.ndarray, layer: str) -> None:
         raise NumericalError(f"{layer} hidden state non-finite or out of [-1, 1]")
 
 
-def _batch_last(x) -> np.ndarray:
-    """(B, T, C) -> contiguous float64 (T, C, B)."""
-    x = np.asarray(x, dtype=np.float64)
+def _batch_last(x, dtype) -> np.ndarray:
+    """(B, T, C) -> contiguous (T, C, B) of ``dtype``, in one copy."""
+    x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"expected a batch B x T x C, got shape {x.shape}")
-    return np.ascontiguousarray(x.transpose(1, 2, 0))
+    return np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -238,12 +242,12 @@ def _gru_forward(params, x: np.ndarray, want_cache: bool = False):
     G = U.shape[0]
     if W.shape[0] != F:
         raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
-    hs = np.empty((T + 1, G, B))
+    hs = np.empty((T + 1, G, B), dtype=U.dtype)
     hs[0] = 0.0
     # input projections; the loop turns them into the gates [z, r, n]
     gates = np.matmul(W.T, x)
     gates += bx
-    ghs = np.empty((T, 3 * G, B)) if want_cache else None
+    ghs = np.empty((T, 3 * G, B), dtype=U.dtype) if want_cache else None
     for t in range(T):
         gh = np.matmul(U.T, hs[t], out=ghs[t] if want_cache else None)
         gh += bh
@@ -270,14 +274,14 @@ def _lstm_forward(params, x: np.ndarray, want_cache: bool = False):
     L = U.shape[0]
     if W.shape[0] != K:
         raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
-    hs = np.empty((T + 1, L, B))
-    cs = np.empty((T + 1, L, B))
+    hs = np.empty((T + 1, L, B), dtype=U.dtype)
+    cs = np.empty_like(hs)
     hs[0] = 0.0
     cs[0] = 0.0
     # input projections; the loop turns them into the gates [i, f, o, g]
     gates = np.matmul(W.T, x)
     gates += b[:, None]
-    tcs = np.empty((T, L, B)) if want_cache else None
+    tcs = np.empty((T, L, B), dtype=U.dtype) if want_cache else None
     for t in range(T):
         pre = gates[t]
         pre += U.T @ hs[t]
@@ -295,14 +299,14 @@ def _lstm_forward(params, x: np.ndarray, want_cache: bool = False):
 def gru_forward(params, x_sequence) -> np.ndarray:
     """Hidden states (B, tau, G) of a GRU over a batch (B, tau, F),
     from the zero state."""
-    hs, _ = _gru_forward(params, _batch_last(x_sequence))
+    hs, _ = _gru_forward(params, _batch_last(x_sequence, params["gru_W"].dtype))
     return hs[1:].transpose(2, 0, 1)
 
 
 def lstm_forward(params, x_sequence):
     """(hidden states (B, tau, L), final cell state (B, L)) of an LSTM
     over a batch (B, tau, K), from the zero state."""
-    hs, cs, _ = _lstm_forward(params, _batch_last(x_sequence))
+    hs, cs, _ = _lstm_forward(params, _batch_last(x_sequence, params["lstm_W"].dtype))
     return hs[1:].transpose(2, 0, 1), cs[-1].T
 
 
@@ -324,8 +328,8 @@ def draw_dropout_masks(
 
 
 def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
-    cfg = model.config
-    xb = _batch_last(x)
+    cfg, p = model.config, model.params
+    xb = _batch_last(x, p["gru_W"].dtype)
     if xb.shape[:2] != (cfg.lookback, cfg.feature_count):
         raise ShapeError(
             f"batch windows are {x.shape[1]} x {x.shape[2]}, model expects "
@@ -333,13 +337,13 @@ def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
         )
     if not np.all(np.isfinite(xb)):
         raise NumericalError("non-finite values in input batch")
-    p = model.params
     hs, gru_cache = _gru_forward(p, xb, want_cache=want_cache)
-    seq_mask = _batch_last(masks[0]) if masks is not None else None
+    seq_mask = _batch_last(masks[0], xb.dtype) if masks is not None else None
+    state_mask = np.asarray(masks[1], dtype=xb.dtype) if masks is not None else None
     seq = hs[1:] * seq_mask if masks is not None else hs[1:]
     lstm_hs, _, lstm_cache = _lstm_forward(p, seq, want_cache=want_cache)
     h_final = lstm_hs[-1].T
-    hd = h_final * masks[1] if masks is not None else h_final
+    hd = h_final * state_mask if masks is not None else h_final
     dense_pre = hd @ p["dense_W"] + p["dense_b"]
     dense_out = np.maximum(dense_pre, 0.0)
     pred = dense_out @ p["head_W"] + p["head_b"]
@@ -351,6 +355,7 @@ def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
             "gru": gru_cache,
             "lstm": lstm_cache,
             "seq_mask": seq_mask,
+            "state_mask": state_mask,
             "dense_in": hd,
             "dense_pre": dense_pre,
             "dense_out": dense_out,
@@ -367,7 +372,7 @@ def model_forward(
     seeded generator enables train-mode inverted dropout, reproducible
     for a fixed seed.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch)
     masks = draw_dropout_masks(model.config, x.shape[0], dropout_rng)
     pred, _ = _forward(model, x, masks, want_cache=False)
     return pred
@@ -389,9 +394,9 @@ def _gru_backward(params, cache, dhs):
         [(n - hs[:-1]) * z * (1.0 - z), dn * a * r * (1.0 - r), dn * r], axis=1
     ).reshape(T, 3, G, B)
     keep = 1.0 - z
-    dgh = np.empty((T, 3 * G, B))
-    dh_all = np.empty((T, G, B))
-    dh_next = np.zeros((G, B))
+    dgh = np.empty((T, 3 * G, B), dtype=U.dtype)
+    dh_all = np.empty((T, G, B), dtype=U.dtype)
+    dh_next = np.zeros((G, B), dtype=U.dtype)
     for t in range(T - 1, -1, -1):
         dh = np.add(dhs[t], dh_next, out=dh_all[t])
         np.multiply(factors[t], dh, out=dgh[t].reshape(3, G, B))
@@ -429,9 +434,9 @@ def _lstm_backward(params, cache, dh_last):
          i * (1.0 - g * g)],
         axis=1,
     )
-    dpre = np.empty((T, 4 * L, B))
+    dpre = np.empty((T, 4 * L, B), dtype=U.dtype)
     dh = dh_last
-    dc = np.zeros((L, B))
+    dc = np.zeros((L, B), dtype=U.dtype)
     for t in range(T - 1, -1, -1):
         dc += dh * dc_dh[t]
         np.multiply(factors[t].reshape(4, L, B), dc, out=dpre[t].reshape(4, L, B))
@@ -458,8 +463,8 @@ def backward(model: RecurrentModel, batch, targets, masks=None):
 
     Returns (gradients keyed like ``model.params``, scalar loss).
     """
-    x = np.asarray(batch, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64).reshape(-1)
+    x = np.asarray(batch)
+    y = np.asarray(targets, dtype=model.params["gru_W"].dtype).reshape(-1)
     if y.shape[0] != x.shape[0]:
         raise ShapeError(
             f"{x.shape[0]} windows but {y.shape[0]} targets"
@@ -478,7 +483,7 @@ def backward(model: RecurrentModel, batch, targets, masks=None):
     grads["dense_W"] = cache["dense_in"].T @ ddense
     grads["dense_b"] = ddense.sum(axis=0)
     dhd = ddense @ p["dense_W"].T
-    dh_final = dhd * masks[1] if masks is not None else dhd
+    dh_final = dhd * cache["state_mask"] if masks is not None else dhd
     dseq, lstm_grads = _lstm_backward(p, cache["lstm"], dh_final.T)
     grads.update(lstm_grads)
     dhs = dseq * cache["seq_mask"] if masks is not None else dseq
@@ -522,7 +527,7 @@ def adam_step(state: AdamState, params, grads):
 
 def predict(model: RecurrentModel, inputs) -> np.ndarray:
     """Evaluation-mode predictions flattened to shape (S,)."""
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs)
     if x.shape[0] == 0:
         return np.empty(0)
     chunks = [
@@ -563,11 +568,14 @@ def train(
     seen.  One generator seeded with `config.seed` drives both shuffling
     and dropout, making runs exactly repeatable.
 
-    The parameters live in one flat buffer while training: the returned
-    ``model.params`` are named views into it, so Adam runs once over the
-    whole model and the best-epoch snapshot is one copy.
+    The parameters live in one flat float64 master buffer while training:
+    the returned ``model.params`` are named views into it, so Adam runs
+    once over the whole model and the best-epoch snapshot is one copy.
+    Forward and backward run on a float32 copy of the buffer, refreshed
+    after each update; validation and the restore use the master.
     """
-    x_tr, y_tr = train_windows.inputs, train_windows.targets
+    x_tr = train_windows.inputs.astype(np.float32)
+    y_tr = train_windows.targets.astype(np.float32)
     x_va, y_va = validation_windows.inputs, validation_windows.targets
     if x_tr.shape[0] == 0:
         raise EmptySplit("no training samples")
@@ -576,6 +584,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
     model.params = _flat_views(flat, model.params)
+    work = flat.astype(np.float32)
+    work_model = RecurrentModel(model.config, _flat_views(work, model.params))
     grad = np.empty_like(flat)
     # adam_step updates dicts of arrays; here each dict holds one buffer
     flat_params, flat_grads = {"all": flat}, {"all": grad}
@@ -589,9 +599,10 @@ def train(
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 masks = draw_dropout_masks(model.config, idx.size, rng)
-                grads, _ = backward(model, x_tr[idx], y_tr[idx], masks)
+                grads, _ = backward(work_model, x_tr[idx], y_tr[idx], masks)
                 np.concatenate([grads[k].reshape(-1) for k in model.params], out=grad)
                 adam_step(state, flat_params, flat_grads)
+                np.copyto(work, flat)
             val_loss = evaluate_mse(model, x_va, y_va)
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc

@@ -309,6 +309,37 @@ class TestGradients:
         r = model_forward(model, x)[:, 0] - y
         assert loss == pytest.approx(float(r @ r) / 8, rel=1e-15)
 
+    def test_kernels_compute_in_the_parameters_dtype(self):
+        cfg = tiny_config(dropout=0.3)
+        model = jittered_model(cfg, 19)
+        single = RecurrentModel(
+            cfg, {k: v.astype(np.float32) for k, v in model.params.items()}
+        )
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((5, cfg.lookback, cfg.feature_count))
+        y = rng.standard_normal(5)
+        masks = draw_dropout_masks(cfg, 5, np.random.default_rng(21))
+
+        def cache_arrays(cache):
+            for v in cache.values():
+                if isinstance(v, dict):
+                    yield from cache_arrays(v)
+                else:
+                    yield v
+
+        found = []
+        for m, dtype in ((model, np.float64), (single, np.float32)):
+            pred, cache = nn._forward(m, x, masks, want_cache=True)
+            grads, _ = backward(m, x, y, masks)
+            arrays = [pred, *cache_arrays(cache), *grads.values()]
+            assert all(a.dtype == dtype for a in arrays), {a.dtype for a in arrays}
+            found.append(grads)
+        # the float32 step approximates the float64 one
+        g64, g32 = found
+        for k, g in g64.items():
+            big = np.abs(g) > 1e-4
+            np.testing.assert_allclose(g32[k][big], g[big], rtol=1e-3)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
@@ -439,6 +470,26 @@ class TestTraining:
         assert runs[0][0] == runs[1][0]
         for k in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
+
+    def test_steps_in_float32_and_returns_float64(self, monkeypatch):
+        step_dtypes = []
+        step = nn.backward
+
+        def recording(model, *args):
+            step_dtypes.append(model.params["gru_W"].dtype)
+            return step(model, *args)
+
+        monkeypatch.setattr(nn, "backward", recording)
+        tr, va = self._task(seed=7)
+        cfg = ModelConfig(feature_count=1, lookback=4, gru_units=3, lstm_units=4,
+                          dense_units=3, dropout_rate=0.2)
+        model, hist = train(init_model(cfg, seed=7), tr, va,
+                            TrainConfig(batch_size=64, max_epochs=2, patience=2))
+        assert step_dtypes == [np.float32] * 4 * hist.stopped_epoch
+        buffer = model.params["gru_W"].base
+        assert buffer is not None and buffer.dtype == np.float64
+        for p in model.params.values():
+            assert p.dtype == np.float64 and p.base is buffer
 
     def test_different_seeds_differ(self):
         tr, va = self._task(seed=4)
