@@ -6,7 +6,7 @@ configuration.  Experiment runs are driven by a YAML/JSON config file
 whose keys and value types are checked against the file's layout, and
 whose values by the config classes that own them; a few flags (output
 dir, seed, jobs) override file values.  Each run can record a manifest
-listing the command, the config hash, seed, toolkit, numpy and scipy
+listing the command, the config hash, seed, toolkit, numpy and Python
 versions, the BLAS numpy was built against, the core count, a sha256 of
 every input file, and every artifact written.  The config hash covers
 every option of the command except ``--manifest`` itself (for
@@ -21,12 +21,12 @@ import functools
 import hashlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -97,9 +97,10 @@ def _write_manifest(path, seed, inputs, artifacts, config=None) -> None:
         "seed": seed,
         "version": __version__,
         # the numeric stack decides the last digits of every reported metric
-        # and CI statistic, and the core count sets the BLAS threading
+        # and CI statistic (CPython's math computes every p-value), and the
+        # core count sets the BLAS threading
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "python": platform.python_version(),
         "blas": f"{blas['name']} {blas['version']}",
         "cpu_count": os.cpu_count(),
         "created": dt.datetime.now(dt.timezone.utc).isoformat(),

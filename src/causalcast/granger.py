@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.special import betainc
-
 from .data import TimeSeriesDataset
 from .errors import InsufficientHistory
 from .stats import (
@@ -23,6 +21,7 @@ from .stats import (
     DEFAULT_MAX_LAG,
     LaggedCrossProducts,
     benjamini_hochberg,
+    betainc,
     check_max_lag,
 )
 

@@ -5,16 +5,16 @@ the centered cross-products of a panel's lagged columns.  Each MVGC
 regression is one small Cholesky factorization of a block of it, and one
 routine, :func:`_partial`, answers every CI test, alone or in a PC1
 round's batch, by one factorization of its conditioning block and one
-triangular solve.  One helper,
-:func:`_factor`, makes every such factorization, and one pivot guard,
-:func:`_kept`, is the collinearity rule for all of them: a regressor or
-conditioning column that trips it is dropped, and an x or y that trips
-it given the conditions is a degenerate test.  Around that core: linear
-partial correlation with a t-distributed statistic, whose verdict rules
-live once, in :func:`_verdicts`; F/t distribution tails through the
-regularized incomplete beta function; and Benjamini-Hochberg step-up
-FDR control.  The functions are pure; callers may evaluate many tests
-in parallel.
+solve.  One helper, :func:`_factor`, makes every such numpy Cholesky
+factorization, and one pivot guard, :func:`_kept`, is the collinearity
+rule for all of them: a regressor or conditioning column that trips it
+is dropped, and an x or y that trips it given the conditions is a
+degenerate test.  Around that core: linear partial correlation with a
+t-distributed statistic, whose verdict rules live once, in
+:func:`_verdicts`; every F/t p-value through one regularized incomplete
+beta function, :func:`betainc`, a continued fraction in the ``math``
+module; and Benjamini-Hochberg step-up FDR control.  The functions are
+pure; callers may evaluate many tests in parallel.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.special import betainc
 
-from .errors import InsufficientHistory, InvalidArgument
+from .errors import InsufficientHistory, InvalidArgument, NumericalError
 
 # A Cholesky pivot that keeps less than this share of its column's
 # centered sum of squares marks a duplicated or collinear column: an MVGC
@@ -101,7 +99,7 @@ def _partial(
     ``norms`` holds the raw (uncentered) norms of the ``xy`` columns.
 
     One Cholesky of the conditioning block, C_ZZ = L L^T over the columns
-    :func:`_factor` keeps, and one triangular solve W = L^-1 C_Z[xs, y]
+    :func:`_factor` keeps, and one solve W = L^-1 C_Z[xs, y]
     answer them all: the residual cross-products given [Z, intercept] are
     C_AB - W_A^T W_B.  An x or y whose residual trips :func:`_kept` is
     degenerate (statistic 0, p 1), so constant and duplicated columns are
@@ -110,9 +108,7 @@ def _partial(
     if n <= len(z) + 3:  # dof would fall below 2
         raise InsufficientHistory(f"{n} samples cannot support {len(z)} conditioning columns")
     low, kept, _ = _factor(cross.take(z, 0).take(z, 1), len(z))
-    w = cross.take(z[kept], 0).take(xy, 1)
-    if kept:  # LAPACK takes no empty system
-        w = dtrtrs(low, w, lower=1)[0]
+    w = np.linalg.solve(low, cross.take(z[kept], 0).take(xy, 1))
     wa, wy = w[:, :-1], w[:, -1]
     xs, y = xy[:-1], xy[-1]
     c_aa, c_yy = cross[xs, xs], cross[y, y]
@@ -133,9 +129,10 @@ def _kept(pivot_sq: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 def _factor(block: np.ndarray, k: int) -> tuple[np.ndarray, list[int], int]:
     """Lower Cholesky factor of a centered cross-product block whose first
-    ``k`` columns are regressors or conditions (the upper triangle is left
-    as it was): the factor, the indices of the first k columns kept, and
-    dpotrf's ``info``, 0 or 1 + the column after them where it stopped.
+    ``k`` columns are regressors or conditions: the factor, the indices of
+    the first k columns kept, and LAPACK dpotrf's ``info``, 0 or 1 + the
+    column after them where the factorization stops (and then the factor
+    of the columns before it).
 
     The first of those k columns whose pivot trips :func:`_kept`, or where
     the factorization stops, is collinear with those before it: it is
@@ -143,8 +140,8 @@ def _factor(block: np.ndarray, k: int) -> tuple[np.ndarray, list[int], int]:
     """
     kept, sub = list(range(k)), block
     while True:
-        low, info = dpotrf(sub, lower=1, clean=0)
-        # dpotrf stops at column info - 1; the pivots before it are final
+        low, info = _cholesky(sub)
+        # the factorization stops at column info - 1; the pivots before it are final
         done = min(info - 1 if info else len(kept), len(kept))
         pivot_sq, diag = np.diagonal(low)[:done] ** 2, np.diagonal(sub)[:done]
         tripped = np.flatnonzero(~_kept(pivot_sq, diag))
@@ -154,6 +151,22 @@ def _factor(block: np.ndarray, k: int) -> tuple[np.ndarray, list[int], int]:
         del kept[drop]
         idx = kept + list(range(k, block.shape[0]))
         sub = block.take(idx, 0).take(idx, 1)
+
+
+def _cholesky(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """``block``'s lower Cholesky factor and info 0 or, where a pivot is
+    not positive, the factor of the largest leading block that factors
+    and info = 1 + its size: the column where dpotrf would stop."""
+    # a leading block factors exactly when all its pivots are positive, so
+    # try the whole block, then bisect for the largest leading one
+    low, hi, size = block[:0, :0], len(block), len(block)
+    while len(low) < hi:
+        try:
+            low = np.linalg.cholesky(block[:size, :size])
+        except np.linalg.LinAlgError:
+            hi = size - 1
+        size = (len(low) + hi + 1) // 2
+    return low, 0 if len(low) == len(block) else len(low) + 1
 
 
 def _verdicts(rxy, sx, sy, norm_x, norm_y, dof: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +181,51 @@ def _verdicts(rxy, sx, sy, norm_x, norm_y, dof: int) -> tuple[np.ndarray, np.nda
     # does not cancel to 0: I_x(dof/2, 1/2) at x = dof / (dof + t^2) = 1 - r^2,
     # which is exactly 0 where |r| = 1
     return r, np.where(degenerate, 1.0, betainc(dof / 2.0, 0.5, 1.0 - r * r))
+
+
+def betainc(a: float, b: float, x) -> np.ndarray:
+    """Regularized incomplete beta function I_x(a, b), elementwise over
+    the array ``x`` in [0, 1], for a, b > 0.
+
+    Below x = (a + 1) / (a + b + 2) the continued fraction for I_x(a, b)
+    converges quickly, and above it the one for I_{1-x}(b, a) = 1 - I_x(a, b)
+    does (Numerical Recipes 6.4).  The prefactor x^a (1-x)^b / B(a, b) is
+    taken in logs, so none of its factors underflows alone and a tail keeps
+    its relative accuracy down to about 1e-300.
+    """
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    switch = (a + 1.0) / (a + b + 2.0)
+    x = np.asarray(x, dtype=np.float64)
+    out = []
+    for v in x.ravel().tolist():
+        if 0.0 < v < 1.0:  # the ends, and nan, stand as they are
+            front = math.exp(log_norm + a * math.log(v) + b * math.log1p(-v))
+            v = (front * _beta_fraction(a, b, v) / a if v < switch
+                 else 1.0 - front * _beta_fraction(b, a, 1.0 - v) / b)
+        out.append(v)
+    return np.array(out).reshape(x.shape)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), for x at most (a + 1) /
+    (a + b + 2), by modified Lentz (Thompson and Barnett 1986) in
+    O(sqrt(max(a, b))) terms: 60-80 at worst, beside the switch, for the
+    (dof/2, 1/2) of a t-test at any dof up to 8000."""
+    tiny, eps = 1e-300, math.ulp(1.0)  # tiny stands in for a zero denominator
+    c, h = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    d = h
+    for m in range(1, 10_000):
+        term = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 / (1.0 + term * d or tiny)
+        c = 1.0 + term / c or tiny
+        h *= d * c
+        term = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        d = 1.0 / (1.0 + term * d or tiny)
+        c = 1.0 + term / c or tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= eps:
+            return h
+    raise NumericalError(f"incomplete beta did not converge at a={a}, b={b}, x={x}")
 
 
 def _column(values: np.ndarray, start: int, node: tuple[int, int]) -> np.ndarray:

@@ -2,11 +2,13 @@ import datetime as dt
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from click.testing import CliRunner
 
 from causalcast import (
@@ -61,6 +63,19 @@ class TestBasics:
         assert result.exit_code == 0
         for cmd in ("preprocess", "discover", "train", "evaluate", "experiment", "synth"):
             assert cmd in result.output
+
+    def test_import_loads_no_scipy(self):
+        # numpy and CPython's math compute every statistic; SciPy is only
+        # a test oracle, and importing it would double set-up time
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import causalcast.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_error_is_exit_two(self, runner):
         result = invoke(runner, "preprocess", "/nonexistent.csv", "-o", "x.csv",
@@ -495,7 +510,8 @@ seed: 3
         assert len(manifest["config_hash"]) == 64
         assert str(out / "report.csv") in manifest["artifacts"]
         assert manifest["numpy"] == np.__version__
-        assert manifest["scipy"] == scipy.__version__
+        assert manifest["python"] == platform.python_version()
+        assert "scipy" not in manifest
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["blas"] == f"{blas['name']} {blas['version']}"
         assert manifest["cpu_count"] == os.cpu_count()

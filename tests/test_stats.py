@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy import stats as scipy_stats
+from scipy import special as scipy_special
+from scipy.linalg.lapack import dpotrf
 
-from causalcast.errors import InvalidArgument
+from causalcast.errors import InvalidArgument, NumericalError
 from causalcast.stats import (
     CITestResult,
     LaggedCrossProducts,
+    _cholesky,
     _column,
     benjamini_hochberg,
+    betainc,
     f_cdf,
     partial_correlation,
     t_cdf,
@@ -107,6 +111,40 @@ class TestFit:
         kept, rss = cross.fit(regressors, (0, 0))
         assert kept == [(1, 1), (1, 2), (0, 1)]
         assert cross.fit(kept, (0, 0)) == (kept, rss)
+
+    def test_exact_response_has_zero_rss(self):
+        # y_t = x1_{t-1} + 2 x2_{t-1} over small integers: the factorization
+        # stops at the response, whose residual is then exactly 0
+        x = np.random.default_rng(1).integers(-3, 4, (60, 2)).astype(np.float64)
+        values = np.column_stack([np.r_[0.0, x[:-1, 0] + 2.0 * x[:-1, 1]], x])
+        assert LaggedCrossProducts(values, 1).fit([(1, 1), (2, 1)], (0, 0)) == (
+            [(1, 1), (2, 1)], 0.0
+        )
+
+
+class TestCholesky:
+    """_cholesky stops where LAPACK's dpotrf does, which is where
+    _factor's drop rule looks for the collinear column."""
+
+    @staticmethod
+    def gram(column, fill):
+        x = np.random.default_rng(1).standard_normal((300, 100))
+        x[:, column] = fill(x)
+        x -= x.mean(axis=0)
+        return x.T @ x
+
+    @pytest.mark.parametrize("column, fill", [
+        (80, lambda x: x[:, 17]),                       # a duplicated column
+        (60, lambda x: x[:, 3] - 2.0 * x[:, 40]),       # an exact combination
+        (70, lambda x: 0.0),                            # a zero column
+    ])
+    def test_stops_where_dpotrf_does(self, column, fill):
+        block = self.gram(column, fill)
+        oracle, info = dpotrf(block, lower=1, clean=0)
+        low, stop = _cholesky(block)
+        assert stop == info == column + 1
+        assert low.shape == (column, column)
+        np.testing.assert_allclose(np.diagonal(low), np.diagonal(oracle)[:column], rtol=1e-12)
 
 
 class TestPartialCorrelation:
@@ -288,6 +326,62 @@ class TestDistributions:
             f_cdf(math.nan, 5, 5)
         with pytest.raises(InvalidArgument):
             t_cdf(1.0, 0)
+
+
+class TestIncompleteBeta:
+    """betainc against closed forms deep into the tail, its symmetry, and
+    SciPy's betainc on the shapes the program's F and t tests use."""
+
+    def test_closed_forms_in_the_tail(self):
+        # p from 1 down to about 1e-250 at each shape
+        for a in (0.5, 3.0, 40.0, 400.0):
+            x = 10.0 ** -np.linspace(0.0, 250.0 / a, 60)[1:]
+            np.testing.assert_allclose(betainc(a, 1.0, x), x ** a, rtol=1e-12, atol=0.0)
+        for b in (0.5, 3.0, 40.0, 400.0):
+            x = 10.0 ** -np.linspace(0.01, 250.0, 60)
+            exact = -np.expm1(b * np.log1p(-x))
+            np.testing.assert_allclose(betainc(1.0, b, x), exact, rtol=1e-12, atol=0.0)
+        x = np.r_[10.0 ** -np.linspace(0.01, 300.0, 60), 1.0 - 10.0 ** -np.arange(1.0, 16.0)]
+        # near 1, through 1 - x (exact there), where arcsin is well conditioned
+        exact = np.where(x < 0.5, np.arcsin(np.sqrt(x)), np.pi / 2.0 - np.arcsin(np.sqrt(1.0 - x)))
+        exact *= 2.0 / np.pi
+        np.testing.assert_allclose(betainc(0.5, 0.5, x), exact, rtol=1e-12, atol=0.0)
+
+    def test_ends_and_shape(self):
+        x = np.array([[0.0, 0.25], [0.5, 1.0]])
+        out = betainc(2.5, 4.0, x)
+        assert out.shape == x.shape and out[0, 0] == 0.0 and out[1, 1] == 1.0
+        assert betainc(2.5, 4.0, 0.25).shape == ()
+        assert np.isnan(betainc(2.5, 4.0, math.nan))
+
+    def test_unconverged_fraction_raises(self):
+        # about sqrt(a) terms would be needed, far past the cap
+        with pytest.raises(NumericalError):
+            betainc(1e12, 1e12, 0.5)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (3.0, 0.5), (12.5, 40.0), (4000.0, 0.5), (0.5, 900.0)])
+    def test_symmetry(self, a, b):
+        x = np.linspace(0.0, 1.0, 129)
+        np.testing.assert_allclose(betainc(a, b, x) + betainc(b, a, 1.0 - x), 1.0, rtol=0.0, atol=1e-14)
+
+    def test_matches_scipy_on_t_and_f_shapes(self):
+        # SciPy itself drifts by 1e-9 within 1e-13 of x = 1
+        x = np.r_[10.0 ** -np.linspace(0.0, 12.0, 40), np.linspace(0.01, 0.99, 40),
+                  1.0 - 10.0 ** -np.linspace(2.0, 12.0, 20)]
+        shapes = [(nu / 2.0, 0.5) for nu in (1, 2, 3, 7, 20, 99, 400, 1500, 4001, 8000)]
+        shapes += [(d2 / 2.0, d1 / 2.0) for d2 in (5, 60, 517, 7950) for d1 in (1, 3, 21, 100)]
+        for a, b in shapes:
+            oracle = scipy_special.betainc(a, b, x)
+            keep = oracle >= 1e-250
+            np.testing.assert_allclose(betainc(a, b, x[keep]), oracle[keep], rtol=1e-9, atol=0.0)
+
+    def test_converges_beside_the_switch(self):
+        # the continued fractions are slowest where they swap, at
+        # x = (a + 1) / (a + b + 2)
+        a, b = 4000.0, 0.5
+        switch = (a + 1.0) / (a + b + 2.0)
+        x = switch * (1.0 + np.array([-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-5]))
+        np.testing.assert_allclose(betainc(a, b, x), scipy_special.betainc(a, b, x), rtol=1e-9, atol=0.0)
 
 
 class TestBenjaminiHochberg:
