@@ -41,26 +41,31 @@ class Frequency(str, Enum):
 
 
 def _check_spacing(timestamps: Sequence[dt.date], frequency: Frequency) -> None:
-    for prev, cur in zip(timestamps, timestamps[1:]):
-        if cur == prev:
-            raise DuplicateTimestamp(f"duplicate timestamp {cur.isoformat()}")
-        if cur < prev:
-            raise DuplicateTimestamp(
-                f"timestamps not strictly increasing at {cur.isoformat()}"
-            )
-        if frequency is Frequency.DAILY:
-            if (cur - prev).days != 1:
-                raise ParseError(
-                    f"daily series has a gap between {prev.isoformat()} "
-                    f"and {cur.isoformat()}"
-                )
-        else:
-            months = (cur.year - prev.year) * 12 + (cur.month - prev.month)
-            if months != 1:
-                raise ParseError(
-                    f"monthly series does not advance by one calendar month "
-                    f"between {prev.isoformat()} and {cur.isoformat()}"
-                )
+    """Raise at the first neighboring pair not one step (day or calendar
+    month) apart: a duplicate, a decrease, or a gap."""
+    if frequency is Frequency.DAILY:
+        steps = [d.toordinal() for d in timestamps]
+    else:
+        steps = [d.year * 12 + d.month for d in timestamps]
+    bad = np.flatnonzero(np.diff(steps) != 1)
+    if bad.size == 0:
+        return
+    prev, cur = timestamps[bad[0]], timestamps[bad[0] + 1]
+    if cur == prev:
+        raise DuplicateTimestamp(f"duplicate timestamp {cur.isoformat()}")
+    if cur < prev:
+        raise DuplicateTimestamp(
+            f"timestamps not strictly increasing at {cur.isoformat()}"
+        )
+    if frequency is Frequency.DAILY:
+        raise ParseError(
+            f"daily series has a gap between {prev.isoformat()} "
+            f"and {cur.isoformat()}"
+        )
+    raise ParseError(
+        f"monthly series does not advance by one calendar month "
+        f"between {prev.isoformat()} and {cur.isoformat()}"
+    )
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,6 @@ class TimeSeriesDataset:
     @property
     def target_index(self) -> int:
         return self.variable_names.index(self.target_name)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.variable_names:
-            raise UnknownVariable(f"no variable named {name!r}")
-        return self.values[:, self.variable_names.index(name)]
 
     def with_values(self, values: np.ndarray) -> "TimeSeriesDataset":
         return TimeSeriesDataset(
@@ -316,47 +316,62 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
         if not variable_names:
             raise ParseError("no variable columns in header")
 
-        rows: list[tuple[dt.date, list[float]]] = []
+        # each row's width and date are checked as it is read; its cells
+        # wait for one conversion, so a row problem waits for the cells
+        # before it, and the first problem in file order is the one raised
+        dates, rows, lines, problem = [], [], [], None
         for r, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} cells, got {len(row)}", row=r
-                )
+                problem = ParseError(f"expected {len(header)} cells, got {len(row)}", row=r)
+                break
             try:
-                date = dt.date.fromisoformat(row[0].strip())
+                dates.append(dt.date.fromisoformat(row[0].strip()))
             except ValueError:
-                raise ParseError(
+                problem = ParseError(
                     f"unparseable ISO-8601 date {row[0]!r}", row=r, column="date"
-                ) from None
-            vals = []
-            for name, cell in zip(variable_names, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    vals.append(math.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell {cell!r}", row=r, column=name
-                    ) from None
-                if math.isinf(value):
-                    raise ParseError(f"infinite cell {cell!r}", row=r, column=name)
-                vals.append(value)
-            rows.append((date, vals))
+                )
+                break
+            rows.append(row)
+            lines.append(r)
 
+    # np.array parses each cell as float() does
+    cells = [c.strip() or "nan" for row in rows for c in row[1:]]
+    try:
+        values = np.array(cells, dtype=np.float64).reshape(len(rows), len(variable_names))
+    except ValueError:
+        values = None
+    if values is None or np.isinf(values).any():
+        _raise_first_bad_cell(rows, lines, variable_names)
+    if problem is not None:
+        raise problem
     if not rows:
         raise ParseError(f"{path} has no data rows")
-    rows.sort(key=lambda item: item[0])
+    order = sorted(range(len(dates)), key=dates.__getitem__)
     return TimeSeriesDataset(
         variable_names=tuple(variable_names),
-        timestamps=tuple(date for date, _ in rows),
-        values=np.array([vals for _, vals in rows], dtype=np.float64),
+        timestamps=tuple(dates[i] for i in order),
+        values=values[order],
         frequency=frequency,
         target_name=target_name,
     )
+
+
+def _raise_first_bad_cell(rows: list[list[str]], lines: list[int], names: list[str]) -> None:
+    """Raise ParseError at the first non-numeric or infinite cell of the
+    ``rows`` read from file lines ``lines``."""
+    for r, row in zip(lines, rows):
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric cell {cell!r}", row=r, column=name) from None
+            if math.isinf(value):
+                raise ParseError(f"infinite cell {cell!r}", row=r, column=name)
 
 
 def save_csv(dataset: TimeSeriesDataset, path) -> None:

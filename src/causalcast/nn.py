@@ -51,7 +51,9 @@ the model's arrays as named views into it, so one Adam update covers the
 whole model and the best-epoch snapshot is one copy.  Each step runs on
 a float32 copy of that buffer, refreshed after each Adam update (mixed
 precision, Micikevicius et al. 2018); validation, ``predict`` and
-checkpoints use the float64 master.
+checkpoints use the float64 master.  ``backward`` writes its gradients
+into one flat buffer of the same layout, so a step's gradient reaches
+Adam by one cast copy.
 """
 
 from __future__ import annotations
@@ -378,9 +380,9 @@ def model_forward(
     return pred
 
 
-def _gru_backward(params, cache, dhs):
-    """Parameter gradients from the loss gradient ``dhs`` (T, G, B) with
-    respect to every GRU output state."""
+def _gru_backward(params, cache, dhs, grads):
+    """Parameter gradients, written into ``grads``, from the loss gradient
+    ``dhs`` (T, G, B) with respect to every GRU output state."""
     U = params["gru_U"]
     x, hs, gates = cache["x"], cache["hs"], cache["gates"]
     T, _, B = x.shape
@@ -408,17 +410,16 @@ def _gru_backward(params, cache, dhs):
     # the candidate's input side is not scaled by the reset gate
     np.multiply(dh_all, dn, out=dgh[:, 2 * G :])
     flat_gx = _rows(dgh)
-    return {
-        "gru_W": _rows(x).T @ flat_gx,
-        "gru_U": _rows(hs[:-1]).T @ flat_gh,
-        "gru_bx": flat_gx.sum(axis=0),
-        "gru_bh": flat_gh.sum(axis=0),
-    }
+    np.matmul(_rows(x).T, flat_gx, out=grads["gru_W"])
+    np.matmul(_rows(hs[:-1]).T, flat_gh, out=grads["gru_U"])
+    flat_gx.sum(axis=0, out=grads["gru_bx"])
+    flat_gh.sum(axis=0, out=grads["gru_bh"])
 
 
-def _lstm_backward(params, cache, dh_last):
-    """(input gradient (T, K, B), parameter gradients) from the loss
-    gradient (L, B) with respect to the last hidden state only."""
+def _lstm_backward(params, cache, dh_last, grads):
+    """Input gradient (T, K, B), with the parameter gradients written into
+    ``grads``, from the loss gradient (L, B) with respect to the last
+    hidden state only."""
     W, U = params["lstm_W"], params["lstm_U"]
     x, hs, gates = cache["x"], cache["hs"], cache["gates"]
     cs, tc = cache["cs"], cache["tc"]
@@ -446,22 +447,24 @@ def _lstm_backward(params, cache, dh_last):
     # freed before the (T*B, .) copies below, which would raise the peak
     del factors, dc_dh
     flat = _rows(dpre)
-    grads = {
-        "lstm_W": _rows(x).T @ flat,
-        "lstm_U": _rows(hs[:-1]).T @ flat,
-        "lstm_b": flat.sum(axis=0),
-    }
-    return np.matmul(W, dpre), grads
+    np.matmul(_rows(x).T, flat, out=grads["lstm_W"])
+    np.matmul(_rows(hs[:-1]).T, flat, out=grads["lstm_U"])
+    flat.sum(axis=0, out=grads["lstm_b"])
+    return np.matmul(W, dpre)
 
 
-def backward(model: RecurrentModel, batch, targets, masks=None):
+def backward(model: RecurrentModel, batch, targets, masks=None, out=None):
     """MSE loss and its gradient for every parameter, via full BPTT.
 
     ``masks`` must be the exact dropout masks used in the corresponding
     forward pass (None for evaluation-mode gradients); pre-draw them
     with :func:`draw_dropout_masks`.
 
-    Returns (gradients keyed like ``model.params``, scalar loss).
+    The gradients fill the flat buffer ``out`` (allocated in the
+    parameters' dtype when None), laid out as :func:`train`'s parameter
+    buffer is: each parameter's gradient in ``model.params`` order.
+    Returns (named views of ``out`` keyed like ``model.params``, scalar
+    loss).
     """
     x = np.asarray(batch)
     y = np.asarray(targets, dtype=model.params["gru_W"].dtype).reshape(-1)
@@ -474,20 +477,24 @@ def backward(model: RecurrentModel, batch, targets, masks=None):
     B = x.shape[0]
     loss = float(resid @ resid) / B
     p = model.params
-    grads: dict[str, np.ndarray] = {}
+    size = parameter_count(model)
+    if out is None:
+        out = np.empty(size, dtype=p["gru_W"].dtype)
+    elif out.shape != (size,):
+        raise ShapeError(f"gradient buffer of shape {out.shape} for {size} parameters")
+    grads = _flat_views(out, p)
 
     dpred = (2.0 / B) * resid[:, None]
-    grads["head_W"] = cache["dense_out"].T @ dpred
-    grads["head_b"] = dpred.sum(axis=0)
+    np.matmul(cache["dense_out"].T, dpred, out=grads["head_W"])
+    dpred.sum(axis=0, out=grads["head_b"])
     ddense = (dpred @ p["head_W"].T) * (cache["dense_pre"] > 0.0)
-    grads["dense_W"] = cache["dense_in"].T @ ddense
-    grads["dense_b"] = ddense.sum(axis=0)
+    np.matmul(cache["dense_in"].T, ddense, out=grads["dense_W"])
+    ddense.sum(axis=0, out=grads["dense_b"])
     dhd = ddense @ p["dense_W"].T
     dh_final = dhd * cache["state_mask"] if masks is not None else dhd
-    dseq, lstm_grads = _lstm_backward(p, cache["lstm"], dh_final.T)
-    grads.update(lstm_grads)
+    dseq = _lstm_backward(p, cache["lstm"], dh_final.T, grads)
     dhs = dseq * cache["seq_mask"] if masks is not None else dseq
-    grads.update(_gru_backward(p, cache["gru"], dhs))
+    _gru_backward(p, cache["gru"], dhs, grads)
     return grads, loss
 
 
@@ -572,7 +579,8 @@ def train(
     the returned ``model.params`` are named views into it, so Adam runs
     once over the whole model and the best-epoch snapshot is one copy.
     Forward and backward run on a float32 copy of the buffer, refreshed
-    after each update; validation and the restore use the master.
+    after each update, and backward fills a float32 gradient buffer of
+    the same layout; validation and the restore use the master.
     """
     x_tr = train_windows.inputs.astype(np.float32)
     y_tr = train_windows.targets.astype(np.float32)
@@ -586,7 +594,7 @@ def train(
     model.params = _flat_views(flat, model.params)
     work = flat.astype(np.float32)
     work_model = RecurrentModel(model.config, _flat_views(work, model.params))
-    grad = np.empty_like(flat)
+    work_grad, grad = np.empty_like(work), np.empty_like(flat)
     # adam_step updates dicts of arrays; here each dict holds one buffer
     flat_params, flat_grads = {"all": flat}, {"all": grad}
     state = adam_init(flat_params, learning_rate=config.learning_rate)
@@ -599,8 +607,8 @@ def train(
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 masks = draw_dropout_masks(model.config, idx.size, rng)
-                grads, _ = backward(work_model, x_tr[idx], y_tr[idx], masks)
-                np.concatenate([grads[k].reshape(-1) for k in model.params], out=grad)
+                backward(work_model, x_tr[idx], y_tr[idx], masks, work_grad)
+                np.copyto(grad, work_grad)
                 adam_step(state, flat_params, flat_grads)
                 np.copyto(work, flat)
             val_loss = evaluate_mse(model, x_va, y_va)

@@ -22,14 +22,12 @@ attach only where a :class:`CausalLink` is built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InvalidArgument, json_object, parse_errors
+from .errors import InvalidArgument, parse_errors
 from .granger import FeatureMethod, FeatureSet
 from .stats import (
     DEFAULT_ALPHA,
@@ -129,9 +127,6 @@ class CausalGraph:
             "links": [l.to_dict() for l in self.links],
         }
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
     @classmethod
     def from_dict(cls, d: dict) -> "CausalGraph":
         with parse_errors("pcmci+ graph"):
@@ -152,11 +147,6 @@ class CausalGraph:
                 alpha=float(d["alpha"]),
                 **{key: int(d[key]) for key in ("ci_tests", "max_cond_dim") if key in d},
             )
-
-    @classmethod
-    def load(cls, path) -> "CausalGraph":
-        with json_object(path) as doc:
-            return cls.from_dict(doc)
 
     def to_dot(self) -> str:
         """Graphviz digraph with lag-labeled edges; unoriented lag-0

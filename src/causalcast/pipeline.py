@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -583,6 +582,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         for lead in config.leads
     ]
     if config.jobs > 1 and len(cells) > 1:
+        # imported here: it costs every command's start-up, and --jobs 1 never pools
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(pool.map(_run_cell, *zip(*cells)))
     else:

@@ -3,18 +3,20 @@
 One core answers all of discovery: :class:`LaggedCrossProducts` holds
 the centered cross-products of a panel's lagged columns.  Each MVGC
 regression is one small Cholesky factorization of a block of it, and one
-routine, :func:`_partial`, answers every CI test, alone or in a PC1
-round's batch, by one factorization of its conditioning block and one
-solve.  One helper, :func:`_factor`, makes every such numpy Cholesky
-factorization, and one pivot guard, :func:`_kept`, is the collinearity
-rule for all of them: a regressor or conditioning column that trips it
-is dropped, and an x or y that trips it given the conditions is a
-degenerate test.  Around that core: linear partial correlation with a
-t-distributed statistic, whose verdict rules live once, in
-:func:`_verdicts`; every F/t p-value through one regularized incomplete
-beta function, :func:`betainc`, a continued fraction in the ``math``
-module; and Benjamini-Hochberg step-up FDR control.  The functions are
-pure; callers may evaluate many tests in parallel.
+routine, :func:`_partial`, answers every CI test, alone
+(:meth:`LaggedCrossProducts.test`) or in a PC1 round's batch
+(:meth:`LaggedCrossProducts.test_each`), by one factorization of its
+conditioning block and one solve.  One helper, :func:`_factor`, makes
+every such numpy Cholesky factorization, and one pivot guard,
+:func:`_kept`, is the collinearity rule for all of them: a regressor or
+conditioning column that trips it is dropped, and an x or y that trips
+it given the conditions is a degenerate test.  Around that core: linear
+partial correlation with a t-distributed statistic, whose verdict rules
+live once, in :func:`_verdicts`; every F/t p-value through one
+regularized incomplete beta function, :func:`betainc`, a continued
+fraction in the ``math`` module; and Benjamini-Hochberg step-up FDR
+control.  The functions are pure; callers may evaluate many tests in
+parallel.
 """
 
 from __future__ import annotations
@@ -56,37 +58,6 @@ class CITestResult:
     statistic: float
     p_value: float
     effective_dof: int
-
-
-def partial_correlation(
-    x: np.ndarray, y: np.ndarray, conditioning: np.ndarray | None = None
-) -> CITestResult:
-    """Linear partial correlation of x and y given the conditioning columns.
-
-    Both series are regressed on [conditioning, intercept]; the statistic
-    is the Pearson correlation of the residuals, with a two-sided t-test
-    at dof = n - #conditions kept - 2.  The columns are centered here, and
-    :func:`_partial` answers from their cross-products.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise InvalidArgument("x and y must have equal length")
-    if conditioning is None or (hasattr(conditioning, "size") and conditioning.size == 0):
-        z = np.empty((n, 0), dtype=np.float64)
-    else:
-        z = np.asarray(conditioning, dtype=np.float64)
-        if z.ndim == 1:
-            z = z[:, None]
-        if z.shape[0] != n:
-            raise InvalidArgument("conditioning rows must match x length")
-    cols = np.column_stack([z, x, y])
-    centered = cols - cols.mean(axis=0)
-    k = z.shape[1]
-    norms = np.sqrt([x @ x, y @ y])
-    stat, p, dof = _partial(centered.T @ centered, np.arange(k), np.array([k, k + 1]), norms, n)
-    return CITestResult(statistic=float(stat[0]), p_value=float(p[0]), effective_dof=dof)
 
 
 def _partial(

@@ -66,11 +66,15 @@ class TestBasics:
 
     def test_import_loads_no_scipy(self):
         # numpy and CPython's math compute every statistic; SciPy is only
-        # a test oracle, and importing it would double set-up time
+        # a test oracle, and importing it would double set-up time.  The
+        # process pool is imported only when --jobs > 1 starts one.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        code = "import causalcast.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        code = (
+            "import causalcast.cli, sys; print([m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
@@ -179,7 +183,7 @@ class TestDiscover:
                         "--frequency", "monthly", "--max-lag", 3,
                         "--alpha", 0.01, "-o", tmp_path / "pc")
         assert result.exit_code == 0
-        graph = CausalGraph.load(tmp_path / "pc.json")
+        graph = CausalGraph.from_dict(json.loads((tmp_path / "pc.json").read_text()))
         assert ("drv", "y", 1) in {(l.source, l.target, l.lag) for l in graph.links}
         assert (tmp_path / "pc.dot").read_text().startswith("digraph")
 

@@ -43,7 +43,6 @@ class TestDataset:
         assert ds.n_timesteps == 4
         assert ds.n_variables == 3
         assert ds.target_index == 1
-        np.testing.assert_array_equal(ds.column("v2"), [2.0, 5.0, 8.0, 11.0])
 
     def test_values_are_immutable(self):
         ds = make_dataset(np.zeros((3, 2)))
@@ -53,11 +52,6 @@ class TestDataset:
     def test_unknown_target_rejected(self):
         with pytest.raises(UnknownTarget):
             make_dataset(np.zeros((3, 2)), target="nope")
-
-    def test_unknown_column_rejected(self):
-        ds = make_dataset(np.zeros((3, 2)))
-        with pytest.raises(UnknownVariable):
-            ds.column("nope")
 
     def test_duplicate_timestamps_rejected(self):
         dates = monthly_dates(3)
@@ -88,6 +82,22 @@ class TestDataset:
                 timestamps=(dt.date(2000, 1, 1), dt.date(2000, 3, 1)),
                 values=np.zeros((2, 1)),
                 frequency=Frequency.MONTHLY,
+                target_name="a",
+            )
+
+    @pytest.mark.parametrize("frequency, days, error, message", [
+        ("monthly", [0, 31, 31, 0], DuplicateTimestamp, "duplicate timestamp 2000-02-01"),
+        ("monthly", [31, 0, 60], DuplicateTimestamp, "not strictly increasing at 2000-01-01"),
+        ("daily", [0, 2, 1, 1], ParseError, "gap between 2000-01-01 and 2000-01-03"),
+        ("monthly", [14, 19], ParseError, "one calendar month between 2000-01-15 and 2000-01-20"),
+    ])
+    def test_first_bad_spacing_is_reported(self, frequency, days, error, message):
+        with pytest.raises(error, match=message):
+            TimeSeriesDataset(
+                variable_names=("a",),
+                timestamps=tuple(dt.date(2000, 1, 1) + dt.timedelta(days=d) for d in days),
+                values=np.zeros((len(days), 1)),
+                frequency=Frequency(frequency),
                 target_name="a",
             )
 
@@ -154,6 +164,43 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("date,x\n2000-01-01,nan\n2000-02-01,2.0\n")
         assert math.isnan(load_csv(path, "x", "monthly").values[0, 0])
+
+    def test_whitespace_cell_becomes_nan(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("date,x,y\n2000-01-01,  ,1.0\n2000-02-01,2.0,\t\n")
+        values = load_csv(path, "x", "monthly").values
+        np.testing.assert_array_equal(values, [[np.nan, 1.0], [2.0, np.nan]])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("date,x\n2000-01-01,1\n\n , \n2000-02-01,2\n")
+        ds = load_csv(path, "x", "monthly")
+        assert ds.timestamps == (dt.date(2000, 1, 1), dt.date(2000, 2, 1))
+        np.testing.assert_array_equal(ds.values[:, 0], [1.0, 2.0])
+
+    def test_wrong_cell_count_names_the_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("date,x,y\n2000-01-01,1,2\n2000-02-01,3\n")
+        with pytest.raises(ParseError, match=r"expected 3 cells, got 2 \(row 3,"):
+            load_csv(path, "x", "monthly")
+
+    def test_quoted_number_parses(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('date,x\n2000-01-01,"1.5"\n2000-02-01," -2e1 "\n')
+        np.testing.assert_array_equal(load_csv(path, "x", "monthly").values[:, 0], [1.5, -20.0])
+
+    @pytest.mark.parametrize("rows, message", [
+        ("2000-02-01,3,oops\n2000-03-01,5,6\nnot-a-date,7,8",
+         r"non-numeric cell 'oops' \(row 3, column 'y'\)"),
+        ("2000-02-01,3,inf\n2000-03-01,oops,6", r"infinite cell 'inf' \(row 3, column 'y'\)"),
+        ("not-a-date,3,4\n2000-03-01,oops,6", r"date 'not-a-date' \(row 3, column 'date'\)"),
+        ("2000-02-01,3,4,5\n2000-03-01,oops,6", r"expected 3 cells, got 4 \(row 3,"),
+    ])
+    def test_first_problem_in_file_order_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"date,x,y\n2000-01-01,1,2\n{rows}\n")
+        with pytest.raises(ParseError, match=message):
+            load_csv(path, "x", "monthly")
 
     def test_bad_date_reports_row(self, tmp_path):
         path = tmp_path / "d.csv"

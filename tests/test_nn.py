@@ -277,6 +277,25 @@ class TestGradients:
         # one window: every batch-last block is a single column
         assert self._fd_check(dropout=0.3, seed=2, B=1) < 1e-4
 
+    def test_gradients_fill_the_given_buffer(self):
+        cfg = tiny_config(dropout=0.3)
+        model = jittered_model(cfg, 17)
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((3, cfg.lookback, cfg.feature_count))
+        y = rng.standard_normal(3)
+        masks = draw_dropout_masks(cfg, 3, np.random.default_rng(19))
+        keyed, loss = backward(model, x, y, masks)
+        out = np.full(parameter_count(model), np.nan)
+        grads, loss_out = backward(model, x, y, masks, out=out)
+        assert list(grads) == list(model.params)
+        assert all(grads[k].base is out and grads[k].shape == p.shape
+                   for k, p in model.params.items())
+        want = np.concatenate([keyed[k].reshape(-1) for k in model.params])
+        np.testing.assert_array_equal(out, want)
+        assert loss_out == loss
+        with pytest.raises(ShapeError):
+            backward(model, x, y, masks, out=out[:-1])
+
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_config()
         model = jittered_model(cfg, 11)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from causalcast.pcmci import (
     mci_test,
     pc1_condition_selection,
 )
-from causalcast.stats import _column, partial_correlation
+from causalcast.stats import _column
 
 from conftest import conditions, lstsq_partial_correlation, make_dataset, noise_dataset
 
@@ -140,7 +142,7 @@ class TestMci:
         t0 = max_lag + lag
         x = ds.values[t0 - lag : -lag, 0]
         y = ds.values[t0:, 1]
-        ref = partial_correlation(x, y)
+        ref = lstsq_partial_correlation(x, y)
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
         assert res.p_value == pytest.approx(ref.p_value, abs=1e-12)
 
@@ -490,17 +492,15 @@ class TestGraphContainer:
         base.update(kw)
         return CausalLink(**base)
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         graph = CausalGraph(
             variables=("a", "b"),
             max_lag=3,
             links=(self._link(), self._link(lag=0, oriented=False)),
             alpha=0.05,
         )
-        path = tmp_path / "g.json"
-        graph.save(path)
-        back = CausalGraph.load(path)
-        assert back.to_dict() == graph.to_dict()
+        back = CausalGraph.from_dict(json.loads(json.dumps(graph.to_dict())))
+        assert back == graph
 
     def test_parents_include_unoriented_adjacency(self):
         graph = CausalGraph(

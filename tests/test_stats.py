@@ -16,7 +16,6 @@ from causalcast.stats import (
     benjamini_hochberg,
     betainc,
     f_cdf,
-    partial_correlation,
     t_cdf,
 )
 
@@ -147,11 +146,21 @@ class TestCholesky:
         np.testing.assert_allclose(np.diagonal(low), np.diagonal(oracle)[:column], rtol=1e-12)
 
 
+def ci_test(x, y, conditioning=None):
+    """Partial correlation of x and y given the conditioning columns, as
+    lag-0 nodes of the cross-product core over every row."""
+    n = len(x)
+    z = np.empty((n, 0)) if conditioning is None else np.reshape(conditioning, (n, -1))
+    k = z.shape[1]
+    cross = LaggedCrossProducts(np.column_stack([z, x, y]), 1)
+    return cross.test((k, 0), (k + 1, 0), [(i, 0) for i in range(k)], start=0)
+
+
 class TestPartialCorrelation:
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(100)
-        res = partial_correlation(x, x)
+        res = ci_test(x, x)
         assert res.statistic == pytest.approx(1.0)
         assert res.p_value < 1e-10
 
@@ -159,7 +168,7 @@ class TestPartialCorrelation:
         rng = np.random.default_rng(42)
         x = rng.standard_normal(10000)
         y = rng.standard_normal(10000)
-        res = partial_correlation(x, y)
+        res = ci_test(x, y)
         assert abs(res.statistic) < 0.05
         assert res.p_value > 0.01
 
@@ -169,8 +178,8 @@ class TestPartialCorrelation:
         z = rng.standard_normal(n)
         x = 0.8 * z + 0.3 * rng.standard_normal(n)
         y = 0.8 * z + 0.3 * rng.standard_normal(n)
-        plain = partial_correlation(x, y)
-        given_z = partial_correlation(x, y, z[:, None])
+        plain = ci_test(x, y)
+        given_z = ci_test(x, y, z[:, None])
         assert plain.statistic > 0.3
         assert abs(given_z.statistic) < 0.05
 
@@ -180,14 +189,14 @@ class TestPartialCorrelation:
         z = rng.standard_normal((n, 3))
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
-        res = partial_correlation(x, y, z)
+        res = ci_test(x, y, z)
         assert res.effective_dof == n - 3 - 2
 
     def test_constant_series_reports_independence(self):
         rng = np.random.default_rng(7)
         x = np.ones(100)
         y = rng.standard_normal(100)
-        res = partial_correlation(x, y)
+        res = ci_test(x, y)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
@@ -197,8 +206,8 @@ class TestPartialCorrelation:
         z = rng.standard_normal((n, 2))
         x = z @ [0.5, -0.2] + rng.standard_normal(n)
         y = z @ [0.1, 0.7] + rng.standard_normal(n)
-        base = partial_correlation(x, y, z)
-        scaled = partial_correlation(1000.0 * x - 3.0, 0.01 * y + 7.0, 5.0 * z + 2.0)
+        base = ci_test(x, y, z)
+        scaled = ci_test(1000.0 * x - 3.0, 0.01 * y + 7.0, 5.0 * z + 2.0)
         assert scaled.statistic == pytest.approx(base.statistic, abs=1e-10)
         assert scaled.p_value == pytest.approx(base.p_value, abs=1e-10)
 
@@ -210,8 +219,8 @@ class TestPartialCorrelation:
         z = rng.standard_normal(n)
         x = z + rng.standard_normal(n)
         y = z + rng.standard_normal(n)
-        base = partial_correlation(x, y, z)
-        shifted = partial_correlation(x, y, z + 1e6)
+        base = ci_test(x, y, z)
+        shifted = ci_test(x, y, z + 1e6)
         assert abs(base.statistic) < 0.05
         assert shifted.statistic == pytest.approx(base.statistic, rel=1e-6, abs=0.0)
 
@@ -222,7 +231,7 @@ class TestPartialCorrelation:
         z = rng.standard_normal((n, k))
         x = z @ rng.standard_normal(k) + rng.standard_normal(n) + 3.0
         y = 0.2 * x + z @ rng.standard_normal(k) + rng.standard_normal(n)
-        res = partial_correlation(x, y, z)
+        res = ci_test(x, y, z)
         want = lstsq_partial_correlation(x, y, z)
         assert res.statistic == pytest.approx(want.statistic, rel=1e-12, abs=0.0)
         assert res.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
@@ -237,8 +246,8 @@ class TestPartialCorrelation:
         w = rng.standard_normal(n)
         x = w + rng.standard_normal(n)
         y = w + rng.standard_normal(n)
-        once = partial_correlation(x, y, w)
-        twice = partial_correlation(x, y, np.column_stack([w, w]) + 1e6)
+        once = ci_test(x, y, w)
+        twice = ci_test(x, y, np.column_stack([w, w]) + 1e6)
         assert abs(once.statistic) < 0.05
         assert twice.statistic == pytest.approx(once.statistic, rel=1e-6, abs=0.0)
         assert twice.effective_dof == once.effective_dof
@@ -255,8 +264,9 @@ class TestPartialCorrelation:
         x = z + 1e-6 * e
         y = z + e + rng.standard_normal(n)
         pair = (y, x) if swap else (x, y)
-        assert partial_correlation(*pair, z) == CITestResult(0.0, 1.0, n - 3)
-        # the same panel as lag-0 nodes (x, y, z) of the cross-product core
+        assert ci_test(*pair, z) == CITestResult(0.0, 1.0, n - 3)
+        # the same nodes over rows 1..n-1, from the shared matrix, alone
+        # and as a PC1 round's batch
         cross = LaggedCrossProducts(np.column_stack([*pair, z]), 1)
         res = cross.test((0, 0), (1, 0), [(2, 0)])
         assert (res.statistic, res.p_value) == (0.0, 1.0)
@@ -271,7 +281,7 @@ class TestPartialCorrelation:
         z = rng.standard_normal((n, 2))
         x = rng.standard_normal(n)
         y = coef * x + z @ [0.3, -0.2] + rng.standard_normal(n)
-        res = partial_correlation(x, y, z)
+        res = ci_test(x, y, z)
         r, dof = res.statistic, res.effective_dof
         t = r * math.sqrt(dof / (1.0 - r * r))
         oracle = 2.0 * scipy_stats.t.sf(abs(t), dof)
@@ -285,7 +295,7 @@ class TestPartialCorrelation:
         for _ in range(trials):
             x = rng.standard_normal(80)
             y = rng.standard_normal(80)
-            if partial_correlation(x, y).p_value < 0.05:
+            if ci_test(x, y).p_value < 0.05:
                 hits += 1
         assert 0.03 <= hits / trials <= 0.07
 
