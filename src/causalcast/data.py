@@ -15,6 +15,7 @@ import csv
 import datetime as dt
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -294,11 +295,15 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
     """Load a ``date,<var1>,...,<varN>`` CSV into a dataset.
 
     Empty and ``nan`` cells are missing (NaN).  Rows are sorted by date;
-    duplicate dates raise :class:`DuplicateTimestamp`, malformed and
-    infinite cells raise :class:`ParseError` with row/column context.
+    duplicate dates raise :class:`DuplicateTimestamp`.  Each row is
+    checked and converted (by ``float``) as it is read, so the first
+    malformed row, non-numeric or infinite cell in file order raises
+    :class:`ParseError` with row/column context, and no more of the file
+    than its converted values is held.
     """
     frequency = Frequency(frequency)
     path = Path(path)
+    dates, values = [], array("d")
     # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -316,62 +321,52 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
         if not variable_names:
             raise ParseError("no variable columns in header")
 
-        # each row's width and date are checked as it is read; its cells
-        # wait for one conversion, so a row problem waits for the cells
-        # before it, and the first problem in file order is the one raised
-        dates, rows, lines, problem = [], [], [], None
         for r, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                problem = ParseError(f"expected {len(header)} cells, got {len(row)}", row=r)
-                break
+                raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=r)
             try:
                 dates.append(dt.date.fromisoformat(row[0].strip()))
             except ValueError:
-                problem = ParseError(
+                raise ParseError(
                     f"unparseable ISO-8601 date {row[0]!r}", row=r, column="date"
-                )
-                break
-            rows.append(row)
-            lines.append(r)
+                ) from None
+            try:
+                cells = list(map(float, row[1:]))
+            except ValueError:  # a missing cell, or a malformed one
+                cells = None
+            if cells is None or math.inf in cells or -math.inf in cells:
+                cells = _row_values(row, r, variable_names)
+            values.extend(cells)
 
-    # np.array parses each cell as float() does
-    cells = [c.strip() or "nan" for row in rows for c in row[1:]]
-    try:
-        values = np.array(cells, dtype=np.float64).reshape(len(rows), len(variable_names))
-    except ValueError:
-        values = None
-    if values is None or np.isinf(values).any():
-        _raise_first_bad_cell(rows, lines, variable_names)
-    if problem is not None:
-        raise problem
-    if not rows:
+    if not dates:
         raise ParseError(f"{path} has no data rows")
     order = sorted(range(len(dates)), key=dates.__getitem__)
     return TimeSeriesDataset(
         variable_names=tuple(variable_names),
         timestamps=tuple(dates[i] for i in order),
-        values=values[order],
+        values=np.frombuffer(values).reshape(len(dates), len(variable_names))[order],
         frequency=frequency,
         target_name=target_name,
     )
 
 
-def _raise_first_bad_cell(rows: list[list[str]], lines: list[int], names: list[str]) -> None:
-    """Raise ParseError at the first non-numeric or infinite cell of the
-    ``rows`` read from file lines ``lines``."""
-    for r, row in zip(lines, rows):
-        for name, cell in zip(names, row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"non-numeric cell {cell!r}", row=r, column=name) from None
-            if math.isinf(value):
-                raise ParseError(f"infinite cell {cell!r}", row=r, column=name)
+def _row_values(row: list[str], r: int, names: list[str]) -> list[float]:
+    """The cells of ``row``, read from file line ``r``, as floats, blank
+    cells as NaN; raises ParseError at the first non-numeric or infinite
+    cell."""
+    values = []
+    for name, cell in zip(names, row[1:]):
+        cell = cell.strip()
+        try:
+            value = float(cell or "nan")
+        except ValueError:
+            raise ParseError(f"non-numeric cell {cell!r}", row=r, column=name) from None
+        if math.isinf(value):
+            raise ParseError(f"infinite cell {cell!r}", row=r, column=name)
+        values.append(value)
+    return values
 
 
 def save_csv(dataset: TimeSeriesDataset, path) -> None:

@@ -30,21 +30,27 @@ after the recurrent matmul (so the two candidate biases are not
 redundant), and the update convention h_t = (1 - z) * h_{t-1} + z * n_t.
 
 Internally the kernels are batch-last: ``_forward`` transposes the
-(B, tau, F) batch once to (T, F, B).  Each layer keeps its states in one
-(T+1, units, B) array whose first row is the zero initial state, and
-each step computes its gate block as ``U.T @ h`` with shape
-(n * units, B), so every gate is a row block: one contiguous (units, B)
-slab.  The parameters keep the layout in the table above; ``U.T`` and
-``W.T`` are views that BLAS reads with a transpose flag, so checkpoints
-are unaffected.  The input matmul is hoisted out of the time loop, each
-step activates its sigmoid gates ([z, r] or [i, f, o]) with one in-place
-call, and backward computes the recursion-free derivative factors before
-its loop, then contracts the weight gradients over (t, b) from one
-(T*B, .) copy per operand.
-Numerical checks run once per sequence: all hidden states must lie in
-[-1, 1] (a NaN fails this and reaches every later step).  The LSTM cell
-state needs no check of its own: from the zero state |c_t| <= t, because
-f, i lie in [0, 1] and |g| <= 1, and a NaN in c reaches h.
+(B, tau, F) batch once to (T, F, B), and each step computes its gate
+block as ``U.T @ h`` with shape (n * units, B), so every gate is a row
+block: one contiguous (units, B) slab.  The parameters keep the layout
+in the table above; ``U.T`` and ``W.T`` are views that BLAS reads with a
+transpose flag, so checkpoints are unaffected.  Each step activates its
+sigmoid gates ([z, r] or [i, f, o]) with one in-place call.  A forward
+pass for backward keeps every step's states ((T+1, units, B), first row
+zero) and gates, with the input matmul hoisted out of the time loop;
+backward computes the recursion-free derivative factors in place of the
+spent gates before its loop, then contracts the weight gradients over
+(t, b) from one (T*B, .) copy per operand.  Evaluation needs only the
+last state: it projects the inputs one step at a time and keeps one step
+of gates and of LSTM state, so the GRU states are the only sequence it
+holds.  It makes the same BLAS calls, so its predictions match the
+cached pass's bit for bit.
+Numerical checks run once per sequence: all GRU states and the last LSTM
+state must lie in [-1, 1] (a NaN fails this and reaches every later
+step; an LSTM state, o * tanh(c), leaves [-1, 1] only as a NaN).  The
+LSTM cell state needs no check of its own: from the zero state
+|c_t| <= t, because f, i lie in [0, 1] and |g| <= 1, and a NaN in c
+reaches h.
 
 ``train`` holds every parameter in one flat float64 master buffer, with
 the model's arrays as named views into it, so one Adam update covers the
@@ -53,7 +59,10 @@ a float32 copy of that buffer, refreshed after each Adam update (mixed
 precision, Micikevicius et al. 2018); validation, ``predict`` and
 checkpoints use the float64 master.  ``backward`` writes its gradients
 into one flat buffer of the same layout, so a step's gradient reaches
-Adam by one cast copy.
+Adam by one cast copy.  Every other buffer a step uses (dropout draws,
+Adam scratch, and the forward cache and backward scratch carved per
+batch size from one float32 arena, :func:`_step_buffers`) is allocated
+once per ``train`` call.
 """
 
 from __future__ import annotations
@@ -216,100 +225,130 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _check_hidden(hs: np.ndarray, layer: str) -> None:
     # tanh-gated outputs live in [-1, 1]; NaN fails the comparison too,
     # and once in the recursion it reaches every later step
-    if not np.all(np.abs(hs) <= 1.0):
+    if not (hs.max() <= 1.0 and hs.min() >= -1.0):
         raise NumericalError(f"{layer} hidden state non-finite or out of [-1, 1]")
 
 
-def _batch_last(x, dtype) -> np.ndarray:
-    """(B, T, C) -> contiguous (T, C, B) of ``dtype``, in one copy."""
+def _batch_last(x, dtype, out=None) -> np.ndarray:
+    """(B, T, C) -> contiguous (T, C, B) of ``dtype``, in one copy (into
+    ``out`` when given)."""
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeError(f"expected a batch B x T x C, got shape {x.shape}")
-    return np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
+    if out is None:
+        return np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
+    np.copyto(out, x.transpose(1, 2, 0))
+    return out
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(T, C, B) -> a new (T*B, C) array, one row per (t, b), for the
-    weight and bias gradients.  Always a copy: at B = 1 the transpose is
-    already contiguous, and a view would see later writes to ``a``."""
+def _rows(a: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """(T, C, B) -> (T*B, C), one row per (t, b), copied into the front of
+    ``buffer``, for the weight and bias gradients."""
     T, C, B = a.shape
-    return a.transpose(0, 2, 1).copy().reshape(T * B, C)
+    rows = buffer.reshape(-1)[: T * B * C].reshape(T, B, C)
+    np.copyto(rows, a.transpose(0, 2, 1))
+    return rows.reshape(T * B, C)
 
 
-def _gru_forward(params, x: np.ndarray, want_cache: bool = False):
-    """GRU over batch-last ``x`` (T, F, B); states (T+1, G, B), first row zero."""
+def _gru_forward(params, x: np.ndarray, cache=None) -> np.ndarray:
+    """GRU over batch-last ``x`` (T, F, B); states (T+1, G, B), first row
+    zero.  With ``cache`` (:func:`_step_buffers`) every step's gates stay
+    there for backward; in evaluation mode (None), one step's."""
     W, U = params["gru_W"], params["gru_U"]
     bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
     T, F, B = x.shape
     G = U.shape[0]
     if W.shape[0] != F:
         raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
-    hs = np.empty((T + 1, G, B), dtype=U.dtype)
+    if cache is None:
+        hs = np.empty((T + 1, G, B), dtype=U.dtype)
+        gates = np.empty((1, 3 * G, B), dtype=U.dtype)
+        ghs = np.empty_like(gates)
+    else:
+        hs, gates, ghs = cache["gru_hs"], cache["gru_gates"], cache["gru_gh"]
+        np.matmul(W.T, x, out=gates)
+        gates += bx
     hs[0] = 0.0
-    # input projections; the loop turns them into the gates [z, r, n]
-    gates = np.matmul(W.T, x)
-    gates += bx
-    ghs = np.empty((T, 3 * G, B), dtype=U.dtype) if want_cache else None
+    # the loop turns the input projections into the gates [z, r, n]
     for t in range(T):
-        gh = np.matmul(U.T, hs[t], out=ghs[t] if want_cache else None)
+        s = t
+        if cache is None:  # evaluation: this step's projection only
+            s = 0
+            np.matmul(W.T, x[t], out=gates[0])
+            gates[0] += bx
+        gh = np.matmul(U.T, hs[t], out=ghs[s])
         gh += bh
-        zr = gates[t, : 2 * G]
+        zr = gates[s, : 2 * G]
         zr += gh[: 2 * G]
         _sigmoid(zr)
         z = zr[:G]
-        n = gates[t, 2 * G :]
+        n = gates[s, 2 * G :]
         n += zr[G:] * gh[2 * G :]
         np.tanh(n, out=n)
         step = n - hs[t]
         step *= z
         np.add(hs[t], step, out=hs[t + 1])
     _check_hidden(hs[1:], "GRU")
-    cache = dict(x=x, hs=hs, gates=gates, gh=ghs) if want_cache else None
-    return hs, cache
+    return hs
 
 
-def _lstm_forward(params, x: np.ndarray, want_cache: bool = False):
-    """LSTM over batch-last ``x`` (T, K, B); returns (T+1, L, B) hidden
-    and cell states, first row zero."""
-    W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"]
+def _lstm_forward(params, x: np.ndarray, cache=None):
+    """LSTM over batch-last ``x`` (T, K, B); last hidden and cell states
+    (L, B), from the zero state.  With ``cache`` every step's states and
+    gates stay there for backward; in evaluation mode (None), one step's."""
+    W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"][:, None]
     T, K, B = x.shape
     L = U.shape[0]
     if W.shape[0] != K:
         raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
-    hs = np.empty((T + 1, L, B), dtype=U.dtype)
-    cs = np.empty_like(hs)
-    hs[0] = 0.0
-    cs[0] = 0.0
-    # input projections; the loop turns them into the gates [i, f, o, g]
-    gates = np.matmul(W.T, x)
-    gates += b[:, None]
-    tcs = np.empty((T, L, B), dtype=U.dtype) if want_cache else None
+    if cache is None:
+        hs = np.zeros((1, L, B), dtype=U.dtype)
+        cs = np.zeros_like(hs)
+        tcs = np.empty_like(hs)
+        gates = np.empty((1, 4 * L, B), dtype=U.dtype)
+        rec = np.empty((4 * L, B), dtype=U.dtype)
+    else:
+        hs, cs, tcs = cache["lstm_hs"], cache["lstm_cs"], cache["lstm_tc"]
+        gates, rec = cache["lstm_gates"], cache["lstm_rec"]
+        hs[0] = 0.0
+        cs[0] = 0.0
+        np.matmul(W.T, x, out=gates)
+        gates += b
+    # the loop turns the input projections into the gates [i, f, o, g]
     for t in range(T):
-        pre = gates[t]
-        pre += U.T @ hs[t]
+        s, now = t, t + 1
+        if cache is None:  # evaluation: this step's projection, states in place
+            s = now = 0
+            np.matmul(W.T, x[t], out=gates[0])
+            gates[0] += b
+        pre = gates[s]
+        pre += np.matmul(U.T, hs[s], out=rec)
         _sigmoid(pre[: 3 * L])
         g = np.tanh(pre[3 * L :], out=pre[3 * L :])
-        np.multiply(pre[L : 2 * L], cs[t], out=cs[t + 1])
-        cs[t + 1] += pre[:L] * g
-        tc = np.tanh(cs[t + 1], out=tcs[t] if want_cache else None)
-        np.multiply(pre[2 * L : 3 * L], tc, out=hs[t + 1])
-    _check_hidden(hs[1:], "LSTM")
-    cache = dict(x=x, hs=hs, cs=cs, gates=gates, tc=tcs) if want_cache else None
-    return hs, cs, cache
+        np.multiply(pre[L : 2 * L], cs[s], out=cs[now])
+        cs[now] += pre[:L] * g
+        tc = np.tanh(cs[now], out=tcs[s])
+        np.multiply(pre[2 * L : 3 * L], tc, out=hs[now])
+    _check_hidden(hs[-1], "LSTM")
+    return hs[-1], cs[-1]
 
 
 def gru_forward(params, x_sequence) -> np.ndarray:
     """Hidden states (B, tau, G) of a GRU over a batch (B, tau, F),
     from the zero state."""
-    hs, _ = _gru_forward(params, _batch_last(x_sequence, params["gru_W"].dtype))
+    hs = _gru_forward(params, _batch_last(x_sequence, params["gru_W"].dtype))
     return hs[1:].transpose(2, 0, 1)
 
 
 def lstm_forward(params, x_sequence):
     """(hidden states (B, tau, L), final cell state (B, L)) of an LSTM
     over a batch (B, tau, K), from the zero state."""
-    hs, cs, _ = _lstm_forward(params, _batch_last(x_sequence, params["lstm_W"].dtype))
-    return hs[1:].transpose(2, 0, 1), cs[-1].T
+    x = _batch_last(x_sequence, params["lstm_W"].dtype)
+    T, K, B = x.shape
+    shape = ModelConfig(K, T, gru_units=K, lstm_units=params["lstm_U"].shape[0])
+    cache = _step_buffers(shape, [B], x.dtype)[B]
+    _, c = _lstm_forward(params, x, cache)
+    return cache["lstm_hs"][1:].transpose(2, 0, 1), c.T
 
 
 # ---------------------------------------------------------------------------
@@ -317,52 +356,94 @@ def lstm_forward(params, x_sequence):
 # ---------------------------------------------------------------------------
 
 def draw_dropout_masks(
-    config: ModelConfig, batch_size: int, rng: np.random.Generator | None
+    config: ModelConfig, batch_size: int, rng: np.random.Generator | None, out=None
 ):
     """Inverted-dropout masks for the GRU output sequence and the final
-    LSTM state; None when the rate is zero or no generator is given."""
+    LSTM state; None when the rate is zero or no generator is given.
+
+    ``out`` is an optional pair of float64 buffers shaped like the masks
+    with at least ``batch_size`` rows; the masks are then their first
+    ``batch_size`` rows, drawn in place.
+    """
     if rng is None or config.dropout_rate <= 0.0:
         return None
     keep = 1.0 - config.dropout_rate
-    seq = (rng.random((batch_size, config.lookback, config.gru_units)) < keep)
-    state = (rng.random((batch_size, config.lstm_units)) < keep)
-    return seq / keep, state / keep
+    if out is None:
+        seq = (batch_size, config.lookback, config.gru_units)
+        out = np.empty(seq), np.empty((batch_size, config.lstm_units))
+    masks = tuple(buffer[:batch_size] for buffer in out)
+    for mask in masks:
+        rng.random(out=mask)
+        np.less(mask, keep, out=mask)
+        mask /= keep
+    return masks
 
 
-def _forward(model: RecurrentModel, x: np.ndarray, masks, want_cache: bool):
+def _step_buffers(config: ModelConfig, batch_sizes, dtype) -> dict:
+    """Work buffers of one forward/backward step, per batch size: named
+    views carved from one flat arena sized for the largest batch.
+
+    The forward cache comes first; ``dpre`` (the LSTM's gate gradients,
+    then the GRU's), ``dseq`` and ``rows`` are backward scratch, and the
+    backward reuses cache buffers once the values they hold are spent.
+    """
+    T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
+                  config.lstm_units)
+
+    def shapes(B):
+        return {
+            "x": (T, F, B),
+            "gru_hs": (T + 1, G, B),
+            "gru_gates": (T, 3 * G, B),
+            "gru_gh": (T, 3 * G, B),
+            "seq_mask": (T, G, B),
+            "seq": (T, G, B),
+            "lstm_hs": (T + 1, L, B),
+            "lstm_cs": (T + 1, L, B),
+            "lstm_gates": (T, 4 * L, B),
+            "lstm_tc": (T, L, B),
+            "lstm_rec": (4 * L, B),
+            "dpre": (T * max(4 * L, 3 * G) * B,),
+            "dseq": (T, G, B),
+            "rows": (T * B * max(F, G, L),),
+        }
+
+    arena = np.empty(sum(math.prod(s) for s in shapes(max(batch_sizes)).values()), dtype)
+    return {B: _flat_views(arena, shapes(B)) for B in batch_sizes}
+
+
+def _forward(model: RecurrentModel, x, masks, cache=None) -> np.ndarray:
+    """Predictions (B, 1) for a batch (B, tau, F).  With ``cache`` (the
+    step buffers for this batch size) every activation backward needs is
+    kept there; without, this is evaluation mode."""
     cfg, p = model.config, model.params
-    xb = _batch_last(x, p["gru_W"].dtype)
-    if xb.shape[:2] != (cfg.lookback, cfg.feature_count):
+    x = np.asarray(x)
+    if x.ndim == 3 and x.shape[1:] != (cfg.lookback, cfg.feature_count):
         raise ShapeError(
             f"batch windows are {x.shape[1]} x {x.shape[2]}, model expects "
             f"{cfg.lookback} x {cfg.feature_count}"
         )
+    dtype, buffers = p["gru_W"].dtype, cache or {}
+    xb = _batch_last(x, dtype, buffers.get("x"))
     if not np.all(np.isfinite(xb)):
         raise NumericalError("non-finite values in input batch")
-    hs, gru_cache = _gru_forward(p, xb, want_cache=want_cache)
-    seq_mask = _batch_last(masks[0], xb.dtype) if masks is not None else None
-    state_mask = np.asarray(masks[1], dtype=xb.dtype) if masks is not None else None
-    seq = hs[1:] * seq_mask if masks is not None else hs[1:]
-    lstm_hs, _, lstm_cache = _lstm_forward(p, seq, want_cache=want_cache)
-    h_final = lstm_hs[-1].T
-    hd = h_final * state_mask if masks is not None else h_final
+    hs = _gru_forward(p, xb, cache)
+    seq, state_mask = hs[1:], None
+    if masks is not None:
+        seq_mask = _batch_last(masks[0], dtype, buffers.get("seq_mask"))
+        seq = np.multiply(seq, seq_mask, out=buffers.get("seq"))
+        state_mask = np.asarray(masks[1], dtype=dtype)
+    hd = _lstm_forward(p, seq, cache)[0].T
+    if masks is not None:
+        hd = hd * state_mask
     dense_pre = hd @ p["dense_W"] + p["dense_b"]
     dense_out = np.maximum(dense_pre, 0.0)
     pred = dense_out @ p["head_W"] + p["head_b"]
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
-    cache = None
-    if want_cache:
-        cache = {
-            "gru": gru_cache,
-            "lstm": lstm_cache,
-            "seq_mask": seq_mask,
-            "state_mask": state_mask,
-            "dense_in": hd,
-            "dense_pre": dense_pre,
-            "dense_out": dense_out,
-        }
-    return pred, cache
+    buffers.update(lstm_x=seq, state_mask=state_mask, dense_in=hd, dense_pre=dense_pre,
+                   dense_out=dense_out)
+    return pred
 
 
 def model_forward(
@@ -376,44 +457,59 @@ def model_forward(
     """
     x = np.asarray(batch)
     masks = draw_dropout_masks(model.config, x.shape[0], dropout_rng)
-    pred, _ = _forward(model, x, masks, want_cache=False)
-    return pred
+    return _forward(model, x, masks)
+
+
+def _sigmoid_slope(x, y, out, scratch):
+    """``x * y * (1 - y)`` into ``out``, in that order: a sigmoid output
+    y's derivative factor.  ``scratch`` ends as 1 - y."""
+    np.multiply(x, y, out=out)
+    out *= np.subtract(1.0, y, out=scratch)
+    return out
+
+
+def _tanh_slope(x, y, out):
+    """``x * (1 - y * y)`` into ``out`` (which may be ``y``): a tanh
+    output y's derivative factor."""
+    np.multiply(y, y, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= x
+    return out
 
 
 def _gru_backward(params, cache, dhs, grads):
     """Parameter gradients, written into ``grads``, from the loss gradient
-    ``dhs`` (T, G, B) with respect to every GRU output state."""
+    ``dhs`` (T, G, B) with respect to every GRU output state; ``dhs`` is
+    overwritten."""
     U = params["gru_U"]
-    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
+    x, hs, gates, gh = cache["x"], cache["gru_hs"], cache["gru_gates"], cache["gru_gh"]
     T, _, B = x.shape
     G = U.shape[0]
     z, r, n = gates[:, :G], gates[:, G : 2 * G], gates[:, 2 * G :]
-    a = cache["gh"][:, 2 * G :]
-    # recursion-free factors: each gate pre-activation's gradient is
-    # dh_t times one of these
-    dn = z * (1.0 - n * n)
-    factors = np.concatenate(
-        [(n - hs[:-1]) * z * (1.0 - z), dn * a * r * (1.0 - r), dn * r], axis=1
-    ).reshape(T, 3, G, B)
-    keep = 1.0 - z
-    dgh = np.empty((T, 3 * G, B), dtype=U.dtype)
-    dh_all = np.empty((T, G, B), dtype=U.dtype)
+    # recursion-free factors, with dn and 1 - z in place of spent gates:
+    # each gate pre-activation's gradient is dh_t times one of them
+    dgh = cache["dpre"][: T * 3 * G * B].reshape(T, 3 * G, B)
+    dz, dr, da = dgh[:, :G], dgh[:, G : 2 * G], dgh[:, 2 * G :]
+    keep = gh[:, :G]  # 1 - z
+    _sigmoid_slope(np.subtract(n, hs[:-1], out=dz), z, dz, keep)
+    dn = _tanh_slope(z, n, n)
+    _sigmoid_slope(np.multiply(dn, gh[:, 2 * G :], out=dr), r, dr, gh[:, G : 2 * G])
+    np.multiply(dn, r, out=da)
     dh_next = np.zeros((G, B), dtype=U.dtype)
     for t in range(T - 1, -1, -1):
-        dh = np.add(dhs[t], dh_next, out=dh_all[t])
-        np.multiply(factors[t], dh, out=dgh[t].reshape(3, G, B))
+        dh = np.add(dhs[t], dh_next, out=dhs[t])
+        step = dgh[t].reshape(3, G, B)
+        step *= dh
         dh_next = U @ dgh[t]
         dh_next += dh * keep[t]
-    # freed before the (T*B, .) copies below, which would raise the peak
-    del factors, keep
-    flat_gh = _rows(dgh)
+    flat = _rows(dgh, gh)
+    np.matmul(_rows(hs[:-1], cache["rows"]).T, flat, out=grads["gru_U"])
+    flat.sum(axis=0, out=grads["gru_bh"])
     # the candidate's input side is not scaled by the reset gate
-    np.multiply(dh_all, dn, out=dgh[:, 2 * G :])
-    flat_gx = _rows(dgh)
-    np.matmul(_rows(x).T, flat_gx, out=grads["gru_W"])
-    np.matmul(_rows(hs[:-1]).T, flat_gh, out=grads["gru_U"])
-    flat_gx.sum(axis=0, out=grads["gru_bx"])
-    flat_gh.sum(axis=0, out=grads["gru_bh"])
+    np.multiply(dhs, dn, out=da)
+    flat = _rows(dgh, gh)
+    np.matmul(_rows(x, cache["rows"]).T, flat, out=grads["gru_W"])
+    flat.sum(axis=0, out=grads["gru_bx"])
 
 
 def _lstm_backward(params, cache, dh_last, grads):
@@ -421,39 +517,40 @@ def _lstm_backward(params, cache, dh_last, grads):
     ``grads``, from the loss gradient (L, B) with respect to the last
     hidden state only."""
     W, U = params["lstm_W"], params["lstm_U"]
-    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
-    cs, tc = cache["cs"], cache["tc"]
+    x, hs, gates = cache["lstm_x"], cache["lstm_hs"], cache["lstm_gates"]
+    cs, tc = cache["lstm_cs"], cache["lstm_tc"]
     T, _, B = x.shape
     L = U.shape[0]
     i, f = gates[:, :L], gates[:, L : 2 * L]
     o, g = gates[:, 2 * L : 3 * L], gates[:, 3 * L :]
-    # recursion-free factors: dc_t gains dh_t * dc_dh, and the gate
+    # recursion-free factors, with the o factor and dc_dh in place of the
+    # spent i and tanh(c): dc_t gains dh_t * dc_dh, and the gate
     # pre-activation gradients are dc_t (i, f, g) or dh_t (o) times these
-    dc_dh = o * (1.0 - tc * tc)
-    factors = np.concatenate(
-        [g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), tc * o * (1.0 - o),
-         i * (1.0 - g * g)],
-        axis=1,
-    )
-    dpre = np.empty((T, 4 * L, B), dtype=U.dtype)
+    dpre = cache["dpre"][: T * 4 * L * B].reshape(T, 4 * L, B)
+    di, df = dpre[:, :L], dpre[:, L : 2 * L]
+    do, dg = dpre[:, 2 * L : 3 * L], dpre[:, 3 * L :]
+    _tanh_slope(i, g, dg)
+    _sigmoid_slope(g, i, di, do)
+    _sigmoid_slope(cs[:-1], f, df, do)
+    fo = _sigmoid_slope(tc, o, i, do)
+    dc_dh = _tanh_slope(o, tc, tc)
     dh = dh_last
     dc = np.zeros((L, B), dtype=U.dtype)
     for t in range(T - 1, -1, -1):
         dc += dh * dc_dh[t]
-        np.multiply(factors[t].reshape(4, L, B), dc, out=dpre[t].reshape(4, L, B))
-        np.multiply(factors[t, 2 * L : 3 * L], dh, out=dpre[t, 2 * L : 3 * L])
+        step = dpre[t].reshape(4, L, B)
+        step *= dc
+        np.multiply(fo[t], dh, out=do[t])
         dh = U @ dpre[t]
         dc *= f[t]
-    # freed before the (T*B, .) copies below, which would raise the peak
-    del factors, dc_dh
-    flat = _rows(dpre)
-    np.matmul(_rows(x).T, flat, out=grads["lstm_W"])
-    np.matmul(_rows(hs[:-1]).T, flat, out=grads["lstm_U"])
+    flat = _rows(dpre, gates)
+    np.matmul(_rows(x, cache["rows"]).T, flat, out=grads["lstm_W"])
+    np.matmul(_rows(hs[:-1], cache["rows"]).T, flat, out=grads["lstm_U"])
     flat.sum(axis=0, out=grads["lstm_b"])
-    return np.matmul(W, dpre)
+    return np.matmul(W, dpre, out=cache["dseq"])
 
 
-def backward(model: RecurrentModel, batch, targets, masks=None, out=None):
+def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=None):
     """MSE loss and its gradient for every parameter, via full BPTT.
 
     ``masks`` must be the exact dropout masks used in the corresponding
@@ -463,26 +560,30 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None):
     The gradients fill the flat buffer ``out`` (allocated in the
     parameters' dtype when None), laid out as :func:`train`'s parameter
     buffer is: each parameter's gradient in ``model.params`` order.
-    Returns (named views of ``out`` keyed like ``model.params``, scalar
-    loss).
+    ``cache`` holds the step's work buffers, from :func:`_step_buffers` at
+    this batch size and dtype (allocated when None).  Returns (named views
+    of ``out`` keyed like ``model.params``, scalar loss).
     """
     x = np.asarray(batch)
-    y = np.asarray(targets, dtype=model.params["gru_W"].dtype).reshape(-1)
+    p = model.params
+    dtype = p["gru_W"].dtype
+    y = np.asarray(targets, dtype=dtype).reshape(-1)
     if y.shape[0] != x.shape[0]:
         raise ShapeError(
             f"{x.shape[0]} windows but {y.shape[0]} targets"
         )
-    pred, cache = _forward(model, x, masks, want_cache=True)
-    resid = pred[:, 0] - y
     B = x.shape[0]
+    if cache is None:
+        cache = _step_buffers(model.config, [B], dtype)[B]
+    pred = _forward(model, x, masks, cache)
+    resid = pred[:, 0] - y
     loss = float(resid @ resid) / B
-    p = model.params
     size = parameter_count(model)
     if out is None:
-        out = np.empty(size, dtype=p["gru_W"].dtype)
+        out = np.empty(size, dtype=dtype)
     elif out.shape != (size,):
         raise ShapeError(f"gradient buffer of shape {out.shape} for {size} parameters")
-    grads = _flat_views(out, p)
+    grads = _flat_views(out, {k: v.shape for k, v in p.items()})
 
     dpred = (2.0 / B) * resid[:, None]
     np.matmul(cache["dense_out"].T, dpred, out=grads["head_W"])
@@ -492,9 +593,10 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None):
     ddense.sum(axis=0, out=grads["dense_b"])
     dhd = ddense @ p["dense_W"].T
     dh_final = dhd * cache["state_mask"] if masks is not None else dhd
-    dseq = _lstm_backward(p, cache["lstm"], dh_final.T, grads)
-    dhs = dseq * cache["seq_mask"] if masks is not None else dseq
-    _gru_backward(p, cache["gru"], dhs, grads)
+    dhs = _lstm_backward(p, cache, dh_final.T, grads)
+    if masks is not None:
+        dhs *= cache["seq_mask"]
+    _gru_backward(p, cache, dhs, grads)
     return grads, loss
 
 
@@ -514,18 +616,31 @@ def adam_init(params: dict[str, np.ndarray], learning_rate: float = 1e-3) -> Ada
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update, in place; returns (params, state)."""
     state.step += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.step
-    c2 = 1.0 - ADAM_BETA2 ** state.step
     for key, p in params.items():
-        g = grads[key]
-        m = state.m[key]
-        v = state.v[key]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+        _adam_update(p, grads[key].copy(), state.m[key], state.v[key], state.step,
+                     state.learning_rate, np.empty_like(p))
     return params, state
+
+
+def _adam_update(p, g, m, v, step: int, learning_rate: float, scratch) -> None:
+    """Adam's ``step``-th bias-corrected update of ``p`` and its moments
+    ``m``, ``v``, in place.  The gradient ``g`` is spent as scratch, and
+    ``scratch`` is a buffer shaped like ``p``."""
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v += scratch
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPSILON
+    np.divide(m, c1, out=g)
+    g *= learning_rate
+    g /= scratch
+    p -= g
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +665,14 @@ def evaluate_mse(model: RecurrentModel, inputs, targets) -> float:
     return float(resid @ resid) / y.shape[0]
 
 
-def _flat_views(buffer: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Views into ``buffer`` shaped and keyed like ``like``, in its order."""
+def _flat_views(buffer: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive views into ``buffer`` with the keys and shapes of
+    ``shapes``, in its order."""
     views, start = {}, 0
-    for key, p in like.items():
-        views[key] = buffer[start : start + p.size].reshape(p.shape)
-        start += p.size
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = buffer[start : start + size].reshape(shape)
+        start += size
     return views
 
 
@@ -580,7 +697,10 @@ def train(
     once over the whole model and the best-epoch snapshot is one copy.
     Forward and backward run on a float32 copy of the buffer, refreshed
     after each update, and backward fills a float32 gradient buffer of
-    the same layout; validation and the restore use the master.
+    the same layout; validation and the restore use the master.  Every
+    buffer a step needs (dropout masks, forward cache, backward and Adam
+    scratch) is allocated once per call, so a step allocates only small
+    temporaries: the batch it gathers and (batch, units) blocks.
     """
     x_tr = train_windows.inputs.astype(np.float32)
     y_tr = train_windows.targets.astype(np.float32)
@@ -589,27 +709,32 @@ def train(
         raise EmptySplit("no training samples")
     if x_va.shape[0] == 0:
         raise EmptySplit("no validation samples")
+    cfg, n, batch = model.config, x_tr.shape[0], config.batch_size
     rng = np.random.default_rng(config.seed)
+    shapes = {k: p.shape for k, p in model.params.items()}
     flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
-    model.params = _flat_views(flat, model.params)
+    model.params = _flat_views(flat, shapes)
     work = flat.astype(np.float32)
-    work_model = RecurrentModel(model.config, _flat_views(work, model.params))
+    work_model = RecurrentModel(cfg, _flat_views(work, shapes))
     work_grad, grad = np.empty_like(work), np.empty_like(flat)
-    # adam_step updates dicts of arrays; here each dict holds one buffer
-    flat_params, flat_grads = {"all": flat}, {"all": grad}
-    state = adam_init(flat_params, learning_rate=config.learning_rate)
+    m, v, scratch = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
+    # an epoch's batches take two sizes at most: the first's and the last's
+    full, last = min(batch, n), n - (n - 1) // batch * batch
+    steps = _step_buffers(cfg, {full, last}, np.float32)
+    draws = (np.empty((full, cfg.lookback, cfg.gru_units)), np.empty((full, cfg.lstm_units)))
     best, best_loss, best_epoch = flat.copy(), math.inf, 0
     val_losses: list[float] = []
-    n = x_tr.shape[0]
+    step = 0
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         try:
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                masks = draw_dropout_masks(model.config, idx.size, rng)
-                backward(work_model, x_tr[idx], y_tr[idx], masks, work_grad)
+            for start in range(0, n, batch):
+                idx = order[start : start + batch]
+                masks = draw_dropout_masks(cfg, idx.size, rng, draws)
+                backward(work_model, x_tr[idx], y_tr[idx], masks, work_grad, steps[idx.size])
                 np.copyto(grad, work_grad)
-                adam_step(state, flat_params, flat_grads)
+                step += 1
+                _adam_update(flat, grad, m, v, step, config.learning_rate, scratch)
                 np.copyto(work, flat)
             val_loss = evaluate_mse(model, x_va, y_va)
         except NumericalError as exc:

@@ -318,14 +318,18 @@ def derive_seed(root: int, label: str) -> int:
 # experiment driver
 # ---------------------------------------------------------------------------
 
-def prepare(raw: TimeSeriesDataset, split: SplitSpec):
+def prepare(raw: TimeSeriesDataset, split: SplitSpec, trains: bool = True):
     """Impute ``raw`` cut at ``split.train_end``; return the imputed
     training rows, the normalization statistics fit on them, and the
-    whole series normalized with them."""
-    full = impute(raw, split.train_end)
-    stop = bisect.bisect_right(full.timestamps, split.train_end)
+    whole series normalized with them.  A panel no cell trains on
+    (``trains`` false) gets its training rows only, and None for the
+    other two."""
+    stop = bisect.bisect_right(raw.timestamps, split.train_end)
     if not stop:
         raise EmptySplit(f"no rows at or before train_end {split.train_end.isoformat()}")
+    if not trains:
+        return impute(raw.rows(0, stop)), None, None
+    full = impute(raw, split.train_end)
     train_rows = full.rows(0, stop)
     stats = fit_normalization(train_rows)
     return train_rows, stats, apply_normalization(full, stats)
@@ -556,15 +560,16 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # (training rows, stats, normalized series) per panel the roster reads;
-    # driver selection sees the training rows only, never the test range
+    # (training rows, stats, normalized series) per panel the roster reads,
+    # the last two for panels whose cells train; driver selection sees the
+    # training rows only, never the test range
     prepared: dict[Frequency, tuple] = {}
     loads = []
     for freq in config.panels():
         start = time.perf_counter()
         raw = load_csv(config.path_for(freq), config.target, freq)
         loaded = time.perf_counter()
-        prepared[freq] = prepare(raw, config.split)
+        prepared[freq] = prepare(raw, config.split, freq in config.frequencies)
         loads.append({
             "frequency": freq.value,
             "load_s": loaded - start,

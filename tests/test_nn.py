@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ def jittered_model(config, seed):
     for v in model.params.values():
         v += 0.1 * rng.standard_normal(v.shape)
     return model
+
+
+# smoke (configs/smoke.yaml) and paper (64/128/64 units, lookback 21,
+# 11 features) model shapes
+SHAPES_IDS = {
+    "smoke": ModelConfig(feature_count=4, lookback=12, gru_units=8, lstm_units=16,
+                         dense_units=8, dropout_rate=0.1),
+    "paper": ModelConfig(feature_count=11, lookback=21, gru_units=64, lstm_units=128,
+                         dense_units=64, dropout_rate=0.2),
+}
+SHAPES = list(SHAPES_IDS.values())
 
 
 class TestForward:
@@ -160,6 +172,20 @@ class TestForward:
                 for one, rows in zip(layer(inputs[b : b + 1]), batch):
                     # BLAS paths differ by shape, so only bitwise-near agreement
                     np.testing.assert_allclose(one[0], rows[b], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES_IDS))
+    def test_evaluation_mode_matches_the_cached_forward(self, shape, dtype):
+        # evaluation keeps one step of state, training every step's
+        model = jittered_model(shape, 31)
+        model = RecurrentModel(shape, {k: v.astype(dtype) for k, v in model.params.items()})
+        B = 70
+        x = np.random.default_rng(32).standard_normal((B, shape.lookback, shape.feature_count))
+        for masks in (None, draw_dropout_masks(shape, B, np.random.default_rng(33))):
+            cache = nn._step_buffers(shape, [B], dtype)[B]
+            np.testing.assert_array_equal(
+                nn._forward(model, x, masks), nn._forward(model, x, masks, cache)
+            )
 
     def test_shape_errors(self):
         model = init_model(tiny_config(), seed=0)
@@ -296,6 +322,26 @@ class TestGradients:
         with pytest.raises(ShapeError):
             backward(model, x, y, masks, out=out[:-1])
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES_IDS))
+    def test_reused_step_buffers_give_the_allocating_gradients(self, shape):
+        # one arena carved for a full and a final partial batch, as train
+        # carves it, reused across steps in either order
+        model = jittered_model(shape, 41)
+        model = RecurrentModel(shape, {k: v.astype(np.float32) for k, v in model.params.items()})
+        rng = np.random.default_rng(42)
+        steps = nn._step_buffers(shape, {64, 19}, np.float32)
+        steps[64]["x"].base.fill(np.nan)
+        out = np.empty(parameter_count(model), dtype=np.float32)
+        for B in (64, 19, 64, 19):
+            x = rng.standard_normal((B, shape.lookback, shape.feature_count)).astype(np.float32)
+            y = rng.standard_normal(B).astype(np.float32)
+            masks = draw_dropout_masks(shape, B, rng)
+            want, want_loss = backward(model, x, y, masks)
+            grads, loss = backward(model, x, y, masks, out, steps[B])
+            assert loss == want_loss
+            for k in want:
+                np.testing.assert_array_equal(grads[k], want[k])
+
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_config()
         model = jittered_model(cfg, 11)
@@ -339,18 +385,12 @@ class TestGradients:
         y = rng.standard_normal(5)
         masks = draw_dropout_masks(cfg, 5, np.random.default_rng(21))
 
-        def cache_arrays(cache):
-            for v in cache.values():
-                if isinstance(v, dict):
-                    yield from cache_arrays(v)
-                else:
-                    yield v
-
         found = []
         for m, dtype in ((model, np.float64), (single, np.float32)):
-            pred, cache = nn._forward(m, x, masks, want_cache=True)
+            cache = nn._step_buffers(cfg, [5], dtype)[5]
+            pred = nn._forward(m, x, masks, cache)
             grads, _ = backward(m, x, y, masks)
-            arrays = [pred, *cache_arrays(cache), *grads.values()]
+            arrays = [pred, *cache.values(), *grads.values()]
             assert all(a.dtype == dtype for a in arrays), {a.dtype for a in arrays}
             found.append(grads)
         # the float32 step approximates the float64 one
@@ -590,6 +630,18 @@ class TestTraining:
             predict(model, x), model_forward(model, x)[:, 0]
         )
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES_IDS))
+    def test_predict_is_identical_across_chunk_sizes(self, monkeypatch, shape):
+        model = jittered_model(shape, 23)
+        x = np.random.default_rng(24).standard_normal(
+            (1200, shape.lookback, shape.feature_count))
+        want = predict(model, x)
+        # widths that are multiples of 16 (tails included): OpenBLAS may
+        # round the edge columns of other widths differently, e.g. 300
+        for chunk in (32, 64, 128, 256):
+            monkeypatch.setattr(nn, "PREDICT_BATCH", chunk)
+            np.testing.assert_array_equal(predict(model, x), want)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -623,3 +675,48 @@ class TestCheckpoint:
         from causalcast.errors import ParseError
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+
+class TestMemory:
+    """Traced allocation bounds at paper shape."""
+
+    def test_predict_holds_one_step_of_state(self):
+        # a cached forward over 512 windows would hold about 83 MB
+        model = init_model(SHAPES_IDS["paper"], seed=0)
+        x = np.random.default_rng(0).standard_normal((512, 21, 11))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+
+    def test_training_step_reuses_its_buffers(self, monkeypatch):
+        # after the first step, a step allocates only small temporaries;
+        # allocating its buffers afresh held 14.6 MB at once
+        cfg = SHAPES_IDS["paper"]
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 21, 11))
+        y = rng.standard_normal(200)
+        tr, va = windows(x[:180], y[:180]), windows(x[180:], y[180:])
+        marks = []
+        draw = nn.draw_dropout_masks
+
+        def marked(config, batch_size, rng, *out):
+            if rng is not None:  # a training step, not validation
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+            return draw(config, batch_size, rng, *out)
+
+        monkeypatch.setattr(nn, "draw_dropout_masks", marked)
+        tracemalloc.start()
+        try:
+            train(init_model(cfg, seed=2), tr, va,
+                  TrainConfig(batch_size=64, max_epochs=1, patience=1))
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 3
+        # the second step runs between the second and the third mark
+        assert marks[2][1] - marks[1][0] <= 1e6

@@ -32,6 +32,8 @@ from causalcast.errors import (
     InvalidArgument,
     ShapeError,
 )
+from causalcast import pipeline
+from causalcast.data import Frequency
 from causalcast.pipeline import REPORT_COLUMNS, prepare
 
 from conftest import make_dataset
@@ -235,6 +237,17 @@ class TestPrepare:
         assert stats.mean[1] == 2.5
         z = normalized.values[:, 1] * stats.std[1] + stats.mean[1]
         np.testing.assert_allclose(z, [1.0, 3.0, 3.0, 3.0, 5.0, 7.0, 9.0])
+
+    def test_panel_no_cell_trains_on_gets_its_training_rows_only(self):
+        ds = make_dataset([[0.0, 1.0], [1.0, np.nan], [2.0, np.nan], [3.0, 4.0],
+                           [4.0, np.nan], [5.0, 9.0]])
+        split = SplitSpec(dt.date(2000, 3, 1), 0.2)
+        train_rows, stats, normalized = prepare(ds, split, trains=False)
+        assert stats is None and normalized is None
+        full_cut = prepare(ds, split)[0]
+        assert train_rows.timestamps == full_cut.timestamps
+        np.testing.assert_array_equal(train_rows.values, full_cut.values)
+        np.testing.assert_array_equal(train_rows.values[:, 1], [1.0, 1.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +476,30 @@ class TestRunExperiment:
         assert len(report.records) == 2 and report.failures == ()
         timings = json.loads((tmp_path / "o" / "timings.json").read_text())
         assert [d["frequency"] for d in timings["datasets"]] == ["monthly"]
+
+    def test_discovery_only_panel_is_never_normalized(self, experiment_data, tmp_path,
+                                                      monkeypatch):
+        # dpcmci+ discovers on the daily panel, but only monthly cells train
+        path, stamps = experiment_data
+        graph = PlantedGraph(variables=("y", "drv", "other"), links=(("drv", "y", 1, 0.6),))
+        daily = generate_var(graph, 400, seed=12, frequency="daily", start=stamps[128],
+                             target="y")
+        save_csv(daily, tmp_path / "daily.csv")
+        normalized = []
+
+        def recorded(dataset, stats):
+            normalized.append(dataset.frequency)
+            return apply_normalization(dataset, stats)
+
+        apply_normalization = pipeline.apply_normalization
+        monkeypatch.setattr(pipeline, "apply_normalization", recorded)
+        report = run_experiment(small_config(
+            path, stamps, tmp_path / "o", daily_path=str(tmp_path / "daily.csv"),
+            frequencies=("monthly",), variants=("vanilla", "dpcmci+"), leads=(1,),
+        ))
+        assert len(report.records) == 2 and report.failures == ()
+        assert (tmp_path / "o" / "graph_daily_pcmci.json").exists()
+        assert normalized == [Frequency.MONTHLY]
 
     def test_train_range_too_short_for_max_lag(self, experiment_data, tmp_path):
         # the whole series supports max_lag 16, its first 20 rows do not
