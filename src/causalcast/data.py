@@ -85,6 +85,10 @@ class TimeSeriesDataset:
     target_name: str
 
     def __post_init__(self):
+        if self.frequency not in list(Frequency):
+            choices = [f.value for f in Frequency]
+            raise InvalidArgument(f"frequency must be one of {choices}, got {self.frequency!r}")
+        object.__setattr__(self, "frequency", Frequency(self.frequency))
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ParseError(f"values must be 2-D, got shape {values.shape}")
@@ -301,7 +305,6 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
     :class:`ParseError` with row/column context, and no more of the file
     than its converted values is held.
     """
-    frequency = Frequency(frequency)
     path = Path(path)
     dates, values = [], array("d")
     # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports

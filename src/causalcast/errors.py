@@ -134,6 +134,19 @@ def json_object(path):
         yield doc
 
 
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: (bool, "a boolean")}
+
+
+def typed(value, name: str, kind: type):
+    """``value`` as ``kind``, int, float or bool; a ParseError naming the
+    field ``name`` unless it holds one.  A bool is neither int nor float."""
+    base, description = _KINDS[kind]
+    if not isinstance(value, base) or isinstance(value, bool) != (kind is bool):
+        raise ParseError(f"{name} must be {description}, got {value!r}")
+    return kind(value)
+
+
 def string_list(value, name: str) -> tuple[str, ...]:
     """``value`` as a tuple; a ParseError unless it is a list of strings."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):

@@ -648,7 +648,10 @@ def _adam_update(p, g, m, v, step: int, learning_rate: float, scratch) -> None:
 # ---------------------------------------------------------------------------
 
 def predict(model: RecurrentModel, inputs) -> np.ndarray:
-    """Evaluation-mode predictions flattened to shape (S,)."""
+    """Evaluation-mode predictions flattened to shape (S,), PREDICT_BATCH
+    windows a chunk.  BLAS may sum in another order at another chunk width,
+    so a window predicted among other windows can differ in its last digit
+    (about 1e-16); predicting the same windows again reproduces them."""
     x = np.asarray(inputs)
     if x.shape[0] == 0:
         return np.empty(0)

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InvalidArgument, parse_errors
+from .errors import InvalidArgument, parse_errors, typed
 from .granger import FeatureMethod, FeatureSet
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
-    CITestResult,
     LaggedCrossProducts,
     Node,
     check_alpha,
@@ -132,20 +131,21 @@ class CausalGraph:
         with parse_errors("pcmci+ graph"):
             return cls(
                 variables=tuple(d["variables"]),
-                max_lag=int(d["max_lag"]),
+                max_lag=typed(d["max_lag"], "max_lag", int),
                 links=tuple(
                     CausalLink(
                         source=l["source"],
                         target=l["target"],
-                        lag=int(l["lag"]),
-                        statistic=float(l["stat"]),
-                        p_value=float(l["p"]),
-                        oriented=bool(l.get("oriented", True)),
+                        lag=typed(l["lag"], "lag", int),
+                        statistic=typed(l["stat"], "stat", float),
+                        p_value=typed(l["p"], "p", float),
+                        oriented=typed(l.get("oriented", True), "oriented", bool),
                     )
                     for l in d["links"]
                 ),
-                alpha=float(d["alpha"]),
-                **{key: int(d[key]) for key in ("ci_tests", "max_cond_dim") if key in d},
+                alpha=typed(d["alpha"], "alpha", float),
+                **{key: typed(d[key], key, int)
+                   for key in ("ci_tests", "max_cond_dim") if key in d},
             )
 
     def to_dot(self) -> str:
@@ -197,11 +197,10 @@ def pc1_condition_selection(
         # other than itself: one shared set for all but the first q
         head = order[:q]
         rest = [c for c in survivors if c not in head]
-        for cand, s, p in zip(rest, *cross.test_each(rest, (target, 0), head)):
-            stat[cand], pval[cand] = float(s), float(p)
-        for cand in head:
-            res = cross.test(cand, (target, 0), [c for c in order[: q + 1] if c != cand])
-            stat[cand], pval[cand] = res.statistic, res.p_value
+        calls = [(rest, head)] + [([c], [o for o in order[: q + 1] if o != c]) for c in head]
+        for xs, conds in calls:
+            for cand, s, p in zip(xs, *cross.test(xs, (target, 0), conds)):
+                stat[cand], pval[cand] = float(s), float(p)
         survivors = [c for c in survivors if pval[c] <= pc_alpha]
         q += 1
 
@@ -221,7 +220,7 @@ def mci_test(
     link: tuple[int, int, int],
     parents_of_target: list[Node],
     parents_of_source: list[Node],
-) -> CITestResult:
+) -> tuple[float, float]:
     """MCI test of (source i at t - lag) vs (target j at t), ``link`` = (i, lag, j).
 
     Conditions on the target's parents minus the tested link, plus the
@@ -234,7 +233,8 @@ def mci_test(
     conds = [node for node in parents_of_target if node != (i, lag)] + [
         (k, k_lag + lag) for k, k_lag in parents_of_source
     ]
-    return cross.test((i, lag), (j, 0), conds, start=cross.max_lag + lag)
+    (stat,), (p,) = cross.test([(i, lag)], (j, 0), conds, start=cross.max_lag + lag)
+    return float(stat), float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +284,12 @@ def contemporaneous_phase(
                 continue
             tested_any = True
             subset = others[:q]
-            res = cross.test(
-                (a, 0),
-                (b, 0),
-                parents[a] + parents[b] + [(k, 0) for k in subset],
+            (stat,), (p,) = cross.test(
+                [(a, 0)], (b, 0), parents[a] + parents[b] + [(k, 0) for k in subset]
             )
-            last_stat[(a, b)] = res.statistic
-            p_max[(a, b)] = max(p_max.get((a, b), 0.0), res.p_value)
-            if res.p_value > pc_alpha:
+            last_stat[(a, b)] = float(stat)
+            p_max[(a, b)] = max(p_max.get((a, b), 0.0), float(p))
+            if p > pc_alpha:
                 removals.append((a, b))
                 sepset[(a, b)] = frozenset(subset)
         for pair in removals:
@@ -405,11 +403,10 @@ def run_pcmci_plus(
     links: list[CausalLink] = []
     for j, target in enumerate(names):
         for i, lag in parents[j]:
-            res = mci_test(cross, (i, lag, j), parents[j], parents[i])
-            if res.p_value <= pc_alpha:
+            stat, p = mci_test(cross, (i, lag, j), parents[j], parents[i])
+            if p <= pc_alpha:
                 links.append(CausalLink(
-                    source=names[i], target=target, lag=lag,
-                    statistic=res.statistic, p_value=res.p_value,
+                    source=names[i], target=target, lag=lag, statistic=stat, p_value=p
                 ))
 
     links.extend(contemporaneous_phase(cross, names, parents, pc_alpha))

@@ -3,26 +3,24 @@
 One core answers all of discovery: :class:`LaggedCrossProducts` holds
 the centered cross-products of a panel's lagged columns.  Each MVGC
 regression is one small Cholesky factorization of a block of it, and one
-routine, :func:`_partial`, answers every CI test, alone
-(:meth:`LaggedCrossProducts.test`) or in a PC1 round's batch
-(:meth:`LaggedCrossProducts.test_each`), by one factorization of its
-conditioning block and one solve.  One helper, :func:`_factor`, makes
-every such numpy Cholesky factorization, and one pivot guard,
-:func:`_kept`, is the collinearity rule for all of them: a regressor or
-conditioning column that trips it is dropped, and an x or y that trips
-it given the conditions is a degenerate test.  Around that core: linear
-partial correlation with a t-distributed statistic, whose verdict rules
-live once, in :func:`_verdicts`; every F/t p-value through one
-regularized incomplete beta function, :func:`betainc`, a continued
-fraction in the ``math`` module; and Benjamini-Hochberg step-up FDR
-control.  The functions are pure; callers may evaluate many tests in
-parallel.
+call, :meth:`LaggedCrossProducts.test`, answers every CI test of every
+PCMCI+ phase, for one x or a PC1 round's batch, through one routine,
+:func:`_partial`: one factorization of the conditioning block and one
+solve.  One helper, :func:`_factor`, makes every such numpy Cholesky
+factorization, and one pivot guard, :func:`_kept`, is the collinearity
+rule for all of them: a regressor or conditioning column that trips it
+is dropped, and an x or y that trips it given the conditions is a
+degenerate test.  Around that core: linear partial correlation with a
+t-distributed statistic, whose verdict rules live once, in
+:func:`_verdicts`; every F/t p-value through one regularized incomplete
+beta function, :func:`betainc`, a continued fraction in the ``math``
+module; and Benjamini-Hochberg step-up FDR control.  The functions are
+pure; callers may evaluate many tests in parallel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,20 +51,14 @@ def check_max_lag(max_lag: int) -> None:
         raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
 
 
-@dataclass(frozen=True)
-class CITestResult:
-    statistic: float
-    p_value: float
-    effective_dof: int
-
-
 def _partial(
     cross: np.ndarray, z: np.ndarray, xy: np.ndarray, norms: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Partial correlation of each of the columns ``xy`` but the last (the
     xs) with the last (y), each given the columns ``z``, from their centered
     cross-product matrix ``cross`` over ``n`` rows (so the intercept is
-    already regressed out): the statistics, the p-values and their dof.
+    already regressed out): the statistics and the p-values, at n less
+    the kept conditioning columns less 2 degrees of freedom.
     ``norms`` holds the raw (uncentered) norms of the ``xy`` columns.
 
     One Cholesky of the conditioning block, C_ZZ = L L^T over the columns
@@ -89,7 +81,7 @@ def _partial(
     sx = np.sqrt(np.where(_kept(r_aa, c_aa), r_aa, 0.0))
     sy = math.sqrt(r_yy) if _kept(r_yy, c_yy) else 0.0
     dof = n - len(kept) - 2
-    return (*_verdicts(r_ay, sx, sy, norms[:-1], norms[-1], dof), dof)
+    return _verdicts(r_ay, sx, sy, norms[:-1], norms[-1], dof)
 
 
 def _kept(pivot_sq: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -219,13 +211,13 @@ class LaggedCrossProducts:
 
     Every MVGC regression and every PC1 and contemporaneous CI test reads
     these rows: :meth:`fit` answers a regression from its block, and
-    :meth:`test` and :meth:`test_each` (for a PC1 round's shared
-    conditioning set) answer CI tests through :func:`_partial`.  MCI tests
-    start later and reach further back; :meth:`test` builds their Gram
-    matrix from each variable's contiguous centered series.  :func:`_factor`
-    makes every factorization, so the pivot guard is the one collinearity
-    rule: a regressor or conditioning column that trips it is dropped.
-    Counts the CI tests it answers and their largest conditioning set.
+    :meth:`test` answers CI tests (one, or a PC1 round's batch sharing one
+    conditioning set) through :func:`_partial`.  MCI tests start later and
+    reach further back; :meth:`test` builds their Gram matrix from each
+    variable's contiguous centered series.  :func:`_factor` makes every
+    factorization, so the pivot guard is the one collinearity rule: a
+    regressor or conditioning column that trips it is dropped.  Counts the
+    CI tests it answers and their largest conditioning set.
     """
 
     def __init__(self, values: np.ndarray, max_lag: int):
@@ -259,11 +251,6 @@ class LaggedCrossProducts:
         self.tests = 0
         self.max_cond_dim = 0
 
-    def count(self, n_conds: int, tests: int = 1) -> None:
-        """Record ``tests`` CI tests with ``n_conds`` distinct conditioning columns."""
-        self.tests += tests
-        self.max_cond_dim = max(self.max_cond_dim, n_conds)
-
     def _check(self, nodes: list[Node], start: int) -> None:
         """Raise InvalidArgument naming the first node whose variable is
         not in 0..N-1 or whose lag is not in 0..start: such a node would
@@ -293,11 +280,12 @@ class LaggedCrossProducts:
         return [regressors[i] for i in kept], 0.0 if info else float(low[-1, -1]) ** 2
 
     def test(
-        self, x: Node, y: Node, conds: list[Node], start: int | None = None
-    ) -> CITestResult:
-        """Partial correlation of nodes x and y given the distinct ``conds``
-        over rows t = start..T-1 (by default max_lag..T-1), for nodes at
-        any lag up to ``start``.
+        self, xs: list[Node], y: Node, conds: list[Node], start: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Partial correlation of every node in ``xs`` with node ``y``, each
+        given the distinct ``conds`` (none of them in ``xs``), over rows
+        t = start..T-1 (by default max_lag..T-1), for nodes at any lag up to
+        ``start``: the statistics and the p-values, one per x.
 
         Over rows max_lag..T-1 it is read from the shared matrix.  Any
         later start (MCI tests reach further back) takes the Gram matrix of
@@ -305,11 +293,12 @@ class LaggedCrossProducts:
         n mu mu^T for their means over the same rows.
         """
         start = self.max_lag if start is None else start
-        self._check([x, y, *conds], start)
-        nodes = list(dict.fromkeys(conds)) + [x, y]
+        self._check([*xs, y, *conds], start)
+        nodes = list(dict.fromkeys(conds)) + [*xs, y]
+        k = len(nodes) - len(xs) - 1
         if start == self.max_lag:
             cross, idx, n = self.cross, self._index(nodes), self.n
-            norms = self.norms[idx[-2:]]
+            norms = self.norms[idx[k:]]
         else:
             T = self.values.shape[0]
             n = T - start
@@ -318,23 +307,11 @@ class LaggedCrossProducts:
             rows = windows[[i * T + start - lag for i, lag in nodes]]
             sums = rows.sum(axis=1)
             cross, idx = rows @ rows.T - np.outer(sums, sums / n), np.arange(len(nodes))
-            raw = [_column(self.values, start, node) for node in nodes[-2:]]
+            raw = [_column(self.values, start, node) for node in nodes[k:]]
             norms = np.sqrt([col @ col for col in raw])
-        stat, p, dof = _partial(cross, idx[:-2], idx[-2:], norms, n)
-        self.count(len(nodes) - 2)
-        return CITestResult(statistic=float(stat[0]), p_value=float(p[0]), effective_dof=dof)
-
-    def test_each(
-        self, xs: list[Node], y: Node, conds: list[Node]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Statistic and p-value of every node in ``xs`` against ``y``, each
-        given the same distinct ``conds`` (none of them in ``xs``), from
-        one :func:`_partial` over the shared matrix."""
-        self._check([*xs, y, *conds], self.max_lag)
-        xy = self._index([*xs, y])
-        stat, p, _ = _partial(self.cross, self._index(conds), xy, self.norms[xy], self.n)
-        self.count(len(conds), tests=len(xs))
-        return stat, p
+        self.tests += len(xs)
+        self.max_cond_dim = max(self.max_cond_dim, k)
+        return _partial(cross, idx[:k], idx[k:], norms, n)
 
 
 def f_cdf(x: float, d1: int, d2: int) -> float:

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, TimeSeriesDataset
-from .errors import GenerationFailed, InvalidArgument, NonStationary, json_object, parse_errors
+from .errors import (
+    GenerationFailed, InvalidArgument, NonStationary, json_object, parse_errors, typed,
+)
 
 BURN_IN = 200
 
@@ -106,10 +108,14 @@ class PlantedGraph:
             return cls(
                 variables=tuple(d["variables"]),
                 links=tuple(
-                    (l["source"], l["target"], l["lag"], l["coefficient"])
+                    (l["source"], l["target"], typed(l["lag"], "lag", int),
+                     typed(l["coefficient"], "coefficient", float))
                     for l in d["links"]
                 ),
-                noise_std=tuple(d["noise_std"]) if d.get("noise_std") else None,
+                noise_std=(
+                    tuple(typed(s, "noise_std", float) for s in d["noise_std"])
+                    if d.get("noise_std") else None
+                ),
             )
 
     def save(self, path) -> None:

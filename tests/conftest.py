@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from causalcast import Frequency, TimeSeriesDataset
-from causalcast.stats import CITestResult, _column, _verdicts
+from causalcast.stats import _column, _verdicts
 
 # Singular values below RANK_RTOL * s_max count as zero in the
 # least-squares oracle.
@@ -89,7 +89,8 @@ def conditions(values, start, nodes):
 
 def lstsq_partial_correlation(x, y, conditioning=None, dof=None):
     """Reference partial correlation: x and y regressed on [conditioning,
-    intercept] by SVD least squares, and the verdict on their residuals.
+    intercept] by SVD least squares, and the verdict on their residuals,
+    as (statistic, p-value).
 
     The dof defaults to n - #conditioning columns - 2; a caller whose
     columns are collinear passes the dof of their known rank.
@@ -112,4 +113,4 @@ def lstsq_partial_correlation(x, y, conditioning=None, dof=None):
         np.sqrt(y @ y),
         dof,
     )
-    return CITestResult(statistic=float(r), p_value=float(p), effective_dof=dof)
+    return float(r), float(p)

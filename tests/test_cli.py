@@ -432,6 +432,43 @@ class TestTrainEvaluate:
         if case == "array":
             assert "expected a JSON object" in result.stderr
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "max_lag", 2.5),
+        ("train", "ci_tests", True),
+        ("train", "max_cond_dim", 1.0),
+        ("train", "alpha", "0.05"),
+        ("train", "lag", 1.7),
+        ("train", "stat", True),
+        ("train", "p", "0.001"),
+        ("train", "oriented", "false"),
+        ("synth", "lag", 2.9),
+        ("synth", "lag", True),
+        ("synth", "coefficient", "0.3"),
+    ])
+    def test_mistyped_graph_field_is_exit_two(self, runner, trained, tmp_path, command, key,
+                                              value):
+        # each document is valid but for the one field, which no loader coerces
+        _, data, _ = trained
+        link = {"source": "drv", "target": "y", "lag": 1}
+        doc = {
+            "train": {"method": "pcmci+", "variables": ["y", "drv", "other"], "max_lag": 2,
+                      "alpha": 0.05, "ci_tests": 3, "max_cond_dim": 1,
+                      "links": [{**link, "stat": 0.5, "p": 0.001, "oriented": True}]},
+            "synth": {"variables": ["y", "drv"], "links": [{**link, "coefficient": 0.3}]},
+        }[command]
+        (doc if key in doc else doc["links"][0])[key] = value
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        args = {
+            "train": ("train", data, *TRAIN_ARGS, "--features-from", path,
+                      "-o", tmp_path / "m.json"),
+            "synth": ("synth", "--graph", path, "-T", 100, "-o", tmp_path / "sim"),
+        }[command]
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.exception
+        assert f"{key} must be" in result.stderr
+        assert repr(value) in result.stderr
+
     def test_manifest_hash_covers_every_option(self, runner, trained, tmp_path):
         _, data, _ = trained
         hashes = []

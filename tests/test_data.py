@@ -102,6 +102,23 @@ class TestDataset:
                 target_name="a",
             )
 
+    @pytest.mark.parametrize("frequency, dates", [
+        ("daily", daily_dates(40)),
+        ("monthly", monthly_dates(3)),
+    ])
+    def test_frequency_given_by_name(self, frequency, dates):
+        ds = TimeSeriesDataset(("a",), dates, np.zeros((len(dates), 1)), frequency, "a")
+        assert ds.frequency is Frequency(frequency)
+        assert ds.summary()["frequency"] == frequency
+
+    @pytest.mark.parametrize("frequency", ["weekly", None, 1])
+    def test_unknown_frequency_names_the_choices(self, frequency):
+        with pytest.raises(
+            InvalidArgument,
+            match=rf"frequency must be one of \['daily', 'monthly'\], got {frequency!r}",
+        ):
+            TimeSeriesDataset(("a",), daily_dates(3), np.zeros((3, 1)), frequency, "a")
+
     def test_summary_reports_missing(self):
         vals = np.array([[1.0, np.nan], [2.0, 4.0], [3.0, np.nan]])
         s = make_dataset(vals).summary()
@@ -120,6 +137,12 @@ class TestCsv:
         assert back.variable_names == ds.variable_names
         assert back.timestamps == ds.timestamps
         np.testing.assert_array_equal(back.values, vals)
+
+    def test_unknown_frequency_names_the_choices(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_csv(make_dataset(np.zeros((3, 1))), path)
+        with pytest.raises(InvalidArgument, match=r"\['daily', 'monthly'\], got 'weekly'"):
+            load_csv(path, "v0", "weekly")
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         # spreadsheet "CSV UTF-8" exports start with one; save_csv writes none

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci
-from causalcast.errors import InvalidArgument
+from causalcast.errors import InvalidArgument, ParseError
 from causalcast.pcmci import (
     CausalGraph,
     CausalLink,
@@ -62,22 +62,23 @@ def degenerate_panel():
 
 
 def count_ci_tests(monkeypatch):
-    """Wrap LaggedCrossProducts.test (one test a call) and test_each (one
-    a candidate); returns the conditioning width of every test they see."""
+    """Wrap LaggedCrossProducts.test (one test a candidate x); returns the
+    conditioning width of every test it sees."""
     widths = []
-    test, test_each = LaggedCrossProducts.test, LaggedCrossProducts.test_each
+    test = LaggedCrossProducts.test
 
-    def counted_test(self, x, y, conds, start=None):
-        widths.append(len(set(conds)))
-        return test(self, x, y, conds, start)
-
-    def counted_each(self, xs, y, conds):
+    def counted(self, xs, y, conds, start=None):
         widths.extend([len(set(conds))] * len(xs))
-        return test_each(self, xs, y, conds)
+        return test(self, xs, y, conds, start)
 
-    monkeypatch.setattr(LaggedCrossProducts, "test", counted_test)
-    monkeypatch.setattr(LaggedCrossProducts, "test_each", counted_each)
+    monkeypatch.setattr(LaggedCrossProducts, "test", counted)
     return widths
+
+
+def one_test(cross, x, y, conds, start=None):
+    """Statistic and p-value of the one CI test of x against y."""
+    (stat,), (p,) = cross.test([x], y, conds, start)
+    return float(stat), float(p)
 
 
 def panel(ds, max_lag):
@@ -131,9 +132,9 @@ class TestMci:
         cross = panel(ds, 4)
         px = pc1_condition_selection(cross, 0)
         py = pc1_condition_selection(cross, 1)
-        res = mci_test(cross, (0, 2, 1), py, px)
-        assert res.p_value < 0.01
-        assert res.statistic > 0.2
+        stat, p = mci_test(cross, (0, 2, 1), py, px)
+        assert p < 0.01
+        assert stat > 0.2
 
     def test_empty_conditions_match_plain_correlation(self):
         ds = noise_dataset(5, T=800, N=2, frequency=Frequency.DAILY)
@@ -142,9 +143,7 @@ class TestMci:
         t0 = max_lag + lag
         x = ds.values[t0 - lag : -lag, 0]
         y = ds.values[t0:, 1]
-        ref = lstsq_partial_correlation(x, y)
-        assert res.statistic == pytest.approx(ref.statistic, abs=1e-12)
-        assert res.p_value == pytest.approx(ref.p_value, abs=1e-12)
+        assert res == pytest.approx(lstsq_partial_correlation(x, y), abs=1e-12)
 
     def test_confounder_explained_away(self):
         # z drives both x and y; conditioning on z kills the x-y lag link
@@ -308,15 +307,14 @@ class TestCrossProducts:
             picked = rng.choice(len(nodes), int(rng.integers(2, 14)), replace=False)
             *conds, x, y = [nodes[p] for p in picked]
             conds += conds[:1]  # a repeated node is one conditioning column
-            got = cross.test(x, y, conds)
+            got = one_test(cross, x, y, conds)
             want = lstsq_partial_correlation(
                 _column(values, max_lag, x),
                 _column(values, max_lag, y),
                 conditions(values, max_lag, conds),
+                dof=len(values) - max_lag - len(set(conds)) - 2,
             )
-            assert got.effective_dof == want.effective_dof
-            assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
-            assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
         assert cross.tests == 60
 
     def test_degenerate_columns_match_the_stacked_path(self):
@@ -341,7 +339,7 @@ class TestCrossProducts:
         n = len(values) - 3
         got, want = [], []
         for x, y, conds in cases:
-            got.append(LaggedCrossProducts(values, 3).test(x, y, conds))
+            got.append(one_test(LaggedCrossProducts(values, 3), x, y, conds))
             rank = len({(1, l) if i == 5 else (i, l) for i, l in conds if i != 4})
             want.append(lstsq_partial_correlation(
                 _column(values, 3, x),
@@ -350,17 +348,15 @@ class TestCrossProducts:
                 dof=n - rank - 2,
             ))
 
-        assert sum((w.statistic, w.p_value) == (0.0, 1.0) for w in want) == 55
+        assert sum(w == (0.0, 1.0) for w in want) == 55
         for g, w in zip(got, want):
-            assert g.effective_dof == w.effective_dof
-            assert g.statistic == pytest.approx(w.statistic, rel=1e-9, abs=0.0)
-            assert g.p_value == pytest.approx(w.p_value, rel=1e-9, abs=0.0)
+            assert g == pytest.approx(w, rel=1e-9, abs=0.0)
         graph = run_pcmci_plus(make_dataset(values, frequency=Frequency.DAILY), max_lag=3)
         assert "v4" not in {name for l in graph.links for name in (l.source, l.target)}
 
     def test_graph_counts_every_ci_test(self, monkeypatch):
-        # counted one per test call and one per batched candidate: 167
-        # tests, at most 5 conditioning columns on this panel
+        # counted one per candidate x of every test call: 167 tests, at
+        # most 5 conditioning columns on this panel
         ds = make_dataset(var_panel(30), frequency=Frequency.DAILY)
         widths = count_ci_tests(monkeypatch)
         graph = run_pcmci_plus(ds, max_lag=3)
@@ -386,44 +382,26 @@ class TestCrossProducts:
         rounds.append((np.column_stack([x, z, x + z]), [(0, 0)], (2, 0), [(1, 0)]))
         for panel_values, xs, y, conds in rounds:
             cross = LaggedCrossProducts(panel_values, max_lag)
-            stat, p = cross.test_each(xs, y, conds)
+            stat, p = cross.test(xs, y, conds)
             assert (cross.tests, cross.max_cond_dim) == (len(xs), len(conds))
             for x, s, pv in zip(xs, stat, p):
-                want = cross.test(x, y, conds)
-                assert s == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
-                assert pv == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+                want = one_test(cross, x, y, conds)
+                assert (s, pv) == pytest.approx(want, rel=1e-9, abs=0.0)
         # the batched round itself reads the exact dependence
         assert abs(stat[0]) == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert p[0] == 0.0
 
-    def test_one_test_is_a_batched_round_of_one(self):
-        # test and test_each answer through one routine, so a single test
-        # and a round of one agree to the last bit, duplicates and all
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal((300, 4))
-        values[:, 3] = values[:, 0] + 0.5 * values[:, 1] + 0.1 * rng.standard_normal(300)
-        cross, y = LaggedCrossProducts(values, 2), (3, 0)
-        for conds in ([], [(1, 1)], [(2, 1), (0, 2)], [(1, 1), (1, 1)]):
-            distinct = list(dict.fromkeys(conds))
-            for x in [(i, lag) for i in range(4) for lag in range(3)]:
-                if x == y or x in distinct:
-                    continue
-                res = cross.test(x, y, conds)
-                stat, p = cross.test_each([x], y, distinct)
-                assert (res.statistic, res.p_value) == (stat[0], p[0])
-
     def test_batched_round_falls_back_per_candidate(self):
         # given (1, 1), candidate (5, 1), a copy of it, and every node of
         # the constant v4 trip the pivot guard: their batched verdicts are
-        # those of the per-test path, which reports independence
+        # those of one-candidate calls, which report independence
         values = degenerate_panel()
         nodes = [(i, lag) for i in range(6) for lag in (1, 2, 3)]
         xs = [node for node in nodes if node != (1, 1)]
-        stat, p = LaggedCrossProducts(values, 3).test_each(xs, (0, 0), [(1, 1)])
+        stat, p = LaggedCrossProducts(values, 3).test(xs, (0, 0), [(1, 1)])
         for x, s, pv in zip(xs, stat, p):
-            want = LaggedCrossProducts(values, 3).test(x, (0, 0), [(1, 1)])
-            assert s == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
-            assert pv == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+            want = one_test(LaggedCrossProducts(values, 3), x, (0, 0), [(1, 1)])
+            assert (s, pv) == pytest.approx(want, rel=1e-9, abs=0.0)
         degenerate = [x for x, s, pv in zip(xs, stat, p) if (s, pv) == (0.0, 1.0)]
         assert degenerate == [(4, 1), (4, 2), (4, 3), (5, 1)]
 
@@ -437,15 +415,14 @@ class TestCrossProducts:
         for _ in range(30):
             picked = rng.choice(len(nodes), int(rng.integers(2, 12)), replace=False)
             *conds, x, y = [nodes[p] for p in picked]
-            got = cross.test(x, y, conds + conds[:1], start=start)
+            got = one_test(cross, x, y, conds + conds[:1], start)
             want = lstsq_partial_correlation(
                 _column(values, start, x),
                 _column(values, start, y),
                 conditions(values, start, conds),
+                dof=len(values) - start - len(conds) - 2,
             )
-            assert got.effective_dof == want.effective_dof
-            assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0.0)
-            assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0.0)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
         assert cross.tests == 30
 
     def test_node_past_start_rejected(self):
@@ -454,11 +431,11 @@ class TestCrossProducts:
         values = np.random.default_rng(28).standard_normal((300, 3))
         cross = LaggedCrossProducts(values, 2)
         with pytest.raises(InvalidArgument, match=r"node \(0, 4\)"):
-            cross.test((0, 4), (1, 0), [], start=3)
+            cross.test([(0, 4)], (1, 0), [], start=3)
         with pytest.raises(InvalidArgument, match=r"node \(1, 3\)"):
-            cross.test((0, 1), (2, 0), [(1, 3)])
+            cross.test([(0, 1)], (2, 0), [(1, 3)])
         with pytest.raises(InvalidArgument, match=r"node \(0, -1\)"):
-            cross.test((0, -1), (1, 0), [])
+            cross.test([(0, -1)], (1, 0), [])
         # a parent list from a run at a larger max_lag
         with pytest.raises(InvalidArgument, match=r"node \(0, 5\)"):
             mci_test(cross, (1, 1, 2), [(0, 5)], [])
@@ -470,11 +447,11 @@ class TestCrossProducts:
         values = np.random.default_rng(0).standard_normal((300, 3))
         cross = LaggedCrossProducts(values, 2)
         calls = [
-            (lambda: cross.test((3, 0), (1, 0), []), r"node \(3, 0\)"),
-            (lambda: cross.test((3, 0), (1, 0), [], start=4), r"node \(3, 0\)"),
-            (lambda: cross.test((0, 1), (1, 0), [(-1, 0)]), r"node \(-1, 0\)"),
-            (lambda: cross.test_each([(0, -1)], (1, 0), []), r"node \(0, -1\)"),
-            (lambda: cross.test_each([(0, 1)], (1, 0), [(3, 1)]), r"node \(3, 1\)"),
+            (lambda: cross.test([(3, 0)], (1, 0), []), r"node \(3, 0\)"),
+            (lambda: cross.test([(3, 0)], (1, 0), [], start=4), r"node \(3, 0\)"),
+            (lambda: cross.test([(0, 1)], (1, 0), [(-1, 0)]), r"node \(-1, 0\)"),
+            (lambda: cross.test([(2, 1), (0, -1)], (1, 0), []), r"node \(0, -1\)"),
+            (lambda: cross.test([(0, 1)], (1, 0), [(3, 1)]), r"node \(3, 1\)"),
             (lambda: cross.fit([(0, 1), (5, 1)], (1, 0)), r"node \(5, 1\)"),
             (lambda: cross.fit([(0, 1)], (1, 3)), r"node \(1, 3\)"),
         ]
@@ -501,6 +478,27 @@ class TestGraphContainer:
         )
         back = CausalGraph.from_dict(json.loads(json.dumps(graph.to_dict())))
         assert back == graph
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_lag", 2.5),
+        ("max_lag", True),
+        ("ci_tests", True),
+        ("max_cond_dim", 1.0),
+        ("alpha", "0.05"),
+        ("lag", 1.7),
+        ("lag", True),
+        ("stat", "0.5"),
+        ("p", "0.001"),
+        ("oriented", "false"),
+        ("oriented", 1),
+    ])
+    def test_mistyped_field_rejected(self, key, value):
+        doc = CausalGraph(
+            variables=("a", "b"), max_lag=3, links=(self._link(),), alpha=0.05, ci_tests=4,
+        ).to_dict()
+        (doc if key in doc else doc["links"][0])[key] = value
+        with pytest.raises(ParseError, match=rf"pcmci\+ graph: {key} must be an? "):
+            CausalGraph.from_dict(doc)
 
     def test_parents_include_unoriented_adjacency(self):
         graph = CausalGraph(

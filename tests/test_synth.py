@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from causalcast import Frequency, PlantedGraph, generate_var, random_planted_graph
-from causalcast.errors import GenerationFailed, InvalidArgument, NonStationary
+from causalcast.errors import GenerationFailed, InvalidArgument, NonStationary, ParseError
 
 
 class TestPlantedGraph:
@@ -29,6 +29,20 @@ class TestPlantedGraph:
         assert back.variables == graph.variables
         assert back.links == graph.links
         assert back.noise_std == graph.noise_std
+
+    @pytest.mark.parametrize("key, value", [
+        ("lag", 2.9),
+        ("lag", True),
+        ("lag", "2"),
+        ("coefficient", "0.3"),
+        ("coefficient", True),
+        ("noise_std", [1.0, True]),
+    ])
+    def test_mistyped_field_rejected(self, key, value):
+        doc = PlantedGraph(("a", "b"), (("a", "b", 2, 0.3),)).to_dict()
+        (doc if key in doc else doc["links"][0])[key] = value
+        with pytest.raises(ParseError, match=f"planted graph: {key} must be a"):
+            PlantedGraph.from_dict(doc)
 
     def test_parent_queries(self):
         graph = PlantedGraph(
