@@ -24,7 +24,7 @@ from .data import (
     split_windows,
 )
 from .errors import CausalcastError, InputError
-from .granger import FeatureMethod, FeatureSet, GrangerResult, mvgc_test, select_features_gc
+from .granger import GrangerResult, mvgc_test
 from .nn import (
     Checkpoint,
     ModelConfig,
@@ -39,11 +39,12 @@ from .nn import (
     save_checkpoint,
     train,
 )
-from .pcmci import CausalGraph, CausalLink, run_pcmci_plus, select_features_pcmci
+from .pcmci import CausalGraph, CausalLink, run_pcmci_plus
 from .pipeline import (
     EvalRecord,
     EvalReport,
     ExperimentConfig,
+    FeatureMethod,
     derive_seed,
     mae,
     percentage_metrics,
@@ -63,7 +64,6 @@ __all__ = [
     "EvalReport",
     "ExperimentConfig",
     "FeatureMethod",
-    "FeatureSet",
     "Frequency",
     "GrangerResult",
     "InputError",
@@ -100,8 +100,6 @@ __all__ = [
     "run_pcmci_plus",
     "save_checkpoint",
     "save_csv",
-    "select_features_gc",
-    "select_features_pcmci",
     "split_windows",
     "train",
 ]

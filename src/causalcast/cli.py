@@ -42,13 +42,13 @@ from .data import (
     write_summary,
 )
 from .errors import CausalcastError, ConfigError, InputError, ParseError, json_object, string_list
-from .granger import FeatureMethod, FeatureSet
 from .nn import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
-from .pcmci import CausalGraph, select_features_pcmci
+from .pcmci import CausalGraph
 from .pipeline import (
     DISCOVERY_METHODS,
     EvalReport,
     ExperimentConfig,
+    FeatureMethod,
     derive_seed,
     discover as run_discovery,
     fit_cell,
@@ -197,8 +197,8 @@ def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples
     )
     _write_manifest(manifest, None, [dataset_csv], paths)
     click.echo(
-        f"{method} selected {len(features.features)} features for {target!r} "
-        f"(target included): {', '.join(features.features)}"
+        f"{method} selected {len(features)} features for {target!r} "
+        f"(target included): {', '.join(features)}"
     )
 
 
@@ -206,19 +206,20 @@ def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples
 # train
 # ---------------------------------------------------------------------------
 
-def _load_feature_set(source: str, dataset) -> FeatureSet:
+def _load_feature_set(source: str, dataset) -> tuple[FeatureMethod, tuple[str, ...]]:
+    """The variant and the features that ``--features-from`` names."""
     if source == "all":
-        return FeatureSet(FeatureMethod.VANILLA, dataset.variable_names)
+        return FeatureMethod.VANILLA, dataset.variable_names
     with json_object(source) as doc:
         method = doc.get("method")
         if method == "mvgc":
-            return FeatureSet(FeatureMethod.GC, string_list(doc["features"], "features"))
+            return FeatureMethod.GC, string_list(doc["features"], "features")
         if method != "pcmci+":
             raise ConfigError(
                 f"{source}: unrecognized feature source (method {method!r})"
             )
         graph = CausalGraph.from_dict(doc)
-    return select_features_pcmci(graph, dataset.target_name)
+    return FeatureMethod.PCMCI_PLUS, graph.drivers(dataset.target_name)
 
 
 @main.command("train")
@@ -268,7 +269,7 @@ def train_cmd(
 ):
     """Train one forecaster and save its checkpoint."""
     dataset = load_csv(dataset_csv, target, frequency)
-    features = _load_feature_set(features_from, dataset)
+    variant, features = _load_feature_set(features_from, dataset)
     config = ExperimentConfig(
         target=target,
         split=SplitSpec(
@@ -280,7 +281,7 @@ def train_cmd(
         **{f"{frequency}_path": dataset_csv},
         lookback=lookback,
         leads=(lead,),
-        variants=(features.method,),
+        variants=(variant,),
         daily_steps_per_month=daily_steps_per_month,
         gru_units=gru_units,
         lstm_units=lstm_units,
@@ -295,7 +296,7 @@ def train_cmd(
     )
     _, stats, normalized = prepare(dataset, config.split)
     checkpoint, _, history = fit_cell(
-        config, Frequency(frequency), features, lead, normalized, stats, seed
+        config, Frequency(frequency), variant, features, lead, normalized, stats, seed
     )
     save_checkpoint(output, checkpoint)
     inputs = [dataset_csv] + ([] if features_from == "all" else [features_from])

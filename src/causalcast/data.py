@@ -41,6 +41,15 @@ class Frequency(str, Enum):
     MONTHLY = "monthly"
 
 
+def as_frequency(value) -> Frequency:
+    """``value`` as a Frequency, given as one or by its name; an
+    InvalidArgument naming the choices otherwise."""
+    if value not in list(Frequency):
+        choices = [f.value for f in Frequency]
+        raise InvalidArgument(f"frequency must be one of {choices}, got {value!r}")
+    return Frequency(value)
+
+
 def _check_spacing(timestamps: Sequence[dt.date], frequency: Frequency) -> None:
     """Raise at the first neighboring pair not one step (day or calendar
     month) apart: a duplicate, a decrease, or a gap."""
@@ -85,10 +94,7 @@ class TimeSeriesDataset:
     target_name: str
 
     def __post_init__(self):
-        if self.frequency not in list(Frequency):
-            choices = [f.value for f in Frequency]
-            raise InvalidArgument(f"frequency must be one of {choices}, got {self.frequency!r}")
-        object.__setattr__(self, "frequency", Frequency(self.frequency))
+        object.__setattr__(self, "frequency", as_frequency(self.frequency))
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ParseError(f"values must be 2-D, got shape {values.shape}")

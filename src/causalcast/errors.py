@@ -100,6 +100,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a real number of any real type; True is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_integers(owner, names, error=InvalidArgument) -> None:
     """Raise ``error`` naming the first of ``owner``'s fields ``names``
     that does not hold an integer."""

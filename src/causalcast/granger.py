@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 from .data import TimeSeriesDataset
-from .errors import InsufficientHistory
+from .errors import InsufficientHistory, InvalidArgument
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
@@ -24,31 +23,6 @@ from .stats import (
     betainc,
     check_max_lag,
 )
-
-
-class FeatureMethod(str, Enum):
-    """How a forecaster's input variables were chosen; doubles as the
-    experiment variant name."""
-
-    VANILLA = "vanilla"
-    GC = "gc"
-    PCMCI_PLUS = "pcmci+"
-    DPCMCI_PLUS = "dpcmci+"
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """Input-variable roster for one forecaster variant.
-
-    The target is always a member: its own history is available to
-    every model.
-    """
-
-    method: FeatureMethod
-    features: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
 
 
 @dataclass(frozen=True)
@@ -70,15 +44,54 @@ class GrangerResult:
 
 
 class GrangerResults(list):
-    """One :func:`mvgc_test` call's results, in dataset column order, plus
-    the work it did: the ``regressions`` whose RSS the F-tests read, and
-    the lag columns kept in and dropped from the full model as collinear."""
+    """One :func:`mvgc_test` call's results, in dataset column order, with
+    what it ran on (the dataset's ``variables``, its ``target``,
+    ``max_lag`` and ``alpha``) and the work it did: the ``regressions``
+    whose RSS the F-tests read, and the lag columns kept in and dropped
+    from the full model as collinear."""
 
-    def __init__(self, results, regressions: int, columns_kept: int, columns_dropped: int):
+    def __init__(self, results, variables, target, max_lag, alpha,
+                 regressions: int, columns_kept: int, columns_dropped: int):
         super().__init__(results)
+        self.variables = tuple(variables)
+        self.target = target
+        self.max_lag = max_lag
+        self.alpha = alpha
         self.regressions = regressions
         self.columns_kept = columns_kept
         self.columns_dropped = columns_dropped
+
+    def drivers(self, target: str) -> tuple[str, ...]:
+        """``target`` plus every selected variable, in dataset column order."""
+        if target != self.target:
+            raise InvalidArgument(f"MVGC tested drivers of {self.target!r}, not {target!r}")
+        chosen = {r.variable for r in self if r.selected} | {target}
+        return tuple(v for v in self.variables if v in chosen)
+
+    def to_dict(self) -> dict:
+        return {
+            "method": "mvgc",
+            "target": self.target,
+            "max_lag": self.max_lag,
+            "alpha": self.alpha,
+            "regressions": self.regressions,
+            "columns_kept": self.columns_kept,
+            "columns_dropped": self.columns_dropped,
+            "variables": list(self.variables),
+            "results": [r.to_dict() for r in self],
+            "features": list(self.drivers(self.target)),
+        }
+
+    def to_dot(self) -> str:
+        """Graphviz digraph: every variable, and a "GC" edge from each
+        selected driver to the target."""
+        lines = ["digraph causal {", "  rankdir=LR;"]
+        lines.extend(f'  "{v}";' for v in self.variables)
+        lines.extend(
+            f'  "{r.variable}" -> "{self.target}" [label="GC"];' for r in self if r.selected
+        )
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def mvgc_test(
@@ -133,57 +146,14 @@ def mvgc_test(
             )
             for (name, f, p, dof), sel in zip(results, mask)
         ],
+        variables=dataset.variable_names,
+        target=dataset.target_name,
+        max_lag=max_lag,
+        alpha=alpha,
         regressions=1 + sum(d1 > 0 for *_, (d1, _) in results),
         columns_kept=len(kept),
         columns_dropped=dropped,
     )
-
-
-def select_features_gc(
-    results: list[GrangerResult], dataset: TimeSeriesDataset
-) -> FeatureSet:
-    """Target plus every selected variable, in dataset column order."""
-    chosen = {r.variable for r in results if r.selected}
-    chosen.add(dataset.target_name)
-    return FeatureSet(
-        method=FeatureMethod.GC,
-        features=tuple(v for v in dataset.variable_names if v in chosen),
-    )
-
-
-def results_to_dict(
-    results: GrangerResults,
-    dataset: TimeSeriesDataset,
-    max_lag: int,
-    alpha: float,
-) -> dict:
-    return {
-        "method": "mvgc",
-        "target": dataset.target_name,
-        "max_lag": max_lag,
-        "alpha": alpha,
-        "regressions": results.regressions,
-        "columns_kept": results.columns_kept,
-        "columns_dropped": results.columns_dropped,
-        "variables": list(dataset.variable_names),
-        "results": [r.to_dict() for r in results],
-        "features": list(select_features_gc(results, dataset).features),
-    }
-
-
-def mvgc_dot(doc: dict) -> str:
-    """Graphviz digraph of a :func:`results_to_dict` document: every
-    variable, and a "GC" edge from each selected driver to the target."""
-    lines = ["digraph causal {", "  rankdir=LR;"]
-    for v in doc["variables"]:
-        lines.append(f'  "{v}";')
-    for r in doc["results"]:
-        if r["selected"]:
-            lines.append(
-                f'  "{r["variable"]}" -> "{doc["target"]}" [label="GC"];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _f_test(rss_r: float, rss_f: float, d1: int, d2: int) -> tuple[float, float]:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InvalidArgument, parse_errors, typed
-from .granger import FeatureMethod, FeatureSet
+from .errors import InvalidArgument, is_integer, parse_errors, typed
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
@@ -61,6 +60,9 @@ class CausalLink:
     oriented: bool = True
 
     def __post_init__(self):
+        if not is_integer(self.lag):
+            raise InvalidArgument(f"lag must be an integer, got {self.lag!r}")
+        object.__setattr__(self, "lag", int(self.lag))
         if self.lag < 0:
             raise InvalidArgument(f"negative lag {self.lag}")
         if self.lag >= 1 and not self.oriented:
@@ -105,15 +107,16 @@ class CausalGraph:
                 raise InvalidArgument(f"duplicate link {key}")
             seen.add(key)
 
-    def parents_of(self, variable: str) -> list[CausalLink]:
-        """Links into ``variable``; unoriented lag-0 adjacency qualifies."""
-        out = []
+    def drivers(self, target: str) -> tuple[str, ...]:
+        """``target`` plus the other end of every link into it (any lag;
+        an unoriented lag-0 link counts both ways), in variable order."""
+        chosen = {target}
         for link in self.links:
-            if link.target == variable:
-                out.append(link)
-            elif not link.oriented and link.lag == 0 and link.source == variable:
-                out.append(link)
-        return out
+            if link.target == target:
+                chosen.add(link.source)
+            elif not link.oriented and link.source == target:
+                chosen.add(link.target)
+        return tuple(v for v in self.variables if v in chosen)
 
     def to_dict(self) -> dict:
         return {
@@ -417,16 +420,4 @@ def run_pcmci_plus(
         alpha=pc_alpha,
         ci_tests=cross.tests,
         max_cond_dim=cross.max_cond_dim,
-    )
-
-
-def select_features_pcmci(graph: CausalGraph, target: str) -> FeatureSet:
-    """Target plus the source of every link into it (any lag, including
-    unoriented lag-0 adjacency), in dataset column order."""
-    chosen = {target}
-    for link in graph.parents_of(target):
-        chosen.add(link.source if link.target == target else link.target)
-    return FeatureSet(
-        method=FeatureMethod.PCMCI_PLUS,
-        features=tuple(v for v in graph.variables if v in chosen),
     )

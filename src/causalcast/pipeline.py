@@ -20,6 +20,7 @@ import io
 import json
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .errors import (
     check_integers,
     is_integer,
 )
-from .granger import FeatureMethod, FeatureSet, mvgc_dot, mvgc_test, results_to_dict, select_features_gc
+from .granger import mvgc_test
 from .nn import (
     Checkpoint,
     ModelConfig,
@@ -60,15 +61,19 @@ from .nn import (
     save_checkpoint,
     train,
 )
-from .pcmci import DEFAULT_MAX_SAMPLES, check_max_samples, run_pcmci_plus, select_features_pcmci
+from .pcmci import DEFAULT_MAX_SAMPLES, check_max_samples, run_pcmci_plus
 from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, check_alpha, check_max_lag
 
-VARIANTS = (
-    FeatureMethod.VANILLA,
-    FeatureMethod.GC,
-    FeatureMethod.PCMCI_PLUS,
-    FeatureMethod.DPCMCI_PLUS,
-)
+
+class FeatureMethod(str, Enum):
+    """How a forecaster's input variables were chosen; doubles as the
+    experiment variant name."""
+
+    VANILLA = "vanilla"
+    GC = "gc"
+    PCMCI_PLUS = "pcmci+"
+    DPCMCI_PLUS = "dpcmci+"
+
 
 # what :func:`discover` runs, named as in the graph JSON's "method"
 DISCOVERY_METHODS = ("mvgc", "pcmci+")
@@ -143,7 +148,7 @@ class ExperimentConfig:
     frequencies: tuple[Frequency, ...] = ()
     lookback: int = ModelConfig.lookback
     leads: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    variants: tuple[FeatureMethod, ...] = VARIANTS
+    variants: tuple[FeatureMethod, ...] = tuple(FeatureMethod)
     gc_alpha: float = DEFAULT_ALPHA
     pcmci_alpha: float = DEFAULT_ALPHA
     discovery_max_lag: int = DEFAULT_MAX_LAG
@@ -338,35 +343,37 @@ def prepare(raw: TimeSeriesDataset, split: SplitSpec, trains: bool = True):
 def fit_cell(
     config: ExperimentConfig,
     freq: Frequency,
-    features: FeatureSet,
+    variant: FeatureMethod,
+    features: tuple[str, ...],
     lead: int,
     normalized: TimeSeriesDataset,
     stats: NormalizationStats,
     seed: int,
 ) -> tuple[Checkpoint, LagWindowSet, TrainHistory]:
-    """Train one forecaster on ``features`` of the normalized series.
+    """Train one ``variant`` forecaster on ``features`` of the normalized
+    series (the target among them).
 
     Windows -> chronological split -> init -> train, all seeded by
     ``seed``.  Returns (checkpoint, test windows, training history).
     """
     lead_steps = config.lead_steps(freq, lead)
     windows = build_lag_windows(
-        normalized, features.features, lookback=config.lookback, lead=lead_steps
+        normalized, features, lookback=config.lookback, lead=lead_steps
     )
     train_w, val_w, test_w = split_windows(windows, config.split)
-    model = init_model(config.model_config(len(features.features)), seed=seed)
+    model = init_model(config.model_config(len(features)), seed=seed)
     train_config = replace(config.train, seed=seed)
     model, history = train(model, train_w, val_w, train_config)
     checkpoint = Checkpoint(
         model=model,
-        features=features.features,
+        features=features,
         target=config.target,
         lead=lead,
         lead_steps=lead_steps,
         frequency=freq,
         normalization=stats,
         train_config=train_config,
-        method=features.method.value,
+        method=variant.value,
     )
     return checkpoint, test_w, history
 
@@ -402,7 +409,7 @@ def discover(
     max_lag: int,
     alpha: float,
     max_samples: int,
-) -> tuple[FeatureSet, list[Path]]:
+) -> tuple[tuple[str, ...], list[Path]]:
     """Run one discovery method on ``dataset`` and export its graph.
 
     ``method`` is "mvgc" or "pcmci+"; ``max_samples`` bounds PCMCI+ only.
@@ -410,28 +417,23 @@ def discover(
     drivers (target included) with those two paths.
     """
     if method == "mvgc":
-        results = mvgc_test(dataset, max_lag=max_lag, alpha=alpha)
-        doc = results_to_dict(results, dataset, max_lag=max_lag, alpha=alpha)
-        dot = mvgc_dot(doc)
-        features = select_features_gc(results, dataset)
+        result = mvgc_test(dataset, max_lag=max_lag, alpha=alpha)
     elif method == "pcmci+":
-        graph = run_pcmci_plus(
+        result = run_pcmci_plus(
             dataset, max_lag=max_lag, pc_alpha=alpha, max_samples=max_samples
         )
-        doc, dot = graph.to_dict(), graph.to_dot()
-        features = select_features_pcmci(graph, dataset.target_name)
     else:
         raise InvalidArgument(
             f"unknown discovery method {method!r}; choose from {list(DISCOVERY_METHODS)}"
         )
     json_path, dot_path = Path(f"{prefix}.json"), Path(f"{prefix}.dot")
-    json_path.write_text(json.dumps(doc, indent=2) + "\n")
-    dot_path.write_text(dot)
-    return features, [json_path, dot_path]
+    json_path.write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    dot_path.write_text(result.to_dot())
+    return result.drivers(dataset.target_name), [json_path, dot_path]
 
 
 def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
-    """FeatureSet (or caught error) per (frequency, variant), the artifact
+    """Feature names (or caught error) per (frequency, variant), the artifact
     files discovery writes, and each discovery run's wall time.
 
     Each (method, frequency) pair runs :func:`discover` once; dpcmci+
@@ -440,16 +442,14 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
     affine rescaling, so normalization would change nothing but the
     stored statistics.
     """
-    features: dict[tuple[Frequency, FeatureMethod], FeatureSet | Exception] = {}
-    runs: dict[tuple[str, Frequency], FeatureSet | Exception] = {}
+    features: dict[tuple[Frequency, FeatureMethod], tuple[str, ...] | Exception] = {}
+    runs: dict[tuple[str, Frequency], tuple[str, ...] | Exception] = {}
     artifacts: list[str] = []
     timings: list[dict] = []
     for freq in config.frequencies:
         for variant in _roster(config, freq):
             if variant is FeatureMethod.VANILLA:
-                features[(freq, variant)] = FeatureSet(
-                    variant, datasets[freq].variable_names
-                )
+                features[(freq, variant)] = datasets[freq].variable_names
                 continue
             method = "mvgc" if variant is FeatureMethod.GC else "pcmci+"
             source = _discovery_panel(variant, freq)
@@ -472,12 +472,12 @@ def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
                     "frequency": source.value,
                     "seconds": time.perf_counter() - start,
                 })
-            fs = runs[(method, source)]
-            if variant is FeatureMethod.DPCMCI_PLUS and isinstance(fs, FeatureSet):
+            drivers = runs[(method, source)]
+            if variant is FeatureMethod.DPCMCI_PLUS and isinstance(drivers, tuple):
                 # daily-discovered drivers, monthly columns
                 monthly = datasets[Frequency.MONTHLY].variable_names
-                fs = FeatureSet(variant, tuple(v for v in monthly if v in fs.features))
-            features[(freq, variant)] = fs
+                drivers = tuple(v for v in monthly if v in drivers)
+            features[(freq, variant)] = drivers
     return features, artifacts, timings
 
 
@@ -498,7 +498,7 @@ def _run_cell(
     config: ExperimentConfig,
     freq: Frequency,
     variant: FeatureMethod,
-    feature_set: FeatureSet | Exception,
+    features: tuple[str, ...] | Exception,
     lead: int,
     normalized: TimeSeriesDataset,
     stats: NormalizationStats,
@@ -513,12 +513,12 @@ def _run_cell(
     """
     cell = {"frequency": freq.value, "variant": variant.value, "lead": lead}
     try:
-        if isinstance(feature_set, Exception):
-            raise feature_set
+        if isinstance(features, Exception):
+            raise features
         seed = derive_seed(config.seed, f"{freq.value}:{variant.value}:lead{lead}")
         start = time.perf_counter()
         checkpoint, test_w, history = fit_cell(
-            config, freq, feature_set, lead, normalized, stats, seed
+            config, freq, variant, features, lead, normalized, stats, seed
         )
         trained = time.perf_counter()
         record = score(checkpoint, test_w)
@@ -536,7 +536,7 @@ def _run_cell(
         "checkpoint": ck_path,
         "training": {
             **cell,
-            "features": list(feature_set.features),
+            "features": list(features),
             "n_train": history.n_train,
             "n_val": history.n_val,
             "best_epoch": history.best_epoch,

@@ -15,10 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Frequency, TimeSeriesDataset
-from .errors import (
-    GenerationFailed, InvalidArgument, NonStationary, json_object, parse_errors, typed,
-)
+from .data import Frequency, TimeSeriesDataset, as_frequency
+from .errors import GenerationFailed, InvalidArgument, NonStationary, is_integer, is_real, json_object, parse_errors, typed
 
 BURN_IN = 200
 
@@ -38,9 +36,7 @@ class PlantedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(
-            self, "links", tuple((s, t, int(l), float(c)) for s, t, l, c in self.links)
-        )
+        object.__setattr__(self, "links", tuple(self.links))
         if self.noise_std is None:
             object.__setattr__(self, "noise_std", (1.0,) * len(self.variables))
         else:
@@ -53,10 +49,14 @@ class PlantedGraph:
         for s, t, lag, coef in self.links:
             if s not in names or t not in names:
                 raise InvalidArgument(f"link {s}->{t} references unknown variable")
-            if lag < 1:
-                raise InvalidArgument(f"planted lags must be >= 1, got {lag}")
-            if abs(coef) > 0.9:
-                raise InvalidArgument(f"|coefficient| must be <= 0.9, got {coef}")
+            if not is_integer(lag) or lag < 1:
+                raise InvalidArgument(f"planted lags must be integers >= 1, got {lag!r}")
+            if not is_real(coef) or not abs(coef) <= 0.9:
+                raise InvalidArgument(f"coefficients must be real numbers with |c| <= 0.9, got {coef!r}")
+        # numpy scalars become Python numbers, so that to_dict is plain JSON
+        object.__setattr__(
+            self, "links", tuple((s, t, int(l), float(c)) for s, t, l, c in self.links)
+        )
 
     @property
     def max_lag(self) -> int:
@@ -146,7 +146,7 @@ def generate_var(
         )
     if T < 100:
         raise InvalidArgument(f"T must be >= 100, got {T}")
-    frequency = Frequency(frequency)
+    frequency = as_frequency(frequency)
     target = target if target is not None else graph.variables[-1]
 
     rng = np.random.default_rng(seed)

@@ -635,6 +635,27 @@ seed: 3
             expected = (tmp_path / "out" / f"{artifact}{suffix}").read_bytes()
             assert (tmp_path / f"cli{suffix}").read_bytes() == expected
 
+    def test_train_features_from_reproduces_the_experiment_cells(self, runner, tmp_path):
+        # `train --features-from` an experiment's discovery JSON trains its
+        # cell: the same features, under the same variant
+        cfg = self._setup(tmp_path)
+        cfg.write_text(
+            cfg.read_text().replace("[vanilla, gc]", "[gc, pcmci+]").replace("[1, 2]", "[1]")
+        )
+        assert invoke(runner, "experiment", cfg).exit_code == 0
+        out = tmp_path / "out"
+        for variant, source in (("gc", "granger_monthly"), ("pcmci+", "graph_monthly_pcmci")):
+            ck = tmp_path / f"cli_{variant}.json"
+            result = invoke(runner, "train", tmp_path / "monthly.csv", *TRAIN_ARGS,
+                            "--features-from", out / f"{source}.json", "-o", ck,
+                            "--seed", derive_seed(3, f"monthly:{variant}:lead1"))
+            assert result.exit_code == 0, result.output
+            want = out / f"model_monthly_{variant}_lead1.json"
+            got_doc, want_doc = json.loads(ck.read_text()), json.loads(want.read_text())
+            assert len(want_doc["features"]) > 1
+            assert (got_doc["features"], got_doc["method"]) == (want_doc["features"], variant)
+            assert ck.read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("command", ["experiment", "train"])
     def test_variable_unobserved_in_training_is_exit_two(self, runner, tmp_path, command):
         # observed in the test range only: nothing in training can fill it
@@ -748,6 +769,21 @@ seed: 3
         config, _ = load_experiment_config(cfg)
         assert config.target == "v0"
         assert config.output_dir == str(tmp_path.resolve() / "out")
+
+    def test_readme_python_api_runs(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+        blocks = [b.split("```", 1)[0] for b in section.split("```python\n")[1:]]
+        assert len(blocks) == 3
+        graph = random_planted_graph(6, 6, seed=7, max_lag=3)
+        save_csv(generate_var(graph, 420, seed=7, target="v0"), tmp_path / "panel.csv")
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["features"][0] == "v0"
+        assert namespace["checkpoint"].method == "gc"
+        assert (tmp_path / "graph.json").is_file() and (tmp_path / "graph.dot").is_file()
 
     def test_malformed_yaml_is_exit_two(self, runner, tmp_path):
         cfg = tmp_path / "bad.yaml"

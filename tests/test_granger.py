@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from causalcast import Frequency, mvgc_test, select_features_gc
-from causalcast.errors import InsufficientHistory
-from causalcast.granger import FeatureMethod, results_to_dict
+from causalcast import Frequency, mvgc_test
+from causalcast.errors import InsufficientHistory, InvalidArgument
 from causalcast.stats import benjamini_hochberg
 
 from conftest import make_dataset, noise_dataset
@@ -146,7 +145,7 @@ class TestMvgc:
         assert len(results) == 3
         assert [r.dof for r in results] == [(2, 391), (2, 391), (0, 391)]
         assert (results.regressions, results.columns_kept, results.columns_dropped) == (3, 6, 2)
-        doc = results_to_dict(results, ds, max_lag=2, alpha=0.05)
+        doc = results.to_dict()
         assert (doc["regressions"], doc["columns_kept"], doc["columns_dropped"]) == (3, 6, 2)
 
     def test_near_duplicate_column_dropped(self):
@@ -190,21 +189,34 @@ class TestSelection:
     def test_target_always_included(self):
         ds = noise_dataset(8, T=300, N=4)
         results = mvgc_test(ds, max_lag=2)
-        fs = select_features_gc(results, ds)
-        assert fs.method is FeatureMethod.GC
-        assert "v0" in fs.features
+        assert "v0" in results.drivers("v0")
 
     def test_column_order_preserved(self):
         ds = var_with_two_drivers(1, T=3000, n_vars=6)
-        fs = select_features_gc(mvgc_test(ds, max_lag=3), ds)
-        assert list(fs.features) == sorted(fs.features, key=ds.variable_names.index)
+        drivers = mvgc_test(ds, max_lag=3).drivers("v0")
+        assert drivers == ("v0", "v1", "v4")
+
+    def test_drivers_of_another_target_rejected(self):
+        results = mvgc_test(noise_dataset(8, T=300, N=4), max_lag=2)
+        with pytest.raises(InvalidArgument, match="MVGC tested drivers of 'v0', not 'v1'"):
+            results.drivers("v1")
 
     def test_dict_round_trip_fields(self):
         ds = noise_dataset(9, T=200, N=3)
         results = mvgc_test(ds, max_lag=2, alpha=0.1)
-        doc = results_to_dict(results, ds, max_lag=2, alpha=0.1)
+        doc = results.to_dict()
         assert (doc["regressions"], doc["columns_kept"], doc["columns_dropped"]) == (3, 6, 0)
-        assert doc["method"] == "mvgc"
-        assert doc["target"] == "v0"
+        assert (doc["method"], doc["target"], doc["max_lag"], doc["alpha"]) == ("mvgc", "v0", 2, 0.1)
+        assert doc["variables"] == ["v0", "v1", "v2"]
+        assert doc["features"] == list(results.drivers("v0"))
         assert len(doc["results"]) == 2
         assert set(doc["results"][0]) == {"variable", "F", "p", "dof", "selected"}
+
+    def test_dot_draws_every_variable_and_each_selected_edge(self):
+        ds = var_with_two_drivers(1, T=3000, n_vars=6)
+        dot = mvgc_test(ds, max_lag=3).to_dot()
+        nodes = "".join(f'  "v{i}";\n' for i in range(6))
+        assert dot == (
+            f"digraph causal {{\n  rankdir=LR;\n{nodes}"
+            '  "v1" -> "v0" [label="GC"];\n  "v4" -> "v0" [label="GC"];\n}\n'
+        )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from causalcast import Frequency, pcmci, run_pcmci_plus, select_features_pcmci
+from causalcast import Frequency, pcmci, run_pcmci_plus
 from causalcast.errors import InvalidArgument, ParseError
 from causalcast.pcmci import (
     CausalGraph,
@@ -507,10 +507,11 @@ class TestGraphContainer:
             links=(self._link(lag=0, oriented=False),),
             alpha=0.05,
         )
-        assert len(graph.parents_of("a")) == 1
-        assert len(graph.parents_of("b")) == 1
-        fs = select_features_pcmci(graph, "a")
-        assert fs.features == ("a", "b")
+        assert graph.drivers("a") == ("a", "b")
+        assert graph.drivers("b") == ("a", "b")
+        # an oriented link drives its target only
+        graph = CausalGraph(variables=("a", "b"), max_lag=2, links=(self._link(),), alpha=0.05)
+        assert (graph.drivers("a"), graph.drivers("b")) == (("a",), ("a", "b"))
 
     def test_insignificant_link_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -520,6 +521,15 @@ class TestGraphContainer:
                 links=(self._link(p_value=0.2),),
                 alpha=0.05,
             )
+
+    @pytest.mark.parametrize("lag", [1.7, 1.0, True, "1"])
+    def test_non_integer_lag_rejected(self, lag):
+        with pytest.raises(InvalidArgument, match="lag must be an integer"):
+            self._link(lag=lag)
+
+    def test_numpy_lag_becomes_int(self):
+        link = self._link(lag=np.int64(2))
+        assert type(link.lag) is int and json.dumps(link.to_dict())
 
     def test_lagged_links_must_be_oriented(self):
         with pytest.raises(InvalidArgument):

@@ -17,6 +17,23 @@ class TestPlantedGraph:
         with pytest.raises(InvalidArgument):
             PlantedGraph(("a",), (), noise_std=(0.0,))
 
+    @pytest.mark.parametrize("lag, coef, match", [
+        (2.9, 0.3, "planted lags must be integers >= 1, got 2.9"),
+        (True, 0.3, "planted lags must be integers >= 1, got True"),
+        ("2", 0.3, "planted lags must be integers >= 1, got '2'"),
+        (2, "0.3", "coefficients must be real numbers with .* got '0.3'"),
+        (2, True, "coefficients must be real numbers with .* got True"),
+        (2, float("nan"), "coefficients must be real numbers with .* got nan"),
+    ], ids=["lag-float", "lag-bool", "lag-str", "coef-str", "coef-bool", "coef-nan"])
+    def test_mistyped_link_rejected_not_coerced(self, lag, coef, match):
+        with pytest.raises(InvalidArgument, match=match):
+            PlantedGraph(("a", "b"), (("a", "b", lag, coef),))
+
+    def test_numpy_scalars_become_python_numbers(self):
+        graph = PlantedGraph(("a", "b"), (("a", "b", np.int64(2), np.float64(0.3)),))
+        assert graph.links == (("a", "b", 2, 0.3),)
+        assert [type(x) for x in graph.links[0][2:]] == [int, float]
+
     def test_round_trip(self, tmp_path):
         graph = PlantedGraph(
             ("a", "b", "c"),
@@ -115,6 +132,14 @@ class TestGenerate:
         assert bad.spectral_radius() >= 1.0
         with pytest.raises(NonStationary):
             generate_var(bad, 500, seed=0)
+
+    def test_unknown_frequency_names_the_choices(self):
+        graph = random_planted_graph(3, 2, seed=9)
+        with pytest.raises(
+            InvalidArgument,
+            match=r"frequency must be one of \['daily', 'monthly'\], got 'weekly'",
+        ):
+            generate_var(graph, 200, seed=0, frequency="weekly")
 
     def test_too_short_rejected(self):
         graph = random_planted_graph(3, 2, seed=9)
