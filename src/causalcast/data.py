@@ -94,6 +94,9 @@ class TimeSeriesDataset:
     target_name: str
 
     def __post_init__(self):
+        self._settle(check_dates=True)
+
+    def _settle(self, check_dates: bool) -> None:
         object.__setattr__(self, "frequency", as_frequency(self.frequency))
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
@@ -109,7 +112,8 @@ class TimeSeriesDataset:
                 f"target {self.target_name!r} not among variables "
                 f"{list(self.variable_names)}"
             )
-        _check_spacing(self.timestamps, self.frequency)
+        if check_dates:
+            _check_spacing(self.timestamps, self.frequency)
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -129,23 +133,21 @@ class TimeSeriesDataset:
         return self.variable_names.index(self.target_name)
 
     def with_values(self, values: np.ndarray) -> "TimeSeriesDataset":
-        return TimeSeriesDataset(
-            variable_names=self.variable_names,
-            timestamps=self.timestamps,
-            values=values,
-            frequency=self.frequency,
-            target_name=self.target_name,
-        )
+        return self._cut(self.timestamps, values)
 
     def rows(self, start: int, stop: int | None = None) -> "TimeSeriesDataset":
         """Rows ``start:stop`` as a dataset of their own."""
-        return TimeSeriesDataset(
-            variable_names=self.variable_names,
-            timestamps=self.timestamps[start:stop],
-            values=self.values[start:stop],
-            frequency=self.frequency,
-            target_name=self.target_name,
-        )
+        return self._cut(self.timestamps[start:stop], self.values[start:stop])
+
+    def _cut(self, timestamps, values) -> "TimeSeriesDataset":
+        """This dataset's variables on ``timestamps``, a run of its own
+        dates, holding ``values``: the dates passed their check here, so
+        they are not checked again."""
+        out = object.__new__(TimeSeriesDataset)
+        for key, value in {**vars(self), "timestamps": timestamps, "values": values}.items():
+            object.__setattr__(out, key, value)
+        out._settle(check_dates=False)
+        return out
 
     def summary(self) -> dict:
         """Per-variable ranges and missing counts, for sanity-checking
@@ -255,12 +257,15 @@ class LagWindowSet:
         return self.inputs.shape[0]
 
     def subset(self, rows: slice) -> "LagWindowSet":
-        """Samples ``rows``, as views of this set's arrays."""
-        return LagWindowSet(
-            inputs=self.inputs[rows],
-            targets=self.targets[rows],
-            sample_dates=self.sample_dates[rows],
-        )
+        """Samples ``rows``, as views of this set's arrays.  Any run of a
+        checked set's samples holds its checks, so they are not run
+        again."""
+        if (rows.step or 1) < 0:
+            raise InvalidArgument("a subset keeps its samples in date order")
+        out = object.__new__(LagWindowSet)
+        for key in ("inputs", "targets", "sample_dates"):
+            object.__setattr__(out, key, getattr(self, key)[rows])
+        return out
 
     def between(self, first: dt.date, last: dt.date) -> "LagWindowSet":
         """Samples with target dates in ``first..last``, both included."""
@@ -488,7 +493,10 @@ def build_lag_windows(
 
     Sample s covers rows [s, s+lookback) of the feature columns and
     predicts the target column at row s + lookback + lead - 1, giving
-    S = T - lookback - lead + 1 samples.
+    S = T - lookback - lead + 1 samples.  The inputs are read-only views
+    of one (T - lead) x F copy of the feature columns, window s
+    starting one row after window s - 1, and the targets a view of the
+    dataset's target column.
     """
     if lookback < 1 or lead < 1:
         raise InsufficientHistory(
@@ -504,16 +512,14 @@ def build_lag_windows(
             f"series length {T} too short for lookback {lookback} + lead {lead}"
         )
     cols = [dataset.variable_names.index(f) for f in features]
-    target_col = dataset.target_index
     windowed = np.lib.stride_tricks.sliding_window_view(
-        dataset.values[:, cols], lookback, axis=0
-    )  # (T - lookback + 1) x F x lookback
-    inputs = np.ascontiguousarray(windowed[:S].transpose(0, 2, 1))
-    target_rows = np.arange(S) + lookback + lead - 1
+        np.take(dataset.values[: S + lookback - 1], cols, axis=1), lookback, axis=0
+    )  # S x F x lookback
+    first = lookback + lead - 1
     return LagWindowSet(
-        inputs=inputs,
-        targets=dataset.values[target_rows, target_col],
-        sample_dates=tuple(dataset.timestamps[r] for r in target_rows),
+        inputs=windowed.transpose(0, 2, 1),
+        targets=dataset.values[first:, dataset.target_index],
+        sample_dates=dataset.timestamps[first:],
     )
 
 

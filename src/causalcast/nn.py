@@ -44,7 +44,8 @@ spent gates before its loop, then contracts the weight gradients over
 last state: it projects the inputs one step at a time and keeps one step
 of gates and of LSTM state, so the GRU states are the only sequence it
 holds.  It makes the same BLAS calls, so its predictions match the
-cached pass's bit for bit.
+cached pass's bit for bit.  Both modes take their buffers from a dict of
+named views (:func:`_step_buffers`, :func:`_evaluation_buffers`).
 Numerical checks run once per sequence: all GRU states and the last LSTM
 state must lie in [-1, 1] (a NaN fails this and reaches every later
 step; an LSTM state, o * tanh(c), leaves [-1, 1] only as a NaN).  The
@@ -59,10 +60,13 @@ a float32 copy of that buffer, refreshed after each Adam update (mixed
 precision, Micikevicius et al. 2018); validation, ``predict`` and
 checkpoints use the float64 master.  ``backward`` writes its gradients
 into one flat buffer of the same layout, so a step's gradient reaches
-Adam by one cast copy.  Every other buffer a step uses (dropout draws,
-Adam scratch, and the forward cache and backward scratch carved per
-batch size from one float32 arena, :func:`_step_buffers`) is allocated
-once per ``train`` call.
+Adam by one cast copy.  ``train`` reads its windows where they are (a
+step gathers its batch from them and casts it into its buffers) and
+carves every other buffer once per call from one byte arena
+(:func:`_train_buffers`), in which buffers never in use at the same time
+share memory: the float64 dropout draws and Adam's float64 gradient and
+scratch share backward's scratch, and validation's float64 evaluation
+buffers share the whole arena with the float32 step.
 """
 
 from __future__ import annotations
@@ -250,29 +254,27 @@ def _rows(a: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return rows.reshape(T * B, C)
 
 
-def _gru_forward(params, x: np.ndarray, cache=None) -> np.ndarray:
-    """GRU over batch-last ``x`` (T, F, B); states (T+1, G, B), first row
-    zero.  With ``cache`` (:func:`_step_buffers`) every step's gates stay
-    there for backward; in evaluation mode (None), one step's."""
+def _gru_forward(params, x: np.ndarray, buffers, keep: bool) -> np.ndarray:
+    """GRU over batch-last ``x`` (T, F, B) into ``buffers["gru_hs"]``,
+    states (T+1, G, B) with the first row zero.  With ``keep`` (step
+    buffers, :func:`_step_buffers`) every step's gates stay there for
+    backward; otherwise (evaluation buffers) the gate slots hold one
+    step's."""
     W, U = params["gru_W"], params["gru_U"]
     bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
     T, F, B = x.shape
     G = U.shape[0]
     if W.shape[0] != F:
         raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
-    if cache is None:
-        hs = np.empty((T + 1, G, B), dtype=U.dtype)
-        gates = np.empty((1, 3 * G, B), dtype=U.dtype)
-        ghs = np.empty_like(gates)
-    else:
-        hs, gates, ghs = cache["gru_hs"], cache["gru_gates"], cache["gru_gh"]
+    hs, gates, ghs = buffers["gru_hs"], buffers["gru_gates"], buffers["gru_gh"]
+    if keep:
         np.matmul(W.T, x, out=gates)
         gates += bx
     hs[0] = 0.0
     # the loop turns the input projections into the gates [z, r, n]
     for t in range(T):
         s = t
-        if cache is None:  # evaluation: this step's projection only
+        if not keep:  # evaluation: this step's projection only
             s = 0
             np.matmul(W.T, x[t], out=gates[0])
             gates[0] += bx
@@ -292,32 +294,27 @@ def _gru_forward(params, x: np.ndarray, cache=None) -> np.ndarray:
     return hs
 
 
-def _lstm_forward(params, x: np.ndarray, cache=None):
+def _lstm_forward(params, x: np.ndarray, buffers, keep: bool):
     """LSTM over batch-last ``x`` (T, K, B); last hidden and cell states
-    (L, B), from the zero state.  With ``cache`` every step's states and
-    gates stay there for backward; in evaluation mode (None), one step's."""
+    (L, B), from the zero state.  With ``keep`` every step's states and
+    gates stay in ``buffers`` for backward; otherwise they hold one
+    step's, the states updated in place."""
     W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"][:, None]
     T, K, B = x.shape
     L = U.shape[0]
     if W.shape[0] != K:
         raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
-    if cache is None:
-        hs = np.zeros((1, L, B), dtype=U.dtype)
-        cs = np.zeros_like(hs)
-        tcs = np.empty_like(hs)
-        gates = np.empty((1, 4 * L, B), dtype=U.dtype)
-        rec = np.empty((4 * L, B), dtype=U.dtype)
-    else:
-        hs, cs, tcs = cache["lstm_hs"], cache["lstm_cs"], cache["lstm_tc"]
-        gates, rec = cache["lstm_gates"], cache["lstm_rec"]
-        hs[0] = 0.0
-        cs[0] = 0.0
+    hs, cs, tcs = buffers["lstm_hs"], buffers["lstm_cs"], buffers["lstm_tc"]
+    gates, rec = buffers["lstm_gates"], buffers["lstm_rec"]
+    hs[0] = 0.0
+    cs[0] = 0.0
+    if keep:
         np.matmul(W.T, x, out=gates)
         gates += b
     # the loop turns the input projections into the gates [i, f, o, g]
     for t in range(T):
         s, now = t, t + 1
-        if cache is None:  # evaluation: this step's projection, states in place
+        if not keep:  # evaluation: this step's projection, states in place
             s = now = 0
             np.matmul(W.T, x[t], out=gates[0])
             gates[0] += b
@@ -336,7 +333,11 @@ def _lstm_forward(params, x: np.ndarray, cache=None):
 def gru_forward(params, x_sequence) -> np.ndarray:
     """Hidden states (B, tau, G) of a GRU over a batch (B, tau, F),
     from the zero state."""
-    hs = _gru_forward(params, _batch_last(x_sequence, params["gru_W"].dtype))
+    x = _batch_last(x_sequence, params["gru_W"].dtype)
+    T, _, B = x.shape
+    F, G = params["gru_W"].shape[0], params["gru_U"].shape[0]
+    shape = ModelConfig(F, T, gru_units=G, lstm_units=1)
+    hs = _gru_forward(params, x, _evaluation_buffers(shape, [B], x.dtype)[B], keep=False)
     return hs[1:].transpose(2, 0, 1)
 
 
@@ -347,7 +348,7 @@ def lstm_forward(params, x_sequence):
     T, K, B = x.shape
     shape = ModelConfig(K, T, gru_units=K, lstm_units=params["lstm_U"].shape[0])
     cache = _step_buffers(shape, [B], x.dtype)[B]
-    _, c = _lstm_forward(params, x, cache)
+    _, c = _lstm_forward(params, x, cache, keep=True)
     return cache["lstm_hs"][1:].transpose(2, 0, 1), c.T
 
 
@@ -358,12 +359,13 @@ def lstm_forward(params, x_sequence):
 def draw_dropout_masks(
     config: ModelConfig, batch_size: int, rng: np.random.Generator | None, out=None
 ):
-    """Inverted-dropout masks for the GRU output sequence and the final
-    LSTM state; None when the rate is zero or no generator is given.
+    """Inverted-dropout masks for the GRU output sequence, (batch_size,
+    lookback, gru_units), and the final LSTM state, (batch_size,
+    lstm_units); None when the rate is zero or no generator is given.
 
-    ``out`` is an optional pair of float64 buffers shaped like the masks
-    with at least ``batch_size`` rows; the masks are then their first
-    ``batch_size`` rows, drawn in place.
+    ``out`` is an optional pair of float64 buffers of those shapes, in
+    which the masks are drawn; ``train`` passes the ``seq_draw`` and
+    ``state_draw`` views of its step arena (:func:`_step_buffers`).
     """
     if rng is None or config.dropout_rate <= 0.0:
         return None
@@ -371,69 +373,156 @@ def draw_dropout_masks(
     if out is None:
         seq = (batch_size, config.lookback, config.gru_units)
         out = np.empty(seq), np.empty((batch_size, config.lstm_units))
-    masks = tuple(buffer[:batch_size] for buffer in out)
-    for mask in masks:
+    for mask in out:
         rng.random(out=mask)
         np.less(mask, keep, out=mask)
         mask /= keep
-    return masks
+    return out
 
 
-def _step_buffers(config: ModelConfig, batch_sizes, dtype) -> dict:
-    """Work buffers of one forward/backward step, per batch size: named
-    views carved from one flat arena sized for the largest batch.
+def _nbytes(shapes: dict, dtype) -> int:
+    """Bytes that ``shapes`` take laid end to end in ``dtype``, rounded up
+    to a multiple of 8 so that a float64 view can follow."""
+    size = sum(math.prod(shape) for shape in shapes.values()) * np.dtype(dtype).itemsize
+    return -(-size // 8) * 8
 
-    The forward cache comes first; ``dpre`` (the LSTM's gate gradients,
-    then the GRU's), ``dseq`` and ``rows`` are backward scratch, and the
-    backward reuses cache buffers once the values they hold are spent.
+
+def _carve(*layouts) -> list[dict]:
+    """Named views into one byte arena, for buffers never in use at the
+    same time.  Each layout maps a key (a batch size) to groups (byte
+    offset, dtype, shapes), each group's views laid end to end from its
+    offset; the arena is sized for the group that ends last.  Returns,
+    per layout, each key's views."""
+    ends = [start + _nbytes(shapes, dtype)
+            for layout in layouts for groups in layout.values()
+            for start, dtype, shapes in groups]
+    arena = np.empty(max(ends), dtype=np.uint8)
+    return [
+        {key: {name: view
+               for start, dtype, shapes in groups
+               for name, view in _flat_views(arena[start:].view(dtype), shapes).items()}
+         for key, groups in layout.items()}
+        for layout in layouts
+    ]
+
+
+def _batch_sizes(n: int, batch: int) -> set[int]:
+    """Sizes of the batches that cut ``n`` items in order into batches
+    of ``batch``: the first's and the last's."""
+    return {min(batch, n), n - (n - 1) // batch * batch}
+
+
+def _step_layout(config: ModelConfig, B: int, dtype, master_size: int | None = None) -> list:
+    """:func:`_carve` groups of one forward/backward step at batch size
+    ``B``.
+
+    The forward cache, in ``dtype``, comes first.  Backward's scratch
+    follows it: ``dpre`` (the LSTM's gate gradients, then the GRU's) and
+    ``rows``.  With ``master_size``, ``train``'s float64 buffers that a
+    step uses at one point only share that region, which is sized for
+    the largest of them: the dropout draws ``seq_draw`` and
+    ``state_draw``, spent in the forward pass before backward writes
+    ``dpre``, and Adam's ``grad`` and ``adam_scratch`` (``master_size``
+    each), used after backward.  Backward also reuses cache buffers once
+    their values are spent: its input gradient ``dseq`` lands in the
+    ``seq`` slot.
     """
     T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
                   config.lstm_units)
+    cache = {
+        "x": (T, F, B),
+        "gru_hs": (T + 1, G, B),
+        "gru_gates": (T, 3 * G, B),
+        "gru_gh": (T, 3 * G, B),
+        "seq_mask": (T, G, B),
+        "seq": (T, G, B),
+        "lstm_hs": (T + 1, L, B),
+        "lstm_cs": (T + 1, L, B),
+        "lstm_gates": (T, 4 * L, B),
+        "lstm_tc": (T, L, B),
+        "lstm_rec": (4 * L, B),
+    }
+    scratch = {"dpre": (T * max(4 * L, 3 * G) * B,), "rows": (T * B * max(F, G, L),)}
+    start = _nbytes(cache, dtype)
+    groups = [(0, dtype, cache), (start, dtype, scratch)]
+    if master_size is not None:
+        draws = {"seq_draw": (B, T, G), "state_draw": (B, L)}
+        adam = {"grad": (master_size,), "adam_scratch": (master_size,)}
+        groups += [(start, np.float64, draws), (start, np.float64, adam)]
+    return groups
 
-    def shapes(B):
-        return {
-            "x": (T, F, B),
-            "gru_hs": (T + 1, G, B),
-            "gru_gates": (T, 3 * G, B),
-            "gru_gh": (T, 3 * G, B),
-            "seq_mask": (T, G, B),
-            "seq": (T, G, B),
-            "lstm_hs": (T + 1, L, B),
-            "lstm_cs": (T + 1, L, B),
-            "lstm_gates": (T, 4 * L, B),
-            "lstm_tc": (T, L, B),
-            "lstm_rec": (4 * L, B),
-            "dpre": (T * max(4 * L, 3 * G) * B,),
-            "dseq": (T, G, B),
-            "rows": (T * B * max(F, G, L),),
-        }
 
-    arena = np.empty(sum(math.prod(s) for s in shapes(max(batch_sizes)).values()), dtype)
-    return {B: _flat_views(arena, shapes(B)) for B in batch_sizes}
+def _evaluation_layout(config: ModelConfig, B: int, dtype) -> list:
+    """:func:`_carve` group of an evaluation pass over ``B`` windows: the
+    GRU states of every step, one step's gates and LSTM state."""
+    T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
+                  config.lstm_units)
+    return [(0, dtype, {
+        "x": (T, F, B),
+        "gru_hs": (T + 1, G, B),
+        "gru_gates": (1, 3 * G, B),
+        "gru_gh": (1, 3 * G, B),
+        "lstm_hs": (1, L, B),
+        "lstm_cs": (1, L, B),
+        "lstm_tc": (1, L, B),
+        "lstm_gates": (1, 4 * L, B),
+        "lstm_rec": (4 * L, B),
+    })]
 
 
-def _forward(model: RecurrentModel, x, masks, cache=None) -> np.ndarray:
+def _step_buffers(config: ModelConfig, batch_sizes, dtype) -> dict:
+    """Work buffers of one forward/backward step (:func:`_step_layout`),
+    per batch size, carved from one arena sized for the largest."""
+    return _carve({B: _step_layout(config, B, dtype) for B in batch_sizes})[0]
+
+
+def _evaluation_buffers(config: ModelConfig, batch_sizes, dtype) -> dict:
+    """Evaluation buffers (:func:`_evaluation_layout`) per batch size,
+    carved from one arena sized for the largest."""
+    return _carve({B: _evaluation_layout(config, B, dtype) for B in batch_sizes})[0]
+
+
+def _train_buffers(config: ModelConfig, n: int, n_val: int, batch_size: int,
+                   master_size: int) -> list[dict]:
+    """``train``'s work buffers, carved from one arena: the float32 step
+    buffers per batch size, with Adam's float64 ``grad`` and
+    ``adam_scratch`` of ``master_size`` each, and the float64 evaluation
+    buffers of validation per chunk width.  Validation runs after an
+    epoch's steps, so its buffers share the arena from its start."""
+    return _carve(
+        {B: _step_layout(config, B, np.float32, master_size)
+         for B in _batch_sizes(n, batch_size)},
+        {B: _evaluation_layout(config, B, np.float64)
+         for B in _batch_sizes(n_val, PREDICT_BATCH)},
+    )
+
+
+def _forward(model: RecurrentModel, x, masks, cache=None, evaluation=None) -> np.ndarray:
     """Predictions (B, 1) for a batch (B, tau, F).  With ``cache`` (the
     step buffers for this batch size) every activation backward needs is
-    kept there; without, this is evaluation mode."""
+    kept there; without, this is evaluation mode, in ``evaluation`` (the
+    evaluation buffers for this batch size, allocated when None)."""
     cfg, p = model.config, model.params
     x = np.asarray(x)
-    if x.ndim == 3 and x.shape[1:] != (cfg.lookback, cfg.feature_count):
+    if x.ndim != 3 or x.shape[1:] != (cfg.lookback, cfg.feature_count):
         raise ShapeError(
-            f"batch windows are {x.shape[1]} x {x.shape[2]}, model expects "
-            f"{cfg.lookback} x {cfg.feature_count}"
+            f"expected a batch B x {cfg.lookback} x {cfg.feature_count}, "
+            f"got shape {x.shape}"
         )
-    dtype, buffers = p["gru_W"].dtype, cache or {}
-    xb = _batch_last(x, dtype, buffers.get("x"))
+    dtype, keep = p["gru_W"].dtype, cache is not None
+    buffers = cache if keep else evaluation
+    if buffers is None:
+        buffers = _evaluation_buffers(cfg, [x.shape[0]], dtype)[x.shape[0]]
+    xb = _batch_last(x, dtype, buffers["x"])
     if not np.all(np.isfinite(xb)):
         raise NumericalError("non-finite values in input batch")
-    hs = _gru_forward(p, xb, cache)
+    hs = _gru_forward(p, xb, buffers, keep)
     seq, state_mask = hs[1:], None
     if masks is not None:
         seq_mask = _batch_last(masks[0], dtype, buffers.get("seq_mask"))
         seq = np.multiply(seq, seq_mask, out=buffers.get("seq"))
         state_mask = np.asarray(masks[1], dtype=dtype)
-    hd = _lstm_forward(p, seq, cache)[0].T
+    hd = _lstm_forward(p, seq, buffers, keep)[0].T
     if masks is not None:
         hd = hd * state_mask
     dense_pre = hd @ p["dense_W"] + p["dense_b"]
@@ -441,8 +530,9 @@ def _forward(model: RecurrentModel, x, masks, cache=None) -> np.ndarray:
     pred = dense_out @ p["head_W"] + p["head_b"]
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
-    buffers.update(lstm_x=seq, state_mask=state_mask, dense_in=hd, dense_pre=dense_pre,
-                   dense_out=dense_out)
+    if keep:
+        cache.update(lstm_x=seq, state_mask=state_mask, dense_in=hd, dense_pre=dense_pre,
+                     dense_out=dense_out)
     return pred
 
 
@@ -547,7 +637,8 @@ def _lstm_backward(params, cache, dh_last, grads):
     np.matmul(_rows(x, cache["rows"]).T, flat, out=grads["lstm_W"])
     np.matmul(_rows(hs[:-1], cache["rows"]).T, flat, out=grads["lstm_U"])
     flat.sum(axis=0, out=grads["lstm_b"])
-    return np.matmul(W, dpre, out=cache["dseq"])
+    # the spent ``seq`` slot (the input, once its rows are taken) takes dseq
+    return np.matmul(W, dpre, out=cache["seq"])
 
 
 def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=None):
@@ -647,24 +738,32 @@ def _adam_update(p, g, m, v, step: int, learning_rate: float, scratch) -> None:
 # training
 # ---------------------------------------------------------------------------
 
-def predict(model: RecurrentModel, inputs) -> np.ndarray:
+def predict(model: RecurrentModel, inputs, buffers=None) -> np.ndarray:
     """Evaluation-mode predictions flattened to shape (S,), PREDICT_BATCH
     windows a chunk.  BLAS may sum in another order at another chunk width,
     so a window predicted among other windows can differ in its last digit
-    (about 1e-16); predicting the same windows again reproduces them."""
+    (about 1e-16); predicting the same windows again reproduces them.
+
+    ``buffers`` holds the evaluation buffers per chunk width, which
+    ``train`` carves once for all its validations; a call without them
+    allocates its own.
+    """
     x = np.asarray(inputs)
-    if x.shape[0] == 0:
-        return np.empty(0)
-    chunks = [
-        model_forward(model, x[s : s + PREDICT_BATCH])
-        for s in range(0, x.shape[0], PREDICT_BATCH)
-    ]
-    return np.concatenate(chunks, axis=0)[:, 0]
+    S, dtype = x.shape[0], model.params["gru_W"].dtype
+    out = np.empty(S, dtype=dtype)
+    if S == 0:
+        return out
+    if buffers is None:
+        buffers = _evaluation_buffers(model.config, _batch_sizes(S, PREDICT_BATCH), dtype)
+    for s in range(0, S, PREDICT_BATCH):
+        chunk = x[s : s + PREDICT_BATCH]
+        out[s : s + len(chunk)] = _forward(model, chunk, None, evaluation=buffers[len(chunk)])[:, 0]
+    return out
 
 
-def evaluate_mse(model: RecurrentModel, inputs, targets) -> float:
+def evaluate_mse(model: RecurrentModel, inputs, targets, buffers=None) -> float:
     y = np.asarray(targets, dtype=np.float64).reshape(-1)
-    resid = predict(model, inputs) - y
+    resid = predict(model, inputs, buffers) - y
     return float(resid @ resid) / y.shape[0]
 
 
@@ -700,13 +799,19 @@ def train(
     once over the whole model and the best-epoch snapshot is one copy.
     Forward and backward run on a float32 copy of the buffer, refreshed
     after each update, and backward fills a float32 gradient buffer of
-    the same layout; validation and the restore use the master.  Every
-    buffer a step needs (dropout masks, forward cache, backward and Adam
-    scratch) is allocated once per call, so a step allocates only small
-    temporaries: the batch it gathers and (batch, units) blocks.
+    the same layout; validation and the restore use the master.
+
+    The windows are read where they are: each step gathers its batch from
+    ``train_windows.inputs`` and casts it into its step buffers.  Every
+    other buffer a step or a validation needs is carved once per call
+    from one arena (:func:`_train_buffers`): the float32 forward cache
+    and backward scratch, the float64 dropout draws and Adam's gradient
+    and scratch in that scratch, and validation's float64 evaluation
+    buffers over the whole arena.  Besides Adam's moments and the
+    weights, a step allocates only small temporaries: the batch it
+    gathers and (batch, units) blocks.
     """
-    x_tr = train_windows.inputs.astype(np.float32)
-    y_tr = train_windows.targets.astype(np.float32)
+    x_tr, y_tr = train_windows.inputs, train_windows.targets
     x_va, y_va = validation_windows.inputs, validation_windows.targets
     if x_tr.shape[0] == 0:
         raise EmptySplit("no training samples")
@@ -719,12 +824,9 @@ def train(
     model.params = _flat_views(flat, shapes)
     work = flat.astype(np.float32)
     work_model = RecurrentModel(cfg, _flat_views(work, shapes))
-    work_grad, grad = np.empty_like(work), np.empty_like(flat)
-    m, v, scratch = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
-    # an epoch's batches take two sizes at most: the first's and the last's
-    full, last = min(batch, n), n - (n - 1) // batch * batch
-    steps = _step_buffers(cfg, {full, last}, np.float32)
-    draws = (np.empty((full, cfg.lookback, cfg.gru_units)), np.empty((full, cfg.lstm_units)))
+    work_grad = np.empty_like(work)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    steps, validation = _train_buffers(cfg, n, x_va.shape[0], batch, flat.size)
     best, best_loss, best_epoch = flat.copy(), math.inf, 0
     val_losses: list[float] = []
     step = 0
@@ -733,13 +835,17 @@ def train(
         try:
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
+                buffers = steps[idx.size]
+                draws = buffers["seq_draw"], buffers["state_draw"]
                 masks = draw_dropout_masks(cfg, idx.size, rng, draws)
-                backward(work_model, x_tr[idx], y_tr[idx], masks, work_grad, steps[idx.size])
+                backward(work_model, x_tr[idx], y_tr[idx], masks, work_grad, buffers)
+                grad = buffers["grad"]
                 np.copyto(grad, work_grad)
                 step += 1
-                _adam_update(flat, grad, m, v, step, config.learning_rate, scratch)
+                _adam_update(flat, grad, m, v, step, config.learning_rate,
+                             buffers["adam_scratch"])
                 np.copyto(work, flat)
-            val_loss = evaluate_mse(model, x_va, y_va)
+            val_loss = evaluate_mse(model, x_va, y_va, validation)
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from exc
         val_losses.append(val_loss)

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -23,6 +24,19 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that ``fn(*args, **kwargs)`` holds at once above what
+    was allocated before the call, as ``tracemalloc`` traces it (numpy
+    reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def monthly_dates(n: int, start: dt.date = dt.date(2000, 1, 1)):

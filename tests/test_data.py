@@ -471,6 +471,19 @@ class TestLagWindows:
         with pytest.raises(UnknownVariable):
             build_lag_windows(ds, ["nope"], lookback=3, lead=1)
 
+    def test_windows_are_read_only_views_of_one_copy(self):
+        ds = make_dataset(np.random.default_rng(4).standard_normal((40, 3)), target="v2")
+        w = build_lag_windows(ds, ["v0", "v2"], lookback=5, lead=2)
+        assert not w.inputs.flags.writeable and not w.targets.flags.writeable
+        # window s + 1 is window s moved on by one row, in the same memory
+        assert np.shares_memory(w.inputs[0], w.inputs[1])
+        # over one copy of the 40 - 2 rows that some window reads
+        assert w.inputs.strides == (2 * 8, 2 * 8, 8)
+        low, high = np.lib.array_utils.byte_bounds(w.inputs)
+        assert high - low == (40 - 2) * 2 * 8
+        with pytest.raises(ValueError):
+            w.inputs[0, 0, 0] = 1.0
+
     def test_sample_dates_must_increase(self):
         # a date range is cut by bisection, which unordered dates would defeat
         dates = tuple(dt.date(2000, m, 1) for m in (3, 1, 2))
@@ -494,6 +507,18 @@ class TestSplit:
         assert test.n_samples == 20
         assert max(train.sample_dates) < min(val.sample_dates)
         assert all(np.shares_memory(part.inputs, w.inputs) for part in (train, val, test))
+
+    def test_cuts_skip_the_checks_their_parent_passed(self, monkeypatch):
+        w = self._windows(60)
+        checks = []
+        check = LagWindowSet.__post_init__
+        monkeypatch.setattr(LagWindowSet, "__post_init__",
+                            lambda self: checks.append(1) or check(self))
+        dates = w.sample_dates
+        parts = split_windows(w, SplitSpec(dates[39], 0.1, (dates[45], dates[-1])))
+        assert [p.n_samples for p in parts] == [36, 4, 15] and checks == []
+        with pytest.raises(InvalidArgument, match="date order"):
+            w.subset(slice(None, None, -1))
 
     def test_between_includes_both_ends(self):
         w = self._windows(30)

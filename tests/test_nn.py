@@ -10,6 +10,8 @@ from causalcast import (
     ModelConfig,
     RecurrentModel,
     TrainConfig,
+    TrainHistory,
+    build_lag_windows,
     init_model,
     load_checkpoint,
     model_forward,
@@ -30,7 +32,7 @@ from causalcast.nn import (
     lstm_forward,
 )
 
-from conftest import daily_dates
+from conftest import daily_dates, make_dataset, traced_peak
 
 
 def sigmoid(x):
@@ -324,23 +326,49 @@ class TestGradients:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES_IDS))
     def test_reused_step_buffers_give_the_allocating_gradients(self, shape):
-        # one arena carved for a full and a final partial batch, as train
-        # carves it, reused across steps in either order
+        # train's one arena, carved for a full and a final partial batch and
+        # for 40 validation windows, filled with NaN and reused across steps
+        # in either order: the dropout draws, the step, Adam's float64
+        # gradient and scratch and the validation pass all match fresh
+        # buffers
         model = jittered_model(shape, 41)
-        model = RecurrentModel(shape, {k: v.astype(np.float32) for k, v in model.params.items()})
+        single = RecurrentModel(shape, {k: v.astype(np.float32) for k, v in model.params.items()})
+        size = parameter_count(model)
         rng = np.random.default_rng(42)
-        steps = nn._step_buffers(shape, {64, 19}, np.float32)
-        steps[64]["x"].base.fill(np.nan)
-        out = np.empty(parameter_count(model), dtype=np.float32)
-        for B in (64, 19, 64, 19):
+        steps, validation = nn._train_buffers(shape, 64 + 19, 40, 64, size)
+        assert steps.keys() == {64, 19} and validation.keys() == {40}
+        arena = steps[64]["x"].base
+        assert all(view.base is arena for views in (*steps.values(), *validation.values())
+                   for view in views.values())
+        arena.fill(0xFF)  # all-ones bytes are a NaN in float32 and in float64
+        out = np.empty(size, dtype=np.float32)
+        flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
+        moments = [np.zeros_like(flat) for _ in range(4)]
+        val = rng.standard_normal((40, shape.lookback, shape.feature_count))
+        for t, B in enumerate((64, 19, 64, 19), start=1):
             x = rng.standard_normal((B, shape.lookback, shape.feature_count)).astype(np.float32)
             y = rng.standard_normal(B).astype(np.float32)
-            masks = draw_dropout_masks(shape, B, rng)
-            want, want_loss = backward(model, x, y, masks)
-            grads, loss = backward(model, x, y, masks, out, steps[B])
+            buffers = steps[B]
+            masks = draw_dropout_masks(shape, B, np.random.default_rng(t),
+                                       (buffers["seq_draw"], buffers["state_draw"]))
+            fresh = draw_dropout_masks(shape, B, np.random.default_rng(t))
+            for mask, want in zip(masks, fresh):
+                np.testing.assert_array_equal(mask, want)
+            want, want_loss = backward(single, x, y, fresh)
+            grads, loss = backward(single, x, y, masks, out, buffers)
             assert loss == want_loss
             for k in want:
                 np.testing.assert_array_equal(grads[k], want[k])
+            got_p, want_p = flat.copy(), flat.copy()
+            np.copyto(buffers["grad"], out)
+            nn._adam_update(got_p, buffers["grad"], *moments[:2], t, 1e-3,
+                            buffers["adam_scratch"])
+            nn._adam_update(want_p, out.astype(np.float64), *moments[2:], t, 1e-3,
+                            np.empty_like(flat))
+            np.testing.assert_array_equal(got_p, want_p)
+            for got_m, want_m in zip(moments[:2], moments[2:]):
+                np.testing.assert_array_equal(got_m, want_m)
+            np.testing.assert_array_equal(predict(model, val, validation), predict(model, val))
 
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_config()
@@ -437,7 +465,7 @@ class TestEarlyStopping:
     def _run(self, monkeypatch, curve, patience):
         snapshots = []
 
-        def scripted(model, inputs, targets):
+        def scripted(model, inputs, targets, buffers=None):
             snapshots.append({k: v.copy() for k, v in model.params.items()})
             return curve[len(snapshots) - 1]
 
@@ -622,6 +650,39 @@ class TestTraining:
         for k, v in others.items():
             np.testing.assert_array_equal(model.params[k], v)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("n", [64, 70, 10], ids=["multiple", "remainder", "one-batch"])
+    def test_matches_a_reference_loop_on_fresh_buffers(self, monkeypatch, dropout, n):
+        # train shares one arena among the step, the dropout draws, Adam's
+        # scratch and validation (in chunks of 8, 8 and 4 here); a loop
+        # that allocates each afresh must give the same bits
+        monkeypatch.setattr(nn, "PREDICT_BATCH", 8)
+        cfg = ModelConfig(feature_count=4, lookback=12, gru_units=8, lstm_units=16,
+                          dense_units=8, dropout_rate=dropout)
+        rng = np.random.default_rng(n)
+        ds_values = rng.standard_normal((n + 20 + cfg.lookback, cfg.feature_count))
+        all_w = build_lag_windows(make_dataset(ds_values), ["v0", "v1", "v2", "v3"],
+                                  cfg.lookback, 1)
+        tr, va = all_w.subset(slice(n)), all_w.subset(slice(n, None))
+        config = TrainConfig(batch_size=16, max_epochs=4, patience=2,
+                             learning_rate=0.02, seed=3)
+        model, hist = train(init_model(cfg, seed=n), tr, va, config)
+        want, want_hist = reference_train(init_model(cfg, seed=n), tr, va, config)
+        assert hist == want_hist
+        for k, p in want.params.items():
+            np.testing.assert_array_equal(model.params[k], p)
+
+    def test_predict_reads_window_views_as_copies(self):
+        shape = SHAPES_IDS["smoke"]
+        values = np.random.default_rng(25).standard_normal((700, shape.feature_count))
+        w = build_lag_windows(make_dataset(values), ["v0", "v1", "v2", "v3"],
+                              shape.lookback, 1)
+        model = jittered_model(shape, 26)
+        assert not w.inputs.flags.c_contiguous and w.n_samples > nn.PREDICT_BATCH
+        np.testing.assert_array_equal(
+            predict(model, w.inputs), predict(model, np.ascontiguousarray(w.inputs))
+        )
+
     def test_predict_chunking_matches_single_batch(self):
         cfg = tiny_config()
         model = jittered_model(cfg, 17)
@@ -641,6 +702,36 @@ class TestTraining:
         for chunk in (32, 64, 128, 256):
             monkeypatch.setattr(nn, "PREDICT_BATCH", chunk)
             np.testing.assert_array_equal(predict(model, x), want)
+
+
+def reference_train(model, tr, va, config):
+    """``train``'s loop from its parts, every buffer allocated afresh:
+    masks from ``draw_dropout_masks``, gradients from ``backward`` with no
+    buffers, ``_adam_update`` on a fresh gradient and scratch, and
+    validation by ``evaluate_mse``."""
+    cfg, rng = model.config, np.random.default_rng(config.seed)
+    flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
+    model.params = nn._flat_views(flat, {k: p.shape for k, p in model.params.items()})
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    best, best_loss, best_epoch, losses, step = flat.copy(), math.inf, 0, [], 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(tr.n_samples)
+        for start in range(0, tr.n_samples, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            work = RecurrentModel(cfg, {k: p.astype(np.float32) for k, p in model.params.items()})
+            masks = draw_dropout_masks(cfg, idx.size, rng)
+            grads, _ = backward(work, tr.inputs[idx], tr.targets[idx], masks, out=None, cache=None)
+            grad = np.concatenate([g.reshape(-1) for g in grads.values()]).astype(np.float64)
+            step += 1
+            nn._adam_update(flat, grad, m, v, step, config.learning_rate, np.empty_like(flat))
+        losses.append(evaluate_mse(model, va.inputs, va.targets))
+        if losses[-1] < best_loss:
+            best_loss, best_epoch = losses[-1], epoch
+            best = flat.copy()
+        elif epoch - best_epoch >= config.patience:
+            break
+    flat[...] = best
+    return model, TrainHistory(tuple(losses), best_epoch, len(losses), tr.n_samples, va.n_samples)
 
 
 class TestCheckpoint:
@@ -684,14 +775,21 @@ class TestMemory:
         # a cached forward over 512 windows would hold about 83 MB
         model = init_model(SHAPES_IDS["paper"], seed=0)
         x = np.random.default_rng(0).standard_normal((512, 21, 11))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            predict(model, x)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20e6
+        assert traced_peak(predict, model, x) <= 20e6
+
+    def test_training_holds_no_copy_of_its_windows(self):
+        # train reads its windows where they are: four times the windows
+        # must not hold a quarter more (a float32 copy of them would)
+        cfg = SHAPES_IDS["paper"]
+        n, n_val = 128, 40
+        values = np.random.default_rng(3).standard_normal((4 * n + n_val + 21, 11))
+        w = build_lag_windows(make_dataset(values), [f"v{i}" for i in range(11)], 21, 1)
+        va = w.subset(slice(4 * n, None))
+        config = TrainConfig(batch_size=64, max_epochs=1, patience=1)
+        peaks = [traced_peak(train, init_model(cfg, seed=4), w.subset(slice(k)), va, config)
+                 for k in (n, 4 * n)]
+        extra = 3 * n * 21 * 11 * np.dtype(np.float32).itemsize
+        assert peaks[1] - peaks[0] < extra / 10, (peaks, extra)
 
     def test_training_step_reuses_its_buffers(self, monkeypatch):
         # after the first step, a step allocates only small temporaries;

@@ -32,7 +32,7 @@ from causalcast.errors import (
     InvalidArgument,
     ShapeError,
 )
-from causalcast import pipeline
+from causalcast import data, pipeline
 from causalcast.data import Frequency
 from causalcast.pipeline import REPORT_COLUMNS, prepare
 
@@ -237,6 +237,20 @@ class TestPrepare:
         assert stats.mean[1] == 2.5
         z = normalized.values[:, 1] * stats.std[1] + stats.mean[1]
         np.testing.assert_allclose(z, [1.0, 3.0, 3.0, 3.0, 5.0, 7.0, 9.0])
+
+    @pytest.mark.parametrize("trains", [True, False])
+    def test_dates_are_checked_once_per_panel(self, monkeypatch, trains):
+        # the imputed, cut and normalized panels share the raw panel's dates
+        calls = []
+        check = data._check_spacing
+        monkeypatch.setattr(data, "_check_spacing",
+                            lambda *args: calls.append(args[1]) or check(*args))
+        ds = make_dataset(np.random.default_rng(5).standard_normal((300, 3)),
+                          frequency=Frequency.DAILY)
+        assert calls == [Frequency.DAILY]
+        parts = prepare(ds, SplitSpec(dt.date(2000, 6, 30), 0.2), trains)
+        assert len(parts[0].timestamps) == 182
+        assert calls == [Frequency.DAILY]
 
     def test_panel_no_cell_trains_on_gets_its_training_rows_only(self):
         ds = make_dataset([[0.0, 1.0], [1.0, np.nan], [2.0, np.nan], [3.0, 4.0],
