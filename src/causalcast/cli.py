@@ -35,6 +35,7 @@ from .data import (
     SplitSpec,
     aggregate_daily_to_monthly,
     apply_normalization,
+    as_frequency,
     build_lag_windows,
     impute,
     load_csv,
@@ -49,6 +50,7 @@ from .pipeline import (
     EvalReport,
     ExperimentConfig,
     FeatureMethod,
+    cell_inputs,
     derive_seed,
     discover as run_discovery,
     fit_cell,
@@ -207,19 +209,22 @@ def discover(dataset_csv, method, target, frequency, max_lag, alpha, max_samples
 # ---------------------------------------------------------------------------
 
 def _load_feature_set(source: str, dataset) -> tuple[FeatureMethod, tuple[str, ...]]:
-    """The variant and the features that ``--features-from`` names."""
+    """The variant and the features that ``--features-from`` names, by :func:`cell_inputs`."""
     if source == "all":
-        return FeatureMethod.VANILLA, dataset.variable_names
+        return cell_inputs(None, (), None, dataset)
     with json_object(source) as doc:
         method = doc.get("method")
+        found_on = as_frequency(doc["frequency"]) if "frequency" in doc else None
         if method == "mvgc":
-            return FeatureMethod.GC, string_list(doc["features"], "features")
-        if method != "pcmci+":
-            raise ConfigError(
-                f"{source}: unrecognized feature source (method {method!r})"
-            )
-        graph = CausalGraph.from_dict(doc)
-    return FeatureMethod.PCMCI_PLUS, graph.drivers(dataset.target_name)
+            if doc["target"] != dataset.target_name:
+                raise ConfigError(f"{source}: MVGC drivers of {doc['target']!r}, "
+                                  f"not {dataset.target_name!r}")
+            drivers = string_list(doc["features"], "features")
+        elif method == "pcmci+":
+            drivers = CausalGraph.from_dict(doc).drivers(dataset.target_name)
+        else:
+            raise ConfigError(f"{source}: unrecognized feature source (method {method!r})")
+    return cell_inputs(method, drivers, found_on, dataset)
 
 
 @main.command("train")
@@ -281,7 +286,6 @@ def train_cmd(
         **{f"{frequency}_path": dataset_csv},
         lookback=lookback,
         leads=(lead,),
-        variants=(variant,),
         daily_steps_per_month=daily_steps_per_month,
         gru_units=gru_units,
         lstm_units=lstm_units,

@@ -94,9 +94,9 @@ class TimeSeriesDataset:
     target_name: str
 
     def __post_init__(self):
-        self._settle(check_dates=True)
+        self._settle(cut=False)
 
-    def _settle(self, check_dates: bool) -> None:
+    def _settle(self, cut: bool) -> None:
         object.__setattr__(self, "frequency", as_frequency(self.frequency))
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
@@ -112,9 +112,9 @@ class TimeSeriesDataset:
                 f"target {self.target_name!r} not among variables "
                 f"{list(self.variable_names)}"
             )
-        if check_dates:
+        if not cut:  # a caller's dates are checked, and its array copied
             _check_spacing(self.timestamps, self.frequency)
-        values = values.copy()
+            values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
@@ -133,7 +133,7 @@ class TimeSeriesDataset:
         return self.variable_names.index(self.target_name)
 
     def with_values(self, values: np.ndarray) -> "TimeSeriesDataset":
-        return self._cut(self.timestamps, values)
+        return self._cut(self.timestamps, np.array(values, dtype=np.float64))
 
     def rows(self, start: int, stop: int | None = None) -> "TimeSeriesDataset":
         """Rows ``start:stop`` as a dataset of their own."""
@@ -141,12 +141,12 @@ class TimeSeriesDataset:
 
     def _cut(self, timestamps, values) -> "TimeSeriesDataset":
         """This dataset's variables on ``timestamps``, a run of its own
-        dates, holding ``values``: the dates passed their check here, so
-        they are not checked again."""
+        dates, holding ``values``, a fresh array or a view of this one's
+        that no one else writes: neither is checked or copied again."""
         out = object.__new__(TimeSeriesDataset)
         for key, value in {**vars(self), "timestamps": timestamps, "values": values}.items():
             object.__setattr__(out, key, value)
-        out._settle(check_dates=False)
+        out._settle(cut=True)
         return out
 
     def summary(self) -> dict:
@@ -418,7 +418,7 @@ def impute(dataset: TimeSeriesDataset, cut: dt.date | None = None) -> TimeSeries
             if observed.all():
                 continue
             values[:end, j] = np.interp(idx, idx[observed], col[observed])
-    return dataset.with_values(values)
+    return dataset._cut(dataset.timestamps, values)
 
 
 def fit_normalization(train: TimeSeriesDataset) -> NormalizationStats:
@@ -442,7 +442,7 @@ def apply_normalization(
     std = np.where(stats.std == 0.0, 1.0, stats.std)
     z = (dataset.values - stats.mean) / std
     z[:, stats.std == 0.0] = 0.0
-    return dataset.with_values(z)
+    return dataset._cut(dataset.timestamps, z)
 
 
 def invert_normalization(

@@ -140,6 +140,10 @@ _INTEGER_FIELDS = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's roster and settings.  ``frequencies``, the panels
+    with cells, default to each with a path, and ``variants`` to each with
+    a cell and a path for every panel it reads (:meth:`panels`)."""
+
     target: str
     split: SplitSpec
     output_dir: str
@@ -148,7 +152,7 @@ class ExperimentConfig:
     frequencies: tuple[Frequency, ...] = ()
     lookback: int = ModelConfig.lookback
     leads: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    variants: tuple[FeatureMethod, ...] = tuple(FeatureMethod)
+    variants: tuple[FeatureMethod, ...] = ()
     gc_alpha: float = DEFAULT_ALPHA
     pcmci_alpha: float = DEFAULT_ALPHA
     discovery_max_lag: int = DEFAULT_MAX_LAG
@@ -169,38 +173,27 @@ class ExperimentConfig:
                 f"leads must be a non-empty list of integers >= 1, got {list(self.leads)}"
             )
         object.__setattr__(self, "leads", tuple(int(l) for l in self.leads))
-        object.__setattr__(
-            self, "variants", _members(FeatureMethod, self.variants, "variants")
-        )
-        if not self.variants:
-            raise ConfigError("variants must be non-empty")
         if self.daily_path is None and self.monthly_path is None:
             raise ConfigError("at least one of daily/monthly datasets required")
-        # frequencies = which datasets get trained/reported on; a dataset
-        # outside the roster is still available to discovery (dpcmci+)
         freqs = _members(Frequency, self.frequencies, "frequencies")
-        if not freqs:
-            freqs = tuple(f for f in Frequency if self.path_for(f) is not None)
-        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "frequencies", freqs or tuple(
+            f for f in Frequency if self.path_for(f) is not None
+        ))
+        variants = _members(FeatureMethod, self.variants, "variants")
+        object.__setattr__(self, "variants", variants or tuple(
+            v for v in FeatureMethod
+            if self._sources(v) and None not in map(self.path_for, self._sources(v))
+        ))
         for key in ("leads", "variants", "frequencies"):  # else a cell runs twice
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise ConfigError(f"duplicate {key}")
-        for f in self.frequencies:
+        for v in self.variants:
+            if not self._sources(v):
+                frequencies = [f.value for f in self.frequencies]
+                raise ConfigError(f"variant {v.value!r} has no cell at frequencies {frequencies}")
+        for f in self.panels():
             if self.path_for(f) is None:
-                raise ConfigError(
-                    f"frequency {f.value!r} listed but no dataset path given"
-                )
-        if FeatureMethod.DPCMCI_PLUS in self.variants:
-            if Frequency.MONTHLY not in self.frequencies:
-                raise ConfigError(
-                    f"variant {FeatureMethod.DPCMCI_PLUS.value!r} trains on "
-                    "monthly data: monthly dataset required"
-                )
-            if self.daily_path is None:
-                raise ConfigError(
-                    f"variant {FeatureMethod.DPCMCI_PLUS.value!r} discovers "
-                    "features on daily data: daily dataset required"
-                )
+                raise ConfigError(f"the roster reads the {f.value} panel: no dataset path given")
         if self.daily_steps_per_month < 1:
             raise ConfigError("daily_steps_per_month must be >= 1")
         if self.jobs < 1:
@@ -232,8 +225,12 @@ class ExperimentConfig:
     def panels(self) -> tuple[Frequency, ...]:
         """The panels the roster reads, daily first: each listed
         frequency's, and each variant's discovery panel."""
-        read = {_discovery_panel(v, f) for f in self.frequencies for v in _roster(self, f)}
+        read = {*self.frequencies, *(p for v in self.variants for p in self._sources(v))}
         return tuple(f for f in Frequency if f in read)
+
+    def _sources(self, variant: FeatureMethod) -> list[Frequency]:
+        """The discovery panel of each of ``variant``'s cells, if any."""
+        return [d[1] for f in self.frequencies if (d := _discovery(variant, f))]
 
     def lead_steps(self, frequency: Frequency, lead: int) -> int:
         """Lead times are stated in months; daily data needs them in steps."""
@@ -413,8 +410,8 @@ def discover(
     """Run one discovery method on ``dataset`` and export its graph.
 
     ``method`` is "mvgc" or "pcmci+"; ``max_samples`` bounds PCMCI+ only.
-    Writes ``<prefix>.json`` and ``<prefix>.dot`` and returns the target's
-    drivers (target included) with those two paths.
+    Writes ``<prefix>.json`` (the panel's ``frequency`` after ``method``)
+    and ``<prefix>.dot``; returns the target's drivers and those paths.
     """
     if method == "mvgc":
         result = mvgc_test(dataset, max_lag=max_lag, alpha=alpha)
@@ -426,85 +423,83 @@ def discover(
         raise InvalidArgument(
             f"unknown discovery method {method!r}; choose from {list(DISCOVERY_METHODS)}"
         )
+    doc = {"method": method, "frequency": dataset.frequency.value, **result.to_dict()}
     json_path, dot_path = Path(f"{prefix}.json"), Path(f"{prefix}.dot")
-    json_path.write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    json_path.write_text(json.dumps(doc, indent=2) + "\n")
     dot_path.write_text(result.to_dot())
     return result.drivers(dataset.target_name), [json_path, dot_path]
 
 
-def _discover_features(config: ExperimentConfig, datasets: dict, out: Path):
-    """Feature names (or caught error) per (frequency, variant), the artifact
-    files discovery writes, and each discovery run's wall time.
+def cell_inputs(method, drivers, found_on, panel) -> tuple[FeatureMethod, tuple[str, ...]]:
+    """The variant and input columns of a cell that trains on ``panel``
+    with the ``drivers`` (target included) that ``method`` found on the
+    ``found_on`` panel (None if unknown): no method (vanilla) takes every
+    column, MVGC drivers are gc, daily PCMCI+ drivers on a monthly panel
+    dpcmci+ on the monthly columns, and other PCMCI+ drivers pcmci+."""
+    if method is None:
+        return FeatureMethod.VANILLA, panel.variable_names
+    if method == "mvgc":
+        return FeatureMethod.GC, tuple(drivers)
+    if found_on is Frequency.DAILY and panel.frequency is Frequency.MONTHLY:
+        return FeatureMethod.DPCMCI_PLUS, tuple(v for v in panel.variable_names if v in drivers)
+    return FeatureMethod.PCMCI_PLUS, tuple(drivers)
 
-    Each (method, frequency) pair runs :func:`discover` once; dpcmci+
-    takes the daily PCMCI+ drivers.  ``datasets`` are the imputed,
-    un-normalized training rows; both tests are invariant to per-variable
-    affine rescaling, so normalization would change nothing but the
-    stored statistics.
+
+def _discover_drivers(config: ExperimentConfig, datasets: dict, out: Path):
+    """What each (frequency, variant) cell found, as (discovery method,
+    drivers or the error it raised, panel it ran on); the artifact files
+    discovery writes; and each discovery run's wall time.
+
+    Each (method, panel) pair the roster needs runs :func:`discover` once.
+    ``datasets`` are the imputed, un-normalized training rows; both tests
+    are invariant to per-variable affine rescaling, so normalization would
+    change nothing but the stored statistics.
     """
-    features: dict[tuple[Frequency, FeatureMethod], tuple[str, ...] | Exception] = {}
+    cells = [(f, v, *d) for f in config.frequencies for v in config.variants
+             if (d := _discovery(v, f))]
     runs: dict[tuple[str, Frequency], tuple[str, ...] | Exception] = {}
     artifacts: list[str] = []
     timings: list[dict] = []
-    for freq in config.frequencies:
-        for variant in _roster(config, freq):
-            if variant is FeatureMethod.VANILLA:
-                features[(freq, variant)] = datasets[freq].variable_names
-                continue
-            method = "mvgc" if variant is FeatureMethod.GC else "pcmci+"
-            source = _discovery_panel(variant, freq)
-            if (method, source) not in runs:
-                if method == "mvgc":
-                    prefix, alpha = f"granger_{source.value}", config.gc_alpha
-                else:
-                    prefix, alpha = f"graph_{source.value}_pcmci", config.pcmci_alpha
-                start = time.perf_counter()
-                try:
-                    runs[(method, source)], paths = discover(
-                        datasets[source], method, out / prefix,
-                        config.discovery_max_lag, alpha, config.max_samples,
-                    )
-                    artifacts.extend(str(p) for p in paths)
-                except CausalcastError as exc:
-                    runs[(method, source)] = exc
-                timings.append({
-                    "method": method,
-                    "frequency": source.value,
-                    "seconds": time.perf_counter() - start,
-                })
-            drivers = runs[(method, source)]
-            if variant is FeatureMethod.DPCMCI_PLUS and isinstance(drivers, tuple):
-                # daily-discovered drivers, monthly columns
-                monthly = datasets[Frequency.MONTHLY].variable_names
-                drivers = tuple(v for v in monthly if v in drivers)
-            features[(freq, variant)] = drivers
-    return features, artifacts, timings
+    for method, source in dict.fromkeys((m, s) for _, _, m, s in cells if m):
+        if method == "mvgc":
+            prefix, alpha = f"granger_{source.value}", config.gc_alpha
+        else:
+            prefix, alpha = f"graph_{source.value}_pcmci", config.pcmci_alpha
+        start = time.perf_counter()
+        try:
+            runs[(method, source)], paths = discover(
+                datasets[source], method, out / prefix,
+                config.discovery_max_lag, alpha, config.max_samples,
+            )
+            artifacts.extend(str(p) for p in paths)
+        except CausalcastError as exc:
+            runs[(method, source)] = exc
+        seconds = time.perf_counter() - start
+        timings.append({"method": method, "frequency": source.value, "seconds": seconds})
+    found = {(f, v): (m, runs.get((m, s), ()), s) for f, v, m, s in cells}
+    return found, artifacts, timings
 
 
-def _discovery_panel(variant: FeatureMethod, frequency: Frequency) -> Frequency:
-    """The panel whose drivers ``variant`` uses for cells at ``frequency``."""
-    return Frequency.DAILY if variant is FeatureMethod.DPCMCI_PLUS else frequency
-
-
-def _roster(config: ExperimentConfig, frequency: Frequency):
-    return [
-        v
-        for v in config.variants
-        if v is not FeatureMethod.DPCMCI_PLUS or frequency is Frequency.MONTHLY
-    ]
+def _discovery(variant: FeatureMethod, frequency: Frequency):
+    """The discovery method (None for vanilla) and panel whose drivers
+    ``variant`` trains on at ``frequency``; None if it has no cell there."""
+    if variant is FeatureMethod.DPCMCI_PLUS:
+        return ("pcmci+", Frequency.DAILY) if frequency is Frequency.MONTHLY else None
+    return {FeatureMethod.VANILLA: None, FeatureMethod.GC: "mvgc"}.get(variant, "pcmci+"), frequency
 
 
 def _run_cell(
     config: ExperimentConfig,
     freq: Frequency,
     variant: FeatureMethod,
-    features: tuple[str, ...] | Exception,
+    found: tuple[str | None, tuple[str, ...] | Exception, Frequency],
     lead: int,
     normalized: TimeSeriesDataset,
     stats: NormalizationStats,
     out_dir: str,
 ) -> dict:
-    """Train and score one (frequency, variant, lead) cell.
+    """Train and score one (frequency, variant, lead) cell on the inputs
+    that :func:`cell_inputs` makes of what it ``found``.
 
     Module-level so a process pool can pickle it.  A failed cell's
     outcome is its labels and ``error``; a trained one's is its
@@ -512,9 +507,11 @@ def _run_cell(
     entries, both labelled.
     """
     cell = {"frequency": freq.value, "variant": variant.value, "lead": lead}
+    method, drivers, found_on = found
     try:
-        if isinstance(features, Exception):
-            raise features
+        if isinstance(drivers, Exception):
+            raise drivers
+        _, features = cell_inputs(method, drivers, found_on, normalized)
         seed = derive_seed(config.seed, f"{freq.value}:{variant.value}:lead{lead}")
         start = time.perf_counter()
         checkpoint, test_w, history = fit_cell(
@@ -577,13 +574,12 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         })
 
     train_rows = {freq: rows for freq, (rows, _, _) in prepared.items()}
-    features, artifacts, discovery = _discover_features(config, train_rows, out)
+    found, artifacts, discovery = _discover_drivers(config, train_rows, out)
 
     cells = [
-        (config, freq, variant, features[(freq, variant)], lead, normalized, stats, str(out))
-        for freq in config.frequencies
+        (config, freq, variant, result, lead, normalized, stats, str(out))
+        for (freq, variant), result in found.items()
         for _, stats, normalized in [prepared[freq]]
-        for variant in _roster(config, freq)
         for lead in config.leads
     ]
     if config.jobs > 1 and len(cells) > 1:

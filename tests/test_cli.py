@@ -1,3 +1,4 @@
+import bisect
 import datetime as dt
 import hashlib
 import json
@@ -441,6 +442,8 @@ class TestTrainEvaluate:
         ("train", "stat", True),
         ("train", "p", "0.001"),
         ("train", "oriented", "false"),
+        ("train", "frequency", 3),
+        ("train", "frequency", "weekly"),
         ("synth", "lag", 2.9),
         ("synth", "lag", True),
         ("synth", "coefficient", "0.3"),
@@ -451,8 +454,8 @@ class TestTrainEvaluate:
         _, data, _ = trained
         link = {"source": "drv", "target": "y", "lag": 1}
         doc = {
-            "train": {"method": "pcmci+", "variables": ["y", "drv", "other"], "max_lag": 2,
-                      "alpha": 0.05, "ci_tests": 3, "max_cond_dim": 1,
+            "train": {"method": "pcmci+", "frequency": "monthly", "variables": ["y", "drv", "other"],
+                      "max_lag": 2, "alpha": 0.05, "ci_tests": 3, "max_cond_dim": 1,
                       "links": [{**link, "stat": 0.5, "p": 0.001, "oriented": True}]},
             "synth": {"variables": ["y", "drv"], "links": [{**link, "coefficient": 0.3}]},
         }[command]
@@ -604,16 +607,29 @@ seed: 3
         values[rows, ds.variable_names.index(column)] = np.nan
         save_csv(ds.with_values(values), tmp_path / "monthly.csv")
 
+    def _add_daily(self, tmp_path, cfg):
+        """Give the config a daily panel, read by dpcmci+ alone."""
+        graph = PlantedGraph(variables=("y", "drv", "other"),
+                             links=(("drv", "y", 1, 0.6), ("y", "y", 1, 0.3)))
+        save_csv(generate_var(graph, 500, seed=12, frequency="daily",
+                              start=dt.date(1989, 6, 1), target="y"), tmp_path / "daily.csv")
+        cfg.write_text(cfg.read_text().replace(
+            "  monthly: monthly.csv\n", "  monthly: monthly.csv\n  daily: daily.csv\n"
+        ).replace("split:", "frequencies: [monthly]\nsplit:"))
+
     @pytest.mark.parametrize("method, variant, artifact, gap", [
         ("mvgc", "gc", "granger_monthly", False),
         ("pcmci+", "pcmci+", "graph_monthly_pcmci", False),
+        ("pcmci+", "dpcmci+", "graph_daily_pcmci", False),
         ("mvgc", "gc", "granger_monthly", True),
         ("pcmci+", "pcmci+", "graph_monthly_pcmci", True),
     ], ids=["mvgc-gc-granger_monthly", "pcmci+-pcmci+-graph_monthly_pcmci",
+            "pcmci+-dpcmci+-graph_daily_pcmci",
             "mvgc-gc-granger_monthly-gap", "pcmci+-pcmci+-graph_monthly_pcmci-gap"])
     def test_discover_writes_the_experiment_graph(self, runner, tmp_path, method,
                                                   variant, artifact, gap):
         cfg = self._setup(tmp_path)
+        self._add_daily(tmp_path, cfg)
         if gap:
             # a training gap up to train_end is filled from training rows only
             self._blank(tmp_path, "drv", dt.date(1990, 5, 1), dt.date(1990, 8, 1))
@@ -625,29 +641,35 @@ seed: 3
         )
         assert invoke(runner, "experiment", cfg).exit_code == 0
         # the experiment discovers on the rows up to train_end only
-        ds = load_csv(tmp_path / "monthly.csv", "y", "monthly")
-        save_csv(ds.rows(0, ds.timestamps.index(dt.date(1990, 8, 1)) + 1), tmp_path / "train.csv")
+        frequency = artifact.split("_")[1]
+        ds = load_csv(tmp_path / f"{frequency}.csv", "y", frequency)
+        save_csv(ds.rows(0, bisect.bisect_right(ds.timestamps, dt.date(1990, 8, 1))),
+                 tmp_path / "train.csv")
         result = invoke(runner, "discover", tmp_path / "train.csv", "--method", method,
-                        "--target", "y", "--frequency", "monthly", "--max-lag", 3,
+                        "--target", "y", "--frequency", frequency, "--max-lag", 3,
                         "--alpha", 0.1, "-o", tmp_path / "cli")
         assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "cli.json").read_text())["frequency"] == frequency
         for suffix in (".json", ".dot"):
             expected = (tmp_path / "out" / f"{artifact}{suffix}").read_bytes()
             assert (tmp_path / f"cli{suffix}").read_bytes() == expected
 
     def test_train_features_from_reproduces_the_experiment_cells(self, runner, tmp_path):
-        # `train --features-from` an experiment's discovery JSON trains its
-        # cell: the same features, under the same variant
+        # `train --features-from` each source of an experiment's cells trains
+        # that cell: the same features, under the same variant, byte for byte
         cfg = self._setup(tmp_path)
-        cfg.write_text(
-            cfg.read_text().replace("[vanilla, gc]", "[gc, pcmci+]").replace("[1, 2]", "[1]")
-        )
+        self._add_daily(tmp_path, cfg)
+        cfg.write_text(cfg.read_text().replace("[vanilla, gc]", "[vanilla, gc, pcmci+, dpcmci+]")
+                       .replace("[1, 2]", "[1]"))
         assert invoke(runner, "experiment", cfg).exit_code == 0
         out = tmp_path / "out"
-        for variant, source in (("gc", "granger_monthly"), ("pcmci+", "graph_monthly_pcmci")):
+        sources = {"vanilla": "all", "gc": out / "granger_monthly.json",
+                   "pcmci+": out / "graph_monthly_pcmci.json",
+                   "dpcmci+": out / "graph_daily_pcmci.json"}
+        for variant, source in sources.items():
             ck = tmp_path / f"cli_{variant}.json"
             result = invoke(runner, "train", tmp_path / "monthly.csv", *TRAIN_ARGS,
-                            "--features-from", out / f"{source}.json", "-o", ck,
+                            "--features-from", source, "-o", ck,
                             "--seed", derive_seed(3, f"monthly:{variant}:lead1"))
             assert result.exit_code == 0, result.output
             want = out / f"model_monthly_{variant}_lead1.json"
@@ -655,6 +677,36 @@ seed: 3
             assert len(want_doc["features"]) > 1
             assert (got_doc["features"], got_doc["method"]) == (want_doc["features"], variant)
             assert ck.read_bytes() == want.read_bytes()
+
+    def test_graph_without_a_frequency_trains_as_pcmci(self, runner, tmp_path):
+        # a graph JSON written before discovery recorded its panel
+        cfg = self._setup(tmp_path)
+        self._add_daily(tmp_path, cfg)
+        cfg.write_text(cfg.read_text().replace("[vanilla, gc]", "[dpcmci+]")
+                       .replace("[1, 2]", "[1]"))
+        assert invoke(runner, "experiment", cfg).exit_code == 0
+        doc = json.loads((tmp_path / "out" / "graph_daily_pcmci.json").read_text())
+        assert doc.pop("frequency") == "daily"
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        ck = tmp_path / "cli.json"
+        result = invoke(runner, "train", tmp_path / "monthly.csv", *TRAIN_ARGS, "--max-epochs", 1,
+                        "--features-from", tmp_path / "old.json", "-o", ck)
+        assert result.exit_code == 0, result.output
+        got = json.loads(ck.read_text())
+        want = json.loads((tmp_path / "out" / "model_monthly_dpcmci+_lead1.json").read_text())
+        assert (got["method"], got["features"]) == ("pcmci+", want["features"])
+
+    def test_mvgc_drivers_of_another_target_are_exit_two(self, runner, tmp_path):
+        cfg = self._setup(tmp_path)
+        assert invoke(runner, "experiment", cfg).exit_code == 0
+        ck = tmp_path / "m.json"
+        args = list(TRAIN_ARGS)
+        args[args.index("--target") + 1] = "other"
+        result = invoke(runner, "train", tmp_path / "monthly.csv", *args,
+                        "--features-from", tmp_path / "out" / "granger_monthly.json", "-o", ck)
+        assert result.exit_code == 2, result.output
+        assert "MVGC drivers of 'y', not 'other'" in result.stderr
+        assert not ck.exists()
 
     @pytest.mark.parametrize("command", ["experiment", "train"])
     def test_variable_unobserved_in_training_is_exit_two(self, runner, tmp_path, command):

@@ -50,6 +50,31 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.values[0, 0] = 1.0
 
+    def test_cuts_keep_views_and_fresh_arrays(self):
+        # a cut of the dataset's own rows, imputed or normalized values:
+        # no copy, and nothing anyone else can write
+        values = np.arange(12.0).reshape(6, 2)
+        values[2, 1] = np.nan
+        ds = make_dataset(values)
+        head = ds.rows(0, 4)
+        assert np.shares_memory(head.values, ds.values)
+        assert not head.values.flags.writeable
+        filled = impute(ds)
+        normalized = apply_normalization(filled, fit_normalization(filled))
+        for cut in (filled, normalized):
+            assert not np.shares_memory(cut.values, ds.values)
+            assert not cut.values.flags.writeable
+
+    def test_a_callers_array_is_copied(self):
+        # the constructor and with_values copy what the caller still holds
+        values = np.zeros((3, 2))
+        ds = make_dataset(values)
+        mine = np.ones((3, 2))
+        other = ds.with_values(mine)
+        values[0, 0] = mine[0, 0] = 5.0
+        assert ds.values[0, 0] == 0.0 and other.values[0, 0] == 1.0
+        assert mine.flags.writeable
+
     def test_unknown_target_rejected(self):
         with pytest.raises(UnknownTarget):
             make_dataset(np.zeros((3, 2)), target="nope")

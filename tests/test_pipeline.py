@@ -34,7 +34,7 @@ from causalcast.errors import (
 )
 from causalcast import data, pipeline
 from causalcast.data import Frequency
-from causalcast.pipeline import REPORT_COLUMNS, prepare
+from causalcast.pipeline import REPORT_COLUMNS, FeatureMethod, cell_inputs, prepare
 
 from conftest import make_dataset
 
@@ -131,8 +131,34 @@ class TestConfig:
         assert [v.value for v in cfg.variants] == ["vanilla", "pcmci+"]
 
     def test_dpcmci_needs_daily_data(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="reads the daily panel: no dataset path"):
             self._base(tmp_path, variants=("dpcmci+",))
+
+    def test_dpcmci_needs_a_monthly_frequency(self, tmp_path):
+        (tmp_path / "d.csv").write_text("date,y\n2000-01-01,1.0\n")
+        with pytest.raises(ConfigError, match="'dpcmci\\+' has no cell at frequencies \\['daily'\\]"):
+            self._base(tmp_path, daily_path=str(tmp_path / "d.csv"), frequencies=("daily",),
+                       variants=("vanilla", "dpcmci+"))
+
+    @pytest.mark.parametrize("paths, frequencies, roster, panels", [
+        (("monthly",), (), ["vanilla", "gc", "pcmci+"], ["monthly"]),
+        (("daily",), (), ["vanilla", "gc", "pcmci+"], ["daily"]),
+        (("daily", "monthly"), (), ["vanilla", "gc", "pcmci+", "dpcmci+"], ["daily", "monthly"]),
+        (("daily", "monthly"), ("monthly",), ["vanilla", "gc", "pcmci+", "dpcmci+"],
+         ["daily", "monthly"]),
+        (("daily", "monthly"), ("daily",), ["vanilla", "gc", "pcmci+"], ["daily"]),
+    ])
+    def test_default_roster_follows_the_datasets(self, tmp_path, paths, frequencies, roster,
+                                                 panels):
+        # each variant with a cell at the frequencies and a path for every panel it reads
+        cfg = ExperimentConfig(
+            target="y", split=SplitSpec(dt.date(2005, 12, 31), 0.2,
+                                        (dt.date(2006, 1, 1), dt.date(2007, 1, 1))),
+            output_dir=str(tmp_path / "out"), frequencies=frequencies,
+            **{f"{p}_path": str(tmp_path / f"{p}.csv") for p in paths},
+        )
+        assert [v.value for v in cfg.variants] == roster
+        assert [f.value for f in cfg.panels()] == panels
 
     def test_frequencies_default_to_available_paths(self, tmp_path):
         cfg = self._base(tmp_path)
@@ -222,6 +248,43 @@ class TestReportContainer:
             EvalReport(records=(self._rec(rmse=-1.0),))
         with pytest.raises(InvalidArgument):
             EvalReport(records=(self._rec(r2=1.5),))
+
+
+class TestCellInputs:
+    MONTHLY = make_dataset(np.zeros((3, 3)), names=("y", "a", "b"))
+    DAILY = make_dataset(np.zeros((3, 3)), names=("y", "a", "b"), frequency=Frequency.DAILY)
+
+    def test_no_method_takes_every_column(self):
+        assert cell_inputs(None, (), None, self.MONTHLY) == ("vanilla", ("y", "a", "b"))
+
+    @pytest.mark.parametrize("found_on", [None, Frequency.DAILY, Frequency.MONTHLY])
+    def test_mvgc_drivers_are_gc(self, found_on):
+        assert cell_inputs("mvgc", ("b", "y"), found_on, self.MONTHLY) == ("gc", ("b", "y"))
+
+    @pytest.mark.parametrize("found_on, panel", [
+        (None, "MONTHLY"), (Frequency.MONTHLY, "MONTHLY"), (None, "DAILY"),
+        (Frequency.DAILY, "DAILY"), (Frequency.MONTHLY, "DAILY"),
+    ])
+    def test_pcmci_drivers_are_pcmci(self, found_on, panel):
+        got = cell_inputs("pcmci+", ("y", "b"), found_on, getattr(self, panel))
+        assert got == ("pcmci+", ("y", "b"))
+
+    def test_daily_pcmci_drivers_on_a_monthly_panel_are_dpcmci(self):
+        # the monthly columns among the daily drivers, in column order
+        got = cell_inputs("pcmci+", ("b", "daily_only", "y"), Frequency.DAILY, self.MONTHLY)
+        assert got == ("dpcmci+", ("y", "b"))
+
+    @pytest.mark.parametrize("frequency", list(Frequency))
+    @pytest.mark.parametrize("variant", list(FeatureMethod))
+    def test_each_cell_is_named_by_its_discovery(self, variant, frequency):
+        # a roster cell's discovery result is what makes it that variant
+        found = pipeline._discovery(variant, frequency)
+        panel = self.DAILY if frequency is Frequency.DAILY else self.MONTHLY
+        if found is None:
+            assert (variant, frequency) == (FeatureMethod.DPCMCI_PLUS, Frequency.DAILY)
+            return
+        method, found_on = found
+        assert cell_inputs(method, ("y",), found_on, panel)[0] is variant
 
 
 class TestPrepare:
@@ -490,6 +553,20 @@ class TestRunExperiment:
         assert len(report.records) == 2 and report.failures == ()
         timings = json.loads((tmp_path / "o" / "timings.json").read_text())
         assert [d["frequency"] for d in timings["datasets"]] == ["monthly"]
+
+    def test_dpcmci_alone_is_a_roster(self, experiment_data, tmp_path):
+        # both panels listed, cells on the monthly one only
+        path, stamps = experiment_data
+        graph = PlantedGraph(variables=("y", "drv", "other"), links=(("drv", "y", 1, 0.6),))
+        daily = generate_var(graph, 400, seed=12, frequency="daily", start=stamps[128],
+                             target="y")
+        save_csv(daily, tmp_path / "daily.csv")
+        config = small_config(path, stamps, tmp_path / "o", daily_path=str(tmp_path / "daily.csv"),
+                              variants=("dpcmci+",), leads=(1,))
+        assert [f.value for f in config.frequencies] == ["daily", "monthly"]
+        report = run_experiment(config)
+        assert [(r.frequency, r.variant) for r in report.records] == [("monthly", "dpcmci+")]
+        assert report.failures == ()
 
     def test_discovery_only_panel_is_never_normalized(self, experiment_data, tmp_path,
                                                       monkeypatch):
