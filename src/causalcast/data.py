@@ -132,9 +132,6 @@ class TimeSeriesDataset:
     def target_index(self) -> int:
         return self.variable_names.index(self.target_name)
 
-    def with_values(self, values: np.ndarray) -> "TimeSeriesDataset":
-        return self._cut(self.timestamps, np.array(values, dtype=np.float64))
-
     def rows(self, start: int, stop: int | None = None) -> "TimeSeriesDataset":
         """Rows ``start:stop`` as a dataset of their own."""
         return self._cut(self.timestamps[start:stop], self.values[start:stop])
@@ -440,7 +437,8 @@ def apply_normalization(
             "stats were fitted on a different variable set/order"
         )
     std = np.where(stats.std == 0.0, 1.0, stats.std)
-    z = (dataset.values - stats.mean) / std
+    z = dataset.values - stats.mean
+    z /= std
     z[:, stats.std == 0.0] = 0.0
     return dataset._cut(dataset.timestamps, z)
 

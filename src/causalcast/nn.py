@@ -45,7 +45,7 @@ last state: it projects the inputs one step at a time and keeps one step
 of gates and of LSTM state, so the GRU states are the only sequence it
 holds.  It makes the same BLAS calls, so its predictions match the
 cached pass's bit for bit.  Both modes take their buffers from a dict of
-named views (:func:`_step_buffers`, :func:`_evaluation_buffers`).
+named views (:func:`_buffers`, shaped by :func:`_kernel_shapes`).
 Numerical checks run once per sequence: all GRU states and the last LSTM
 state must lie in [-1, 1] (a NaN fails this and reaches every later
 step; an LSTM state, o * tanh(c), leaves [-1, 1] only as a NaN).  The
@@ -256,9 +256,9 @@ def _rows(a: np.ndarray, buffer: np.ndarray) -> np.ndarray:
 
 def _gru_forward(params, x: np.ndarray, buffers, keep: bool) -> np.ndarray:
     """GRU over batch-last ``x`` (T, F, B) into ``buffers["gru_hs"]``,
-    states (T+1, G, B) with the first row zero.  With ``keep`` (step
-    buffers, :func:`_step_buffers`) every step's gates stay there for
-    backward; otherwise (evaluation buffers) the gate slots hold one
+    states (T+1, G, B) with the first row zero.  With ``keep`` (a step's
+    buffers, :func:`_buffers`) every step's gates stay there for
+    backward; otherwise (an evaluation pass's) the gate slots hold one
     step's."""
     W, U = params["gru_W"], params["gru_U"]
     bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
@@ -337,7 +337,7 @@ def gru_forward(params, x_sequence) -> np.ndarray:
     T, _, B = x.shape
     F, G = params["gru_W"].shape[0], params["gru_U"].shape[0]
     shape = ModelConfig(F, T, gru_units=G, lstm_units=1)
-    hs = _gru_forward(params, x, _evaluation_buffers(shape, [B], x.dtype)[B], keep=False)
+    hs = _gru_forward(params, x, _buffers(shape, [B], x.dtype, kept=False)[B], keep=False)
     return hs[1:].transpose(2, 0, 1)
 
 
@@ -347,7 +347,7 @@ def lstm_forward(params, x_sequence):
     x = _batch_last(x_sequence, params["lstm_W"].dtype)
     T, K, B = x.shape
     shape = ModelConfig(K, T, gru_units=K, lstm_units=params["lstm_U"].shape[0])
-    cache = _step_buffers(shape, [B], x.dtype)[B]
+    cache = _buffers(shape, [B], x.dtype, kept=True)[B]
     _, c = _lstm_forward(params, x, cache, keep=True)
     return cache["lstm_hs"][1:].transpose(2, 0, 1), c.T
 
@@ -365,7 +365,7 @@ def draw_dropout_masks(
 
     ``out`` is an optional pair of float64 buffers of those shapes, in
     which the masks are drawn; ``train`` passes the ``seq_draw`` and
-    ``state_draw`` views of its step arena (:func:`_step_buffers`).
+    ``state_draw`` views of its step arena (:func:`_step_layout`).
     """
     if rng is None or config.dropout_rate <= 0.0:
         return None
@@ -412,39 +412,44 @@ def _batch_sizes(n: int, batch: int) -> set[int]:
     return {min(batch, n), n - (n - 1) // batch * batch}
 
 
+def _kernel_shapes(config: ModelConfig, B: int, kept: bool) -> dict:
+    """Shapes of the kernels' buffers at batch size ``B``.  ``kept`` (a
+    step, for backward): every step's gates and states, plus the dropout's
+    ``seq_mask`` and the masked sequence ``seq``; otherwise (evaluation)
+    every GRU state and one step's gates and LSTM state."""
+    T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
+                  config.lstm_units)
+    S, H = (T, T + 1) if kept else (1, 1)
+    shapes = {"x": (T, F, B), "gru_hs": (T + 1, G, B),
+              "gru_gates": (S, 3 * G, B), "gru_gh": (S, 3 * G, B)}
+    if kept:
+        shapes.update(seq_mask=(T, G, B), seq=(T, G, B))
+    shapes.update(lstm_hs=(H, L, B), lstm_cs=(H, L, B), lstm_gates=(S, 4 * L, B),
+                  lstm_tc=(S, L, B), lstm_rec=(4 * L, B))
+    return shapes
+
+
 def _step_layout(config: ModelConfig, B: int, dtype, master_size: int | None = None) -> list:
     """:func:`_carve` groups of one forward/backward step at batch size
     ``B``.
 
-    The forward cache, in ``dtype``, comes first.  Backward's scratch
-    follows it: ``dpre`` (the LSTM's gate gradients, then the GRU's) and
-    ``rows``.  With ``master_size``, ``train``'s float64 buffers that a
-    step uses at one point only share that region, which is sized for
-    the largest of them: the dropout draws ``seq_draw`` and
-    ``state_draw``, spent in the forward pass before backward writes
-    ``dpre``, and Adam's ``grad`` and ``adam_scratch`` (``master_size``
-    each), used after backward.  Backward also reuses cache buffers once
-    their values are spent: its input gradient ``dseq`` lands in the
-    ``seq`` slot.
+    The kept kernel buffers (:func:`_kernel_shapes`), in ``dtype``, come
+    first.  Backward's scratch follows them: ``dpre`` (the LSTM's gate
+    gradients, then the GRU's) and ``rows``.  With ``master_size``,
+    ``train``'s float64 buffers that a step uses at one point only share
+    that region, which is sized for the largest of them: the dropout
+    draws ``seq_draw`` and ``state_draw``, spent in the forward pass
+    before backward writes ``dpre``, and Adam's ``grad`` and
+    ``adam_scratch`` (``master_size`` each), used after backward.
+    Backward also reuses kernel buffers once their values are spent: its
+    input gradient ``dseq`` lands in the ``seq`` slot.
     """
     T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
                   config.lstm_units)
-    cache = {
-        "x": (T, F, B),
-        "gru_hs": (T + 1, G, B),
-        "gru_gates": (T, 3 * G, B),
-        "gru_gh": (T, 3 * G, B),
-        "seq_mask": (T, G, B),
-        "seq": (T, G, B),
-        "lstm_hs": (T + 1, L, B),
-        "lstm_cs": (T + 1, L, B),
-        "lstm_gates": (T, 4 * L, B),
-        "lstm_tc": (T, L, B),
-        "lstm_rec": (4 * L, B),
-    }
+    kernels = _kernel_shapes(config, B, kept=True)
     scratch = {"dpre": (T * max(4 * L, 3 * G) * B,), "rows": (T * B * max(F, G, L),)}
-    start = _nbytes(cache, dtype)
-    groups = [(0, dtype, cache), (start, dtype, scratch)]
+    start = _nbytes(kernels, dtype)
+    groups = [(0, dtype, kernels), (start, dtype, scratch)]
     if master_size is not None:
         draws = {"seq_draw": (B, T, G), "state_draw": (B, L)}
         adam = {"grad": (master_size,), "adam_scratch": (master_size,)}
@@ -452,34 +457,13 @@ def _step_layout(config: ModelConfig, B: int, dtype, master_size: int | None = N
     return groups
 
 
-def _evaluation_layout(config: ModelConfig, B: int, dtype) -> list:
-    """:func:`_carve` group of an evaluation pass over ``B`` windows: the
-    GRU states of every step, one step's gates and LSTM state."""
-    T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
-                  config.lstm_units)
-    return [(0, dtype, {
-        "x": (T, F, B),
-        "gru_hs": (T + 1, G, B),
-        "gru_gates": (1, 3 * G, B),
-        "gru_gh": (1, 3 * G, B),
-        "lstm_hs": (1, L, B),
-        "lstm_cs": (1, L, B),
-        "lstm_tc": (1, L, B),
-        "lstm_gates": (1, 4 * L, B),
-        "lstm_rec": (4 * L, B),
-    })]
-
-
-def _step_buffers(config: ModelConfig, batch_sizes, dtype) -> dict:
-    """Work buffers of one forward/backward step (:func:`_step_layout`),
-    per batch size, carved from one arena sized for the largest."""
-    return _carve({B: _step_layout(config, B, dtype) for B in batch_sizes})[0]
-
-
-def _evaluation_buffers(config: ModelConfig, batch_sizes, dtype) -> dict:
-    """Evaluation buffers (:func:`_evaluation_layout`) per batch size,
-    carved from one arena sized for the largest."""
-    return _carve({B: _evaluation_layout(config, B, dtype) for B in batch_sizes})[0]
+def _buffers(config: ModelConfig, widths, dtype, kept: bool) -> dict:
+    """The kernels' buffers per batch width, carved from one arena sized
+    for the largest: with ``kept``, a forward/backward step's
+    (:func:`_step_layout`), otherwise an evaluation pass's."""
+    return _carve({B: _step_layout(config, B, dtype) if kept
+                   else [(0, dtype, _kernel_shapes(config, B, kept=False))]
+                   for B in widths})[0]
 
 
 def _train_buffers(config: ModelConfig, n: int, n_val: int, batch_size: int,
@@ -492,16 +476,16 @@ def _train_buffers(config: ModelConfig, n: int, n_val: int, batch_size: int,
     return _carve(
         {B: _step_layout(config, B, np.float32, master_size)
          for B in _batch_sizes(n, batch_size)},
-        {B: _evaluation_layout(config, B, np.float64)
+        {B: [(0, np.float64, _kernel_shapes(config, B, kept=False))]
          for B in _batch_sizes(n_val, PREDICT_BATCH)},
     )
 
 
-def _forward(model: RecurrentModel, x, masks, cache=None, evaluation=None) -> np.ndarray:
-    """Predictions (B, 1) for a batch (B, tau, F).  With ``cache`` (the
-    step buffers for this batch size) every activation backward needs is
-    kept there; without, this is evaluation mode, in ``evaluation`` (the
-    evaluation buffers for this batch size, allocated when None)."""
+def _forward(model: RecurrentModel, x, masks, buffers=None) -> np.ndarray:
+    """Predictions (B, 1) for a batch (B, tau, F), in ``buffers`` (this
+    batch size's, :func:`_buffers`; an evaluation pass's when None).
+    Handed a step's, which hold the ``seq`` slot, it keeps there every
+    activation backward needs; otherwise this is evaluation mode."""
     cfg, p = model.config, model.params
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (cfg.lookback, cfg.feature_count):
@@ -509,10 +493,10 @@ def _forward(model: RecurrentModel, x, masks, cache=None, evaluation=None) -> np
             f"expected a batch B x {cfg.lookback} x {cfg.feature_count}, "
             f"got shape {x.shape}"
         )
-    dtype, keep = p["gru_W"].dtype, cache is not None
-    buffers = cache if keep else evaluation
+    dtype = p["gru_W"].dtype
     if buffers is None:
-        buffers = _evaluation_buffers(cfg, [x.shape[0]], dtype)[x.shape[0]]
+        buffers = _buffers(cfg, [x.shape[0]], dtype, kept=False)[x.shape[0]]
+    keep = "seq" in buffers
     xb = _batch_last(x, dtype, buffers["x"])
     if not np.all(np.isfinite(xb)):
         raise NumericalError("non-finite values in input batch")
@@ -531,8 +515,8 @@ def _forward(model: RecurrentModel, x, masks, cache=None, evaluation=None) -> np
     if not np.all(np.isfinite(pred)):
         raise NumericalError("non-finite prediction")
     if keep:
-        cache.update(lstm_x=seq, state_mask=state_mask, dense_in=hd, dense_pre=dense_pre,
-                     dense_out=dense_out)
+        buffers.update(lstm_x=seq, state_mask=state_mask, dense_in=hd,
+                       dense_pre=dense_pre, dense_out=dense_out)
     return pred
 
 
@@ -651,9 +635,9 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=
     The gradients fill the flat buffer ``out`` (allocated in the
     parameters' dtype when None), laid out as :func:`train`'s parameter
     buffer is: each parameter's gradient in ``model.params`` order.
-    ``cache`` holds the step's work buffers, from :func:`_step_buffers` at
-    this batch size and dtype (allocated when None).  Returns (named views
-    of ``out`` keyed like ``model.params``, scalar loss).
+    ``cache`` holds the step's buffers, from :func:`_buffers` with ``kept``
+    at this batch size and dtype (allocated when None).  Returns (named
+    views of ``out`` keyed like ``model.params``, scalar loss).
     """
     x = np.asarray(batch)
     p = model.params
@@ -665,7 +649,7 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=
         )
     B = x.shape[0]
     if cache is None:
-        cache = _step_buffers(model.config, [B], dtype)[B]
+        cache = _buffers(model.config, [B], dtype, kept=True)[B]
     pred = _forward(model, x, masks, cache)
     resid = pred[:, 0] - y
     loss = float(resid @ resid) / B
@@ -754,10 +738,10 @@ def predict(model: RecurrentModel, inputs, buffers=None) -> np.ndarray:
     if S == 0:
         return out
     if buffers is None:
-        buffers = _evaluation_buffers(model.config, _batch_sizes(S, PREDICT_BATCH), dtype)
+        buffers = _buffers(model.config, _batch_sizes(S, PREDICT_BATCH), dtype, kept=False)
     for s in range(0, S, PREDICT_BATCH):
         chunk = x[s : s + PREDICT_BATCH]
-        out[s : s + len(chunk)] = _forward(model, chunk, None, evaluation=buffers[len(chunk)])[:, 0]
+        out[s : s + len(chunk)] = _forward(model, chunk, None, buffers[len(chunk)])[:, 0]
     return out
 
 

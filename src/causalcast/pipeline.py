@@ -566,7 +566,8 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         start = time.perf_counter()
         raw = load_csv(config.path_for(freq), config.target, freq)
         loaded = time.perf_counter()
-        prepared[freq] = prepare(raw, config.split, freq in config.frequencies)
+        trains = freq in config.frequencies and any(_discovery(v, freq) for v in config.variants)
+        prepared[freq] = prepare(raw, config.split, trains)
         loads.append({
             "frequency": freq.value,
             "load_s": loaded - start,

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +312,7 @@ class TestTrainEvaluate:
         values = tail.values.copy()
         values[:3, 1] = np.nan  # a leading gap in drv
         values[10:14, 0] = np.nan  # an interior gap in y
-        save_csv(tail.with_values(values), tmp_path / "gappy.csv")
+        save_csv(replace(tail, values=values), tmp_path / "gappy.csv")
         save_csv(impute(load_csv(tmp_path / "gappy.csv", "y", "monthly")), tmp_path / "filled.csv")
         for name in ("gappy", "filled"):
             result = invoke(runner, "evaluate", ck, "--data", tmp_path / f"{name}.csv",
@@ -326,7 +327,7 @@ class TestTrainEvaluate:
         ds = load_csv(data, "y", "monthly")
         flat = ds.values.copy()
         flat[:, 0] = 5.0
-        save_csv(ds.with_values(flat), tmp_path / "flat.csv")
+        save_csv(replace(ds, values=flat), tmp_path / "flat.csv")
         result = invoke(runner, "evaluate", ck, "--data", tmp_path / "flat.csv",
                         "-o", tmp_path / "eval")
         assert result.exit_code == 1
@@ -605,7 +606,7 @@ seed: 3
         values = ds.values.copy()
         rows = [first <= t <= last for t in ds.timestamps]
         values[rows, ds.variable_names.index(column)] = np.nan
-        save_csv(ds.with_values(values), tmp_path / "monthly.csv")
+        save_csv(replace(ds, values=values), tmp_path / "monthly.csv")
 
     def _add_daily(self, tmp_path, cfg):
         """Give the config a daily panel, read by dpcmci+ alone."""

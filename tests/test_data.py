@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from causalcast.errors import (
     UnknownVariable,
 )
 
-from conftest import daily_dates, make_dataset, monthly_dates
+from conftest import daily_dates, make_dataset, monthly_dates, traced_peak
 
 
 class TestDataset:
@@ -66,11 +67,12 @@ class TestDataset:
             assert not cut.values.flags.writeable
 
     def test_a_callers_array_is_copied(self):
-        # the constructor and with_values copy what the caller still holds
+        # the constructor, dataclasses.replace's too, copies what the caller
+        # still holds
         values = np.zeros((3, 2))
         ds = make_dataset(values)
         mine = np.ones((3, 2))
-        other = ds.with_values(mine)
+        other = replace(ds, values=mine)
         values[0, 0] = mine[0, 0] = 5.0
         assert ds.values[0, 0] == 0.0 and other.values[0, 0] == 1.0
         assert mine.flags.writeable
@@ -383,6 +385,15 @@ class TestNormalization:
         stats = fit_normalization(ds)
         z = apply_normalization(ds, stats)
         np.testing.assert_array_equal(z.values, np.zeros((5, 1)))
+
+    def test_apply_holds_one_panel_sized_temporary(self):
+        # z = values - mean, then z /= std: the output is the only array the
+        # size of the panel (8000 x 11 daily, as the paper-scale benchmark's)
+        values = np.random.default_rng(3).standard_normal((8000, 11))
+        values[:, 4] = 7.0
+        ds = make_dataset(values, frequency=Frequency.DAILY)
+        stats = fit_normalization(ds)
+        assert traced_peak(apply_normalization, ds, stats) < 1.5 * values.nbytes
 
     def test_invert_round_trip(self):
         rng = np.random.default_rng(1)

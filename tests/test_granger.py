@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestMvgc:
         ds = var_with_two_drivers(2, T=1500, n_vars=5)
         base = mvgc_test(ds, max_lag=3)
         scaled = mvgc_test(
-            ds.with_values(ds.values * np.array([2.0, 0.01, 300.0, 1.0, 5.0]) + 7.0),
+            replace(ds, values=ds.values * np.array([2.0, 0.01, 300.0, 1.0, 5.0]) + 7.0),
             max_lag=3,
         )
         for a, b in zip(base, scaled):
@@ -108,7 +109,7 @@ class TestMvgc:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             shifted = mvgc_test(
-                ds.with_values(ds.values + np.array([0.0, 0.0, 0.0, 1e7, 0.0])), max_lag=3
+                replace(ds, values=ds.values + np.array([0.0, 0.0, 0.0, 1e7, 0.0])), max_lag=3
             )
         assert shifted.columns_dropped == 0
         for a, b in zip(base, shifted):

@@ -72,6 +72,10 @@ SHAPES_IDS = {
                          dense_units=64, dropout_rate=0.2),
 }
 SHAPES = list(SHAPES_IDS.values())
+# and lookback 1, where an evaluation pass's LSTM state slots hold one row
+# and a step's two, while their gate slots coincide
+EDGE_IDS = {**SHAPES_IDS, "lookback1": ModelConfig(
+    feature_count=3, lookback=1, gru_units=5, lstm_units=6, dense_units=4, dropout_rate=0.3)}
 
 
 class TestForward:
@@ -176,7 +180,7 @@ class TestForward:
                     np.testing.assert_allclose(one[0], rows[b], rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES_IDS))
+    @pytest.mark.parametrize("shape", EDGE_IDS.values(), ids=list(EDGE_IDS))
     def test_evaluation_mode_matches_the_cached_forward(self, shape, dtype):
         # evaluation keeps one step of state, training every step's
         model = jittered_model(shape, 31)
@@ -184,7 +188,8 @@ class TestForward:
         B = 70
         x = np.random.default_rng(32).standard_normal((B, shape.lookback, shape.feature_count))
         for masks in (None, draw_dropout_masks(shape, B, np.random.default_rng(33))):
-            cache = nn._step_buffers(shape, [B], dtype)[B]
+            cache = nn._buffers(shape, [B], dtype, kept=True)[B]
+            assert "seq" in cache  # so the right-hand side keeps every step
             np.testing.assert_array_equal(
                 nn._forward(model, x, masks), nn._forward(model, x, masks, cache)
             )
@@ -324,7 +329,7 @@ class TestGradients:
         with pytest.raises(ShapeError):
             backward(model, x, y, masks, out=out[:-1])
 
-    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES_IDS))
+    @pytest.mark.parametrize("shape", EDGE_IDS.values(), ids=list(EDGE_IDS))
     def test_reused_step_buffers_give_the_allocating_gradients(self, shape):
         # train's one arena, carved for a full and a final partial batch and
         # for 40 validation windows, filled with NaN and reused across steps
@@ -415,7 +420,7 @@ class TestGradients:
 
         found = []
         for m, dtype in ((model, np.float64), (single, np.float32)):
-            cache = nn._step_buffers(cfg, [5], dtype)[5]
+            cache = nn._buffers(cfg, [5], dtype, kept=True)[5]
             pred = nn._forward(m, x, masks, cache)
             grads, _ = backward(m, x, y, masks)
             arrays = [pred, *cache.values(), *grads.values()]

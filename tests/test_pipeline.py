@@ -1,6 +1,7 @@
 import datetime as dt
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -501,7 +502,7 @@ class TestRunExperiment:
         ds = load_csv(path, "y", "monthly")
         test_rows = np.array([t > stamps[139] for t in ds.timestamps])[:, None]
         moved = tmp_path / "moved.csv"
-        save_csv(ds.with_values(np.where(test_rows, 1.5 * ds.values + 0.3, ds.values)), moved)
+        save_csv(replace(ds, values=np.where(test_rows, 1.5 * ds.values + 0.3, ds.values)), moved)
         for name, data in (("a", path), ("b", str(moved))):
             run_experiment(small_config(data, stamps, tmp_path / name, leads=(1,),
                                         variants=("gc", "pcmci+")))
@@ -520,7 +521,7 @@ class TestRunExperiment:
         values[136:140, 1] = np.nan
         for name, shift in (("a", 0.0), ("b", 5.0)):
             values[140, 1] = ds.values[140, 1] + shift
-            save_csv(ds.with_values(values), tmp_path / f"{name}.csv")
+            save_csv(replace(ds, values=values), tmp_path / f"{name}.csv")
             run_experiment(small_config(str(tmp_path / f"{name}.csv"), stamps,
                                         tmp_path / name, leads=(1,),
                                         variants=("vanilla", "gc", "pcmci+")))
@@ -570,7 +571,8 @@ class TestRunExperiment:
 
     def test_discovery_only_panel_is_never_normalized(self, experiment_data, tmp_path,
                                                       monkeypatch):
-        # dpcmci+ discovers on the daily panel, but only monthly cells train
+        # dpcmci+ discovers on the daily panel, but only monthly cells train,
+        # also when the daily panel is listed (the default frequencies)
         path, stamps = experiment_data
         graph = PlantedGraph(variables=("y", "drv", "other"), links=(("drv", "y", 1, 0.6),))
         daily = generate_var(graph, 400, seed=12, frequency="daily", start=stamps[128],
@@ -584,13 +586,17 @@ class TestRunExperiment:
 
         apply_normalization = pipeline.apply_normalization
         monkeypatch.setattr(pipeline, "apply_normalization", recorded)
-        report = run_experiment(small_config(
-            path, stamps, tmp_path / "o", daily_path=str(tmp_path / "daily.csv"),
-            frequencies=("monthly",), variants=("vanilla", "dpcmci+"), leads=(1,),
-        ))
-        assert len(report.records) == 2 and report.failures == ()
-        assert (tmp_path / "o" / "graph_daily_pcmci.json").exists()
-        assert normalized == [Frequency.MONTHLY]
+        rosters = [dict(frequencies=("monthly",), variants=("vanilla", "dpcmci+")),
+                   dict(variants=("dpcmci+",))]
+        for k, roster in enumerate(rosters):
+            normalized.clear()
+            report = run_experiment(small_config(
+                path, stamps, tmp_path / f"o{k}", daily_path=str(tmp_path / "daily.csv"),
+                leads=(1,), **roster,
+            ))
+            assert len(report.records) == len(roster["variants"]) and report.failures == ()
+            assert (tmp_path / f"o{k}" / "graph_daily_pcmci.json").exists()
+            assert normalized == [Frequency.MONTHLY]
 
     def test_train_range_too_short_for_max_lag(self, experiment_data, tmp_path):
         # the whole series supports max_lag 16, its first 20 rows do not
