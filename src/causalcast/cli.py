@@ -5,10 +5,15 @@ exit codes: 0 on success, 1 on runtime failure, 2 on invalid input or
 configuration.  Experiment runs are driven by a YAML/JSON config file
 whose keys and value types are checked against the file's layout, and
 whose values by the config classes that own them; a few flags (output
-dir, seed, jobs) override file values.  Each run can record a manifest
-listing the command, the config hash, seed, toolkit, numpy and Python
-versions, the BLAS numpy was built against, the core count, a sha256 of
-every input file, and every artifact written.  The config hash covers
+dir, seed, jobs) override file values.  Every command runs numpy's
+OpenBLAS on one thread (:func:`~causalcast.pipeline.pin_blas_threads`),
+so its artifacts do not depend on the core count or
+``OPENBLAS_NUM_THREADS``, and ``--jobs`` workers do not compete for the
+cores; importing this module changes nothing.  Each run can record a
+manifest listing the command, the config hash, seed, toolkit, numpy and
+Python versions, the BLAS numpy was built against and the threads it
+ran, the core count, a sha256 of every input file, and every artifact
+written.  The config hash covers
 every option of the command except ``--manifest`` itself (for
 ``experiment``, the resolved config document), so two runs with the same
 hash ran with the same settings.
@@ -50,10 +55,12 @@ from .pipeline import (
     EvalReport,
     ExperimentConfig,
     FeatureMethod,
+    blas_threads,
     cell_inputs,
     derive_seed,
     discover as run_discovery,
     fit_cell,
+    pin_blas_threads,
     prepare,
     run_experiment,
     score,
@@ -99,11 +106,12 @@ def _write_manifest(path, seed, inputs, artifacts, config=None) -> None:
         "seed": seed,
         "version": __version__,
         # the numeric stack decides the last digits of every reported metric
-        # and CI statistic (CPython's math computes every p-value), and the
-        # core count sets the BLAS threading
+        # and CI statistic (CPython's math computes every p-value); the
+        # thread count would too, but every command pins it to one
         "numpy": np.__version__,
         "python": platform.python_version(),
         "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": blas_threads(),
         "cpu_count": os.cpu_count(),
         "created": dt.datetime.now(dt.timezone.utc).isoformat(),
         "inputs": [
@@ -119,6 +127,7 @@ def _write_manifest(path, seed, inputs, artifacts, config=None) -> None:
 @click.version_option(version=__version__, prog_name="causalcast")
 def main():
     """Causality-driven time-series forecasting toolkit."""
+    pin_blas_threads()
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,23 @@ listed frequency, discover causal drivers on the training rows
 per (variant, lead) cell.  Cells are independent: a ``CausalcastError``
 or ``OSError`` in one is recorded and the rest proceed (any other
 exception is a bug and propagates), and with ``jobs > 1`` they run in a
-process pool.  Reports, graphs, and checkpoints land in the configured
-output directory, and every random draw descends from the one root
-seed, so identical configs yield byte-identical report CSVs.
+process pool whose workers run numpy's BLAS on one thread each.
+Reports, graphs, and checkpoints land in the configured output
+directory, and every random draw descends from the one root seed, so
+identical configs yield byte-identical report CSVs.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import ctypes
+import functools
+import glob
 import hashlib
 import io
 import json
+import os
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from enum import Enum
@@ -310,6 +315,53 @@ def _members(enum, values, key: str) -> tuple:
         raise ConfigError(f"{key}: {exc}; choose from {[m.value for m in enum]}")
 
 
+# the thread-count entry points of numpy's OpenBLAS, by build: numpy 2's
+# scipy-openblas, numpy 1's 64-bit-integer and its 32-bit-integer builds
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles under ``numpy.libs``; None if it bundles none (its BLAS is
+    another library, or one this cannot steer)."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))):
+        lib = ctypes.CDLL(path)  # numpy loaded it: this only looks it up
+        for name in _OPENBLAS_SYMBOLS:
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS runs now; None if numpy's BLAS
+    is not OpenBLAS."""
+    lib = _openblas()
+    return None if lib is None else int(lib[0]())
+
+
+def pin_blas_threads() -> int | None:
+    """Run numpy's OpenBLAS on one thread in this process; returns the
+    thread count in force (None, and nothing changed, if numpy's BLAS is
+    not OpenBLAS).
+
+    Every CLI command and every ``--jobs`` worker calls this.  Cells run
+    side by side then take one core each instead of competing for them.
+    OpenBLAS splits a large product or factorization among its threads,
+    and the split orders the sums, so one thread also makes every
+    artifact independent of the core count and ``OPENBLAS_NUM_THREADS``.
+    Library calls keep the caller's setting.
+    """
+    lib = _openblas()
+    if lib is not None:
+        lib[1](1)
+    return blas_threads()
+
+
 def derive_seed(root: int, label: str) -> int:
     """Stable per-stage child seed from the one root seed."""
     digest = hashlib.sha256(f"{root}:{label}".encode("utf-8")).digest()
@@ -540,7 +592,8 @@ def _run_cell(
             "stopped_epoch": history.stopped_epoch,
             "validation_loss": list(history.validation_loss),
         },
-        "timing": {**cell, "train_s": trained - start, "predict_s": predicted - trained},
+        "timing": {**cell, "train_s": trained - start, "predict_s": predicted - trained,
+                   "blas_threads": blas_threads()},
     }
 
 
@@ -550,9 +603,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
     Emits ``report.csv`` / ``report.json`` plus per-frequency
     ``r2_series_<frequency>.csv``, a causal-graph JSON/DOT pair per
     discovery run, one checkpoint per trained cell, and ``timings.json``
-    (the wall time of each load, discovery run and cell, kept out of
-    every other file so that they stay byte-identical across reruns), all
-    under ``config.output_dir``.
+    (the wall time of each load, discovery run and cell, and the BLAS
+    threads each cell ran with, kept out of every other file so that they
+    stay byte-identical across reruns), all under ``config.output_dir``.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -587,7 +640,9 @@ def run_experiment(config: ExperimentConfig) -> EvalReport:
         # imported here: it costs every command's start-up, and --jobs 1 never pools
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # workers pin themselves: under spawn or forkserver they do not
+        # inherit the parent's setting
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=pin_blas_threads) as pool:
             outcomes = list(pool.map(_run_cell, *zip(*cells)))
     else:
         outcomes = [_run_cell(*cell) for cell in cells]

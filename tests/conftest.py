@@ -2,7 +2,11 @@
 
 import datetime as dt
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +28,20 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def run_python(*args, cwd=None, threads=None):
+    """``python *args`` in a fresh process that imports causalcast from
+    this checkout, with OpenBLAS started on ``threads`` threads if given."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

@@ -4,8 +4,6 @@ import hashlib
 import json
 import os
 import platform
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,10 +27,11 @@ from causalcast import (
     save_checkpoint,
     save_csv,
 )
+from causalcast import pipeline
 from causalcast.cli import load_experiment_config, main
 from causalcast.pcmci import CausalGraph
 
-from conftest import make_dataset
+from conftest import make_dataset, run_python
 
 
 @pytest.fixture()
@@ -70,18 +69,11 @@ class TestBasics:
         # numpy and CPython's math compute every statistic; SciPy is only
         # a test oracle, and importing it would double set-up time.  The
         # process pool is imported only when --jobs > 1 starts one.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         code = (
             "import causalcast.cli, sys; print([m for m in sys.modules"
             " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert run_python("-c", code).strip() == "[]"
 
     def test_usage_error_is_exit_two(self, runner):
         result = invoke(runner, "preprocess", "/nonexistent.csv", "-o", "x.csv",
@@ -506,6 +498,84 @@ class TestTrainEvaluate:
             assert entry["sha256"] == digest
 
 
+class TestBlasThreads:
+    """Every command runs numpy's OpenBLAS on one thread, so no artifact
+    depends on how many threads OpenBLAS started with.  Each check runs
+    in fresh processes: the in-process commands above pin this one."""
+
+    # 11 variables at max_lag 12: the 132-column Cholesky is large enough
+    # for OpenBLAS to split it among threads
+    CONFIG = """\
+target: v0
+datasets:
+  monthly: panel.csv
+split:
+  train_end: 1994-10-01
+  test_start: 1994-11-01
+  test_end: 1998-12-01
+leads: [1]
+variants: [vanilla, gc, pcmci+]
+discovery:
+  max_lag: 12
+model:
+  lookback: 4
+  gru_units: 4
+  lstm_units: 8
+  dense_units: 4
+train:
+  max_epochs: 2
+output_dir: out
+seed: 3
+"""
+
+    @pytest.fixture()
+    def panel(self, runner, tmp_path):
+        result = invoke(runner, "synth", "--n-vars", 11, "--n-links", 20, "--max-lag", 3,
+                        "-T", 240, "--seed", 1, "-o", tmp_path / "panel")
+        assert result.exit_code == 0, result.output
+        return tmp_path / "panel.csv"
+
+    def test_import_keeps_the_thread_count_and_a_command_pins_it(self, tmp_path):
+        code = (
+            "import sys, causalcast.cli as cli, causalcast.pipeline as p\n"
+            "before = p.blas_threads()\n"
+            "cli.main(['synth', '-T', '100', '-o', sys.argv[1]], standalone_mode=False)\n"
+            "print(before, p.blas_threads())"
+        )
+        out = run_python("-c", code, tmp_path / "sim", threads=2)
+        assert out.splitlines()[-1].split() == [str(min(2, len(os.sched_getaffinity(0)))), "1"]
+
+    def test_manifest_records_null_without_openblas(self, runner, tmp_path, monkeypatch):
+        # a numpy on another BLAS runs every command as it is
+        monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+        result = invoke(runner, "synth", "-T", 100, "-o", tmp_path / "sim",
+                        "--manifest", tmp_path / "m.json")
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "m.json").read_text())["blas_threads"] is None
+
+    def test_mvgc_json_does_not_depend_on_openblas_threads(self, panel, tmp_path):
+        for threads in (1, 2):
+            run_python("-m", "causalcast", "discover", panel, "--method", "mvgc",
+                       "--target", "v0", "--frequency", "monthly", "--max-lag", 12,
+                       "-o", tmp_path / f"gc{threads}", threads=threads)
+        assert (tmp_path / "gc1.json").read_bytes() == (tmp_path / "gc2.json").read_bytes()
+
+    def test_experiment_artifacts_do_not_depend_on_threads_or_jobs(self, panel, tmp_path):
+        (tmp_path / "exp.yaml").write_text(self.CONFIG)
+        runs = []
+        for threads in (1, 2):
+            cwd = tmp_path / f"run{threads}"
+            cwd.mkdir()
+            run_python("-m", "causalcast", "experiment", tmp_path / "exp.yaml",
+                       "--output-dir", "out", "--jobs", threads, cwd=cwd, threads=threads)
+            files = {p.name: p.read_bytes() for p in (cwd / "out").iterdir()
+                     if p.name not in ("timings.json", "manifest.json")}
+            runs.append(files)
+        assert {"granger_monthly.json", "graph_monthly_pcmci.json", "report.csv",
+                "model_monthly_gc_lead1.json"} <= set(runs[0])
+        assert runs[0] == runs[1]
+
+
 class TestExperiment:
     CONFIG = """\
 target: y
@@ -559,6 +629,7 @@ seed: 3
         assert "scipy" not in manifest
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+        assert manifest["blas_threads"] == 1
         assert manifest["cpu_count"] == os.cpu_count()
         names = {Path(e["path"]).name for e in manifest["inputs"]}
         assert names == {"exp.yaml", "monthly.csv"}

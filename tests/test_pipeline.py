@@ -37,7 +37,7 @@ from causalcast import data, pipeline
 from causalcast.data import Frequency
 from causalcast.pipeline import REPORT_COLUMNS, FeatureMethod, cell_inputs, prepare
 
-from conftest import make_dataset
+from conftest import make_dataset, run_python
 
 
 class TestMetrics:
@@ -433,6 +433,31 @@ class TestRunExperiment:
         assert all(c["train_s"] >= 0 and c["predict_s"] >= 0 for c in timings["cells"])
         for name in ("report.csv", "report.json", "granger_monthly.json"):
             assert "_s\"" not in (out / name).read_text()
+
+    def test_spawned_workers_run_one_blas_thread(self, experiment_data, tmp_path):
+        # a spawned worker inherits nothing from its parent: the pool's
+        # initializer pins it, though this caller's OpenBLAS runs 2 threads
+        path, stamps = experiment_data
+        script = tmp_path / "spawn.py"
+        script.write_text(f"""\
+import datetime as dt, json, multiprocessing, sys
+from causalcast import ExperimentConfig, SplitSpec, TrainConfig, run_experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    day = dt.date.fromisoformat
+    run_experiment(ExperimentConfig(
+        target="y", monthly_path={path!r}, output_dir=sys.argv[1],
+        split=SplitSpec(day("{stamps[139]}"), 0.15, (day("{stamps[140]}"), day("{stamps[-1]}"))),
+        lookback=4, leads=(1, 2), variants=("vanilla", "gc"), discovery_max_lag=3,
+        gru_units=4, lstm_units=8, dense_units=4,
+        train=TrainConfig(max_epochs=2), jobs=2,
+    ))
+""")
+        out = tmp_path / "o"
+        run_python(script, out, threads=2)
+        cells = json.loads((out / "timings.json").read_text())["cells"]
+        assert [c["blas_threads"] for c in cells] == [1, 1, 1, 1]
 
     def test_artifacts_in_write_order(self, experiment_data, tmp_path):
         # discovery files, the checkpoints in record order, then the reports
