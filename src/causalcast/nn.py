@@ -45,7 +45,10 @@ last state: it projects the inputs one step at a time and keeps one step
 of gates and of LSTM state, so the GRU states are the only sequence it
 holds.  It makes the same BLAS calls, so its predictions match the
 cached pass's bit for bit.  Both modes take their buffers from a dict of
-named views (:func:`_buffers`, shaped by :func:`_kernel_shapes`).
+named views (:func:`_buffers`, shaped by :func:`_kernel_shapes`), with
+the views each loop reads at each step made once, when the arena is
+carved (:func:`_step_views`): the loops slice nothing, and write every
+intermediate into a slot of those buffers.
 Numerical checks run once per sequence: all GRU states and the last LSTM
 state must lie in [-1, 1] (a NaN fails this and reaches every later
 step; an LSTM state, o * tanh(c), leaves [-1, 1] only as a NaN).  The
@@ -254,78 +257,68 @@ def _rows(a: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return rows.reshape(T * B, C)
 
 
-def _gru_forward(params, x: np.ndarray, buffers, keep: bool) -> np.ndarray:
-    """GRU over batch-last ``x`` (T, F, B) into ``buffers["gru_hs"]``,
-    states (T+1, G, B) with the first row zero.  With ``keep`` (a step's
-    buffers, :func:`_buffers`) every step's gates stay there for
-    backward; otherwise (an evaluation pass's) the gate slots hold one
-    step's."""
+def _gru_forward(params, buffers, keep: bool) -> np.ndarray:
+    """GRU over the batch-last ``buffers["x"]`` (T, F, B) into
+    ``buffers["gru_hs"]``, states (T+1, G, B) with the first row zero, by
+    its per-step views.  With ``keep`` (a step's buffers, :func:`_buffers`)
+    every step's gates stay there for backward; otherwise (an evaluation
+    pass's) the gate slots hold one step's."""
     W, U = params["gru_W"], params["gru_U"]
     bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
-    T, F, B = x.shape
-    G = U.shape[0]
-    if W.shape[0] != F:
-        raise ShapeError(f"GRU expects {W.shape[0]} features, got {F}")
-    hs, gates, ghs = buffers["gru_hs"], buffers["gru_gates"], buffers["gru_gh"]
+    x, hs = buffers["x"], buffers["gru_hs"]
+    if W.shape[0] != x.shape[1]:
+        raise ShapeError(f"GRU expects {W.shape[0]} features, got {x.shape[1]}")
     if keep:
-        np.matmul(W.T, x, out=gates)
-        gates += bx
+        np.matmul(W.T, x, out=buffers["gru_gates"])
+        buffers["gru_gates"] += bx
     hs[0] = 0.0
-    # the loop turns the input projections into the gates [z, r, n]
-    for t in range(T):
-        s = t
+    # the loop turns the input projections into the gates [z, r, n]; the
+    # next state's slot, not yet written, holds r * gh_n
+    for x_t, h, h_next, gate, gh, zr, gh_zr, z, r, n, gh_n in buffers["gru"]:
         if not keep:  # evaluation: this step's projection only
-            s = 0
-            np.matmul(W.T, x[t], out=gates[0])
-            gates[0] += bx
-        gh = np.matmul(U.T, hs[t], out=ghs[s])
+            np.matmul(W.T, x_t, out=gate)
+            gate += bx
+        np.matmul(U.T, h, out=gh)
         gh += bh
-        zr = gates[s, : 2 * G]
-        zr += gh[: 2 * G]
+        zr += gh_zr
         _sigmoid(zr)
-        z = zr[:G]
-        n = gates[s, 2 * G :]
-        n += zr[G:] * gh[2 * G :]
+        n += np.multiply(r, gh_n, out=h_next)
         np.tanh(n, out=n)
-        step = n - hs[t]
-        step *= z
-        np.add(hs[t], step, out=hs[t + 1])
+        np.subtract(n, h, out=h_next)
+        h_next *= z
+        h_next += h
     _check_hidden(hs[1:], "GRU")
     return hs
 
 
 def _lstm_forward(params, x: np.ndarray, buffers, keep: bool):
-    """LSTM over batch-last ``x`` (T, K, B); last hidden and cell states
-    (L, B), from the zero state.  With ``keep`` every step's states and
-    gates stay in ``buffers`` for backward; otherwise they hold one
-    step's, the states updated in place."""
+    """LSTM over batch-last ``x`` (T, K, B), by its per-step views; last
+    hidden and cell states (L, B), from the zero state.  With ``keep``
+    every step's states and gates stay in ``buffers`` for backward;
+    otherwise they hold one step's, the states updated in place, and the
+    views read ``x`` as the GRU states ``buffers["gru_hs"][1:]``."""
     W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"][:, None]
-    T, K, B = x.shape
-    L = U.shape[0]
-    if W.shape[0] != K:
-        raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {K}")
-    hs, cs, tcs = buffers["lstm_hs"], buffers["lstm_cs"], buffers["lstm_tc"]
-    gates, rec = buffers["lstm_gates"], buffers["lstm_rec"]
+    if W.shape[0] != x.shape[1]:
+        raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {x.shape[1]}")
+    hs, cs, rec = buffers["lstm_hs"], buffers["lstm_cs"], buffers["lstm_rec"]
     hs[0] = 0.0
     cs[0] = 0.0
     if keep:
-        np.matmul(W.T, x, out=gates)
-        gates += b
-    # the loop turns the input projections into the gates [i, f, o, g]
-    for t in range(T):
-        s, now = t, t + 1
+        np.matmul(W.T, x, out=buffers["lstm_gates"])
+        buffers["lstm_gates"] += b
+    # the loop turns the input projections into the gates [i, f, o, g]; the
+    # next hidden state's slot (in evaluation, the one just read) holds i * g
+    for x_t, h, c, c_next, h_next, pre, ifo, i, f, o, g, tc in buffers["lstm"]:
         if not keep:  # evaluation: this step's projection, states in place
-            s = now = 0
-            np.matmul(W.T, x[t], out=gates[0])
-            gates[0] += b
-        pre = gates[s]
-        pre += np.matmul(U.T, hs[s], out=rec)
-        _sigmoid(pre[: 3 * L])
-        g = np.tanh(pre[3 * L :], out=pre[3 * L :])
-        np.multiply(pre[L : 2 * L], cs[s], out=cs[now])
-        cs[now] += pre[:L] * g
-        tc = np.tanh(cs[now], out=tcs[s])
-        np.multiply(pre[2 * L : 3 * L], tc, out=hs[now])
+            np.matmul(W.T, x_t, out=pre)
+            pre += b
+        pre += np.matmul(U.T, h, out=rec)
+        _sigmoid(ifo)
+        np.tanh(g, out=g)
+        np.multiply(f, c, out=c_next)
+        c_next += np.multiply(i, g, out=h_next)
+        np.tanh(c_next, out=tc)
+        np.multiply(o, tc, out=h_next)
     _check_hidden(hs[-1], "LSTM")
     return hs[-1], cs[-1]
 
@@ -334,11 +327,11 @@ def gru_forward(params, x_sequence) -> np.ndarray:
     """Hidden states (B, tau, G) of a GRU over a batch (B, tau, F),
     from the zero state."""
     x = _batch_last(x_sequence, params["gru_W"].dtype)
-    T, _, B = x.shape
-    F, G = params["gru_W"].shape[0], params["gru_U"].shape[0]
-    shape = ModelConfig(F, T, gru_units=G, lstm_units=1)
-    hs = _gru_forward(params, x, _buffers(shape, [B], x.dtype, kept=False)[B], keep=False)
-    return hs[1:].transpose(2, 0, 1)
+    T, F, B = x.shape
+    shape = ModelConfig(F, T, gru_units=params["gru_U"].shape[0], lstm_units=1)
+    buffers = _buffers(shape, [B], x.dtype, kept=False)[B]
+    np.copyto(buffers["x"], x)
+    return _gru_forward(params, buffers, keep=False)[1:].transpose(2, 0, 1)
 
 
 def lstm_forward(params, x_sequence):
@@ -392,15 +385,16 @@ def _carve(*layouts) -> list[dict]:
     same time.  Each layout maps a key (a batch size) to groups (byte
     offset, dtype, shapes), each group's views laid end to end from its
     offset; the arena is sized for the group that ends last.  Returns,
-    per layout, each key's views."""
+    per layout, each key's views, with their per-step views
+    (:func:`_step_views`)."""
     ends = [start + _nbytes(shapes, dtype)
             for layout in layouts for groups in layout.values()
             for start, dtype, shapes in groups]
     arena = np.empty(max(ends), dtype=np.uint8)
     return [
-        {key: {name: view
-               for start, dtype, shapes in groups
-               for name, view in _flat_views(arena[start:].view(dtype), shapes).items()}
+        {key: _step_views({name: view
+                           for start, dtype, shapes in groups
+                           for name, view in _flat_views(arena[start:].view(dtype), shapes).items()})
          for key, groups in layout.items()}
         for layout in layouts
     ]
@@ -429,6 +423,42 @@ def _kernel_shapes(config: ModelConfig, B: int, kept: bool) -> dict:
     return shapes
 
 
+def _step_views(v: dict) -> dict:
+    """Adds to one width's kernel buffers ``v`` (:func:`_kernel_shapes`)
+    the views that the kernel loops read at each step, made once: a tuple
+    per step for each loop, ``gru`` and ``lstm`` and, in a step's buffers
+    (which hold ``seq``), ``gru_back`` and ``lstm_back``, over backward's
+    gate gradients ``gru_dpre`` and ``lstm_dpre`` in ``dpre`` and its state
+    gradients ``gru_dh``, ``lstm_dh`` and ``lstm_dc`` in spent slots.  An
+    evaluation pass's gate and LSTM state views are those of slot 0 at
+    every step, and its LSTM's input views are the GRU states."""
+    T, _, B = v["x"].shape
+    G, L = v["gru_hs"].shape[1], v["lstm_hs"].shape[1]
+    kept = "seq" in v
+    x, hs, lh, lc = (list(v[k]) for k in ("x", "gru_hs", "lstm_hs", "lstm_cs"))
+    v.update(gru=[], lstm=[])
+    if kept:
+        dgh = v["dpre"][: T * 3 * G * B].reshape(T, 3 * G, B)
+        dpre = v["dpre"][: T * 4 * L * B].reshape(T, 4 * L, B)
+        v.update(gru_dpre=dgh, lstm_dpre=dpre, gru_back=[], lstm_back=[], gru_dh=v["seq_mask"][0],
+                 lstm_dh=v["lstm_rec"][:L], lstm_dc=v["lstm_rec"][L : 2 * L])
+    for t in range(T):
+        s, now = (t, t + 1) if kept else (0, 0)
+        if kept or t == 0:
+            gate, gh, pre = v["gru_gates"][s], v["gru_gh"][s], v["lstm_gates"][s]
+            gates = (gate, gh, gate[: 2 * G], gh[: 2 * G], gate[:G], gate[G : 2 * G],
+                     gate[2 * G :], gh[2 * G :])
+            i, f, tc = pre[:L], pre[L : 2 * L], v["lstm_tc"][s]
+            cell = (pre, pre[: 3 * L], i, f, pre[2 * L : 3 * L], pre[3 * L :], tc)
+        v["gru"].append((x[t], hs[t], hs[t + 1], *gates))
+        v["lstm"].append((hs[t + 1], lh[s], lc[s], lc[now], lh[now], *cell))
+        if kept:
+            dg, dl = dgh[t], dpre[t]
+            v["gru_back"].append((v["seq"][t], dg.reshape(3, G, B), dg, gh[:G]))
+            v["lstm_back"].append((tc, dl.reshape(4, L, B), i, dl[2 * L : 3 * L], dl, f))
+    return v
+
+
 def _step_layout(config: ModelConfig, B: int, dtype, master_size: int | None = None) -> list:
     """:func:`_carve` groups of one forward/backward step at batch size
     ``B``.
@@ -442,7 +472,8 @@ def _step_layout(config: ModelConfig, B: int, dtype, master_size: int | None = N
     before backward writes ``dpre``, and Adam's ``grad`` and
     ``adam_scratch`` (``master_size`` each), used after backward.
     Backward also reuses kernel buffers once their values are spent: its
-    input gradient ``dseq`` lands in the ``seq`` slot.
+    input gradient ``dseq`` lands in the ``seq`` slot, and the recursions'
+    state gradients in ``seq_mask`` and ``lstm_rec`` (:func:`_step_views`).
     """
     T, F, G, L = (config.lookback, config.feature_count, config.gru_units,
                   config.lstm_units)
@@ -500,11 +531,12 @@ def _forward(model: RecurrentModel, x, masks, buffers=None) -> np.ndarray:
     xb = _batch_last(x, dtype, buffers["x"])
     if not np.all(np.isfinite(xb)):
         raise NumericalError("non-finite values in input batch")
-    hs = _gru_forward(p, xb, buffers, keep)
+    hs = _gru_forward(p, buffers, keep)
     seq, state_mask = hs[1:], None
     if masks is not None:
         seq_mask = _batch_last(masks[0], dtype, buffers.get("seq_mask"))
-        seq = np.multiply(seq, seq_mask, out=buffers.get("seq"))
+        # evaluation masks the GRU states in place: its LSTM reads them
+        seq = np.multiply(seq, seq_mask, out=buffers.get("seq", seq))
         state_mask = np.asarray(masks[1], dtype=dtype)
     hd = _lstm_forward(p, seq, buffers, keep)[0].T
     if masks is not None:
@@ -551,31 +583,30 @@ def _tanh_slope(x, y, out):
     return out
 
 
-def _gru_backward(params, cache, dhs, grads):
+def _gru_backward(params, cache, grads):
     """Parameter gradients, written into ``grads``, from the loss gradient
-    ``dhs`` (T, G, B) with respect to every GRU output state; ``dhs`` is
-    overwritten."""
+    (T, G, B) with respect to every GRU output state, which the ``seq``
+    slot holds and which is overwritten."""
     U = params["gru_U"]
     x, hs, gates, gh = cache["x"], cache["gru_hs"], cache["gru_gates"], cache["gru_gh"]
-    T, _, B = x.shape
+    dhs, dgh, dh_next = cache["seq"], cache["gru_dpre"], cache["gru_dh"]
     G = U.shape[0]
     z, r, n = gates[:, :G], gates[:, G : 2 * G], gates[:, 2 * G :]
     # recursion-free factors, with dn and 1 - z in place of spent gates:
     # each gate pre-activation's gradient is dh_t times one of them
-    dgh = cache["dpre"][: T * 3 * G * B].reshape(T, 3 * G, B)
     dz, dr, da = dgh[:, :G], dgh[:, G : 2 * G], dgh[:, 2 * G :]
     keep = gh[:, :G]  # 1 - z
     _sigmoid_slope(np.subtract(n, hs[:-1], out=dz), z, dz, keep)
     dn = _tanh_slope(z, n, n)
     _sigmoid_slope(np.multiply(dn, gh[:, 2 * G :], out=dr), r, dr, gh[:, G : 2 * G])
     np.multiply(dn, r, out=da)
-    dh_next = np.zeros((G, B), dtype=U.dtype)
-    for t in range(T - 1, -1, -1):
-        dh = np.add(dhs[t], dh_next, out=dhs[t])
-        step = dgh[t].reshape(3, G, B)
+    dh_next.fill(0.0)
+    # each step's 1 - z, spent once read, takes its product with dh
+    for dh, step, dgh_t, keep_t in reversed(cache["gru_back"]):
+        np.add(dh, dh_next, out=dh)
         step *= dh
-        dh_next = U @ dgh[t]
-        dh_next += dh * keep[t]
+        np.matmul(U, dgh_t, out=dh_next)
+        dh_next += np.multiply(dh, keep_t, out=keep_t)
     flat = _rows(dgh, gh)
     np.matmul(_rows(hs[:-1], cache["rows"]).T, flat, out=grads["gru_U"])
     flat.sum(axis=0, out=grads["gru_bh"])
@@ -593,30 +624,29 @@ def _lstm_backward(params, cache, dh_last, grads):
     W, U = params["lstm_W"], params["lstm_U"]
     x, hs, gates = cache["lstm_x"], cache["lstm_hs"], cache["lstm_gates"]
     cs, tc = cache["lstm_cs"], cache["lstm_tc"]
-    T, _, B = x.shape
     L = U.shape[0]
     i, f = gates[:, :L], gates[:, L : 2 * L]
     o, g = gates[:, 2 * L : 3 * L], gates[:, 3 * L :]
     # recursion-free factors, with the o factor and dc_dh in place of the
     # spent i and tanh(c): dc_t gains dh_t * dc_dh, and the gate
     # pre-activation gradients are dc_t (i, f, g) or dh_t (o) times these
-    dpre = cache["dpre"][: T * 4 * L * B].reshape(T, 4 * L, B)
+    dpre, dh, dc = cache["lstm_dpre"], cache["lstm_dh"], cache["lstm_dc"]
     di, df = dpre[:, :L], dpre[:, L : 2 * L]
     do, dg = dpre[:, 2 * L : 3 * L], dpre[:, 3 * L :]
     _tanh_slope(i, g, dg)
     _sigmoid_slope(g, i, di, do)
     _sigmoid_slope(cs[:-1], f, df, do)
-    fo = _sigmoid_slope(tc, o, i, do)
-    dc_dh = _tanh_slope(o, tc, tc)
-    dh = dh_last
-    dc = np.zeros((L, B), dtype=U.dtype)
-    for t in range(T - 1, -1, -1):
-        dc += dh * dc_dh[t]
-        step = dpre[t].reshape(4, L, B)
+    _sigmoid_slope(tc, o, i, do)  # the o factor
+    _tanh_slope(o, tc, tc)  # dc_dh
+    np.copyto(dh, dh_last)
+    dc.fill(0.0)
+    # each step's dc_dh, spent once read, takes its product with dh
+    for dc_dh_t, step, fo_t, do_t, dpre_t, f_t in reversed(cache["lstm_back"]):
+        dc += np.multiply(dh, dc_dh_t, out=dc_dh_t)
         step *= dc
-        np.multiply(fo[t], dh, out=do[t])
-        dh = U @ dpre[t]
-        dc *= f[t]
+        np.multiply(fo_t, dh, out=do_t)
+        np.matmul(U, dpre_t, out=dh)
+        dc *= f_t
     flat = _rows(dpre, gates)
     np.matmul(_rows(x, cache["rows"]).T, flat, out=grads["lstm_W"])
     np.matmul(_rows(hs[:-1], cache["rows"]).T, flat, out=grads["lstm_U"])
@@ -639,6 +669,18 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=
     at this batch size and dtype (allocated when None).  Returns (named
     views of ``out`` keyed like ``model.params``, scalar loss).
     """
+    size = parameter_count(model)
+    if out is None:
+        out = np.empty(size, dtype=model.params["gru_W"].dtype)
+    elif out.shape != (size,):
+        raise ShapeError(f"gradient buffer of shape {out.shape} for {size} parameters")
+    grads = _flat_views(out, {k: v.shape for k, v in model.params.items()})
+    return grads, _backward(model, batch, targets, masks, grads, cache)
+
+
+def _backward(model: RecurrentModel, batch, targets, masks, grads, cache) -> float:
+    """:func:`backward` into ``grads``, the named views of its flat
+    buffer, which ``train`` makes once per call; returns the loss."""
     x = np.asarray(batch)
     p = model.params
     dtype = p["gru_W"].dtype
@@ -653,12 +695,6 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=
     pred = _forward(model, x, masks, cache)
     resid = pred[:, 0] - y
     loss = float(resid @ resid) / B
-    size = parameter_count(model)
-    if out is None:
-        out = np.empty(size, dtype=dtype)
-    elif out.shape != (size,):
-        raise ShapeError(f"gradient buffer of shape {out.shape} for {size} parameters")
-    grads = _flat_views(out, {k: v.shape for k, v in p.items()})
 
     dpred = (2.0 / B) * resid[:, None]
     np.matmul(cache["dense_out"].T, dpred, out=grads["head_W"])
@@ -671,8 +707,8 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=
     dhs = _lstm_backward(p, cache, dh_final.T, grads)
     if masks is not None:
         dhs *= cache["seq_mask"]
-    _gru_backward(p, cache, dhs, grads)
-    return grads, loss
+    _gru_backward(p, cache, grads)
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +819,8 @@ def train(
     once over the whole model and the best-epoch snapshot is one copy.
     Forward and backward run on a float32 copy of the buffer, refreshed
     after each update, and backward fills a float32 gradient buffer of
-    the same layout; validation and the restore use the master.
+    the same layout through named views made once per call; validation
+    and the restore use the master.
 
     The windows are read where they are: each step gathers its batch from
     ``train_windows.inputs`` and casts it into its step buffers.  Every
@@ -792,8 +829,8 @@ def train(
     and backward scratch, the float64 dropout draws and Adam's gradient
     and scratch in that scratch, and validation's float64 evaluation
     buffers over the whole arena.  Besides Adam's moments and the
-    weights, a step allocates only small temporaries: the batch it
-    gathers and (batch, units) blocks.
+    weights, a step allocates only small temporaries, none per time
+    step: the batch it gathers and the dense head's (batch, units) blocks.
     """
     x_tr, y_tr = train_windows.inputs, train_windows.targets
     x_va, y_va = validation_windows.inputs, validation_windows.targets
@@ -809,6 +846,7 @@ def train(
     work = flat.astype(np.float32)
     work_model = RecurrentModel(cfg, _flat_views(work, shapes))
     work_grad = np.empty_like(work)
+    grads = _flat_views(work_grad, shapes)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     steps, validation = _train_buffers(cfg, n, x_va.shape[0], batch, flat.size)
     best, best_loss, best_epoch = flat.copy(), math.inf, 0
@@ -822,7 +860,7 @@ def train(
                 buffers = steps[idx.size]
                 draws = buffers["seq_draw"], buffers["state_draw"]
                 masks = draw_dropout_masks(cfg, idx.size, rng, draws)
-                backward(work_model, x_tr[idx], y_tr[idx], masks, work_grad, buffers)
+                _backward(work_model, x_tr[idx], y_tr[idx], masks, grads, buffers)
                 grad = buffers["grad"]
                 np.copyto(grad, work_grad)
                 step += 1

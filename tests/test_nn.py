@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -53,6 +54,53 @@ def tiny_config(dropout=0.0):
 def windows(x, y):
     """``train``'s input: samples ``x`` with targets ``y``, on increasing dates."""
     return LagWindowSet(inputs=x, targets=y, sample_dates=daily_dates(len(y)))
+
+
+def arrays_of(views):
+    """Every array among a width's buffers, the per-step view tuples'
+    included."""
+    for view in views.values():
+        if isinstance(view, list):
+            yield from (a for step in view for a in step)
+        elif view is not None:
+            yield view
+
+
+def step_slices(v):
+    """The indexed slices that a width's stored views stand for, written
+    out as the kernels once indexed them: per loop a tuple per step, and
+    backward's whole-sequence gate gradients and its state gradients."""
+    x, hs, gates, gh = v["x"], v["gru_hs"], v["gru_gates"], v["gru_gh"]
+    lh, lc, lg, tc = v["lstm_hs"], v["lstm_cs"], v["lstm_gates"], v["lstm_tc"]
+    T, _, B = x.shape
+    G, L = hs.shape[1], lh.shape[1]
+    kept = "seq" in v
+    want = {"gru": [], "lstm": []}
+    if kept:
+        dg = v["dpre"][: T * 3 * G * B].reshape(T, 3 * G, B)
+        dl = v["dpre"][: T * 4 * L * B].reshape(T, 4 * L, B)
+        rec = v["lstm_rec"]
+        want.update(gru_back=[], lstm_back=[], gru_dpre=dg, lstm_dpre=dl,
+                    gru_dh=v["seq_mask"][0], lstm_dh=rec[:L], lstm_dc=rec[L : 2 * L])
+    for t in range(T):
+        s, now = (t, t + 1) if kept else (0, 0)
+        want["gru"].append((x[t], hs[t], hs[t + 1], gates[s], gh[s], gates[s, : 2 * G],
+                            gh[s, : 2 * G], gates[s, :G], gates[s, G : 2 * G],
+                            gates[s, 2 * G :], gh[s, 2 * G :]))
+        want["lstm"].append((hs[t + 1], lh[s], lc[s], lc[now], lh[now], lg[s],
+                             lg[s, : 3 * L], lg[s, :L], lg[s, L : 2 * L],
+                             lg[s, 2 * L : 3 * L], lg[s, 3 * L :], tc[s]))
+        if kept:
+            want["gru_back"].append((v["seq"][t], dg[t].reshape(3, G, B), dg[t], gh[t, :G]))
+            want["lstm_back"].append((tc[t], dl[t].reshape(4, L, B), lg[t, :L],
+                                      dl[t, 2 * L : 3 * L], dl[t], lg[t, L : 2 * L]))
+    return want
+
+
+def assert_is_slice(got, wanted, arena):
+    assert got.base is arena
+    assert got.__array_interface__["data"] == wanted.__array_interface__["data"]
+    assert (got.shape, got.strides, got.dtype) == (wanted.shape, wanted.strides, wanted.dtype)
 
 
 def jittered_model(config, seed):
@@ -344,7 +392,7 @@ class TestGradients:
         assert steps.keys() == {64, 19} and validation.keys() == {40}
         arena = steps[64]["x"].base
         assert all(view.base is arena for views in (*steps.values(), *validation.values())
-                   for view in views.values())
+                   for view in arrays_of(views))
         arena.fill(0xFF)  # all-ones bytes are a NaN in float32 and in float64
         out = np.empty(size, dtype=np.float32)
         flat = np.concatenate([p.reshape(-1) for p in model.params.values()])
@@ -374,6 +422,24 @@ class TestGradients:
             for got_m, want_m in zip(moments[:2], moments[2:]):
                 np.testing.assert_array_equal(got_m, want_m)
             np.testing.assert_array_equal(predict(model, val, validation), predict(model, val))
+
+    @pytest.mark.parametrize("shape", EDGE_IDS.values(), ids=list(EDGE_IDS))
+    def test_step_views_are_the_slices_they_stand_for(self, shape):
+        # train's full and partial batch widths and its validation width:
+        # each view made once is the slice the kernels indexed at each step
+        steps, validation = nn._train_buffers(shape, 64 + 19, 40, 64, 1000)
+        arena = steps[64]["x"].base
+        for views in (steps[64], steps[19], validation[40]):
+            want = step_slices(views)
+            assert ("gru_back" in views) == ("seq" in views)
+            for name, wanted in want.items():
+                if not isinstance(wanted, list):
+                    assert_is_slice(views[name], wanted, arena)
+                    continue
+                assert len(views[name]) == len(wanted) == shape.lookback
+                for got_step, want_step in zip(views[name], wanted, strict=True):
+                    for got, want_view in zip(got_step, want_step, strict=True):
+                        assert_is_slice(got, want_view, arena)
 
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_config()
@@ -423,7 +489,7 @@ class TestGradients:
             cache = nn._buffers(cfg, [5], dtype, kept=True)[5]
             pred = nn._forward(m, x, masks, cache)
             grads, _ = backward(m, x, y, masks)
-            arrays = [pred, *cache.values(), *grads.values()]
+            arrays = [pred, *arrays_of(cache), *grads.values()]
             assert all(a.dtype == dtype for a in arrays), {a.dtype for a in arrays}
             found.append(grads)
         # the float32 step approximates the float64 one
@@ -565,13 +631,13 @@ class TestTraining:
 
     def test_steps_in_float32_and_returns_float64(self, monkeypatch):
         step_dtypes = []
-        step = nn.backward
+        step = nn._backward
 
         def recording(model, *args):
             step_dtypes.append(model.params["gru_W"].dtype)
             return step(model, *args)
 
-        monkeypatch.setattr(nn, "backward", recording)
+        monkeypatch.setattr(nn, "_backward", recording)
         tr, va = self._task(seed=7)
         cfg = ModelConfig(feature_count=1, lookback=4, gru_units=3, lstm_units=4,
                           dense_units=3, dropout_rate=0.2)
@@ -656,18 +722,22 @@ class TestTraining:
             np.testing.assert_array_equal(model.params[k], v)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
-    @pytest.mark.parametrize("n", [64, 70, 10], ids=["multiple", "remainder", "one-batch"])
-    def test_matches_a_reference_loop_on_fresh_buffers(self, monkeypatch, dropout, n):
+    @pytest.mark.parametrize("shape, n", [("smoke", 64), ("smoke", 70), ("smoke", 10),
+                                          ("smoke", 49), ("lookback1", 70)],
+                             ids=["multiple", "remainder", "one-batch", "one-window",
+                                  "lookback1"])
+    def test_matches_a_reference_loop_on_fresh_buffers(self, monkeypatch, dropout, shape, n):
         # train shares one arena among the step, the dropout draws, Adam's
         # scratch and validation (in chunks of 8, 8 and 4 here); a loop
-        # that allocates each afresh must give the same bits
+        # that allocates each afresh must give the same bits.  A last
+        # batch of one window (49 at 16) and lookback 1 show a miscarved
+        # per-step view first
         monkeypatch.setattr(nn, "PREDICT_BATCH", 8)
-        cfg = ModelConfig(feature_count=4, lookback=12, gru_units=8, lstm_units=16,
-                          dense_units=8, dropout_rate=dropout)
+        cfg = dataclasses.replace(EDGE_IDS[shape], dropout_rate=dropout)
         rng = np.random.default_rng(n)
         ds_values = rng.standard_normal((n + 20 + cfg.lookback, cfg.feature_count))
-        all_w = build_lag_windows(make_dataset(ds_values), ["v0", "v1", "v2", "v3"],
-                                  cfg.lookback, 1)
+        all_w = build_lag_windows(make_dataset(ds_values),
+                                  [f"v{i}" for i in range(cfg.feature_count)], cfg.lookback, 1)
         tr, va = all_w.subset(slice(n)), all_w.subset(slice(n, None))
         config = TrainConfig(batch_size=16, max_epochs=4, patience=2,
                              learning_rate=0.02, seed=3)
