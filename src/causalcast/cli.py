@@ -47,7 +47,7 @@ from .data import (
     save_csv,
     write_summary,
 )
-from .errors import CausalcastError, ConfigError, InputError, ParseError, json_object, string_list
+from .errors import CausalcastError, InputError, ParseError, json_object, string_list
 from .nn import ModelConfig, TrainConfig, load_checkpoint, save_checkpoint
 from .pcmci import CausalGraph
 from .pipeline import (
@@ -87,7 +87,7 @@ def _parse_date(value: str) -> dt.date:
     try:
         return dt.date.fromisoformat(value)
     except ValueError:
-        raise ConfigError(f"invalid date {value!r}: expected YYYY-MM-DD")
+        raise InputError(f"invalid date {value!r}: expected YYYY-MM-DD")
 
 
 def _write_manifest(path, seed, inputs, artifacts, config=None) -> None:
@@ -226,13 +226,13 @@ def _load_feature_set(source: str, dataset) -> tuple[FeatureMethod, tuple[str, .
         found_on = as_frequency(doc["frequency"]) if "frequency" in doc else None
         if method == "mvgc":
             if doc["target"] != dataset.target_name:
-                raise ConfigError(f"{source}: MVGC drivers of {doc['target']!r}, "
+                raise InputError(f"{source}: MVGC drivers of {doc['target']!r}, "
                                   f"not {dataset.target_name!r}")
             drivers = string_list(doc["features"], "features")
         elif method == "pcmci+":
             drivers = CausalGraph.from_dict(doc).drivers(dataset.target_name)
         else:
-            raise ConfigError(f"{source}: unrecognized feature source (method {method!r})")
+            raise InputError(f"{source}: unrecognized feature source (method {method!r})")
     return cell_inputs(method, drivers, found_on, dataset)
 
 
@@ -405,7 +405,7 @@ _KINDS = {dict: "a mapping", list: "a non-empty list", str: "a string",
 
 
 def _check_layout(node, layout, where: str = "") -> None:
-    """Raise a ConfigError naming the key path (``split/test_end``) of the
+    """Raise an InputError naming the key path (``split/test_end``) of the
     first unknown key, missing required key, or value of the wrong type."""
     kind = type(layout) if isinstance(layout, (dict, list)) else layout
     # a bool is no number, and a number field takes an int
@@ -413,7 +413,7 @@ def _check_layout(node, layout, where: str = "") -> None:
         node, (int, float) if kind is float else kind
     )
     if not fits or (kind is list and not node):
-        raise ConfigError(
+        raise InputError(
             f"config key {where or '<root>'}: expected {_KINDS[kind]}, got {node!r}"
         )
     prefix = f"{where}/" if where else ""
@@ -423,12 +423,12 @@ def _check_layout(node, layout, where: str = "") -> None:
     elif kind is dict:
         for key in node:
             if key not in layout:
-                raise ConfigError(f"config key {prefix}{key}: unknown key")
+                raise InputError(f"config key {prefix}{key}: unknown key")
         for key, sub in layout.items():
             if key in node:
                 _check_layout(node[key], sub, prefix + key)
             elif prefix + key in _REQUIRED:
-                raise ConfigError(f"config key {prefix}{key}: required key missing")
+                raise InputError(f"config key {prefix}{key}: required key missing")
 
 
 def _stringify_dates(node):
@@ -457,7 +457,7 @@ def load_experiment_config(
     try:
         doc = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}")
+        raise InputError(f"cannot parse {path}: {exc}")
     doc = _stringify_dates(doc)
     _check_layout(doc, _LAYOUT)
 

@@ -23,17 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AllMissingColumn,
-    DuplicateTimestamp,
-    EmptySplit,
-    InsufficientHistory,
-    InvalidArgument,
-    ParseError,
-    StatsMismatch,
-    UnknownTarget,
-    UnknownVariable,
-)
+from .errors import InputError, ParseError
 
 
 class Frequency(str, Enum):
@@ -43,10 +33,10 @@ class Frequency(str, Enum):
 
 def as_frequency(value) -> Frequency:
     """``value`` as a Frequency, given as one or by its name; an
-    InvalidArgument naming the choices otherwise."""
+    InputError naming the choices otherwise."""
     if value not in list(Frequency):
         choices = [f.value for f in Frequency]
-        raise InvalidArgument(f"frequency must be one of {choices}, got {value!r}")
+        raise InputError(f"frequency must be one of {choices}, got {value!r}")
     return Frequency(value)
 
 
@@ -62,9 +52,9 @@ def _check_spacing(timestamps: Sequence[dt.date], frequency: Frequency) -> None:
         return
     prev, cur = timestamps[bad[0]], timestamps[bad[0] + 1]
     if cur == prev:
-        raise DuplicateTimestamp(f"duplicate timestamp {cur.isoformat()}")
+        raise InputError(f"duplicate timestamp {cur.isoformat()}")
     if cur < prev:
-        raise DuplicateTimestamp(
+        raise InputError(
             f"timestamps not strictly increasing at {cur.isoformat()}"
         )
     if frequency is Frequency.DAILY:
@@ -108,7 +98,7 @@ class TimeSeriesDataset:
                 f"{len(self.variable_names)} variables"
             )
         if self.target_name not in self.variable_names:
-            raise UnknownTarget(
+            raise InputError(
                 f"target {self.target_name!r} not among variables "
                 f"{list(self.variable_names)}"
             )
@@ -184,9 +174,9 @@ class NormalizationStats:
         mean = np.asarray(self.mean, dtype=np.float64)
         std = np.asarray(self.std, dtype=np.float64)
         if mean.shape != (len(self.variable_names),) or std.shape != mean.shape:
-            raise StatsMismatch("stats arrays inconsistent with variable names")
+            raise InputError("stats arrays inconsistent with variable names")
         if (std < 0).any():
-            raise StatsMismatch("negative standard deviation")
+            raise InputError("negative standard deviation")
         mean.flags.writeable = False
         std.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -195,7 +185,7 @@ class NormalizationStats:
 
     def index_of(self, variable: str) -> int:
         if variable not in self.variable_names:
-            raise StatsMismatch(f"stats do not cover variable {variable!r}")
+            raise InputError(f"stats do not cover variable {variable!r}")
         return self.variable_names.index(variable)
 
     def to_dict(self) -> dict:
@@ -258,7 +248,7 @@ class LagWindowSet:
         checked set's samples holds its checks, so they are not run
         again."""
         if (rows.step or 1) < 0:
-            raise InvalidArgument("a subset keeps its samples in date order")
+            raise InputError("a subset keeps its samples in date order")
         out = object.__new__(LagWindowSet)
         for key in ("inputs", "targets", "sample_dates"):
             object.__setattr__(out, key, getattr(self, key)[rows])
@@ -284,16 +274,16 @@ class SplitSpec:
 
     def __post_init__(self):
         if not (0.0 < self.validation_fraction < 1.0):
-            raise EmptySplit(
+            raise InputError(
                 f"validation_fraction must lie in (0,1), "
                 f"got {self.validation_fraction}"
             )
         if self.test_range is not None:
             start, end = self.test_range
             if end < start:
-                raise EmptySplit("test_range end precedes start")
+                raise InputError("test_range end precedes start")
             if self.train_end >= start:
-                raise EmptySplit(
+                raise InputError(
                     f"train_end {self.train_end} must precede test_range "
                     f"start {start}"
                 )
@@ -307,7 +297,7 @@ def load_csv(path, target_name: str, frequency: Frequency | str) -> TimeSeriesDa
     """Load a ``date,<var1>,...,<varN>`` CSV into a dataset.
 
     Empty and ``nan`` cells are missing (NaN).  Rows are sorted by date;
-    duplicate dates raise :class:`DuplicateTimestamp`.  Each row is
+    duplicate dates raise :class:`InputError`.  Each row is
     checked and converted (by ``float``) as it is read, so the first
     malformed row, non-numeric or infinite cell in file order raises
     :class:`ParseError` with row/column context, and no more of the file
@@ -408,7 +398,7 @@ def impute(dataset: TimeSeriesDataset, cut: dt.date | None = None) -> TimeSeries
             col = values[:end, j]
             observed = ~np.isnan(col)
             if not observed.any():
-                raise AllMissingColumn(
+                raise InputError(
                     f"variable {name!r} has no observed values in "
                     f"{dataset.timestamps[0]}..{dataset.timestamps[end - 1]}"
                 )
@@ -433,7 +423,7 @@ def apply_normalization(
 ) -> TimeSeriesDataset:
     """z-score transform; constant (std = 0) columns map to 0."""
     if stats.variable_names != dataset.variable_names:
-        raise StatsMismatch(
+        raise InputError(
             "stats were fitted on a different variable set/order"
         )
     std = np.where(stats.std == 0.0, 1.0, stats.std)
@@ -458,7 +448,7 @@ def aggregate_daily_to_monthly(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
     propagate, so imputation should normally run first.
     """
     if dataset.frequency is not Frequency.DAILY:
-        raise InvalidArgument("aggregation requires a daily dataset")
+        raise InputError("aggregation requires a daily dataset")
     keys: list[tuple[int, int]] = []
     groups: dict[tuple[int, int], list[int]] = {}
     for i, ts in enumerate(dataset.timestamps):
@@ -497,16 +487,16 @@ def build_lag_windows(
     dataset's target column.
     """
     if lookback < 1 or lead < 1:
-        raise InsufficientHistory(
+        raise InputError(
             f"lookback and lead must be >= 1, got {lookback}, {lead}"
         )
     for f in features:
         if f not in dataset.variable_names:
-            raise UnknownVariable(f"feature {f!r} not in dataset")
+            raise InputError(f"feature {f!r} not in dataset")
     T = dataset.n_timesteps
     S = T - lookback - lead + 1
     if S < 1:
-        raise InsufficientHistory(
+        raise InputError(
             f"series length {T} too short for lookback {lookback} + lead {lead}"
         )
     cols = [dataset.variable_names.index(f) for f in features]
@@ -533,24 +523,24 @@ def split_windows(
     ``windows``.
     """
     if split.test_range is None:
-        raise EmptySplit("split has no test_range")
+        raise InputError("split has no test_range")
     train = windows.between(dt.date.min, split.train_end)
     start, end = split.test_range
     test = windows.between(start, end)
     if test.n_samples == 0:
-        raise EmptySplit(
+        raise InputError(
             f"no samples with target dates inside test range "
             f"[{start.isoformat()}, {end.isoformat()}]"
         )
     if train.n_samples == 0:
-        raise EmptySplit(
+        raise InputError(
             f"no samples with target dates at or before "
             f"{split.train_end.isoformat()}"
         )
     n_val = math.ceil(split.validation_fraction * train.n_samples)
     n_fit = train.n_samples - n_val
     if n_fit <= 0:
-        raise EmptySplit(
+        raise InputError(
             f"validation fraction {split.validation_fraction} leaves no "
             f"training samples out of {train.n_samples}"
         )

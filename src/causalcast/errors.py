@@ -1,9 +1,10 @@
-"""Exception hierarchy shared by all causalcast modules.
+"""The four exception classes shared by all causalcast modules.
 
-Two branches matter for the CLI exit-code contract: ``InputError``
-subclasses signal invalid input or configuration (exit code 2), while
-everything else under ``CausalcastError`` is a runtime failure (exit
-code 1).
+The CLI maps them to two exit codes: an ``InputError`` (bad input data,
+arguments or configuration) exits 2, and any other ``CausalcastError``
+(a runtime failure) exits 1.  ``ParseError`` is the InputError for a
+document or CSV cell that cannot be read, and ``NumericalError`` the
+runtime failure for a non-finite value; code catches both by name.
 """
 
 import json
@@ -20,12 +21,6 @@ class InputError(CausalcastError):
     """Invalid input data or configuration (CLI exit code 2)."""
 
 
-# -- data loading / preprocessing ------------------------------------------
-
-class DuplicateTimestamp(InputError):
-    """Two rows carry the same date."""
-
-
 class ParseError(InputError):
     """A CSV cell or header could not be parsed; carries row/column context."""
 
@@ -37,62 +32,8 @@ class ParseError(InputError):
         self.column = column
 
 
-class UnknownTarget(InputError):
-    """Requested target variable is not a dataset column."""
-
-
-class UnknownVariable(InputError):
-    """A requested feature/variable name is not a dataset column."""
-
-
-class AllMissingColumn(InputError):
-    """A variable has no observed values, so it cannot be imputed."""
-
-
-class EmptySplit(InputError):
-    """A train/validation/test partition came out empty."""
-
-
-class StatsMismatch(InputError):
-    """Normalization stats do not cover the dataset's variables."""
-
-
-class InsufficientHistory(InputError):
-    """Series too short for the requested lags/windows/conditioning."""
-
-
-class InvalidArgument(InputError):
-    """Argument outside the documented domain (e.g. non-finite x)."""
-
-
-class NonStationary(InputError):
-    """Planted coefficient graph has companion spectral radius >= 1."""
-
-
-class ConfigError(InputError):
-    """Experiment configuration with a bad key, value type or choice."""
-
-
-# -- numerical / runtime ----------------------------------------------------
-
 class NumericalError(CausalcastError):
     """NaN/Inf appeared where finite values are required."""
-
-
-class ShapeError(CausalcastError):
-    """Tensor shapes inconsistent with the model contract."""
-
-
-class DegenerateR2(CausalcastError):
-    """R^2 undefined: observations have zero variance."""
-
-
-class DegeneratePercentage(CausalcastError):
-    """Percentage metrics undefined: observation mean is zero."""
-
-
-class GenerationFailed(CausalcastError):
-    """Rejection sampling for a stationary planted graph exceeded its cap."""
 
 
 def is_integer(value) -> bool:
@@ -105,13 +46,13 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_integers(owner, names, error=InvalidArgument) -> None:
-    """Raise ``error`` naming the first of ``owner``'s fields ``names``
+def check_integers(owner, names) -> None:
+    """Raise an InputError naming the first of ``owner``'s fields ``names``
     that does not hold an integer."""
     for name in names:
         value = getattr(owner, name)
         if not is_integer(value):
-            raise error(f"{name} must be an integer, got {value!r}")
+            raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @contextmanager

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .data import TimeSeriesDataset
-from .errors import InsufficientHistory, InvalidArgument
+from .errors import InputError
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
@@ -64,7 +64,7 @@ class GrangerResults(list):
     def drivers(self, target: str) -> tuple[str, ...]:
         """``target`` plus every selected variable, in dataset column order."""
         if target != self.target:
-            raise InvalidArgument(f"MVGC tested drivers of {self.target!r}, not {target!r}")
+            raise InputError(f"MVGC tested drivers of {self.target!r}, not {target!r}")
         chosen = {r.variable for r in self if r.selected} | {target}
         return tuple(v for v in self.variables if v in chosen)
 
@@ -114,7 +114,7 @@ def mvgc_test(
     values = dataset.values
     T, N = values.shape
     if T <= N * max_lag + max_lag + 10:
-        raise InsufficientHistory(
+        raise InputError(
             f"T = {T} but conditional Granger testing at max_lag {max_lag} "
             f"with {N} variables needs T > {N * max_lag + max_lag + 10}"
         )
@@ -158,7 +158,7 @@ def mvgc_test(
 
 def _f_test(rss_r: float, rss_f: float, d1: int, d2: int) -> tuple[float, float]:
     if d2 < 1:
-        raise InsufficientHistory("no residual degrees of freedom")
+        raise InputError("no residual degrees of freedom")
     num = max(rss_r - rss_f, 0.0) / d1
     if rss_f <= 0.0:
         # perfect full fit: any reduction in fit is infinitely significant

@@ -83,17 +83,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, LagWindowSet, NormalizationStats
-from .errors import (
-    EmptySplit,
-    InvalidArgument,
-    NumericalError,
-    ParseError,
-    ShapeError,
-    check_integers,
-    is_integer,
-    json_object,
-    string_list,
-)
+from .errors import CausalcastError, InputError, NumericalError, ParseError, check_integers, is_integer, json_object, string_list
 
 CHECKPOINT_FORMAT = "causalcast.checkpoint"
 CHECKPOINT_VERSION = 1
@@ -122,9 +112,9 @@ class ModelConfig:
         check_integers(self, sizes)
         for name in sizes:
             if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be >= 1")
+                raise InputError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidArgument(
+            raise InputError(
                 f"dropout_rate must lie in [0, 1), got {self.dropout_rate}"
             )
 
@@ -154,13 +144,15 @@ class TrainConfig:
     def __post_init__(self):
         check_integers(self, ("batch_size", "max_epochs", "patience", "seed"))
         if self.batch_size < 1:
-            raise InvalidArgument("batch_size must be >= 1")
+            raise InputError("batch_size must be >= 1")
         if self.max_epochs < 1:
-            raise InvalidArgument("max_epochs must be >= 1")
+            raise InputError("max_epochs must be >= 1")
         if self.patience < 1:
-            raise InvalidArgument("patience must be >= 1")
+            raise InputError("patience must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise InvalidArgument(
+            raise InputError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
 
@@ -191,6 +183,8 @@ def _glorot_gates(
 
 def init_model(config: ModelConfig, seed: int = 0) -> RecurrentModel:
     """Seeded Glorot-uniform weights, zero biases, LSTM forget bias 1."""
+    if not is_integer(seed) or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     F, G = config.feature_count, config.gru_units
     L, D = config.lstm_units, config.dense_units
@@ -241,7 +235,7 @@ def _batch_last(x, dtype, out=None) -> np.ndarray:
     ``out`` when given)."""
     x = np.asarray(x)
     if x.ndim != 3:
-        raise ShapeError(f"expected a batch B x T x C, got shape {x.shape}")
+        raise CausalcastError(f"expected a batch B x T x C, got shape {x.shape}")
     if out is None:
         return np.ascontiguousarray(x.transpose(1, 2, 0), dtype=dtype)
     np.copyto(out, x.transpose(1, 2, 0))
@@ -267,7 +261,7 @@ def _gru_forward(params, buffers, keep: bool) -> np.ndarray:
     bx, bh = params["gru_bx"][:, None], params["gru_bh"][:, None]
     x, hs = buffers["x"], buffers["gru_hs"]
     if W.shape[0] != x.shape[1]:
-        raise ShapeError(f"GRU expects {W.shape[0]} features, got {x.shape[1]}")
+        raise CausalcastError(f"GRU expects {W.shape[0]} features, got {x.shape[1]}")
     if keep:
         np.matmul(W.T, x, out=buffers["gru_gates"])
         buffers["gru_gates"] += bx
@@ -299,7 +293,7 @@ def _lstm_forward(params, x: np.ndarray, buffers, keep: bool):
     views read ``x`` as the GRU states ``buffers["gru_hs"][1:]``."""
     W, U, b = params["lstm_W"], params["lstm_U"], params["lstm_b"][:, None]
     if W.shape[0] != x.shape[1]:
-        raise ShapeError(f"LSTM expects {W.shape[0]} inputs, got {x.shape[1]}")
+        raise CausalcastError(f"LSTM expects {W.shape[0]} inputs, got {x.shape[1]}")
     hs, cs, rec = buffers["lstm_hs"], buffers["lstm_cs"], buffers["lstm_rec"]
     hs[0] = 0.0
     cs[0] = 0.0
@@ -520,7 +514,7 @@ def _forward(model: RecurrentModel, x, masks, buffers=None) -> np.ndarray:
     cfg, p = model.config, model.params
     x = np.asarray(x)
     if x.ndim != 3 or x.shape[1:] != (cfg.lookback, cfg.feature_count):
-        raise ShapeError(
+        raise CausalcastError(
             f"expected a batch B x {cfg.lookback} x {cfg.feature_count}, "
             f"got shape {x.shape}"
         )
@@ -673,7 +667,7 @@ def backward(model: RecurrentModel, batch, targets, masks=None, out=None, cache=
     if out is None:
         out = np.empty(size, dtype=model.params["gru_W"].dtype)
     elif out.shape != (size,):
-        raise ShapeError(f"gradient buffer of shape {out.shape} for {size} parameters")
+        raise CausalcastError(f"gradient buffer of shape {out.shape} for {size} parameters")
     grads = _flat_views(out, {k: v.shape for k, v in model.params.items()})
     return grads, _backward(model, batch, targets, masks, grads, cache)
 
@@ -686,7 +680,7 @@ def _backward(model: RecurrentModel, batch, targets, masks, grads, cache) -> flo
     dtype = p["gru_W"].dtype
     y = np.asarray(targets, dtype=dtype).reshape(-1)
     if y.shape[0] != x.shape[0]:
-        raise ShapeError(
+        raise CausalcastError(
             f"{x.shape[0]} windows but {y.shape[0]} targets"
         )
     B = x.shape[0]
@@ -835,9 +829,9 @@ def train(
     x_tr, y_tr = train_windows.inputs, train_windows.targets
     x_va, y_va = validation_windows.inputs, validation_windows.targets
     if x_tr.shape[0] == 0:
-        raise EmptySplit("no training samples")
+        raise InputError("no training samples")
     if x_va.shape[0] == 0:
-        raise EmptySplit("no validation samples")
+        raise InputError("no validation samples")
     cfg, n, batch = model.config, x_tr.shape[0], config.batch_size
     rng = np.random.default_rng(config.seed)
     shapes = {k: p.shape for k, p in model.params.items()}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InvalidArgument, is_integer, parse_errors, typed
+from .errors import InputError, is_integer, parse_errors, typed
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
@@ -45,7 +45,7 @@ DEFAULT_MAX_SAMPLES = 8000
 def check_max_samples(max_samples: int) -> None:
     """Raise unless ``max_samples`` is a step count (0 keeps every step)."""
     if max_samples < 0:
-        raise InvalidArgument(
+        raise InputError(
             f"max_samples must be >= 0 (0 keeps every step), got {max_samples}"
         )
 
@@ -61,14 +61,14 @@ class CausalLink:
 
     def __post_init__(self):
         if not is_integer(self.lag):
-            raise InvalidArgument(f"lag must be an integer, got {self.lag!r}")
+            raise InputError(f"lag must be an integer, got {self.lag!r}")
         object.__setattr__(self, "lag", int(self.lag))
         if self.lag < 0:
-            raise InvalidArgument(f"negative lag {self.lag}")
+            raise InputError(f"negative lag {self.lag}")
         if self.lag >= 1 and not self.oriented:
-            raise InvalidArgument("lagged links are always oriented by time order")
+            raise InputError("lagged links are always oriented by time order")
         if self.lag == 0 and self.source == self.target:
-            raise InvalidArgument("no self-links at lag 0")
+            raise InputError("no self-links at lag 0")
 
     def to_dict(self) -> dict:
         return {
@@ -98,13 +98,13 @@ class CausalGraph:
         seen = set()
         for link in self.links:
             if link.p_value > self.alpha:
-                raise InvalidArgument(
+                raise InputError(
                     f"link {link.source}->{link.target} (lag {link.lag}) has "
                     f"p = {link.p_value} > alpha = {self.alpha}"
                 )
             key = (link.source, link.target, link.lag)
             if key in seen:
-                raise InvalidArgument(f"duplicate link {key}")
+                raise InputError(f"duplicate link {key}")
             seen.add(key)
 
     def drivers(self, target: str) -> tuple[str, ...]:
@@ -232,7 +232,7 @@ def mci_test(
     """
     i, lag, j = link
     if lag < 0 or lag > cross.max_lag:
-        raise InvalidArgument(f"link lag {lag} outside 0..{cross.max_lag}")
+        raise InputError(f"link lag {lag} outside 0..{cross.max_lag}")
     conds = [node for node in parents_of_target if node != (i, lag)] + [
         (k, k_lag + lag) for k, k_lag in parents_of_source
     ]

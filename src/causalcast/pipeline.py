@@ -44,17 +44,7 @@ from .data import (
     load_csv,
     split_windows,
 )
-from .errors import (
-    CausalcastError,
-    ConfigError,
-    DegeneratePercentage,
-    DegenerateR2,
-    EmptySplit,
-    InvalidArgument,
-    ShapeError,
-    check_integers,
-    is_integer,
-)
+from .errors import CausalcastError, InputError, check_integers, is_integer
 from .granger import mvgc_test
 from .nn import (
     Checkpoint,
@@ -92,11 +82,11 @@ def _paired(pred, obs) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, dtype=np.float64).reshape(-1)
     o = np.asarray(obs, dtype=np.float64).reshape(-1)
     if p.shape != o.shape:
-        raise ShapeError(
+        raise CausalcastError(
             f"prediction/observation length mismatch: {p.shape[0]} vs {o.shape[0]}"
         )
     if p.shape[0] == 0:
-        raise InvalidArgument("metrics need at least one sample")
+        raise InputError("metrics need at least one sample")
     return p, o
 
 
@@ -116,7 +106,7 @@ def r2(pred, obs) -> float:
     center = np.mean(o)
     ss_tot = float(np.sum((o - center) ** 2))
     if ss_tot == 0.0:
-        raise DegenerateR2("observations are constant")
+        raise CausalcastError("R² undefined: observations are constant")
     ss_res = float(np.sum((p - o) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -125,10 +115,10 @@ def percentage_metrics(rmse_value: float, mae_value: float, obs) -> tuple[float,
     """Errors as percent of the mean observation (the report's % columns)."""
     o = np.asarray(obs, dtype=np.float64).reshape(-1)
     if o.shape[0] == 0:
-        raise InvalidArgument("metrics need at least one sample")
+        raise InputError("metrics need at least one sample")
     center = float(np.mean(o))
     if center == 0.0:
-        raise DegeneratePercentage("observation mean is zero")
+        raise CausalcastError("percentage metrics undefined: observation mean is zero")
     return 100.0 * rmse_value / center, 100.0 * mae_value / center
 
 
@@ -172,14 +162,14 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        check_integers(self, _INTEGER_FIELDS, ConfigError)
+        check_integers(self, _INTEGER_FIELDS)
         if not self.leads or not all(is_integer(l) and l >= 1 for l in self.leads):
-            raise ConfigError(
+            raise InputError(
                 f"leads must be a non-empty list of integers >= 1, got {list(self.leads)}"
             )
         object.__setattr__(self, "leads", tuple(int(l) for l in self.leads))
         if self.daily_path is None and self.monthly_path is None:
-            raise ConfigError("at least one of daily/monthly datasets required")
+            raise InputError("at least one of daily/monthly datasets required")
         freqs = _members(Frequency, self.frequencies, "frequencies")
         object.__setattr__(self, "frequencies", freqs or tuple(
             f for f in Frequency if self.path_for(f) is not None
@@ -191,18 +181,18 @@ class ExperimentConfig:
         ))
         for key in ("leads", "variants", "frequencies"):  # else a cell runs twice
             if len(set(getattr(self, key))) != len(getattr(self, key)):
-                raise ConfigError(f"duplicate {key}")
+                raise InputError(f"duplicate {key}")
         for v in self.variants:
             if not self._sources(v):
                 frequencies = [f.value for f in self.frequencies]
-                raise ConfigError(f"variant {v.value!r} has no cell at frequencies {frequencies}")
+                raise InputError(f"variant {v.value!r} has no cell at frequencies {frequencies}")
         for f in self.panels():
             if self.path_for(f) is None:
-                raise ConfigError(f"the roster reads the {f.value} panel: no dataset path given")
+                raise InputError(f"the roster reads the {f.value} panel: no dataset path given")
         if self.daily_steps_per_month < 1:
-            raise ConfigError("daily_steps_per_month must be >= 1")
+            raise InputError("daily_steps_per_month must be >= 1")
         if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+            raise InputError("jobs must be >= 1")
         check_alpha(self.gc_alpha, "gc_alpha")
         check_alpha(self.pcmci_alpha, "pcmci_alpha")
         check_max_lag(self.discovery_max_lag)
@@ -273,9 +263,9 @@ class EvalReport:
     def __post_init__(self):
         for rec in self.records:
             if not (rec.rmse >= 0.0 and rec.mae >= 0.0):
-                raise InvalidArgument("negative error metric")
+                raise InputError("negative error metric")
             if rec.r2 > 1.0:
-                raise InvalidArgument("r2 above 1")
+                raise InputError("r2 above 1")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -307,12 +297,12 @@ class EvalReport:
 
 
 def _members(enum, values, key: str) -> tuple:
-    """``values`` as members of ``enum``; an unknown one is a ConfigError
+    """``values`` as members of ``enum``; an unknown one is an InputError
     that names the config ``key``."""
     try:
         return tuple(enum(v) for v in values)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}; choose from {[m.value for m in enum]}")
+        raise InputError(f"{key}: {exc}; choose from {[m.value for m in enum]}")
 
 
 # the thread-count entry points of numpy's OpenBLAS, by build: numpy 2's
@@ -380,7 +370,7 @@ def prepare(raw: TimeSeriesDataset, split: SplitSpec, trains: bool = True):
     other two."""
     stop = bisect.bisect_right(raw.timestamps, split.train_end)
     if not stop:
-        raise EmptySplit(f"no rows at or before train_end {split.train_end.isoformat()}")
+        raise InputError(f"no rows at or before train_end {split.train_end.isoformat()}")
     if not trains:
         return impute(raw.rows(0, stop)), None, None
     full = impute(raw, split.train_end)
@@ -472,7 +462,7 @@ def discover(
             dataset, max_lag=max_lag, pc_alpha=alpha, max_samples=max_samples
         )
     else:
-        raise InvalidArgument(
+        raise InputError(
             f"unknown discovery method {method!r}; choose from {list(DISCOVERY_METHODS)}"
         )
     doc = {"method": method, "frequency": dataset.frequency.value, **result.to_dict()}

@@ -25,7 +25,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsufficientHistory, InvalidArgument, NumericalError
+from .errors import InputError, NumericalError
 
 # A Cholesky pivot that keeps less than this share of its column's
 # centered sum of squares marks a duplicated or collinear column: an MVGC
@@ -42,13 +42,13 @@ DEFAULT_MAX_LAG = 21
 def check_alpha(alpha: float, name: str = "alpha") -> None:
     """Raise unless ``alpha`` is a test level in (0, 1)."""
     if not (0.0 < alpha < 1.0):
-        raise InvalidArgument(f"{name} must lie in (0, 1), got {alpha}")
+        raise InputError(f"{name} must lie in (0, 1), got {alpha}")
 
 
 def check_max_lag(max_lag: int) -> None:
     """Raise unless ``max_lag`` reaches at least one step back."""
     if max_lag < 1:
-        raise InvalidArgument(f"max_lag must be >= 1, got {max_lag}")
+        raise InputError(f"max_lag must be >= 1, got {max_lag}")
 
 
 def _partial(
@@ -69,7 +69,7 @@ def _partial(
     silently non-causal.
     """
     if n <= len(z) + 3:  # dof would fall below 2
-        raise InsufficientHistory(f"{n} samples cannot support {len(z)} conditioning columns")
+        raise InputError(f"{n} samples cannot support {len(z)} conditioning columns")
     low, kept, _ = _factor(cross.take(z, 0).take(z, 1), len(z))
     w = np.linalg.solve(low, cross.take(z[kept], 0).take(xy, 1))
     wa, wy = w[:, :-1], w[:, -1]
@@ -224,7 +224,7 @@ class LaggedCrossProducts:
         T, N = values.shape
         check_max_lag(max_lag)
         if T <= max_lag + 4:
-            raise InsufficientHistory(
+            raise InputError(
                 f"T = {T} leaves no testable samples at max_lag = {max_lag}"
             )
         self.values, self.max_lag, self.n = values, max_lag, T - max_lag
@@ -252,13 +252,13 @@ class LaggedCrossProducts:
         self.max_cond_dim = 0
 
     def _check(self, nodes: list[Node], start: int) -> None:
-        """Raise InvalidArgument naming the first node whose variable is
+        """Raise InputError naming the first node whose variable is
         not in 0..N-1 or whose lag is not in 0..start: such a node would
         read another node's rows, or none."""
         n_vars = self.values.shape[1]
         for node in nodes:
             if not (0 <= node[0] < n_vars and 0 <= node[1] <= start):
-                raise InvalidArgument(
+                raise InputError(
                     f"node {node} outside variables 0..{n_vars - 1} and lags 0..{start}"
                 )
 
@@ -317,9 +317,9 @@ class LaggedCrossProducts:
 def f_cdf(x: float, d1: int, d2: int) -> float:
     """CDF of the F distribution via the regularized incomplete beta."""
     if d1 < 1 or d2 < 1:
-        raise InvalidArgument(f"degrees of freedom must be >= 1, got {d1}, {d2}")
+        raise InputError(f"degrees of freedom must be >= 1, got {d1}, {d2}")
     if not math.isfinite(x):
-        raise InvalidArgument(f"non-finite x: {x}")
+        raise InputError(f"non-finite x: {x}")
     if x <= 0.0:
         return 0.0
     w = d1 * x / (d1 * x + d2)
@@ -329,9 +329,9 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
 def t_cdf(x: float, dof: int) -> float:
     """CDF of Student's t via the regularized incomplete beta."""
     if dof < 1:
-        raise InvalidArgument(f"dof must be >= 1, got {dof}")
+        raise InputError(f"dof must be >= 1, got {dof}")
     if not math.isfinite(x):
-        raise InvalidArgument(f"non-finite x: {x}")
+        raise InputError(f"non-finite x: {x}")
     if x == 0.0:
         return 0.5
     tail = 0.5 * float(betainc(dof / 2.0, 0.5, dof / (dof + x * x)))
@@ -344,7 +344,7 @@ def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
     if p.size == 0:
         return np.zeros(0, dtype=bool)
     if ((p < 0) | (p > 1)).any():
-        raise InvalidArgument("p-values must lie in [0, 1]")
+        raise InputError("p-values must lie in [0, 1]")
     check_alpha(alpha)
     m = p.size
     order = np.argsort(p, kind="stable")

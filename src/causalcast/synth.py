@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, TimeSeriesDataset, as_frequency
-from .errors import GenerationFailed, InvalidArgument, NonStationary, is_integer, is_real, json_object, parse_errors, typed
+from .errors import CausalcastError, InputError, is_integer, is_real, json_object, parse_errors, typed
 
 BURN_IN = 200
 
@@ -42,17 +42,17 @@ class PlantedGraph:
         else:
             object.__setattr__(self, "noise_std", tuple(float(s) for s in self.noise_std))
         if len(self.noise_std) != len(self.variables):
-            raise InvalidArgument("noise_std length must match variables")
+            raise InputError("noise_std length must match variables")
         if any(s <= 0 for s in self.noise_std):
-            raise InvalidArgument("noise_std entries must be positive")
+            raise InputError("noise_std entries must be positive")
         names = set(self.variables)
         for s, t, lag, coef in self.links:
             if s not in names or t not in names:
-                raise InvalidArgument(f"link {s}->{t} references unknown variable")
+                raise InputError(f"link {s}->{t} references unknown variable")
             if not is_integer(lag) or lag < 1:
-                raise InvalidArgument(f"planted lags must be integers >= 1, got {lag!r}")
+                raise InputError(f"planted lags must be integers >= 1, got {lag!r}")
             if not is_real(coef) or not abs(coef) <= 0.9:
-                raise InvalidArgument(f"coefficients must be real numbers with |c| <= 0.9, got {coef!r}")
+                raise InputError(f"coefficients must be real numbers with |c| <= 0.9, got {coef!r}")
         # numpy scalars become Python numbers, so that to_dict is plain JSON
         object.__setattr__(
             self, "links", tuple((s, t, int(l), float(c)) for s, t, l, c in self.links)
@@ -84,9 +84,6 @@ class PlantedGraph:
 
     def is_stationary(self) -> bool:
         return self.spectral_radius() < 1.0
-
-    def parents_of(self, variable: str) -> set[tuple[str, int]]:
-        return {(s, lag) for s, t, lag, _ in self.links if t == variable}
 
     def parent_variables_of(self, variable: str) -> set[str]:
         return {s for s, t, _, _ in self.links if t == variable}
@@ -141,12 +138,18 @@ def generate_var(
     Deterministic for a fixed seed.
     """
     if not graph.is_stationary():
-        raise NonStationary(
+        raise InputError(
             f"companion spectral radius {graph.spectral_radius():.4f} >= 1"
         )
     if T < 100:
-        raise InvalidArgument(f"T must be >= 100, got {T}")
+        raise InputError(f"T must be >= 100, got {T}")
     frequency = as_frequency(frequency)
+    try:
+        timestamps = _make_timestamps(start, T, frequency)
+    except (OverflowError, ValueError):
+        raise InputError(
+            f"{T} {frequency.value} steps from {start.isoformat()} run past {dt.date.max.isoformat()}"
+        ) from None
     target = target if target is not None else graph.variables[-1]
 
     rng = np.random.default_rng(seed)
@@ -162,7 +165,6 @@ def generate_var(
             acc += A[l - 1].T @ x[t - l]
         x[t] = acc
 
-    timestamps = _make_timestamps(start, T, frequency)
     return TimeSeriesDataset(
         variable_names=graph.variables,
         timestamps=timestamps,
@@ -185,8 +187,11 @@ def random_planted_graph(
     Coefficients are uniform over +-[coef_range]; unstable draws are
     rejected and resampled up to ``max_tries`` times.
     """
+    for name, value, least in (("n_vars", n_vars, 1), ("n_links", n_links, 0), ("max_lag", max_lag, 1)):
+        if value < least:
+            raise InputError(f"{name} must be >= {least}, got {value}")
     if n_links > n_vars * (n_vars - 1):
-        raise InvalidArgument(
+        raise InputError(
             f"{n_links} links exceed the {n_vars * (n_vars - 1)} distinct "
             f"ordered pairs available"
         )
@@ -209,7 +214,7 @@ def random_planted_graph(
         graph = PlantedGraph(variables=variables, links=tuple(links))
         if graph.is_stationary():
             return graph
-    raise GenerationFailed(
+    raise CausalcastError(
         f"no stationary graph with {n_links} links found in {max_tries} tries"
     )
 

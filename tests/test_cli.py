@@ -124,6 +124,18 @@ class TestSynth:
         assert result.exit_code == 2
         assert "error" in result.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (("--max-lag", 0), "max_lag must be >= 1, got 0"),
+        (("--n-vars", 0, "--n-links", 0), "n_vars must be >= 1, got 0"),
+        (("--n-links", -1), "n_links must be >= 0, got -1"),
+        (("--start-date", "9999-12-01"), "2000 monthly steps from 9999-12-01 run past 9999-12-31"),
+    ], ids=["max-lag-0", "no-variables", "negative-links", "past-the-last-date"])
+    def test_bad_argument_is_exit_two(self, runner, tmp_path, args, message):
+        result = invoke(runner, "synth", *args, "-o", tmp_path / "x")
+        assert result.exit_code == 2, result.exception
+        assert message in result.stderr
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestPreprocess:
     def test_imputes_and_saves(self, runner, tmp_path):
@@ -333,6 +345,14 @@ class TestTrainEvaluate:
         result = invoke(runner, "train", data, *args, "-o", tmp_path / "m.json")
         assert result.exit_code == 2
         assert "learning_rate" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_seed_is_exit_two(self, runner, trained, tmp_path):
+        _, data, _ = trained
+        result = invoke(runner, "train", data, *TRAIN_ARGS, "--seed", -1,
+                        "-o", tmp_path / "m.json")
+        assert result.exit_code == 2, result.exception
+        assert "seed must be an integer >= 0, got -1" in result.stderr
         assert not (tmp_path / "m.json").exists()
 
     def test_incomplete_checkpoint_is_exit_two(self, runner, trained, tmp_path):

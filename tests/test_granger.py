@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from causalcast import Frequency, mvgc_test
-from causalcast.errors import InsufficientHistory, InvalidArgument
+from causalcast.errors import InputError
 from causalcast.stats import benjamini_hochberg
 
 from conftest import make_dataset, noise_dataset
@@ -177,7 +177,7 @@ class TestMvgc:
 
     def test_short_series_rejected(self):
         ds = noise_dataset(6, T=30, N=5)
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(InputError, match="max_lag 21 with 5 variables needs T > 136"):
             mvgc_test(ds, max_lag=21)
 
     def test_results_cover_all_nontarget_variables(self):
@@ -199,7 +199,7 @@ class TestSelection:
 
     def test_drivers_of_another_target_rejected(self):
         results = mvgc_test(noise_dataset(8, T=300, N=4), max_lag=2)
-        with pytest.raises(InvalidArgument, match="MVGC tested drivers of 'v0', not 'v1'"):
+        with pytest.raises(InputError, match="MVGC tested drivers of 'v0', not 'v1'"):
             results.drivers("v1")
 
     def test_dict_round_trip_fields(self):

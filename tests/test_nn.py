@@ -21,7 +21,7 @@ from causalcast import (
     save_checkpoint,
     train,
 )
-from causalcast.errors import InvalidArgument, NumericalError, ShapeError
+from causalcast.errors import CausalcastError, InputError, NumericalError
 from causalcast import nn
 from causalcast.nn import (
     adam_init,
@@ -244,14 +244,14 @@ class TestForward:
 
     def test_shape_errors(self):
         model = init_model(tiny_config(), seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(CausalcastError, match=r"expected a batch B x 4 x 2, got shape \(2, 3, 2\)"):
             model_forward(model, np.zeros((2, 3, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(CausalcastError, match=r"expected a batch B x 4 x 2, got shape \(2, 4, 5\)"):
             model_forward(model, np.zeros((2, 4, 5)))
         # the layers take batches only, not one (tau, F) sequence
-        with pytest.raises(ShapeError):
+        with pytest.raises(CausalcastError, match=r"expected a batch B x T x C, got shape \(4, 2\)"):
             gru_forward(model.params, np.zeros((4, 2)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(CausalcastError, match=r"expected a batch B x T x C, got shape \(4, 3\)"):
             lstm_forward(model.params, np.zeros((4, 3)))
 
     def test_nonfinite_input_rejected(self):
@@ -275,14 +275,18 @@ class TestForward:
         assert parameter_count(init_model(cfg)) == 121729
 
     def test_config_validation(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="feature_count must be >= 1"):
             ModelConfig(feature_count=0)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match=r"dropout_rate must lie in \[0, 1\)"):
             ModelConfig(feature_count=2, dropout_rate=1.0)
+        with pytest.raises(InputError, match="seed must be an integer >= 0, got -1"):
+            init_model(tiny_config(), seed=-1)
+        with pytest.raises(InputError, match="seed must be an integer >= 0, got -1"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field, value", [("gru_units", 4.0), ("gru_units", True), ("lookback", 3.0)])
     def test_sizes_must_be_integers(self, field, value):
-        with pytest.raises(InvalidArgument, match=field):
+        with pytest.raises(InputError, match=field):
             ModelConfig(feature_count=3, **{field: value})
 
 
@@ -374,7 +378,7 @@ class TestGradients:
         want = np.concatenate([keyed[k].reshape(-1) for k in model.params])
         np.testing.assert_array_equal(out, want)
         assert loss_out == loss
-        with pytest.raises(ShapeError):
+        with pytest.raises(CausalcastError, match=r"gradient buffer of shape \(209,\) for 210 parameters"):
             backward(model, x, y, masks, out=out[:-1])
 
     @pytest.mark.parametrize("shape", EDGE_IDS.values(), ids=list(EDGE_IDS))
@@ -564,7 +568,7 @@ class TestEarlyStopping:
         assert self._run(monkeypatch, [1.0, 1.1, 0.5, 0.6, 0.7], patience=2) == (5, 3)
 
     def test_invalid_patience(self):
-        with pytest.raises(InvalidArgument, match="patience"):
+        with pytest.raises(InputError, match="patience"):
             TrainConfig(patience=0)
 
 
@@ -690,7 +694,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
-        with pytest.raises(InvalidArgument, match="learning_rate"):
+        with pytest.raises(InputError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
     def test_trained_model_round_trips_and_trains_again(self, tmp_path):

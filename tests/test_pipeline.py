@@ -24,15 +24,7 @@ from causalcast import (
     run_experiment,
     save_csv,
 )
-from causalcast.errors import (
-    ConfigError,
-    DegeneratePercentage,
-    DegenerateR2,
-    EmptySplit,
-    InputError,
-    InvalidArgument,
-    ShapeError,
-)
+from causalcast.errors import CausalcastError, InputError
 from causalcast import data, pipeline
 from causalcast.data import Frequency
 from causalcast.pipeline import REPORT_COLUMNS, FeatureMethod, cell_inputs, prepare
@@ -82,13 +74,13 @@ class TestMetrics:
             )
 
     def test_degenerate_cases(self):
-        with pytest.raises(DegenerateR2):
+        with pytest.raises(CausalcastError, match="R² undefined: observations are constant"):
             r2([1.0, 2.0], [3.0, 3.0])
-        with pytest.raises(DegeneratePercentage):
+        with pytest.raises(CausalcastError, match="percentage metrics undefined: observation mean is zero"):
             percentage_metrics(1.0, 1.0, [-1.0, 1.0])
-        with pytest.raises(ShapeError):
+        with pytest.raises(CausalcastError, match="prediction/observation length mismatch: 1 vs 2"):
             rmse([1.0], [1.0, 2.0])
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="metrics need at least one sample"):
             mae([], [])
 
 
@@ -124,7 +116,7 @@ class TestConfig:
         return ExperimentConfig(**args)
 
     def test_unknown_variant_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="'mystery' is not a valid FeatureMethod"):
             self._base(tmp_path, variants=("vanilla", "mystery"))
 
     def test_variant_strings_coerced(self, tmp_path):
@@ -132,12 +124,12 @@ class TestConfig:
         assert [v.value for v in cfg.variants] == ["vanilla", "pcmci+"]
 
     def test_dpcmci_needs_daily_data(self, tmp_path):
-        with pytest.raises(ConfigError, match="reads the daily panel: no dataset path"):
+        with pytest.raises(InputError, match="reads the daily panel: no dataset path"):
             self._base(tmp_path, variants=("dpcmci+",))
 
     def test_dpcmci_needs_a_monthly_frequency(self, tmp_path):
         (tmp_path / "d.csv").write_text("date,y\n2000-01-01,1.0\n")
-        with pytest.raises(ConfigError, match="'dpcmci\\+' has no cell at frequencies \\['daily'\\]"):
+        with pytest.raises(InputError, match="'dpcmci\\+' has no cell at frequencies \\['daily'\\]"):
             self._base(tmp_path, daily_path=str(tmp_path / "d.csv"), frequencies=("daily",),
                        variants=("vanilla", "dpcmci+"))
 
@@ -166,7 +158,7 @@ class TestConfig:
         assert [f.value for f in cfg.frequencies] == ["monthly"]
 
     def test_listed_frequency_needs_a_path(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="reads the daily panel: no dataset path"):
             self._base(tmp_path, frequencies=("daily",))
 
     def test_lead_steps(self, tmp_path):
@@ -202,14 +194,14 @@ class TestConfig:
             self._base(tmp_path, **{field: value})
 
     def test_train_config_integer_fields(self):
-        with pytest.raises(InvalidArgument, match="batch_size"):
+        with pytest.raises(InputError, match="batch_size"):
             TrainConfig(batch_size=8.0)
-        with pytest.raises(InvalidArgument, match="max_epochs"):
+        with pytest.raises(InputError, match="max_epochs"):
             TrainConfig(max_epochs=True)
         assert TrainConfig(batch_size=np.int64(8)).batch_size == 8
 
     def test_no_datasets_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="at least one of daily/monthly datasets required"):
             ExperimentConfig(
                 target="y",
                 split=SplitSpec(dt.date(2005, 12, 31), 0.2,
@@ -245,9 +237,9 @@ class TestReportContainer:
         assert lines[2] == "2,0.4,0.7"
 
     def test_invalid_metrics_rejected(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="negative error metric"):
             EvalReport(records=(self._rec(rmse=-1.0),))
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="r2 above 1"):
             EvalReport(records=(self._rec(r2=1.5),))
 
 
@@ -514,7 +506,8 @@ if __name__ == "__main__":
         for failure in report.failures:
             # each entry names its cell and the error, nothing more
             assert set(failure) == {"frequency", "variant", "lead", "error"}
-            assert "InsufficientHistory" in failure["error"]
+            assert failure["error"] == ("InputError: T = 140 but conditional Granger testing "
+                                        "at max_lag 60 with 3 variables needs T > 250")
         # failures live in the JSON report, not the CSV table
         doc = json.loads((tmp_path / "o" / "report.json").read_text())
         assert len(doc["failures"]) == 2
@@ -572,7 +565,7 @@ if __name__ == "__main__":
             frequencies=("monthly",), variants=variants, leads=(1,),
         )
         if "dpcmci+" in variants:
-            with pytest.raises(EmptySplit, match="no rows at or before train_end"):
+            with pytest.raises(InputError, match="no rows at or before train_end"):
                 run_experiment(config)
             return
         report = run_experiment(config)
@@ -633,8 +626,11 @@ if __name__ == "__main__":
         ))
         assert {r.variant for r in report.records} == {"vanilla"}
         assert [f["variant"] for f in report.failures] == ["gc", "pcmci+"]
-        for failure in report.failures:
-            assert "InsufficientHistory" in failure["error"]
+        assert [f["error"] for f in report.failures] == [
+            "InputError: T = 20 but conditional Granger testing at max_lag 16 with 3 variables "
+            "needs T > 74",
+            "InputError: T = 20 leaves no testable samples at max_lag = 16",
+        ]
 
     def test_program_bug_is_not_a_failed_cell(self, experiment_data, tmp_path,
                                               monkeypatch):

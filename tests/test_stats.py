@@ -7,7 +7,7 @@ from scipy import stats as scipy_stats
 from scipy import special as scipy_special
 from scipy.linalg.lapack import dpotrf
 
-from causalcast.errors import InvalidArgument, NumericalError
+from causalcast.errors import InputError, NumericalError
 from causalcast.stats import (
     LaggedCrossProducts,
     _cholesky,
@@ -330,11 +330,11 @@ class TestDistributions:
             assert t_cdf(x, 7) + t_cdf(-x, 7) == pytest.approx(1.0, abs=1e-14)
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="degrees of freedom must be >= 1, got 0, 5"):
             f_cdf(1.0, 0, 5)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="non-finite x: nan"):
             f_cdf(math.nan, 5, 5)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match="dof must be >= 1, got 0"):
             t_cdf(1.0, 0)
 
 
@@ -416,7 +416,7 @@ class TestBenjaminiHochberg:
         assert benjamini_hochberg([], 0.05).size == 0
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match=r"p-values must lie in \[0, 1\]"):
             benjamini_hochberg([0.5, 1.5], 0.05)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InputError, match=r"alpha must lie in \(0, 1\), got 0.0"):
             benjamini_hochberg([0.5], 0.0)
