@@ -103,9 +103,17 @@ class TestDataset:
                 target_name="a",
             )
 
+    # The first two ids name the failure they check, a duplicate or
+    # out-of-order timestamp, which is raised as an InputError.
     @pytest.mark.parametrize("frequency, days, error, message", [
-        ("monthly", [0, 31, 31, 0], InputError, "duplicate timestamp 2000-02-01"),
-        ("monthly", [31, 0, 60], InputError, "not strictly increasing at 2000-01-01"),
+        pytest.param(
+            "monthly", [0, 31, 31, 0], InputError, "duplicate timestamp 2000-02-01",
+            id="monthly-days0-DuplicateTimestamp-duplicate timestamp 2000-02-01",
+        ),
+        pytest.param(
+            "monthly", [31, 0, 60], InputError, "not strictly increasing at 2000-01-01",
+            id="monthly-days1-DuplicateTimestamp-not strictly increasing at 2000-01-01",
+        ),
         ("daily", [0, 2, 1, 1], ParseError, "gap between 2000-01-01 and 2000-01-03"),
         ("monthly", [14, 19], ParseError, "one calendar month between 2000-01-15 and 2000-01-20"),
     ])
