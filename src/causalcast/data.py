@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, at_least
 
 
 class Frequency(str, Enum):
@@ -486,10 +486,8 @@ def build_lag_windows(
     starting one row after window s - 1, and the targets a view of the
     dataset's target column.
     """
-    if lookback < 1 or lead < 1:
-        raise InputError(
-            f"lookback and lead must be >= 1, got {lookback}, {lead}"
-        )
+    at_least("lookback", lookback, 1)
+    at_least("lead", lead, 1)
     for f in features:
         if f not in dataset.variable_names:
             raise InputError(f"feature {f!r} not in dataset")

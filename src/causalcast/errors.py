@@ -46,13 +46,13 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_integers(owner, names) -> None:
-    """Raise an InputError naming the first of ``owner``'s fields ``names``
-    that does not hold an integer."""
-    for name in names:
-        value = getattr(owner, name)
-        if not is_integer(value):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+def at_least(name: str, value, least: int) -> None:
+    """Raise an InputError unless the count ``name`` holds an integer
+    (not a bool) of at least ``least``."""
+    if not is_integer(value):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value!r}")
 
 
 @contextmanager

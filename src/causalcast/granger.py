@@ -14,14 +14,13 @@ import warnings
 from dataclasses import dataclass
 
 from .data import TimeSeriesDataset
-from .errors import InputError
+from .errors import InputError, at_least
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
     LaggedCrossProducts,
     benjamini_hochberg,
     betainc,
-    check_max_lag,
 )
 
 
@@ -110,7 +109,7 @@ def mvgc_test(
     ``selected`` flags come from Benjamini-Hochberg FDR across the N-1
     tests at ``alpha``.
     """
-    check_max_lag(max_lag)
+    at_least("max_lag", max_lag, 1)
     values = dataset.values
     T, N = values.shape
     if T <= N * max_lag + max_lag + 10:

@@ -83,7 +83,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, LagWindowSet, NormalizationStats
-from .errors import CausalcastError, InputError, NumericalError, ParseError, check_integers, is_integer, json_object, string_list
+from .errors import CausalcastError, InputError, NumericalError, ParseError, at_least, is_integer, json_object, string_list
 
 CHECKPOINT_FORMAT = "causalcast.checkpoint"
 CHECKPOINT_VERSION = 1
@@ -108,11 +108,8 @@ class ModelConfig:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        sizes = ("feature_count", "lookback", "gru_units", "lstm_units", "dense_units")
-        check_integers(self, sizes)
-        for name in sizes:
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1")
+        for name in ("feature_count", "lookback", "gru_units", "lstm_units", "dense_units"):
+            at_least(name, getattr(self, name), 1)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InputError(
                 f"dropout_rate must lie in [0, 1), got {self.dropout_rate}"
@@ -142,15 +139,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, ("batch_size", "max_epochs", "patience", "seed"))
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise InputError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise InputError("patience must be >= 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            at_least(name, getattr(self, name), least)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise InputError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
@@ -183,8 +173,7 @@ def _glorot_gates(
 
 def init_model(config: ModelConfig, seed: int = 0) -> RecurrentModel:
     """Seeded Glorot-uniform weights, zero biases, LSTM forget bias 1."""
-    if not is_integer(seed) or seed < 0:
-        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+    at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     F, G = config.feature_count, config.gru_units
     L, D = config.lstm_units, config.dense_units

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .errors import InputError, is_integer, parse_errors, typed
+from .errors import InputError, at_least, parse_errors, typed
 from .stats import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_LAG,
@@ -42,14 +42,6 @@ from .stats import (
 DEFAULT_MAX_SAMPLES = 8000
 
 
-def check_max_samples(max_samples: int) -> None:
-    """Raise unless ``max_samples`` is a step count (0 keeps every step)."""
-    if max_samples < 0:
-        raise InputError(
-            f"max_samples must be >= 0 (0 keeps every step), got {max_samples}"
-        )
-
-
 @dataclass(frozen=True)
 class CausalLink:
     source: str
@@ -60,11 +52,8 @@ class CausalLink:
     oriented: bool = True
 
     def __post_init__(self):
-        if not is_integer(self.lag):
-            raise InputError(f"lag must be an integer, got {self.lag!r}")
+        at_least("lag", self.lag, 0)
         object.__setattr__(self, "lag", int(self.lag))
-        if self.lag < 0:
-            raise InputError(f"negative lag {self.lag}")
         if self.lag >= 1 and not self.oriented:
             raise InputError("lagged links are always oriented by time order")
         if self.lag == 0 and self.source == self.target:
@@ -397,7 +386,7 @@ def run_pcmci_plus(
     contemporaneous phase; keeps links with p <= pc_alpha.  Runs on the
     ``max_samples`` most recent steps only (0 keeps every step)."""
     check_alpha(pc_alpha)
-    check_max_samples(max_samples)
+    at_least("max_samples", max_samples, 0)
     names = dataset.variable_names
     values = dataset.values[-max_samples:] if max_samples else dataset.values
     cross = LaggedCrossProducts(values, max_lag)

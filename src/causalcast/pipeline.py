@@ -44,7 +44,7 @@ from .data import (
     load_csv,
     split_windows,
 )
-from .errors import CausalcastError, InputError, check_integers, is_integer
+from .errors import CausalcastError, InputError, at_least, is_integer
 from .granger import mvgc_test
 from .nn import (
     Checkpoint,
@@ -56,8 +56,8 @@ from .nn import (
     save_checkpoint,
     train,
 )
-from .pcmci import DEFAULT_MAX_SAMPLES, check_max_samples, run_pcmci_plus
-from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, check_alpha, check_max_lag
+from .pcmci import DEFAULT_MAX_SAMPLES, run_pcmci_plus
+from .stats import DEFAULT_ALPHA, DEFAULT_MAX_LAG, check_alpha
 
 
 class FeatureMethod(str, Enum):
@@ -126,10 +126,11 @@ def percentage_metrics(rmse_value: float, mae_value: float, obs) -> tuple[float,
 # configuration and report types
 # ---------------------------------------------------------------------------
 
-# ExperimentConfig's integer fields; the leads are checked one by one
-_INTEGER_FIELDS = (
-    "lookback", "discovery_max_lag", "daily_steps_per_month", "max_samples",
-    "gru_units", "lstm_units", "dense_units", "seed", "jobs",
+# the floor of each count only ExperimentConfig owns: ModelConfig checks
+# the layer sizes, and the leads are checked one by one
+_COUNT_FLOORS = (
+    ("discovery_max_lag", 1), ("daily_steps_per_month", 1), ("max_samples", 0),
+    ("seed", 0), ("jobs", 1),
 )
 
 
@@ -162,7 +163,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        check_integers(self, _INTEGER_FIELDS)
+        for name, least in _COUNT_FLOORS:
+            at_least(name, getattr(self, name), least)
         if not self.leads or not all(is_integer(l) and l >= 1 for l in self.leads):
             raise InputError(
                 f"leads must be a non-empty list of integers >= 1, got {list(self.leads)}"
@@ -189,14 +191,8 @@ class ExperimentConfig:
         for f in self.panels():
             if self.path_for(f) is None:
                 raise InputError(f"the roster reads the {f.value} panel: no dataset path given")
-        if self.daily_steps_per_month < 1:
-            raise InputError("daily_steps_per_month must be >= 1")
-        if self.jobs < 1:
-            raise InputError("jobs must be >= 1")
         check_alpha(self.gc_alpha, "gc_alpha")
         check_alpha(self.pcmci_alpha, "pcmci_alpha")
-        check_max_lag(self.discovery_max_lag)
-        check_max_samples(self.max_samples)
         self.model_config(feature_count=1)  # ModelConfig owns the layer rules
 
     def model_config(self, feature_count: int) -> ModelConfig:

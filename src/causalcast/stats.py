@@ -25,7 +25,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, at_least
 
 # A Cholesky pivot that keeps less than this share of its column's
 # centered sum of squares marks a duplicated or collinear column: an MVGC
@@ -45,12 +45,6 @@ def check_alpha(alpha: float, name: str = "alpha") -> None:
         raise InputError(f"{name} must lie in (0, 1), got {alpha}")
 
 
-def check_max_lag(max_lag: int) -> None:
-    """Raise unless ``max_lag`` reaches at least one step back."""
-    if max_lag < 1:
-        raise InputError(f"max_lag must be >= 1, got {max_lag}")
-
-
 def _partial(
     cross: np.ndarray, z: np.ndarray, xy: np.ndarray, norms: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -68,8 +62,6 @@ def _partial(
     degenerate (statistic 0, p 1), so constant and duplicated columns are
     silently non-causal.
     """
-    if n <= len(z) + 3:  # dof would fall below 2
-        raise InputError(f"{n} samples cannot support {len(z)} conditioning columns")
     low, kept, _ = _factor(cross.take(z, 0).take(z, 1), len(z))
     w = np.linalg.solve(low, cross.take(z[kept], 0).take(xy, 1))
     wa, wy = w[:, :-1], w[:, -1]
@@ -222,7 +214,7 @@ class LaggedCrossProducts:
 
     def __init__(self, values: np.ndarray, max_lag: int):
         T, N = values.shape
-        check_max_lag(max_lag)
+        at_least("max_lag", max_lag, 1)
         if T <= max_lag + 4:
             raise InputError(
                 f"T = {T} leaves no testable samples at max_lag = {max_lag}"
@@ -285,7 +277,8 @@ class LaggedCrossProducts:
         """Partial correlation of every node in ``xs`` with node ``y``, each
         given the distinct ``conds`` (none of them in ``xs``), over rows
         t = start..T-1 (by default max_lag..T-1), for nodes at any lag up to
-        ``start``: the statistics and the p-values, one per x.
+        ``start``: the statistics and the p-values, one per x.  Too few
+        rows for ``conds`` (under 2 degrees of freedom) is an InputError.
 
         Over rows max_lag..T-1 it is read from the shared matrix.  Any
         later start (MCI tests reach further back) takes the Gram matrix of
@@ -296,12 +289,17 @@ class LaggedCrossProducts:
         self._check([*xs, y, *conds], start)
         nodes = list(dict.fromkeys(conds)) + [*xs, y]
         k = len(nodes) - len(xs) - 1
+        T = self.values.shape[0]
+        n = max(T - start, 0)
+        if n <= k + 3:  # dof would fall below 2
+            raise InputError(
+                f"{T} rows leave {n} for a CI test starting at row {start}; "
+                f"its {k} conditioning columns need {k + 4}"
+            )
         if start == self.max_lag:
-            cross, idx, n = self.cross, self._index(nodes), self.n
+            cross, idx = self.cross, self._index(nodes)
             norms = self.norms[idx[k:]]
         else:
-            T = self.values.shape[0]
-            n = T - start
             # windows[i * T + s] is series[i, s : s + n]
             windows = sliding_window_view(self.series.ravel(), n)
             rows = windows[[i * T + start - lag for i, lag in nodes]]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Frequency, TimeSeriesDataset, as_frequency
-from .errors import CausalcastError, InputError, is_integer, is_real, json_object, parse_errors, typed
+from .errors import CausalcastError, InputError, at_least, is_real, json_object, parse_errors, typed
 
 BURN_IN = 200
 
@@ -49,8 +49,7 @@ class PlantedGraph:
         for s, t, lag, coef in self.links:
             if s not in names or t not in names:
                 raise InputError(f"link {s}->{t} references unknown variable")
-            if not is_integer(lag) or lag < 1:
-                raise InputError(f"planted lags must be integers >= 1, got {lag!r}")
+            at_least("planted lag", lag, 1)
             if not is_real(coef) or not abs(coef) <= 0.9:
                 raise InputError(f"coefficients must be real numbers with |c| <= 0.9, got {coef!r}")
         # numpy scalars become Python numbers, so that to_dict is plain JSON
@@ -141,8 +140,7 @@ def generate_var(
         raise InputError(
             f"companion spectral radius {graph.spectral_radius():.4f} >= 1"
         )
-    if T < 100:
-        raise InputError(f"T must be >= 100, got {T}")
+    at_least("T", T, 100)
     frequency = as_frequency(frequency)
     try:
         timestamps = _make_timestamps(start, T, frequency)
@@ -188,12 +186,11 @@ def random_planted_graph(
     rejected and resampled up to ``max_tries`` times.
     """
     for name, value, least in (("n_vars", n_vars, 1), ("n_links", n_links, 0), ("max_lag", max_lag, 1)):
-        if value < least:
-            raise InputError(f"{name} must be >= {least}, got {value}")
-    if n_links > n_vars * (n_vars - 1):
+        at_least(name, value, least)
+    if n_links > n_vars * (n_vars - 1) * max_lag:
         raise InputError(
-            f"{n_links} links exceed the {n_vars * (n_vars - 1)} distinct "
-            f"ordered pairs available"
+            f"{n_links} links exceed the {n_vars * (n_vars - 1) * max_lag} distinct "
+            f"(source, target, lag) triples available"
         )
     variables = tuple(f"v{i}" for i in range(n_vars))
     rng = np.random.default_rng(seed)

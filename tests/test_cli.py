@@ -119,10 +119,11 @@ class TestSynth:
         assert a.links == b.links
 
     def test_invalid_request_is_exit_two(self, runner, tmp_path):
-        result = invoke(runner, "synth", "--n-vars", 2, "--n-links", 10,
+        # 2 variables at the default max_lag 5 admit only 10 distinct triples
+        result = invoke(runner, "synth", "--n-vars", 2, "--n-links", 11,
                         "-o", tmp_path / "x")
         assert result.exit_code == 2
-        assert "error" in result.stderr
+        assert "11 links exceed the 10 distinct" in result.stderr
 
     @pytest.mark.parametrize("args, message", [
         (("--max-lag", 0), "max_lag must be >= 1, got 0"),
@@ -200,7 +201,18 @@ class TestDiscover:
                         "--frequency", "monthly", "--max-lag", 3,
                         "--max-samples", -5, "-o", tmp_path / "pc")
         assert result.exit_code == 2
-        assert "max_samples must be >= 0 (0 keeps every step), got -5" in result.stderr
+        assert "max_samples must be >= 0, got -5" in result.stderr
+        assert not (tmp_path / "pc.json").exists()
+
+    def test_mci_rows_running_out_is_exit_two(self, runner, tmp_path):
+        # max_lag 100 leaves 80 rows for PC1, but an MCI test of a parent
+        # at a long lag starts past the last of the 180 rows
+        write_panel(tmp_path / "data.csv", T=180)
+        result = invoke(runner, "discover", tmp_path / "data.csv",
+                        "--method", "pcmci+", "--target", "y",
+                        "--frequency", "monthly", "--max-lag", 100, "-o", tmp_path / "pc")
+        assert result.exit_code == 2, result.exception
+        assert result.stderr.startswith("error: 180 rows leave 0 for a CI test")
         assert not (tmp_path / "pc.json").exists()
 
     @pytest.mark.parametrize("method", ["mvgc", "pcmci+"])
@@ -352,7 +364,7 @@ class TestTrainEvaluate:
         result = invoke(runner, "train", data, *TRAIN_ARGS, "--seed", -1,
                         "-o", tmp_path / "m.json")
         assert result.exit_code == 2, result.exception
-        assert "seed must be an integer >= 0, got -1" in result.stderr
+        assert "seed must be >= 0, got -1" in result.stderr
         assert not (tmp_path / "m.json").exists()
 
     def test_incomplete_checkpoint_is_exit_two(self, runner, trained, tmp_path):

@@ -514,6 +514,18 @@ if __name__ == "__main__":
         csv_text = (tmp_path / "o" / "report.csv").read_text()
         assert "gc" not in csv_text.splitlines()[1]
 
+    def test_mci_rows_running_out_fails_the_pcmci_cell_only(self, experiment_data, tmp_path):
+        # PC1 has 40 rows at max_lag 100, but an MCI test of a parent at a
+        # long lag starts past the last of the 140 training rows
+        path, stamps = experiment_data
+        report = run_experiment(small_config(path, stamps, tmp_path / "o", leads=(1,),
+                                             variants=("vanilla", "pcmci+"),
+                                             discovery_max_lag=100))
+        assert [r.variant for r in report.records] == ["vanilla"]
+        [failure] = report.failures
+        assert failure["variant"] == "pcmci+"
+        assert failure["error"].startswith("InputError: 140 rows leave 0 for a CI test")
+
     def test_discovery_sees_training_rows_only(self, experiment_data, tmp_path):
         # rewriting only the test-range rows leaves every graph unchanged
         path, stamps = experiment_data

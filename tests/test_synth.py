@@ -10,7 +10,7 @@ from causalcast.errors import CausalcastError, InputError, ParseError
 
 class TestPlantedGraph:
     def test_validations(self):
-        with pytest.raises(InputError, match="planted lags must be integers >= 1, got 0"):
+        with pytest.raises(InputError, match="planted lag must be >= 1, got 0"):
             PlantedGraph(("a", "b"), (("a", "b", 0, 0.5),))
         with pytest.raises(InputError, match=r"coefficients must be real numbers with \|c\| <= 0.9, got 0.95"):
             PlantedGraph(("a", "b"), (("a", "b", 1, 0.95),))
@@ -20,9 +20,9 @@ class TestPlantedGraph:
             PlantedGraph(("a",), (), noise_std=(0.0,))
 
     @pytest.mark.parametrize("lag, coef, match", [
-        (2.9, 0.3, "planted lags must be integers >= 1, got 2.9"),
-        (True, 0.3, "planted lags must be integers >= 1, got True"),
-        ("2", 0.3, "planted lags must be integers >= 1, got '2'"),
+        (2.9, 0.3, "planted lag must be an integer, got 2.9"),
+        (True, 0.3, "planted lag must be an integer, got True"),
+        ("2", 0.3, "planted lag must be an integer, got '2'"),
         (2, "0.3", "coefficients must be real numbers with .* got '0.3'"),
         (2, True, "coefficients must be real numbers with .* got True"),
         (2, float("nan"), "coefficients must be real numbers with .* got nan"),
@@ -194,9 +194,15 @@ class TestRandomGraph:
         assert p > 0.001
 
     def test_too_many_links_rejected(self):
-        # 2 variables admit only 2 distinct ordered pairs
-        with pytest.raises(InputError, match="10 links exceed the 2 distinct ordered pairs"):
+        # 2 variables at max_lag 2 admit only 4 distinct triples
+        with pytest.raises(InputError, match=r"10 links exceed the 4 distinct \(source, target, lag\) triples"):
             random_planted_graph(2, 10, seed=3, max_lag=2)
+
+    def test_cap_counts_triples_not_pairs(self):
+        graph = random_planted_graph(2, 3, seed=0, max_lag=2)
+        assert len({(s, t, lag) for s, t, lag, _ in graph.links}) == 3
+        with pytest.raises(InputError, match="5 links exceed the 4 distinct"):
+            random_planted_graph(2, 5, seed=0, max_lag=2)
 
     @pytest.mark.parametrize("n_vars, n_links, max_lag, message", [
         (0, 0, 2, "n_vars must be >= 1, got 0"),
