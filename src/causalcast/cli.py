@@ -271,7 +271,7 @@ def _load_feature_set(source: str, dataset) -> tuple[FeatureMethod, tuple[str, .
     show_default=True,
     help="daily timesteps per month of lead",
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=TrainConfig.seed, show_default=True)
 @click.option("--output", "-o", required=True, help="checkpoint path")
 @click.option("--manifest", type=click.Path(dir_okay=False), default=None)
 @_cli_errors

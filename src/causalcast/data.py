@@ -27,8 +27,24 @@ from .errors import InputError, ParseError, at_least
 
 
 class Frequency(str, Enum):
+    """A panel's step, and the one calendar that numbers and steps dates."""
+
     DAILY = "daily"
     MONTHLY = "monthly"
+
+    def steps(self, dates: Sequence[dt.date]) -> list[int]:
+        """Each date's step number: its ordinal day, or ``year * 12 + month - 1``."""
+        if self is Frequency.DAILY:
+            return [d.toordinal() for d in dates]
+        return [d.year * 12 + d.month - 1 for d in dates]
+
+    def dates(self, start: dt.date, T: int) -> tuple[dt.date, ...]:
+        """The ``T`` consecutive steps from ``start``'s, a month by its
+        first day; a ValueError past 9999-12-31."""
+        first = self.steps([start])[0]
+        if self is Frequency.DAILY:
+            return tuple(map(dt.date.fromordinal, range(first, first + T)))
+        return tuple(dt.date(m // 12, m % 12 + 1, 1) for m in range(first, first + T))
 
 
 def as_frequency(value) -> Frequency:
@@ -43,11 +59,7 @@ def as_frequency(value) -> Frequency:
 def _check_spacing(timestamps: Sequence[dt.date], frequency: Frequency) -> None:
     """Raise at the first neighboring pair not one step (day or calendar
     month) apart: a duplicate, a decrease, or a gap."""
-    if frequency is Frequency.DAILY:
-        steps = [d.toordinal() for d in timestamps]
-    else:
-        steps = [d.year * 12 + d.month for d in timestamps]
-    bad = np.flatnonzero(np.diff(steps) != 1)
+    bad = np.flatnonzero(np.diff(frequency.steps(timestamps)) != 1)
     if bad.size == 0:
         return
     prev, cur = timestamps[bad[0]], timestamps[bad[0] + 1]
@@ -103,6 +115,9 @@ class TimeSeriesDataset:
                 f"{list(self.variable_names)}"
             )
         if not cut:  # a caller's dates are checked, and its array copied
+            odd = [t for t in self.timestamps if type(t) is not dt.date]
+            if odd:
+                raise InputError(f"timestamp {odd[0]!r} is a {type(odd[0]).__name__}, not a date")
             _check_spacing(self.timestamps, self.frequency)
             values = values.copy()
         values.flags.writeable = False
@@ -449,22 +464,14 @@ def aggregate_daily_to_monthly(dataset: TimeSeriesDataset) -> TimeSeriesDataset:
     """
     if dataset.frequency is not Frequency.DAILY:
         raise InputError("aggregation requires a daily dataset")
-    keys: list[tuple[int, int]] = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, ts in enumerate(dataset.timestamps):
-        key = (ts.year, ts.month)
-        if key not in groups:
-            groups[key] = []
-            keys.append(key)
-        groups[key].append(i)
-    values = np.empty((len(keys), dataset.n_variables), dtype=np.float64)
-    timestamps = []
-    for m, key in enumerate(keys):
-        values[m] = dataset.values[groups[key]].mean(axis=0)
-        timestamps.append(dt.date(key[0], key[1], 1))
+    days = dataset.timestamps  # consecutive, so each month is one run of rows
+    starts = [i for i, day in enumerate(days) if i == 0 or day.day == 1]
+    values = np.empty((len(starts), dataset.n_variables), dtype=np.float64)
+    for m, (a, b) in enumerate(zip(starts, [*starts[1:], len(days)])):
+        values[m] = dataset.values[a:b].mean(axis=0)
     return TimeSeriesDataset(
         variable_names=dataset.variable_names,
-        timestamps=tuple(timestamps),
+        timestamps=tuple(days[a].replace(day=1) for a in starts),
         values=values,
         frequency=Frequency.MONTHLY,
         target_name=dataset.target_name,

@@ -21,6 +21,7 @@ from .stats import (
     LaggedCrossProducts,
     benjamini_hochberg,
     betainc,
+    digraph_dot,
 )
 
 
@@ -84,13 +85,9 @@ class GrangerResults(list):
     def to_dot(self) -> str:
         """Graphviz digraph: every variable, and a "GC" edge from each
         selected driver to the target."""
-        lines = ["digraph causal {", "  rankdir=LR;"]
-        lines.extend(f'  "{v}";' for v in self.variables)
-        lines.extend(
-            f'  "{r.variable}" -> "{self.target}" [label="GC"];' for r in self if r.selected
+        return digraph_dot(
+            self.variables, ((r.variable, self.target, 'label="GC"') for r in self if r.selected)
         )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def mvgc_test(

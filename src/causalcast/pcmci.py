@@ -34,6 +34,7 @@ from .stats import (
     LaggedCrossProducts,
     Node,
     check_alpha,
+    digraph_dot,
 )
 
 # Daily-scale runs keep at most this many most recent timesteps unless
@@ -143,18 +144,11 @@ class CausalGraph:
     def to_dot(self) -> str:
         """Graphviz digraph with lag-labeled edges; unoriented lag-0
         links are rendered without an arrowhead."""
-        lines = ["digraph causal {", "  rankdir=LR;"]
-        for v in self.variables:
-            lines.append(f'  "{v}";')
-        for link in self.links:
-            attrs = [f'label="lag {link.lag}"']
-            if not link.oriented:
-                attrs.append("dir=none")
-            lines.append(
-                f'  "{link.source}" -> "{link.target}" [{", ".join(attrs)}];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return digraph_dot(self.variables, (
+            (link.source, link.target,
+             f'label="lag {link.lag}"' + ("" if link.oriented else ", dir=none"))
+            for link in self.links
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ degenerate test.  Around that core: linear partial correlation with a
 t-distributed statistic, whose verdict rules live once, in
 :func:`_verdicts`; every F/t p-value through one regularized incomplete
 beta function, :func:`betainc`, a continued fraction in the ``math``
-module; and Benjamini-Hochberg step-up FDR control.  The functions are
-pure; callers may evaluate many tests in parallel.
+module; and Benjamini-Hochberg step-up FDR control.  Both engines' results
+write their Graphviz form through one function, :func:`digraph_dot`.
+The functions are pure; callers may evaluate many tests in parallel.
 """
 
 from __future__ import annotations
@@ -353,3 +354,11 @@ def benjamini_hochberg(p_values, alpha: float) -> np.ndarray:
         k = int(np.max(np.nonzero(passed)[0]))
         mask[order[: k + 1]] = True
     return mask
+
+
+def digraph_dot(variables, edges) -> str:
+    """Graphviz source: a node per variable, then an edge per
+    ``(source, target, attributes)``, its bracketed attribute text."""
+    lines = ["digraph causal {", "  rankdir=LR;", *(f'  "{v}";' for v in variables)]
+    lines += (f'  "{s}" -> "{t}" [{attrs}];' for s, t, attrs in edges)
+    return "\n".join([*lines, "}"]) + "\n"

@@ -143,8 +143,8 @@ def generate_var(
     at_least("T", T, 100)
     frequency = as_frequency(frequency)
     try:
-        timestamps = _make_timestamps(start, T, frequency)
-    except (OverflowError, ValueError):
+        timestamps = frequency.dates(start, T)
+    except ValueError:
         raise InputError(
             f"{T} {frequency.value} steps from {start.isoformat()} run past {dt.date.max.isoformat()}"
         ) from None
@@ -214,17 +214,3 @@ def random_planted_graph(
     raise CausalcastError(
         f"no stationary graph with {n_links} links found in {max_tries} tries"
     )
-
-
-def _make_timestamps(start: dt.date, T: int, frequency: Frequency) -> tuple[dt.date, ...]:
-    if frequency is Frequency.DAILY:
-        return tuple(start + dt.timedelta(days=k) for k in range(T))
-    out = []
-    year, month = start.year, start.month
-    for _ in range(T):
-        out.append(dt.date(year, month, 1))
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return tuple(out)

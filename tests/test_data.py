@@ -144,12 +144,44 @@ class TestDataset:
         ):
             TimeSeriesDataset(("a",), daily_dates(3), np.zeros((3, 1)), frequency, "a")
 
+    # the checked constructor names the first timestamp that is not a date
+    def test_datetime_timestamps_rejected(self):
+        stamps = tuple(dt.datetime.combine(d, dt.time()) for d in daily_dates(50))
+        with pytest.raises(InputError, match=r"datetime\(2000, 1, 1, 0, 0\) is a datetime, not a date"):
+            TimeSeriesDataset(("a",), stamps, np.zeros((50, 1)), "daily", "a")
+
+    def test_string_timestamps_rejected(self):
+        stamps = (*daily_dates(10), *(d.isoformat() for d in daily_dates(40, dt.date(2000, 1, 11))))
+        with pytest.raises(InputError, match="timestamp '2000-01-11' is a str, not a date"):
+            TimeSeriesDataset(("a",), stamps, np.zeros((50, 1)), "daily", "a")
+
     def test_summary_reports_missing(self):
         vals = np.array([[1.0, np.nan], [2.0, 4.0], [3.0, np.nan]])
         s = make_dataset(vals).summary()
         assert s["n_timesteps"] == 3
         assert s["variables"][0] == {"name": "v0", "min": 1.0, "max": 3.0, "missing": 0}
         assert s["variables"][1]["missing"] == 2
+
+
+class TestFrequency:
+    @pytest.mark.parametrize("start", [
+        dt.date(2000, 2, 28), dt.date(1999, 12, 31), dt.date(2001, 7, 15), dt.date(1979, 1, 1),
+    ], ids=str)
+    def test_dates_match_an_independent_calendar(self, start):
+        assert Frequency.DAILY.dates(start, 800) == daily_dates(800, start)
+        assert Frequency.MONTHLY.dates(start, 30) == monthly_dates(30, start)
+        for frequency in Frequency:
+            assert np.diff(frequency.steps(frequency.dates(start, 30))).tolist() == [1] * 29
+
+    def test_step_numbers(self):
+        day = dt.date(2000, 3, 31)
+        assert Frequency.DAILY.steps([day]) == [day.toordinal()]
+        assert Frequency.MONTHLY.steps([day]) == [2000 * 12 + 2]
+
+    @pytest.mark.parametrize("frequency", list(Frequency))
+    def test_dates_past_the_last_day_raise_value_error(self, frequency):
+        with pytest.raises(ValueError):
+            frequency.dates(dt.date(9999, 12, 1), 100)
 
 
 class TestCsv:
@@ -468,6 +500,27 @@ class TestAggregation:
         monthly = aggregate_daily_to_monthly(ds)
         assert monthly.frequency is Frequency.MONTHLY
         assert [t.day for t in monthly.timestamps] == [1, 1, 1]
+
+
+    def test_equals_per_month_means_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((3 * 365, 3))
+        values[rng.random(values.shape) < 0.05] = np.nan
+        ds = make_dataset(values, frequency=Frequency.DAILY, start=dt.date(2001, 6, 17))
+        monthly = aggregate_daily_to_monthly(ds)
+        months = sorted({(d.year, d.month) for d in ds.timestamps})
+        assert monthly.timestamps == tuple(dt.date(y, m, 1) for y, m in months)
+        expected = np.array([
+            values[[i for i, d in enumerate(ds.timestamps) if (d.year, d.month) == month]].mean(axis=0)
+            for month in months
+        ])
+        assert np.isnan(expected).any()
+        assert monthly.values.tobytes() == expected.tobytes()
+
+    def test_empty_daily_panel_gives_an_empty_monthly_one(self):
+        monthly = aggregate_daily_to_monthly(make_dataset(np.zeros((0, 2)), frequency=Frequency.DAILY))
+        assert monthly.frequency is Frequency.MONTHLY
+        assert monthly.timestamps == () and monthly.values.shape == (0, 2)
 
 
 class TestLagWindows:

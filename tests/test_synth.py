@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from causalcast import Frequency, PlantedGraph, generate_var, random_planted_graph
+from causalcast import Frequency, PlantedGraph, generate_var, load_csv, random_planted_graph, save_csv
 from causalcast.errors import CausalcastError, InputError, ParseError
 
 
@@ -113,6 +113,17 @@ class TestGenerate:
         assert ds.timestamps[0].day == 1
         daily = generate_var(graph, 240, seed=6, frequency="daily")
         assert (daily.timestamps[1] - daily.timestamps[0]).days == 1
+
+    @pytest.mark.parametrize("frequency", ["daily", "monthly"])
+    def test_datetime_start_gives_dates_that_round_trip(self, tmp_path, frequency):
+        graph = random_planted_graph(3, 2, seed=5)
+        ds = generate_var(graph, 120, seed=6, frequency=frequency, start=dt.datetime(2000, 1, 31, 12))
+        assert {type(t) for t in ds.timestamps} == {dt.date}
+        assert ds.timestamps[0] == dt.date(2000, 1, 31 if frequency == "daily" else 1)
+        save_csv(ds, tmp_path / "panel.csv")
+        back = load_csv(tmp_path / "panel.csv", ds.target_name, frequency)
+        assert back.timestamps == ds.timestamps
+        np.testing.assert_array_equal(back.values, ds.values)
 
     def test_no_drift(self):
         graph = random_planted_graph(5, 8, seed=7)
